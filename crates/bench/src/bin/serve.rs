@@ -19,6 +19,11 @@
 //! histograms, per-kind latency spans) after shutdown. `--threads` sets
 //! the compute thread count unless `TAXO_THREADS` is set (env wins).
 //!
+//! f32 `score` requests are answered on the connection thread from the
+//! detector's score table, filled at start-up and at each ingest.
+//! `--batch-max`, `--queue-cap` and `--score-cache` size the micro-batched
+//! scorer queue and its score cache, which serve the int8 tier only.
+//!
 //! `--io-model reactor` (Linux) multiplexes all client connections over
 //! `--reactor-threads` epoll reactors instead of one blocking thread per
 //! connection; `--idle-timeout-ms` closes connections silent for that
@@ -109,6 +114,7 @@ fn main() {
                     .unwrap_or_else(|e| die(&format!("--promote-gate: {e}")));
             }
             "--help" | "-h" => {
+                let d = ServeConfig::default();
                 println!(
                     "serve [--addr HOST:PORT] [--seed N] [--threads N] [--workers N] \
                      [--batch-max N] [--queue-cap N] [--max-candidates N] [--tier f32|int8] \
@@ -116,7 +122,13 @@ fn main() {
                      [--score-cache N] [--resp-cache N] [--metrics-json PATH] \
                      [--data-dir PATH] \
                      [--fsync always|batch|batch:<OPS>:<MS>] [--snapshot-every N] [--recover] \
-                     [--retrain-every N] [--shadow-sample N] [--promote-gate P[:LAT_US]]"
+                     [--retrain-every N] [--shadow-sample N] [--promote-gate P[:LAT_US]]\n\n\
+                     f32 scores are read from a table filled at start-up and at each ingest,\n\
+                     on the connection thread. These flags apply to the int8 tier only:\n  \
+                     --batch-max N    int8 score jobs coalesced into one scoring pass ({})\n  \
+                     --queue-cap N    int8 score queue capacity; beyond it, busy ({})\n  \
+                     --score-cache N  int8 served-score LRU capacity in entries ({})",
+                    d.batch_max, d.score_queue_cap, d.score_cache_cap
                 );
                 return;
             }

@@ -302,4 +302,47 @@ impl ScratchPool {
     pub fn put(&self, scorer: BatchScorer) {
         self.pool.lock().unwrap().push(scorer);
     }
+
+    /// Scores `pairs` in input order: 64-pair chunks fan out across
+    /// `par_map` workers, each on a warm [`BatchScorer`] popped from this
+    /// pool, and `fill_structural(pair, slice)` supplies each pair's
+    /// structural slice (see [`BatchScorer::score_with_features_into`]).
+    /// Chunking cannot change a score, so the result is bitwise identical
+    /// to scoring every pair alone, at any thread count.
+    pub fn score_chunked<B, F>(
+        &self,
+        det: &B,
+        vocab: &Vocabulary,
+        pairs: &[(ConceptId, ConceptId)],
+        fill_structural: F,
+    ) -> Vec<f32>
+    where
+        B: ScoreBackend + Sync,
+        F: Fn((ConceptId, ConceptId), &mut [f32]) + Sync,
+    {
+        // Large enough to amortise bucketing, small enough to spread over
+        // workers.
+        const CHUNK: usize = 64;
+        let run = |chunk: &[(ConceptId, ConceptId)]| -> Vec<f32> {
+            let mut scorer = self.take();
+            let mut out = Vec::with_capacity(chunk.len());
+            scorer.score_with_features_into(
+                det,
+                vocab,
+                chunk,
+                |p, row| fill_structural(chunk[p], row),
+                &mut out,
+            );
+            self.put(scorer);
+            out
+        };
+        if pairs.len() <= CHUNK {
+            return run(pairs);
+        }
+        let n_chunks = pairs.len().div_ceil(CHUNK);
+        taxo_nn::parallel::par_map(n_chunks, |ci| {
+            run(&pairs[ci * CHUNK..((ci + 1) * CHUNK).min(pairs.len())])
+        })
+        .concat()
+    }
 }

@@ -163,26 +163,11 @@ impl HypoDetector {
         pairs: &[(ConceptId, ConceptId)],
         pool: &crate::ScratchPool,
     ) -> Vec<f32> {
-        // Large enough to amortise bucketing, small enough to spread over
-        // workers.
-        const CHUNK: usize = 64;
-        if pairs.len() <= CHUNK {
-            let mut scorer = pool.take();
-            let mut out = Vec::with_capacity(pairs.len());
-            scorer.score_into(self, vocab, pairs, &mut out);
-            pool.put(scorer);
-            return out;
-        }
-        let n_chunks = pairs.len().div_ceil(CHUNK);
-        let chunks = taxo_nn::parallel::par_map(n_chunks, |ci| {
-            let chunk = &pairs[ci * CHUNK..((ci + 1) * CHUNK).min(pairs.len())];
-            let mut scorer = pool.take();
-            let mut out = Vec::with_capacity(chunk.len());
-            scorer.score_into(self, vocab, chunk, &mut out);
-            pool.put(scorer);
-            out
-        });
-        chunks.concat()
+        pool.score_chunked(self, vocab, pairs, |(q, i), row| {
+            if let Some(st) = &self.structural {
+                st.pair_features_into(q, i, row);
+            }
+        })
     }
 
     /// Binary prediction at threshold 0.5.

@@ -7,9 +7,17 @@
 //! a new batch of click records (e.g. one day of logs), re-mines
 //! candidates, and expands from the *current* state, so concepts attached
 //! yesterday can receive children today.
+//!
+//! The session also owns its detector's [`PairScores`] table: each ingest
+//! scores only the candidate pairs the table lacks, in one batched pass,
+//! and expansion reads the table. A serving layer shares the same table
+//! (by `Arc`) to answer reads without running the encoder.
 
-use crate::{expand_taxonomy, CandidatePair, ExpansionConfig, ExpansionResult, HypoDetector};
+use crate::inference::expand_scored;
+use crate::pair_scores::{self, PairScores};
+use crate::{candidates_by_query, CandidatePair, ExpansionConfig, HypoDetector, ScratchPool};
 use std::collections::HashMap;
+use std::sync::Arc;
 use taxo_core::{ConceptId, Edge, Taxonomy, Vocabulary};
 use taxo_obs::{counter, gauge, span};
 use taxo_synth::ClickRecord;
@@ -23,12 +31,21 @@ pub struct IncrementalExpander {
     pair_counts: HashMap<(ConceptId, ConceptId), u64>,
     cfg: ExpansionConfig,
     batches: usize,
+    /// Scores of every pair in the scored window under `detector`; never
+    /// persisted, and empty again after [`IncrementalExpander::restore`].
+    scores: Arc<PairScores>,
+    /// Candidates per query the table covers: the expansion cap, widened
+    /// by [`IncrementalExpander::cover_window`].
+    window: usize,
+    /// Warm scoring arenas for table fills.
+    pool: ScratchPool,
 }
 
 /// The complete durable state of a session — everything
 /// [`IncrementalExpander::ingest`] mutates, and nothing it doesn't (the
 /// detector and config are frozen at training time and travel
-/// separately). Extracted with [`IncrementalExpander::state`] for
+/// separately, and the score table is derived from them). Extracted with
+/// [`IncrementalExpander::state`] for
 /// snapshot persistence and fed back through
 /// [`IncrementalExpander::restore`] during crash recovery.
 #[derive(Debug, Clone)]
@@ -57,12 +74,25 @@ pub struct IngestReport {
 impl IncrementalExpander {
     /// Starts a session from a trained detector and the current taxonomy.
     pub fn new(detector: HypoDetector, initial: Taxonomy, cfg: ExpansionConfig) -> Self {
+        IncrementalExpander::from_parts(detector, initial, HashMap::new(), cfg, 0)
+    }
+
+    fn from_parts(
+        detector: HypoDetector,
+        taxonomy: Taxonomy,
+        pair_counts: HashMap<(ConceptId, ConceptId), u64>,
+        cfg: ExpansionConfig,
+        batches: usize,
+    ) -> Self {
         IncrementalExpander {
             detector,
-            taxonomy: initial,
-            pair_counts: HashMap::new(),
+            taxonomy,
+            pair_counts,
+            window: cfg.max_candidates_per_query,
             cfg,
-            batches: 0,
+            batches,
+            scores: Arc::default(),
+            pool: ScratchPool::new(),
         }
     }
 
@@ -83,8 +113,9 @@ impl IncrementalExpander {
         session
     }
 
-    /// Merges one batch of click records, re-runs top-down expansion from
-    /// the current taxonomy, and adopts the result.
+    /// Merges one batch of click records, scores the pairs of the window
+    /// the table lacks, re-runs top-down expansion from the current
+    /// taxonomy, and adopts the result.
     pub fn ingest(&mut self, vocab: &Vocabulary, records: &[ClickRecord]) -> IngestReport {
         let _g = span!("incremental.ingest");
         self.batches += 1;
@@ -101,9 +132,9 @@ impl IncrementalExpander {
             *self.pair_counts.entry((r.query, item)).or_insert(0) += r.count;
         }
         let pairs = self.candidate_pairs();
-
-        let result: ExpansionResult =
-            expand_taxonomy(&self.detector, vocab, &self.taxonomy, &pairs, &self.cfg);
+        let by_query = candidates_by_query(&pairs);
+        self.fill_window(vocab, &by_query);
+        let result = expand_scored(&self.scores, &self.taxonomy, &by_query, &self.cfg);
         let attached = result.surviving_edges();
         self.taxonomy = result.expanded;
         counter!("incremental.attached").add(attached.len() as u64);
@@ -115,6 +146,39 @@ impl IncrementalExpander {
             attached,
             total_relations: self.taxonomy.edge_count(),
         }
+    }
+
+    /// Widens the scored window to the top `cap` candidates of every
+    /// query and scores the pairs the table now lacks. A serving layer
+    /// calls this once with its per-query candidate cap; every later
+    /// ingest keeps the wider window covered.
+    pub fn cover_window(&mut self, vocab: &Vocabulary, cap: usize) {
+        self.window = self.window.max(cap);
+        let by_query = candidates_by_query(&self.candidate_pairs());
+        self.fill_window(vocab, &by_query);
+    }
+
+    fn fill_window(
+        &mut self,
+        vocab: &Vocabulary,
+        by_query: &HashMap<ConceptId, Vec<CandidatePair>>,
+    ) {
+        let missing = self
+            .scores
+            .missing(pair_scores::window(by_query, self.window));
+        if !missing.is_empty() {
+            // Snapshots sharing the current table keep it; the session
+            // continues on a copy that also holds the new pairs.
+            Arc::make_mut(&mut self.scores).fill(&self.detector, vocab, missing, &self.pool);
+        }
+    }
+
+    /// The detector's score table. After an ingest or a
+    /// [`IncrementalExpander::cover_window`] it holds every pair of the
+    /// window (the top candidates of each query, self-pairs removed),
+    /// plus pairs that have since dropped out of it.
+    pub fn scores(&self) -> &Arc<PairScores> {
+        &self.scores
     }
 
     /// The maintained taxonomy.
@@ -171,18 +235,16 @@ impl IncrementalExpander {
     /// taxonomy as an edge set and the pair store as a sorted list, so
     /// neither depends on the in-memory insertion order lost and
     /// recreated by the disk round trip.
+    ///
+    /// The score table starts empty (with the window back at the
+    /// expansion cap): restoring under a promoted detector can never
+    /// carry the previous detector's scores.
     pub fn restore(detector: HypoDetector, cfg: ExpansionConfig, state: ExpanderState) -> Self {
         let mut pair_counts = HashMap::with_capacity(state.pairs.len());
         for p in &state.pairs {
             *pair_counts.entry((p.query, p.item)).or_insert(0) += p.clicks;
         }
-        IncrementalExpander {
-            detector,
-            taxonomy: state.taxonomy,
-            pair_counts,
-            cfg,
-            batches: state.batches,
-        }
+        IncrementalExpander::from_parts(detector, state.taxonomy, pair_counts, cfg, state.batches)
     }
 }
 

@@ -1,4 +1,5 @@
-use crate::{candidates_by_query, CandidatePair, HypoDetector};
+use crate::pair_scores::{self, PairScores};
+use crate::{candidates_by_query, CandidatePair, HypoDetector, ScratchPool};
 use std::collections::{HashMap, HashSet, VecDeque};
 use taxo_core::{ConceptId, Edge, LevelOrder, TaxoError, Taxonomy, Vocabulary};
 use taxo_obs::{counter, histogram, span};
@@ -127,6 +128,11 @@ impl ExpansionResult {
 /// clicked candidates, attach positives, let newly attached nodes join
 /// the frontier for the next layer, and finally prune transitively
 /// redundant edges.
+///
+/// Every candidate the traversal can consider is scored up front in one
+/// batched pass (scores are pure, so when a pair is scored cannot change
+/// its bits); [`crate::IncrementalExpander`] keeps that table across
+/// ingests and scores only the pairs it lacks.
 pub fn expand_taxonomy(
     detector: &HypoDetector,
     vocab: &Vocabulary,
@@ -134,8 +140,25 @@ pub fn expand_taxonomy(
     pairs: &[CandidatePair],
     cfg: &ExpansionConfig,
 ) -> ExpansionResult {
+    let by_query = candidates_by_query(pairs);
+    let mut scores = PairScores::default();
+    let window = pair_scores::window(&by_query, cfg.max_candidates_per_query)
+        .filter(|&(_, item)| !(cfg.only_new_concepts && existing.contains_node(item)));
+    let missing = scores.missing(window);
+    scores.fill(detector, vocab, missing, &ScratchPool::new());
+    expand_scored(&scores, existing, &by_query, cfg)
+}
+
+/// The traversal and pruning of [`expand_taxonomy`], reading every score
+/// from `scores`, which must hold each pair of the expansion window
+/// (`cfg.max_candidates_per_query` per query, self-pairs removed).
+pub(crate) fn expand_scored(
+    scores: &PairScores,
+    existing: &Taxonomy,
+    by_query: &HashMap<ConceptId, Vec<CandidatePair>>,
+    cfg: &ExpansionConfig,
+) -> ExpansionResult {
     let _run = span!("expand.run");
-    let by_query: HashMap<ConceptId, Vec<CandidatePair>> = candidates_by_query(pairs);
     let mut expanded = existing.clone();
     let mut added = Vec::new();
 
@@ -149,11 +172,10 @@ pub fn expand_taxonomy(
         let Some(candidates) = by_query.get(&query) else {
             continue;
         };
-        // Split scoring from attachment: the state-independent filters
-        // run first, the surviving candidates are scored in parallel
-        // (`score` is pure), and the attachment pass below re-checks the
-        // taxonomy-state conditions sequentially in candidate order — so
-        // the expansion is identical at any thread count.
+        // The state-independent filters pick the candidates; the
+        // attachment pass re-checks the taxonomy-state conditions in
+        // candidate order, so the expansion is identical at any thread
+        // count.
         let eligible: Vec<ConceptId> = candidates
             .iter()
             .take(cfg.max_candidates_per_query)
@@ -164,13 +186,13 @@ pub fn expand_taxonomy(
             .collect();
         counter!("expand.candidates_scored").add(eligible.len() as u64);
         histogram!("expand.candidates_per_query").observe(eligible.len() as u64);
-        let scores = taxo_nn::parallel::par_map(eligible.len(), |i| {
-            detector.score(vocab, query, eligible[i])
-        });
-        for (&item, &score) in eligible.iter().zip(&scores) {
+        for item in eligible {
             if expanded.contains_edge(query, item) || expanded.is_ancestor(item, query) {
                 continue;
             }
+            let score = scores
+                .get(query, item)
+                .expect("the expansion window is scored before the traversal");
             if score > cfg.threshold && expanded.add_edge(query, item).is_ok() {
                 counter!("expand.attached").inc();
                 added.push(Edge::new(query, item));

@@ -47,6 +47,7 @@ mod error_analysis;
 mod graph_construction;
 mod incremental;
 mod inference;
+mod pair_scores;
 mod pipeline;
 mod quantized;
 pub mod relational;
@@ -72,6 +73,7 @@ pub use graph_construction::{
 };
 pub use incremental::{ExpanderState, IncrementalExpander, IngestReport};
 pub use inference::{expand_taxonomy, ExpansionConfig, ExpansionConfigBuilder, ExpansionResult};
+pub use pair_scores::PairScores;
 pub use pipeline::{PipelineConfig, PipelineConfigBuilder, TrainedPipeline};
 pub use quantized::QuantizedDetector;
 // `relational::PairCtx` (the encoder's backward context) is deliberately

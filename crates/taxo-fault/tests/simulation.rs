@@ -418,9 +418,10 @@ fn chaos_retry_policy() -> RetryPolicy {
 }
 
 /// The full chaos schedule: connection drops at accept and mid-read,
-/// torn response frames, simulated score-queue saturation, and a slowed
-/// ingest/publish path (the "delayed swap"). The `nth`/`always` triggers
-/// guarantee at least four distinct fault kinds actually fire.
+/// torn response frames, simulated score-queue saturation (int8 only:
+/// f32 never queues), and a slowed ingest/publish path (the "delayed
+/// swap"). The `nth`/`always` triggers guarantee at least four distinct
+/// fault kinds actually fire on either tier.
 fn chaos_plan(seed: u64) -> FaultPlan {
     FaultPlan::new(seed)
         .with("serve.accept", Trigger::Nth(4), FaultAction::Fail)
@@ -494,9 +495,16 @@ fn quant_tier_chaos_holds_exactly_once_and_bit_identity() {
     // only versions the offline replay built, and be bit-identical to
     // that version's offline **quant** replay — quantization changes the
     // scores, never the serving semantics.
+    // Only int8 requests that miss both caches push score jobs — a few
+    // per snapshot version here — so saturation is simulated densely
+    // enough to fire on this run.
     let report = simulate(SimConfig {
         seed: 2,
-        plan: Some(chaos_plan(2)),
+        plan: Some(chaos_plan(2).with(
+            "serve.queue.score.push",
+            Trigger::Nth(3),
+            FaultAction::Fail,
+        )),
         score_clients: 3,
         requests_per_client: 30,
         ingest_batches: 2,
@@ -513,6 +521,17 @@ fn quant_tier_chaos_holds_exactly_once_and_bit_identity() {
     assert!(
         report.distinct_faults_fired() >= 4,
         "fired only {:?}",
+        report.injected
+    );
+    // f32 requests never touch the scorer queue (they are answered from
+    // the score table), so this is the lane where simulated score-queue
+    // saturation must actually fire.
+    assert!(
+        report
+            .injected
+            .get("fault.injected.serve.queue.score.push")
+            .is_some_and(|&n| n > 0),
+        "score-queue saturation must fire on the int8 lane: {:?}",
         report.injected
     );
     assert!(report.retries > 0, "chaos this dense must force retries");

@@ -1,7 +1,8 @@
 //! Bounded work queues and the micro-batched scoring engine.
 //!
-//! Connection workers never score candidates themselves: they enqueue a
-//! [`ScoreJob`] and wait on its reply channel. A dedicated scorer thread
+//! f32 requests never come here: connection threads answer them from the
+//! snapshot's score table. For the int8 tier, connection threads enqueue
+//! a [`ScoreJob`] and wait on its reply channel. A dedicated scorer thread
 //! drains **every queued job at once** (up to `batch_max`) and runs the
 //! layered fast path over the coalesced pairs:
 //!
@@ -13,8 +14,10 @@
 //! 3. **Batched scoring** — the misses of each snapshot run through
 //!    [`taxo_expand::BatchScorer`] (length-bucketed encoder forwards,
 //!    one MLP GEMM per bucket, warm arenas from a [`ScratchPool`]),
-//!    chunked across [`taxo_nn::parallel::par_map`] workers, with
-//!    structural features copied from the snapshot's precomputed table.
+//!    chunked across [`taxo_nn::parallel::par_map`] workers by
+//!    [`ScratchPool::score_chunked`] (the loop the expander's score
+//!    table fills through), with structural features copied from the
+//!    snapshot's precomputed table.
 //!
 //! Each job is scored against the snapshot `Arc` it arrived with, so
 //! coalescing never mixes taxonomy versions within a response.
@@ -335,63 +338,32 @@ pub fn score_batch(jobs: Vec<ScoreJob>, pool: &ScratchPool, cache: &ScoreCache) 
     }
 }
 
-/// Batch-scores uncached pairs of one snapshot: chunks spread across
-/// `par_map` workers, each reusing a warm [`taxo_expand::BatchScorer`]
-/// from `pool`, with structural feature rows copied from the snapshot's
-/// build-time table (identical bytes to recomputing them).
+/// Batch-scores uncached pairs of one snapshot through the shared
+/// chunked loop ([`ScratchPool::score_chunked`]), with structural feature
+/// rows copied from the snapshot's build-time table (identical bytes to
+/// recomputing them).
 fn score_misses(
     snap: &ServeSnapshot,
     tier: Tier,
     pairs: &[(ConceptId, ConceptId)],
     pool: &ScratchPool,
 ) -> Vec<f32> {
-    const CHUNK: usize = 64;
-    let run = |chunk: &[(ConceptId, ConceptId)]| -> Vec<f32> {
-        let mut scorer = pool.take();
-        let mut out = Vec::with_capacity(chunk.len());
-        // Structural feature rows are tier-independent (the structural
-        // model is not quantized), so both tiers share the snapshot's
-        // precomputed table.
-        let fill = |p: usize, row: &mut [f32]| {
-            let (q, i) = chunk[p];
-            match snap.structural_row(q, i) {
-                Some(src) => row.copy_from_slice(src),
-                // A pair outside the snapshot's candidate table (or a
-                // structural-free detector, where rows are empty).
-                None => {
-                    if let Some(st) = &snap.detector.structural {
-                        st.pair_features_into(q, i, row);
-                    }
-                }
+    // Structural feature rows are tier-independent (the structural model
+    // is not quantized), so both tiers share the snapshot's table.
+    let fill = |(q, i): (ConceptId, ConceptId), row: &mut [f32]| match snap.structural_row(q, i) {
+        Some(src) => row.copy_from_slice(src),
+        // A pair outside the snapshot's candidate table (or a
+        // structural-free detector, where rows are empty).
+        None => {
+            if let Some(st) = &snap.detector.structural {
+                st.pair_features_into(q, i, row);
             }
-        };
-        match tier {
-            Tier::F32 => scorer.score_with_features_into(
-                snap.detector.as_ref(),
-                &snap.vocab,
-                chunk,
-                fill,
-                &mut out,
-            ),
-            Tier::Int8 => scorer.score_with_features_into(
-                snap.quant.as_ref(),
-                &snap.vocab,
-                chunk,
-                fill,
-                &mut out,
-            ),
         }
-        pool.put(scorer);
-        out
     };
-    if pairs.len() <= CHUNK {
-        return run(pairs);
+    match tier {
+        Tier::F32 => pool.score_chunked(snap.detector.as_ref(), &snap.vocab, pairs, fill),
+        Tier::Int8 => pool.score_chunked(snap.quant.as_ref(), &snap.vocab, pairs, fill),
     }
-    let n_chunks = pairs.len().div_ceil(CHUNK);
-    taxo_nn::parallel::par_map(n_chunks, |ci| {
-        run(&pairs[ci * CHUNK..((ci + 1) * CHUNK).min(pairs.len())])
-    })
-    .concat()
 }
 
 #[cfg(test)]

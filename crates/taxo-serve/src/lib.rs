@@ -10,10 +10,14 @@
 //!   request kinds `score` (query term → ranked attachment candidates),
 //!   `ingest` (new query–click evidence), `health`, `stats` (the
 //!   taxo-obs snapshot), and `shutdown`.
-//! * **Micro-batching** ([`batch`]): concurrent `score` requests
-//!   coalesce into one deduplicated, batched scoring sweep over the
-//!   [`taxo_expand::BatchScorer`] fast path.
-//! * **Score caching** ([`cache`]): a sharded LRU keyed by
+//! * **Score table** ([`snapshot`]): f32 `score` requests read the
+//!   detector's scores from a table the
+//!   [`taxo_expand::IncrementalExpander`] fills once per pair and
+//!   detector (at start-up and at ingest), on the connection thread.
+//! * **Micro-batching** ([`batch`], int8 tier): concurrent `score`
+//!   requests coalesce into one deduplicated, batched scoring sweep over
+//!   the [`taxo_expand::BatchScorer`] fast path.
+//! * **Score caching** ([`cache`], int8 tier): a sharded LRU keyed by
 //!   `(snapshot_version, query, item)`; fully cached requests are
 //!   answered on the connection worker without touching the scorer.
 //! * **Hot-swapped snapshots** ([`snapshot`]): an immutable

@@ -47,12 +47,12 @@ use crate::server::{
 use crate::snapshot::SnapshotReader;
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, ErrorKind, IoSlice, Read, Write};
-use std::net::TcpStream;
+use std::net::{Shutdown, TcpStream};
 use std::os::raw::{c_int, c_uint, c_void};
 use std::os::unix::io::{AsRawFd, RawFd};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 use taxo_obs::{counter, gauge};
 
 /// Chaos point consulted once per read burst on a reactor connection
@@ -68,6 +68,10 @@ pub const FAULT_WRITE: &str = "reactor.write";
 /// re-drains its inbox, so the only effect is added latency, which is
 /// exactly the hazard a lost wakeup has in production.
 pub const FAULT_WAKEUP: &str = "reactor.wakeup";
+
+/// How long a gracefully closed connection keeps reading (and
+/// discarding) after its write half is shut, waiting for the peer's EOF.
+const LINGER: Duration = Duration::from_millis(250);
 
 // ---------------------------------------------------------------------
 // Raw syscall surface (no libc crate; glibc-compatible declarations).
@@ -475,10 +479,31 @@ struct Conn {
     wants_writable: bool,
     /// Close once every owed response has flushed.
     closing: bool,
+    /// Set once the write half is shut: the deadline by which the
+    /// lingering close gives up waiting for the peer's EOF.
+    linger_until: Option<Instant>,
     last_activity: Instant,
 }
 
 impl Conn {
+    fn new(stream: TcpStream, token: u64) -> Conn {
+        Conn {
+            stream,
+            token,
+            dec: FrameDecoder::new(),
+            flush_base: 0,
+            next_slot: 0,
+            slots: VecDeque::new(),
+            pending: HashMap::new(),
+            outq: VecDeque::new(),
+            out_head: 0,
+            wants_writable: false,
+            closing: false,
+            linger_until: None,
+            last_activity: Instant::now(),
+        }
+    }
+
     fn interest(&self) -> u32 {
         if self.wants_writable {
             EPOLLIN | EPOLLRDHUP | EPOLLOUT
@@ -637,28 +662,15 @@ pub(crate) fn run(poller: Poller, inbox: &Arc<Inbox>, shared: &Shared) {
         counter!("serve.reactor.events").add(fired as u64);
         inbox.wake.drain();
 
-        // Fresh connections from the acceptor.
+        // Fresh connections from the acceptor. One that arrives after
+        // shutdown began is registered anyway: the sweep below closes it
+        // unread but lingering, so request bytes already sent by the peer
+        // cannot turn the refusal into a reset.
         for stream in inbox.take_conns() {
-            if shared.is_shutdown() {
-                continue; // dropped: refused at the door, like a closed conn_queue
-            }
             if set_nonblocking(stream.as_raw_fd()).is_err() {
                 continue;
             }
-            let idx = slab.insert(|token| Conn {
-                stream,
-                token,
-                dec: FrameDecoder::new(),
-                flush_base: 0,
-                next_slot: 0,
-                slots: VecDeque::new(),
-                pending: HashMap::new(),
-                outq: VecDeque::new(),
-                out_head: 0,
-                wants_writable: false,
-                closing: false,
-                last_activity: Instant::now(),
-            });
+            let idx = slab.insert(|token| Conn::new(stream, token));
             let conn = self_conn(&mut slab, idx);
             if poller
                 .add(conn.stream.as_raw_fd(), conn.token, conn.interest())
@@ -711,6 +723,10 @@ pub(crate) fn run(poller: Poller, inbox: &Arc<Inbox>, shared: &Shared) {
                 close_conn(&poller, &mut slab, idx);
                 continue;
             }
+            if self_conn(&mut slab, idx).linger_until.is_some() {
+                discard_reads(&poller, &mut slab, idx, &mut buf);
+                continue;
+            }
             if readiness & EPOLLOUT != 0 && !service_writes(&poller, &mut slab, idx) {
                 continue;
             }
@@ -735,11 +751,17 @@ pub(crate) fn run(poller: Poller, inbox: &Arc<Inbox>, shared: &Shared) {
         let shutting_down = shared.is_shutdown();
         for idx in slab.indices() {
             let conn = self_conn(&mut slab, idx);
+            if let Some(deadline) = conn.linger_until {
+                if Instant::now() >= deadline {
+                    close_conn(&poller, &mut slab, idx);
+                }
+                continue;
+            }
             if shutting_down {
                 conn.closing = true;
             }
             if conn.closing && conn.drained() {
-                close_conn(&poller, &mut slab, idx);
+                linger_close(&poller, &mut slab, idx);
             } else if !conn.closing
                 && conn.drained()
                 && conn.last_activity.elapsed() >= shared.cfg.idle_timeout
@@ -768,8 +790,42 @@ fn close_conn(poller: &Poller, slab: &mut Slab, idx: usize) {
     }
 }
 
+/// Closes a connection that owes nothing more, without losing what it
+/// already wrote. Closing a socket with unread request bytes in its
+/// receive buffer makes Linux send RST, and the peer then loses
+/// responses it has not read yet. So: shut the write half (the peer
+/// reads every response, then EOF), read and discard until the peer's
+/// EOF or [`LINGER`] elapses, and only then close. Level-triggered
+/// readiness brings the connection back to [`discard_reads`] while
+/// bytes are pending; the shutdown sweep enforces the deadline.
+fn linger_close(poller: &Poller, slab: &mut Slab, idx: usize) {
+    let conn = self_conn(slab, idx);
+    if conn.stream.shutdown(Shutdown::Write).is_err() {
+        close_conn(poller, slab, idx);
+        return;
+    }
+    conn.linger_until = Some(Instant::now() + LINGER);
+}
+
+/// Reads a lingering connection until `WouldBlock`, discarding the
+/// bytes; closes it at EOF or on error.
+fn discard_reads(poller: &Poller, slab: &mut Slab, idx: usize, buf: &mut [u8]) {
+    let conn = self_conn(slab, idx);
+    loop {
+        match conn.stream.read(buf) {
+            Ok(0) => break,
+            Ok(_) => {}
+            Err(e) if e.kind() == ErrorKind::WouldBlock => return,
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(_) => break,
+        }
+    }
+    close_conn(poller, slab, idx);
+}
+
 /// Flushes a connection's write queue and maintains the `EPOLLOUT`
-/// discipline. Returns false when the connection was closed.
+/// discipline. Returns false when the connection was closed or, owing
+/// nothing more, began its lingering close.
 fn service_writes(poller: &Poller, slab: &mut Slab, idx: usize) -> bool {
     let conn = self_conn(slab, idx);
     match conn.flush() {
@@ -779,7 +835,7 @@ fn service_writes(poller: &Poller, slab: &mut Slab, idx: usize) -> bool {
                 let _ = poller.modify(conn.stream.as_raw_fd(), conn.token, conn.interest());
             }
             if conn.closing && conn.drained() {
-                close_conn(poller, slab, idx);
+                linger_close(poller, slab, idx);
                 return false;
             }
             true
@@ -962,20 +1018,7 @@ mod tests {
             let client = TcpStream::connect(addr).expect("connect");
             let (server, _) = listener.accept().expect("accept");
             std::mem::forget(client);
-            Conn {
-                stream: server,
-                token,
-                dec: FrameDecoder::new(),
-                flush_base: 0,
-                next_slot: 0,
-                slots: VecDeque::new(),
-                pending: HashMap::new(),
-                outq: VecDeque::new(),
-                out_head: 0,
-                wants_writable: false,
-                closing: false,
-                last_activity: Instant::now(),
-            }
+            Conn::new(server, token)
         };
         let mut slab = Slab::new();
         let idx = slab.insert(make_conn);

@@ -1,19 +1,26 @@
 //! The TCP server: acceptor, connection-worker pool, micro-batching
-//! scorer, and the single ingest/rebuild thread.
+//! scorer (int8 tier), and the single ingest/rebuild thread.
 //!
 //! Thread layout (all plain `std::thread`, started by
 //! [`ServerBuilder::bind`]):
 //!
 //! ```text
-//! acceptor ──► conn queue ──► worker 0..N   (parse + respond)
-//!                               │   ▲
-//!                    score jobs ▼   │ scores (per-job mpsc)
+//! acceptor ──► conn queue ──► worker 0..N   (parse + respond; f32 scores
+//!                               │   ▲        read from the snapshot's
+//!                               │   │        score table)
+//!               int8 score jobs ▼   │ scores (per-job mpsc)
 //!                            scorer thread   (one par_map per batch)
 //!                               ┆
 //! workers ──► ingest queue ──► ingest thread (WAL append+fsync →
-//!                                             IncrementalExpander +
+//!                                             IncrementalExpander: score
+//!                                             new pairs, expand +
 //!                                             snapshot rebuild + publish)
 //! ```
+//!
+//! A pair's f32 score depends only on the detector, so the
+//! [`IncrementalExpander`] scores each candidate pair once per detector
+//! (at bind for the served window, at ingest for pairs new to it, once
+//! more after a promotion) and every snapshot shares that table by `Arc`.
 //!
 //! Every queue is a [`BoundedQueue`]: when one fills up the server sheds
 //! the request with a `busy` response instead of stalling the socket.
@@ -29,11 +36,11 @@
 //! rebuilds the durable state.
 
 use crate::batch::{score_batch, BoundedQueue, PushError, ScoreJob, ScoreSink};
-use crate::cache::{ResponseCache, ScoreCache};
+use crate::cache::{ResponseCache, ResponseKey, ScoreCache};
 use crate::durable::{self, DurabilityConfig, FsyncPolicy, RecoveryReport};
 use crate::protocol::{self, IngestPhase, IngestRecord, IngestSummary, Request, Tier};
 use crate::shadow::{ShadowSample, ShadowTap};
-use crate::snapshot::{ServeSnapshot, SnapshotReader, SnapshotStore};
+use crate::snapshot::{ScoredCandidate, ServeSnapshot, SnapshotReader, SnapshotStore};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::{Path, PathBuf};
@@ -104,9 +111,10 @@ pub struct ServeConfig {
     /// Connection-worker pool size (each worker serves one connection at
     /// a time, many requests per connection).
     pub workers: usize,
-    /// Maximum `score` jobs coalesced into one batched scoring call.
+    /// Maximum int8 `score` jobs coalesced into one batched scoring call
+    /// (f32 requests never queue).
     pub batch_max: usize,
-    /// `score` queue capacity; beyond it requests shed with `busy`.
+    /// int8 `score` queue capacity; beyond it requests shed with `busy`.
     pub score_queue_cap: usize,
     /// `ingest` queue capacity.
     pub ingest_queue_cap: usize,
@@ -117,10 +125,11 @@ pub struct ServeConfig {
     pub max_candidates: usize,
     /// Default `k` (returned candidates) when a request names none.
     pub default_k: usize,
-    /// Served-score LRU cache capacity in entries, keyed by
-    /// `(snapshot_version, tier, query, item)`. Entries of retired
-    /// snapshot versions age out under LRU pressure; size this to a few
-    /// times the working set of hot pairs.
+    /// int8 served-score LRU cache capacity in entries, keyed by
+    /// `(snapshot_version, tier, query, item)` (f32 scores come from the
+    /// snapshot's score table). Entries of retired snapshot versions age
+    /// out under LRU pressure; size this to a few times the working set
+    /// of hot pairs.
     pub score_cache_cap: usize,
     /// Rendered-response LRU capacity in entries, keyed by
     /// `(snapshot_version, tier, query, k)` — repeat queries splice a
@@ -338,8 +347,9 @@ pub(crate) enum IngestReply {
 pub(crate) struct Shared {
     pub(crate) cfg: ServeConfig,
     pub(crate) store: Arc<SnapshotStore>,
-    /// Served-score LRU: probed by connection workers (all-hit requests
-    /// skip the scorer round trip entirely) and filled by the scorer.
+    /// int8 served-score LRU: probed by connection workers (all-hit
+    /// requests skip the scorer round trip entirely) and filled by the
+    /// scorer.
     cache: ScoreCache,
     /// Rendered-response LRU: a hit answers the request with one splice.
     resp: ResponseCache,
@@ -534,8 +544,8 @@ impl ServeController {
     }
 
     /// Swaps a retrained detector into the serving path: the ingest
-    /// thread re-scores its candidate pairs under the new detector,
-    /// rebuilds the snapshot (and its int8 twin), and publishes it —
+    /// thread refills the score table under the new detector, rebuilds
+    /// the snapshot (and its int8 twin), and publishes it —
     /// immediately for [`IngestPhase::Auto`], or held/released across
     /// [`IngestPhase::Prepare`]/[`IngestPhase::Commit`] for coordinated
     /// multi-shard promotion. Counts into the exactly-once ingest
@@ -702,7 +712,7 @@ impl ServerBuilder {
     /// bind time.
     pub fn bind(self, addr: impl ToSocketAddrs) -> Result<ServerHandle, ServeError> {
         let ServerBuilder {
-            expander,
+            mut expander,
             vocab,
             cfg,
             durability,
@@ -741,14 +751,13 @@ impl ServerBuilder {
         // thread publishes — and so is its int8 twin, quantized once here.
         let detector = Arc::new(expander.detector().clone());
         let quant = Arc::new(QuantizedDetector::from_detector(Arc::clone(&detector)));
-        let initial = ServeSnapshot::build_with_quant(
-            initial_version,
-            Arc::clone(&vocab),
-            Arc::clone(&detector),
-            Arc::clone(&quant),
-            expander.taxonomy().clone(),
-            &expander.candidate_pairs(),
-        );
+        // Version-0 fill of the score table: every pair a request can
+        // name, scored once here instead of on the read path.
+        {
+            let _g = span!("serve.scores.initial_fill");
+            expander.cover_window(&vocab, cfg.max_candidates);
+        }
+        let initial = build_snapshot(initial_version, &vocab, &detector, &quant, &expander);
         // Reactor mode: create every reactor's epoll instance and wake
         // eventfd up front so kernel setup errors surface at bind time,
         // not inside a detached thread. Off Linux, `IoModel::Reactor`
@@ -841,7 +850,7 @@ impl ServerBuilder {
             threads.push(
                 std::thread::Builder::new()
                     .name("serve-ingest".into())
-                    .spawn(move || ingest_loop(expander, detector, quant, &vocab, &shared, wal))?,
+                    .spawn(move || ingest_loop(expander, &vocab, &shared, wal))?,
             );
         }
 
@@ -1241,8 +1250,8 @@ pub(crate) fn process_line(
     }
 }
 
-/// The score path up to (and including) the queue push. `Ok` carries a
-/// finished response (cache hit, error, shed); `Err` means a job was
+/// The score path. `Ok` carries a finished response (every f32 request,
+/// an int8 cache hit, an error, a shed); `Err` means an int8 job was
 /// accepted into the scorer queue carrying `sinks.score_sink()` and the
 /// caller must wait for its completion before rendering via
 /// [`render_score_reply`].
@@ -1305,18 +1314,24 @@ fn prepare_score(
     let items = snapshot.eligible(query_id, shared.cfg.max_candidates);
     histogram!("serve.score.candidates").observe(items.len() as u64);
     if items.is_empty() {
-        let tail =
-            protocol::score_response_tail(query, snapshot.version, tier, &snapshot.vocab, &[]);
-        let response = protocol::splice_response(id, &tail);
-        shared.resp.insert(rkey, tail.into());
-        return Ok(response);
+        return Ok(render_ranked(shared, id, query, &snapshot, rkey, &[]));
     }
 
-    // Request fast path: when every pair is cached under this snapshot
-    // and tier, answer on the worker thread — no queue, no scorer round
-    // trip. The cached scores are bit-identical to recomputing, so
-    // responses are indistinguishable from the slow path. The job never
-    // enters the accepted/completed ledger (it is never enqueued).
+    // f32 requests are answered on this thread from the snapshot's score
+    // table, filled at ingest: no queue hop, no scorer, no score cache,
+    // and so never in the accepted/completed ledger. The table holds the
+    // detector's exact bits, so responses match recomputation.
+    if tier == Tier::F32 {
+        let scores = snapshot.table_scores(query_id, &items);
+        let ranked = snapshot.rank(query_id, &items, &scores, k);
+        return Ok(render_ranked(shared, id, query, &snapshot, rkey, &ranked));
+    }
+
+    // int8 fast path: when every pair is cached under this snapshot, answer
+    // on the worker thread — no queue, no scorer round trip. The cached
+    // scores are bit-identical to recomputing, so responses are
+    // indistinguishable from the slow path. The job never enters the
+    // accepted/completed ledger (it is never enqueued).
     let mut cached = Vec::new();
     if shared
         .cache
@@ -1324,11 +1339,7 @@ fn prepare_score(
     {
         counter!("serve.score.cached_requests").inc();
         let ranked = snapshot.rank(query_id, &items, &cached, k);
-        let tail =
-            protocol::score_response_tail(query, snapshot.version, tier, &snapshot.vocab, &ranked);
-        let response = protocol::splice_response(id, &tail);
-        shared.resp.insert(rkey, tail.into());
-        return Ok(response);
+        return Ok(render_ranked(shared, id, query, &snapshot, rkey, &ranked));
     }
 
     let job = ScoreJob {
@@ -1377,15 +1388,24 @@ fn prepare_score(
 /// identical regardless of how the completion travelled back.
 pub(crate) fn render_score_reply(shared: &Shared, ps: &PendingScore, scores: &[f32]) -> String {
     let ranked = ps.snapshot.rank(ps.query_id, &ps.items, scores, ps.k);
-    let tail = protocol::score_response_tail(
-        &ps.query,
-        ps.snapshot.version,
-        ps.tier,
-        &ps.snapshot.vocab,
-        &ranked,
-    );
-    let response = protocol::splice_response(ps.id, &tail);
     let rkey = (ps.snapshot.version, ps.tier, ps.query_id, ps.k as u64);
+    render_ranked(shared, ps.id, &ps.query, &ps.snapshot, rkey, &ranked)
+}
+
+/// Renders a ranked response, caches its tail under `rkey`, and splices
+/// this request's id in front — the one rendering step of every scored
+/// reply, however its scores were found.
+fn render_ranked(
+    shared: &Shared,
+    id: Option<u64>,
+    query: &str,
+    snapshot: &ServeSnapshot,
+    rkey: ResponseKey,
+    ranked: &[ScoredCandidate],
+) -> String {
+    let tail =
+        protocol::score_response_tail(query, snapshot.version, rkey.1, &snapshot.vocab, ranked);
+    let response = protocol::splice_response(id, &tail);
     shared.resp.insert(rkey, tail.into());
     response
 }
@@ -1585,8 +1605,6 @@ struct PendingPublish {
 /// published version, and the next version must follow the expander.
 fn ingest_loop(
     mut expander: IncrementalExpander,
-    mut detector: Arc<HypoDetector>,
-    mut quant: Arc<QuantizedDetector>,
     vocab: &Arc<Vocabulary>,
     shared: &Shared,
     mut wal: Option<WalState>,
@@ -1597,6 +1615,9 @@ fn ingest_loop(
     };
     let mut ledger_version = shared.store.version();
     let mut pending: Option<PendingPublish> = None;
+    // The snapshot built last (published or prepared): the next ingest's
+    // snapshot is its successor, so detector-only work is not redone.
+    let mut last = shared.store.load();
     while let Some(mut jobs) = shared.ingest_queue.drain(group_max) {
         // Durable path: collect the commit group, append every frame,
         // fsync once — the ack barrier — and only then apply and ack.
@@ -1730,25 +1751,22 @@ fn ingest_loop(
                         return;
                     }
                     let _g = span!("serve.promote.apply");
-                    detector = promoted;
-                    quant = Arc::new(QuantizedDetector::from_detector(Arc::clone(&detector)));
+                    let detector = promoted;
+                    let quant = Arc::new(QuantizedDetector::from_detector(Arc::clone(&detector)));
                     // The expander re-anchors on the promoted detector:
                     // future ingest attachment decisions are made by the
-                    // model that is actually serving.
+                    // model that is actually serving. Its score table
+                    // starts empty and is refilled once, by this detector.
                     expander = IncrementalExpander::restore(
                         (*detector).clone(),
                         expander.expansion_config().clone(),
                         expander.state(),
                     );
+                    expander.cover_window(vocab, shared.cfg.max_candidates);
                     ledger_version = version;
-                    let next = Arc::new(ServeSnapshot::build_with_quant(
-                        version,
-                        Arc::clone(vocab),
-                        Arc::clone(&detector),
-                        Arc::clone(&quant),
-                        expander.taxonomy().clone(),
-                        &expander.candidate_pairs(),
-                    ));
+                    let next =
+                        Arc::new(build_snapshot(version, vocab, &detector, &quant, &expander));
+                    last = Arc::clone(&next);
                     counter!("serve.ingest.applied").inc();
                     counter!("serve.promote.applied").inc();
                     if publish {
@@ -1793,15 +1811,14 @@ fn ingest_loop(
 
             let next = {
                 let _g = span!("serve.ingest.rebuild");
-                Arc::new(ServeSnapshot::build_with_quant(
+                Arc::new(last.successor(
                     version,
-                    Arc::clone(vocab),
-                    Arc::clone(&detector),
-                    Arc::clone(&quant),
                     expander.taxonomy().clone(),
                     &expander.candidate_pairs(),
+                    Arc::clone(expander.scores()),
                 ))
             };
+            last = Arc::clone(&next);
             let summary = IngestSummary {
                 batch: report.batch as u64,
                 matched,
@@ -1848,6 +1865,26 @@ fn ingest_loop(
             }
         }
     }
+}
+
+/// Freezes the expander's current state as the snapshot for `version`,
+/// sharing its score table.
+fn build_snapshot(
+    version: u64,
+    vocab: &Arc<Vocabulary>,
+    detector: &Arc<HypoDetector>,
+    quant: &Arc<QuantizedDetector>,
+    expander: &IncrementalExpander,
+) -> ServeSnapshot {
+    ServeSnapshot::build_scored(
+        version,
+        Arc::clone(vocab),
+        Arc::clone(detector),
+        Arc::clone(quant),
+        expander.taxonomy().clone(),
+        &expander.candidate_pairs(),
+        Arc::clone(expander.scores()),
+    )
 }
 
 /// Post-crash cleanup: drains and drops everything still queued so

@@ -1,12 +1,13 @@
 //! Immutable serving snapshots and the hot-swap store.
 //!
 //! A [`ServeSnapshot`] is everything a `score` request reads — detector,
-//! vocabulary, taxonomy, and the mined candidate index — frozen at one
-//! version. Snapshots are immutable once built: the ingest thread builds
-//! a **new** snapshot after every [`taxo_expand::IncrementalExpander`]
-//! batch and publishes it through [`SnapshotStore`]; requests in flight
-//! keep the `Arc` they started with, so every response is internally
-//! consistent (entirely old state or entirely new state, never a mix).
+//! vocabulary, taxonomy, the mined candidate index, and the detector's
+//! score table — frozen at one version. Snapshots are immutable once
+//! built: the ingest thread builds a **new** snapshot after every
+//! [`taxo_expand::IncrementalExpander`] batch and publishes it through
+//! [`SnapshotStore`]; requests in flight keep the `Arc` they started
+//! with, so every response is internally consistent (entirely old state
+//! or entirely new state, never a mix).
 //!
 //! Readers are wait-free in the steady state: each worker holds a
 //! [`SnapshotReader`] that caches the current `Arc` and revalidates it
@@ -19,7 +20,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use taxo_core::{ConceptId, Taxonomy, Vocabulary};
-use taxo_expand::{CandidatePair, HypoDetector, QuantizedDetector};
+use taxo_expand::{CandidatePair, HypoDetector, PairScores, QuantizedDetector};
 
 /// Candidate pairs sampled per snapshot build to measure the realized
 /// int8-vs-f32 score divergence published on the
@@ -49,20 +50,54 @@ pub struct ServeSnapshot {
     pub quant: Arc<QuantizedDetector>,
     /// Largest |int8 − f32| score difference over a fixed sample of this
     /// snapshot's candidate pairs — the realized quantization divergence
-    /// on live data, also published as the
-    /// `serve.quant.max_abs_divergence` gauge in nano-units.
+    /// on live data, set on the `serve.quant.max_abs_divergence` gauge
+    /// (nano-units) when the snapshot is published.
     pub quant_divergence: f32,
+    /// The candidate pairs `quant_divergence` was measured on.
+    divergence_sample: Vec<(ConceptId, ConceptId)>,
     pub taxonomy: Taxonomy,
+    /// f32 scores of the served candidate window, filled by the
+    /// [`taxo_expand::IncrementalExpander`] that owns `detector` and
+    /// shared by every snapshot built from it. Empty for snapshots from
+    /// [`ServeSnapshot::build`].
+    scores: Arc<PairScores>,
     /// Candidate items per query, sorted by clicks desc then item id —
     /// the same order `taxo_expand::candidates_by_query` produces.
     by_query: HashMap<ConceptId, Vec<CandidatePair>>,
     /// Structural feature rows (Eq. 13) of every mined candidate pair,
-    /// computed once at build instead of per request: `feat_index` maps a
-    /// pair to its row offset in the flat `feat_data` table. Empty when
-    /// the detector has no structural model.
-    feat_index: HashMap<(ConceptId, ConceptId), usize>,
-    feat_data: Vec<f32>,
-    feat_dim: usize,
+    /// computed once at build instead of per request, and shared with
+    /// the successors that keep the same rows.
+    feats: Arc<FeatureRows>,
+}
+
+/// Structural feature rows of candidate pairs: `index` maps a pair to its
+/// row offset in the flat `data` table. A row depends only on the
+/// detector's structural model and the pair. Empty when the detector has
+/// no structural model.
+#[derive(Debug, Clone, Default)]
+struct FeatureRows {
+    index: HashMap<(ConceptId, ConceptId), usize>,
+    data: Vec<f32>,
+    dim: usize,
+}
+
+impl FeatureRows {
+    /// Adds the row of every pair of `pairs` the table lacks.
+    fn extend(&mut self, detector: &HypoDetector, pairs: &[CandidatePair]) {
+        let Some(st) = &detector.structural else {
+            return;
+        };
+        for p in pairs {
+            if let std::collections::hash_map::Entry::Vacant(e) =
+                self.index.entry((p.query, p.item))
+            {
+                let off = self.data.len();
+                self.data.resize(off + self.dim, 0.0);
+                st.pair_features_into(p.query, p.item, &mut self.data[off..]);
+                e.insert(off);
+            }
+        }
+    }
 }
 
 impl ServeSnapshot {
@@ -74,6 +109,10 @@ impl ServeSnapshot {
     /// pair (the relational side needs no equivalent — concept
     /// tokenizations are cached inside the detector itself). Requests
     /// then copy precomputed rows instead of re-deriving them.
+    ///
+    /// The snapshot has no score table: [`ServeSnapshot::table_scores`]
+    /// recomputes every pair. Servers build theirs with
+    /// [`ServeSnapshot::build_scored`] from their expander's table.
     pub fn build(
         version: u64,
         vocab: Arc<Vocabulary>,
@@ -96,52 +135,92 @@ impl ServeSnapshot {
         taxonomy: Taxonomy,
         pairs: &[CandidatePair],
     ) -> ServeSnapshot {
-        let feat_dim = detector
-            .structural
-            .as_ref()
-            .map_or(0, |st| st.feature_dim());
-        let mut feat_index = HashMap::new();
-        let mut feat_data = Vec::new();
-        if let Some(st) = &detector.structural {
-            for p in pairs {
-                if let std::collections::hash_map::Entry::Vacant(e) =
-                    feat_index.entry((p.query, p.item))
-                {
-                    let off = feat_data.len();
-                    feat_data.resize(off + feat_dim, 0.0);
-                    st.pair_features_into(p.query, p.item, &mut feat_data[off..]);
-                    e.insert(off);
-                }
-            }
-        }
-        // Measure the realized int8 divergence on a deterministic sample
-        // of this snapshot's own candidates and publish it: serving a
-        // lossy tier without a live bound on the loss would be flying
-        // blind. Nano-unit fixed point keeps the gauge integral.
-        let sample: Vec<(ConceptId, ConceptId)> = pairs
-            .iter()
-            .take(DIVERGENCE_SAMPLE)
-            .map(|p| (p.query, p.item))
-            .collect();
-        let quant_divergence = if sample.is_empty() {
-            0.0
-        } else {
-            quant.max_abs_divergence(&vocab, &sample)
-        };
-        taxo_obs::gauge!("serve.quant.max_abs_divergence")
-            .set((f64::from(quant_divergence) * 1e9) as i64);
+        ServeSnapshot::build_scored(
+            version,
+            vocab,
+            detector,
+            quant,
+            taxonomy,
+            pairs,
+            Arc::default(),
+        )
+    }
 
+    /// [`ServeSnapshot::build_with_quant`] serving f32 scores from
+    /// `scores`, which must come from the same `detector` (e.g.
+    /// [`taxo_expand::IncrementalExpander::scores`]).
+    pub fn build_scored(
+        version: u64,
+        vocab: Arc<Vocabulary>,
+        detector: Arc<HypoDetector>,
+        quant: Arc<QuantizedDetector>,
+        taxonomy: Taxonomy,
+        pairs: &[CandidatePair],
+        scores: Arc<PairScores>,
+    ) -> ServeSnapshot {
+        let mut feats = FeatureRows {
+            dim: detector
+                .structural
+                .as_ref()
+                .map_or(0, |st| st.feature_dim()),
+            ..FeatureRows::default()
+        };
+        feats.extend(&detector, pairs);
+        let divergence_sample = divergence_sample(pairs);
+        let quant_divergence = measure_divergence(&quant, &vocab, &divergence_sample);
         ServeSnapshot {
             version,
             vocab,
             detector,
             quant,
             quant_divergence,
+            divergence_sample,
             taxonomy,
+            scores,
             by_query: taxo_expand::candidates_by_query(pairs),
-            feat_index,
-            feat_data,
-            feat_dim,
+            feats: Arc::new(feats),
+        }
+    }
+
+    /// The next snapshot under the same detector: `taxonomy` and the
+    /// candidate set `pairs` after an ingest, with the score table
+    /// `scores`. The parts that depend only on the detector carry over
+    /// instead of being recomputed on every ingest: the structural rows
+    /// this snapshot holds, and the int8 divergence while its sample of
+    /// candidates is unchanged. `pairs` must hold every candidate pair of
+    /// this snapshot (an expander's candidate set only grows); the result
+    /// then equals [`ServeSnapshot::build_scored`] on the same parts.
+    pub(crate) fn successor(
+        &self,
+        version: u64,
+        taxonomy: Taxonomy,
+        pairs: &[CandidatePair],
+        scores: Arc<PairScores>,
+    ) -> ServeSnapshot {
+        let mut feats = Arc::clone(&self.feats);
+        if pairs
+            .iter()
+            .any(|p| !feats.index.contains_key(&(p.query, p.item)))
+        {
+            Arc::make_mut(&mut feats).extend(&self.detector, pairs);
+        }
+        let divergence_sample = divergence_sample(pairs);
+        let quant_divergence = if divergence_sample == self.divergence_sample {
+            self.quant_divergence
+        } else {
+            measure_divergence(&self.quant, &self.vocab, &divergence_sample)
+        };
+        ServeSnapshot {
+            version,
+            vocab: Arc::clone(&self.vocab),
+            detector: Arc::clone(&self.detector),
+            quant: Arc::clone(&self.quant),
+            quant_divergence,
+            divergence_sample,
+            taxonomy,
+            scores,
+            by_query: taxo_expand::candidates_by_query(pairs),
+            feats,
         }
     }
 
@@ -150,9 +229,11 @@ impl ServeSnapshot {
     /// back to computing those on the fly) — and always `None` without a
     /// structural model, where rows are zero-width anyway.
     pub fn structural_row(&self, query: ConceptId, item: ConceptId) -> Option<&[f32]> {
-        self.feat_index
+        let feats = &*self.feats;
+        feats
+            .index
             .get(&(query, item))
-            .map(|&off| &self.feat_data[off..off + self.feat_dim])
+            .map(|&off| &feats.data[off..off + feats.dim])
     }
 
     /// The scoring workload for `query`: its most-clicked candidate items,
@@ -169,6 +250,22 @@ impl ServeSnapshot {
                     .collect()
             })
             .unwrap_or_default()
+    }
+
+    /// The f32 scores of `items` for `query` (in `items` order), read
+    /// from the score table. A pair the table lacks is scored on the
+    /// calling thread — bit-identical, but the encoder on the read path —
+    /// and counted in `serve.score.table_misses`.
+    pub fn table_scores(&self, query: ConceptId, items: &[ConceptId]) -> Vec<f32> {
+        items
+            .iter()
+            .map(|&item| {
+                self.scores.get(query, item).unwrap_or_else(|| {
+                    taxo_obs::counter!("serve.score.table_misses").inc();
+                    self.detector.score(&self.vocab, query, item)
+                })
+            })
+            .collect()
     }
 
     /// Assembles the ranked response from pre-computed scores (one per
@@ -198,9 +295,9 @@ impl ServeSnapshot {
     }
 
     /// Scores one query end to end on the calling thread — the offline
-    /// reference the micro-batched server path must match bit for bit
-    /// (both call the same pure [`taxo_expand::EdgeClassifier`] scoring
-    /// per pair).
+    /// reference the served scores (score table or micro-batched int8)
+    /// must match bit for bit. It recomputes every pair and never reads
+    /// the score table, so it checks the table.
     pub fn score_query(&self, query: ConceptId, cap: usize, k: usize) -> Vec<ScoredCandidate> {
         self.score_query_tier(query, cap, k, Tier::F32)
     }
@@ -227,6 +324,31 @@ impl ServeSnapshot {
     }
 }
 
+/// The deterministic sample of candidates the int8 divergence is measured
+/// on: the first pairs of the candidate set.
+fn divergence_sample(pairs: &[CandidatePair]) -> Vec<(ConceptId, ConceptId)> {
+    pairs
+        .iter()
+        .take(DIVERGENCE_SAMPLE)
+        .map(|p| (p.query, p.item))
+        .collect()
+}
+
+/// The realized int8 divergence on `sample` (published with the
+/// snapshot: serving a lossy tier without a live bound on the loss would
+/// be flying blind).
+fn measure_divergence(
+    quant: &QuantizedDetector,
+    vocab: &Vocabulary,
+    sample: &[(ConceptId, ConceptId)],
+) -> f32 {
+    if sample.is_empty() {
+        0.0
+    } else {
+        quant.max_abs_divergence(vocab, sample)
+    }
+}
+
 /// The published-snapshot cell: one writer (the ingest thread), many
 /// cached readers.
 #[derive(Debug)]
@@ -239,6 +361,7 @@ pub struct SnapshotStore {
 impl SnapshotStore {
     pub fn new(initial: ServeSnapshot) -> Self {
         let initial = Arc::new(initial);
+        set_divergence_gauge(&initial);
         SnapshotStore {
             version: AtomicU64::new(initial.version),
             slot: Mutex::new(initial),
@@ -254,6 +377,7 @@ impl SnapshotStore {
         // visible — responses must stay version-pure throughout.
         let _ = taxo_fault::inject("serve.snapshot.publish");
         let version = next.version;
+        set_divergence_gauge(&next);
         *self.slot.lock().unwrap_or_else(|e| e.into_inner()) = next;
         // Release-ordered so a reader that sees the new version also sees
         // the slot assignment above.
@@ -280,6 +404,15 @@ impl SnapshotStore {
             store: Arc::clone(self),
         }
     }
+}
+
+/// Publishes the served snapshot's int8 divergence. Only published
+/// snapshots set it: a built-but-unpublished one (a trainer's candidate,
+/// a prepared ingest) must not overwrite the live value. Nano-unit fixed
+/// point keeps the gauge integral.
+fn set_divergence_gauge(snapshot: &ServeSnapshot) {
+    taxo_obs::gauge!("serve.quant.max_abs_divergence")
+        .set((f64::from(snapshot.quant_divergence) * 1e9) as i64);
 }
 
 /// Per-worker snapshot cache: [`SnapshotReader::current`] is one atomic
@@ -374,7 +507,107 @@ mod tests {
     }
 
     #[test]
+    fn successor_equals_a_fresh_build() {
+        // Twelve concepts: up to 132 candidate pairs, more than the
+        // divergence sample holds, and a detector with both models.
+        let mut vocab = Vocabulary::new();
+        let ids: Vec<ConceptId> = (0..12).map(|i| vocab.intern(&format!("c{i}"))).collect();
+        let mut tax = Taxonomy::new();
+        for &id in &ids {
+            tax.add_node(id);
+        }
+        tax.add_edge(ids[0], ids[1]).unwrap();
+        let all: Vec<CandidatePair> = ids
+            .iter()
+            .flat_map(|&q| ids.iter().map(move |&i| (q, i)))
+            .filter(|(q, i)| q != i)
+            .map(|(q, i)| pair(q.0, i.0, u64::from(q.0 + 2 * i.0)))
+            .collect();
+        let relational = taxo_expand::RelationalModel::vanilla(
+            &vocab,
+            &[],
+            &taxo_expand::RelationalConfig::tiny(3),
+        );
+        let structural = taxo_expand::StructuralModel::build(
+            &tax,
+            &vocab,
+            &all,
+            None,
+            &taxo_expand::StructuralConfig::tiny(3),
+        );
+        let detector = Arc::new(HypoDetector::new(
+            Some(relational),
+            Some(structural),
+            &taxo_expand::DetectorConfig::tiny(3),
+        ));
+        let vocab = Arc::new(vocab);
+        let quant = Arc::new(QuantizedDetector::from_detector(Arc::clone(&detector)));
+        let fresh = |version: u64, pairs: &[CandidatePair]| {
+            ServeSnapshot::build_with_quant(
+                version,
+                Arc::clone(&vocab),
+                Arc::clone(&detector),
+                Arc::clone(&quant),
+                tax.clone(),
+                pairs,
+            )
+        };
+        let assert_same = |a: &ServeSnapshot, b: &ServeSnapshot, pairs: &[CandidatePair]| {
+            assert_eq!(a.quant_divergence.to_bits(), b.quant_divergence.to_bits());
+            for p in pairs {
+                assert_eq!(
+                    a.structural_row(p.query, p.item),
+                    b.structural_row(p.query, p.item)
+                );
+            }
+            for &q in &ids {
+                assert_eq!(a.eligible(q, 8), b.eligible(q, 8));
+            }
+        };
+
+        // Growth inside the divergence sample: measured again.
+        let v0 = fresh(0, &all[..40]);
+        let v1 = v0.successor(1, tax.clone(), &all[..100], Arc::default());
+        assert_same(&v1, &fresh(1, &all[..100]), &all[..100]);
+        assert!(v1.structural_row(all[99].query, all[99].item).is_some());
+        // Growth past it: the sample, and so the divergence, carry over.
+        let v2 = v1.successor(2, tax.clone(), &all, Arc::default());
+        assert_same(&v2, &fresh(2, &all), &all);
+        // No new pair: the rows are shared, not copied.
+        let v3 = v2.successor(3, tax.clone(), &all, Arc::default());
+        assert!(Arc::ptr_eq(&v3.feats, &v2.feats));
+        assert_same(&v3, &v2, &all);
+    }
+
+    /// Serializes the tests that publish: the divergence gauge is
+    /// process-global.
+    fn publish_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: Mutex<()> = Mutex::new(());
+        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    #[test]
+    fn only_publishing_sets_the_divergence_gauge() {
+        let _g = publish_lock();
+        let gauge = taxo_obs::gauge!("serve.quant.max_abs_divergence");
+        let nano = |snap: &ServeSnapshot| (f64::from(snap.quant_divergence) * 1e9) as i64;
+        // No candidates: nothing to measure, divergence 0.
+        let store = SnapshotStore::new(tiny_snapshot(0, &[]));
+        assert_eq!(gauge.get(), 0);
+
+        // A built but unpublished snapshot (a trainer's candidate, a
+        // prepared ingest) leaves the live value alone.
+        let next = tiny_snapshot(1, &[pair(0, 1, 9), pair(0, 2, 5)]);
+        assert!(nano(&next) > 0, "the fixture must diverge to be telling");
+        assert_eq!(gauge.get(), 0, "building must not set the gauge");
+
+        store.publish(Arc::new(next));
+        assert_eq!(gauge.get(), nano(&store.load()));
+    }
+
+    #[test]
     fn store_publishes_and_readers_refresh() {
+        let _g = publish_lock();
         let store = Arc::new(SnapshotStore::new(tiny_snapshot(0, &[pair(0, 1, 3)])));
         let mut reader = store.reader();
         assert_eq!(reader.current().version, 0);

@@ -19,7 +19,7 @@ use taxo_expand::{
 };
 use taxo_fault::{FaultAction, FaultPlan, Trigger};
 use taxo_serve::{
-    candidate_key, expected_key, Client, IoModel, Reply, ServeConfig, Server, ServerHandle,
+    candidate_key, expected_key, Client, IoModel, Reply, ServeConfig, Server, ServerHandle, Tier,
 };
 use taxo_synth::{ClickConfig, ClickLog, World, WorldConfig};
 
@@ -99,6 +99,8 @@ fn reactor_scores_bit_identical_to_offline_baseline() {
     let k = cfg.default_k;
     let (vocab, queries, handle) = reactor_server(11, cfg);
     let snapshot = handle.store().load();
+    let accepted_before = taxo_obs::counter!("serve.score.accepted").get();
+    let misses_before = taxo_obs::counter!("serve.score.table_misses").get();
 
     let mut client = Client::connect(handle.addr()).unwrap();
     for &q in queries.iter().take(40) {
@@ -114,6 +116,18 @@ fn reactor_scores_bit_identical_to_offline_baseline() {
             "reactor-served candidates for {name:?} must be bit-identical to offline scoring"
         );
     }
+    // f32 requests are answered from the snapshot's score table on the
+    // reactor thread: no score job is ever queued, and no pair is
+    // missing from the table.
+    assert_eq!(
+        taxo_obs::counter!("serve.score.accepted").get(),
+        accepted_before,
+        "f32 traffic must never reach the scorer queue"
+    );
+    assert_eq!(
+        taxo_obs::counter!("serve.score.table_misses").get(),
+        misses_before
+    );
     handle.shutdown_and_join();
 }
 
@@ -353,6 +367,7 @@ fn reactor_chaos_keeps_exactly_once_score_ledger() {
 
     let accepted_before = taxo_obs::counter!("serve.score.accepted").get();
     let completed_before = taxo_obs::counter!("serve.score.completed").get();
+    let wakeups_before = taxo_obs::counter!("fault.injected.reactor.wakeup").get();
 
     // Seeded chaos on every reactor point: dropped read bursts, torn
     // writes, and swallowed wakeups. Connections die mid-request; the
@@ -360,6 +375,9 @@ fn reactor_chaos_keeps_exactly_once_score_ledger() {
     // bit-identical, and the accepted/completed score ledger must
     // balance once the server drains — a job whose connection died is
     // still completed by the scorer, its completion dropped as stale.
+    // Every other query asks for the int8 tier, the only one that still
+    // goes through the scorer queue and the reactor's completion inbox
+    // (f32 is answered inline from the score table).
     taxo_fault::arm(
         FaultPlan::new(18)
             .with("reactor.read", Trigger::Nth(13), FaultAction::Fail)
@@ -372,9 +390,10 @@ fn reactor_chaos_keeps_exactly_once_score_ledger() {
     for round in 0..6 {
         for (i, &q) in queries.iter().take(30).enumerate() {
             let name = vocab.name(q);
-            match client.score(name, Some(k)) {
+            let tier = if i % 2 == 0 { Tier::F32 } else { Tier::Int8 };
+            match client.score_tier(name, Some(k), Some(tier)) {
                 Ok(Reply::Ok(v)) => {
-                    let offline = expected_key(&vocab, &snapshot.score_query(q, cap, k));
+                    let offline = expected_key(&vocab, &snapshot.score_query_tier(q, cap, k, tier));
                     assert_eq!(
                         candidate_key(&v).as_deref(),
                         Some(offline.as_slice()),
@@ -397,8 +416,16 @@ fn reactor_chaos_keeps_exactly_once_score_ledger() {
     handle.shutdown_and_join();
     let accepted = taxo_obs::counter!("serve.score.accepted").get() - accepted_before;
     let completed = taxo_obs::counter!("serve.score.completed").get() - completed_before;
+    assert!(
+        accepted > 0,
+        "the int8 requests must reach the scorer queue"
+    );
     assert_eq!(
         accepted, completed,
         "every accepted score job must complete exactly once under reactor chaos"
+    );
+    assert!(
+        taxo_obs::counter!("fault.injected.reactor.wakeup").get() > wakeups_before,
+        "completions must ring the reactor's wakeup fd, so the lost-wakeup fault must fire"
     );
 }

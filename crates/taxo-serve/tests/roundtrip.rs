@@ -8,7 +8,7 @@ use taxo_expand::{
     DetectorConfig, ExpansionConfig, HypoDetector, IncrementalExpander, RelationalConfig,
     RelationalModel,
 };
-use taxo_serve::{candidate_key, expected_key, Client, Reply, ServeConfig, Server};
+use taxo_serve::{candidate_key, expected_key, Client, Reply, ServeConfig, Server, Tier};
 use taxo_synth::{ClickConfig, ClickLog, World, WorldConfig};
 
 /// A deterministic serving fixture: a synthetic world, a vanilla
@@ -277,22 +277,28 @@ fn overload_sheds_with_busy_and_never_corrupts_responses() {
     let addr = handle.addr();
 
     // Hammer from several connections: every reply must be either a
-    // bit-identical score or an explicit busy shed — nothing else.
+    // bit-identical score or an explicit busy shed — nothing else. Half
+    // the connections ask for int8, the tier that goes through the
+    // bounded scorer queue (f32 is answered from the score table).
     let shed = std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for conn in 0..4usize {
             let vocab = &vocab;
             let snapshot = &snapshot;
             let queries = &queries;
+            let tier = if conn % 2 == 0 { Tier::F32 } else { Tier::Int8 };
             handles.push(scope.spawn(move || {
                 let mut client = Client::connect(addr).unwrap();
                 let mut busy = 0u64;
                 for i in 0..50usize {
                     let q = queries[(conn * 31 + i * 7) % queries.len()];
-                    let reply = client.score(vocab.name(q), Some(k)).unwrap();
+                    let reply = client
+                        .score_tier(vocab.name(q), Some(k), Some(tier))
+                        .unwrap();
                     match reply {
                         Reply::Ok(v) => {
-                            let offline = expected_key(vocab, &snapshot.score_query(q, cap, k));
+                            let offline =
+                                expected_key(vocab, &snapshot.score_query_tier(q, cap, k, tier));
                             assert_eq!(candidate_key(&v).as_deref(), Some(offline.as_slice()));
                         }
                         reply if reply.is_busy() => busy += 1,

@@ -33,7 +33,8 @@ use taxo_expand::{
     RelationalModel,
 };
 use taxo_serve::{
-    candidate_key, json::Value, Client, DurabilityConfig, FsyncPolicy, Reply, ServeConfig, Server,
+    candidate_key, expected_key, json::Value, Client, DurabilityConfig, FsyncPolicy, Reply,
+    ServeConfig, ServeController, Server,
 };
 use taxo_synth::{ClickConfig, ClickLog, Panel, World, WorldConfig};
 use taxo_train::{
@@ -134,7 +135,8 @@ fn sim_train_config(seed: u64) -> TrainConfig {
 
 /// One served score response, reduced to its bit-exact key:
 /// `(version, query, ranked (term, score bits, attached))`.
-type Transcript = Vec<(u64, String, Vec<(String, u32, bool)>)>;
+type Served = (u64, String, Vec<(String, u32, bool)>);
+type Transcript = Vec<Served>;
 
 fn score_into(client: &mut Client, queries: &[String], transcript: &mut Transcript) {
     for q in queries {
@@ -149,6 +151,38 @@ fn score_into(client: &mut Client, queries: &[String], transcript: &mut Transcri
             other => panic!("score rejected: {other:?}"),
         }
     }
+}
+
+/// Checks served responses against recomputation under the snapshot
+/// serving now (`score_query` never reads the score table). Run-to-run
+/// transcript equality cannot catch a score table carried across a
+/// detector change — it would replay identically — so responses served
+/// after every promotion and recovery are checked this way.
+fn assert_matches_reference(served: &[Served], ctl: &ServeController, vocab: &Vocabulary) {
+    let snapshot = ctl.snapshot();
+    let cap = ServeConfig::default().max_candidates;
+    for (version, q, key) in served {
+        assert_eq!(*version, snapshot.version, "{q:?}: served version");
+        let id = vocab.get(q).expect("score queries are vocabulary terms");
+        assert_eq!(
+            key,
+            &expected_key(vocab, &snapshot.score_query(id, cap, 5)),
+            "{q:?} at version {version}: served bytes differ from recomputation"
+        );
+    }
+}
+
+/// Scores every query once more and checks the responses with
+/// [`assert_matches_reference`].
+fn assert_serves_reference(
+    client: &mut Client,
+    ctl: &ServeController,
+    vocab: &Vocabulary,
+    queries: &[String],
+) {
+    let mut served = Transcript::new();
+    score_into(client, queries, &mut served);
+    assert_matches_reference(&served, ctl, vocab);
 }
 
 fn ingest_one(client: &mut Client, vocab: &Vocabulary, batch: &[taxo_synth::ClickRecord]) -> u64 {
@@ -199,7 +233,11 @@ fn decision_sim(seed: u64, workers: usize) -> SimRun {
         final_version: 0,
     };
     for (i, batch) in batches.iter().enumerate() {
+        // Each segment is served by the version the previous segment's
+        // ingest or promotion published.
+        let segment = run.transcript.len();
         score_into(&mut client, &queries, &mut run.transcript);
+        assert_matches_reference(&run.transcript[segment..], &ctl, &vocab);
         run.acked.push(ingest_one(&mut client, &vocab, batch));
         if let Some(d) = plane.run_epoch(&ctl, &mut oracle, &probe) {
             run.decisions.push(d);
@@ -212,6 +250,8 @@ fn decision_sim(seed: u64, workers: usize) -> SimRun {
             ctl.shadow_tap().arm(2, seed);
         }
     }
+    // The last epoch may have promoted: check what it serves too.
+    assert_serves_reference(&mut client, &ctl, &vocab, &queries);
     run.final_version = ctl.version();
     drop(client);
     handle.shutdown_and_join();
@@ -445,6 +485,7 @@ fn crash_mid_promotion_converges_with_exactly_once_accounting() {
         resumed_keys, last_segment,
         "post-recovery scores are bit-identical to pre-crash serving"
     );
+    assert_serves_reference(&mut client, &rctl, &vocab, &queries);
 
     // Convergence: the next clean epoch (fresh plane, no faults) retrains
     // from the recovered state and promotes.
@@ -460,6 +501,7 @@ fn crash_mid_promotion_converges_with_exactly_once_accounting() {
         }
         other => panic!("the post-recovery epoch must promote, got {other:?}"),
     }
+    assert_serves_reference(&mut client, &rctl, &vocab, &queries);
     // And the ingest ledger continues without gap or reuse.
     let v = ingest_one(&mut client, &vocab, batches[3]);
     assert_eq!(v, report.final_version + 2);
@@ -522,6 +564,9 @@ fn faulted_shadow_scorer_defers_promotion_deterministically() {
         let d = plane
             .run_epoch(&ctl, &mut oracle, &probe)
             .expect("second epoch due");
+        if matches!(d.verdict, Verdict::Promoted { .. }) {
+            assert_serves_reference(&mut client, &ctl, &vocab, &queries);
+        }
         decisions.push(d);
         drop(client);
         handle.shutdown_and_join();
