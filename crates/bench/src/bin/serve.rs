@@ -19,10 +19,12 @@
 //! histograms, per-kind latency spans) after shutdown. `--threads` sets
 //! the compute thread count unless `TAXO_THREADS` is set (env wins).
 //!
-//! f32 `score` requests are answered on the connection thread from the
-//! detector's score table, filled at start-up and at each ingest.
-//! `--batch-max`, `--queue-cap` and `--score-cache` size the micro-batched
-//! scorer queue and its score cache, which serve the int8 tier only.
+//! f32 `score` requests are spliced on the connection thread from the
+//! snapshot's response index: each served query's candidates are scored
+//! into a table, ranked and rendered once per snapshot, at start-up and
+//! at each ingest. `--batch-max`, `--queue-cap`, `--score-cache` and
+//! `--resp-cache` size the micro-batched scorer queue, its score cache
+//! and the rendered-response cache, which serve the int8 tier only.
 //!
 //! `--io-model reactor` (Linux) multiplexes all client connections over
 //! `--reactor-threads` epoll reactors instead of one blocking thread per
@@ -123,12 +125,14 @@ fn main() {
                      [--data-dir PATH] \
                      [--fsync always|batch|batch:<OPS>:<MS>] [--snapshot-every N] [--recover] \
                      [--retrain-every N] [--shadow-sample N] [--promote-gate P[:LAT_US]]\n\n\
-                     f32 scores are read from a table filled at start-up and at each ingest,\n\
-                     on the connection thread. These flags apply to the int8 tier only:\n  \
+                     f32 responses are ranked and rendered once per snapshot, at start-up and\n\
+                     at each ingest, and spliced on the connection thread. These flags apply\n\
+                     to the int8 tier only:\n  \
                      --batch-max N    int8 score jobs coalesced into one scoring pass ({})\n  \
                      --queue-cap N    int8 score queue capacity; beyond it, busy ({})\n  \
-                     --score-cache N  int8 served-score LRU capacity in entries ({})",
-                    d.batch_max, d.score_queue_cap, d.score_cache_cap
+                     --score-cache N  int8 served-score LRU capacity in entries ({})\n  \
+                     --resp-cache N   int8 rendered-response LRU capacity in entries ({})",
+                    d.batch_max, d.score_queue_cap, d.score_cache_cap, d.resp_cache_cap
                 );
                 return;
             }

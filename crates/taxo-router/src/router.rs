@@ -355,9 +355,13 @@ fn worker_loop(shared: &RouterShared) {
     }
 }
 
-/// Serves one client connection. All complete lines buffered at each
-/// wake-up are handled as one burst, so a pipelined client frame fans
-/// out to the shards as pipelined per-shard frames.
+/// Serves one client connection. Frames are reassembled by the shared
+/// [`protocol::FrameDecoder`], as in `taxo-serve` and the upstream pool.
+/// All complete lines buffered at each wake-up are handled as one burst,
+/// so a pipelined client frame fans out to the shards as pipelined
+/// per-shard frames. An unterminated line longer than
+/// [`protocol::MAX_FRAME`] gets one `bad_request` and the connection
+/// closes.
 fn handle_conn(mut stream: TcpStream, shared: &RouterShared, ups: &mut [Upstream]) {
     if stream
         .set_read_timeout(Some(Duration::from_millis(100)))
@@ -365,30 +369,37 @@ fn handle_conn(mut stream: TcpStream, shared: &RouterShared, ups: &mut [Upstream
     {
         return;
     }
-    let mut buf: Vec<u8> = Vec::new();
+    let mut dec = protocol::FrameDecoder::new();
     let mut chunk = [0u8; 4096];
     loop {
         let mut lines: Vec<String> = Vec::new();
-        while let Some(pos) = buf.iter().position(|&b| b == b'\n') {
-            let line: Vec<u8> = buf.drain(..=pos).collect();
-            let line = String::from_utf8_lossy(&line);
-            let line = line.trim_end_matches(['\n', '\r']);
-            if !line.is_empty() {
-                lines.push(line.to_owned());
+        let overlong = loop {
+            match dec.next_frame() {
+                Ok(Some(line)) => lines.push(line),
+                Ok(None) => break None,
+                Err(e) => break Some(e),
             }
-        }
+        };
         if !lines.is_empty() {
             let (out, close) = handle_burst(&lines, shared, ups);
             if stream.write_all(&out).is_err() || close {
                 return;
             }
         }
+        // The decoder cannot resynchronize after an overlong line: refuse
+        // it and drop the connection.
+        if let Some(e) = overlong {
+            counter!("serve.router.errors.bad_request").inc();
+            let line = protocol::error_response(None, "bad_request", Some(&e.to_string()));
+            let _ = stream.write_all(format!("{line}\n").as_bytes());
+            return;
+        }
         if shared.is_shutdown() {
             return;
         }
         match stream.read(&mut chunk) {
             Ok(0) => return, // EOF
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
+            Ok(n) => dec.push(&chunk[..n]),
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
             Err(_) => return,
         }

@@ -231,3 +231,101 @@ fn cross_shard_bursts_never_mix_epochs() {
     h0.join();
     h1.join();
 }
+
+#[test]
+fn overlong_client_frame_gets_one_bad_request_then_eof() {
+    let world = World::generate(&WorldConfig {
+        target_nodes: 120,
+        ..WorldConfig::tiny(SEED)
+    });
+    let log = ClickLog::generate(
+        &world,
+        &ClickConfig {
+            n_events: 4_000,
+            ..ClickConfig::tiny(SEED)
+        },
+    );
+    let half = log.records.len() / 2;
+    let exp0 = shard_expander(&world, &log.records[..half]);
+    let exp1 = shard_expander(&world, &log.records[..half]);
+    let pairs = exp0.candidate_pairs();
+    let vocab = Arc::new(world.vocab);
+    let serve_cfg = ServeConfig::default();
+    let cap = serve_cfg.max_candidates;
+    let k = serve_cfg.default_k;
+    let h0 = Server::builder(exp0, Arc::clone(&vocab))
+        .config(serve_cfg.clone())
+        .bind("127.0.0.1:0")
+        .unwrap();
+    let h1 = Server::builder(exp1, Arc::clone(&vocab))
+        .config(serve_cfg)
+        .bind("127.0.0.1:0")
+        .unwrap();
+    let router = Router::builder(vec![h0.addr(), h1.addr()])
+        .bind("127.0.0.1:0")
+        .unwrap();
+    let addr = router.addr();
+    // Both shards start from the same state, so either one's snapshot
+    // is the reference for every query.
+    let snapshot = h0.store().load();
+    let mut queries: Vec<ConceptId> = pairs.iter().map(|p| p.query).collect();
+    queries.sort_unstable();
+    queries.dedup();
+    queries.retain(|&q| !snapshot.eligible(q, cap).is_empty());
+    assert!(queries.len() >= 8, "need a non-trivial query universe");
+
+    let sent = AtomicBool::new(false);
+    std::thread::scope(|scope| {
+        let sent = &sent;
+        let flood = scope.spawn(move || {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            stream
+                .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+                .unwrap();
+            stream
+                .write_all(&vec![b'x'; taxo_serve::MAX_FRAME + 1])
+                .unwrap();
+            sent.store(true, Ordering::Relaxed);
+            let mut reply = Vec::new();
+            std::io::Read::read_to_end(&mut stream, &mut reply)
+                .expect("the router closes the connection after its reply");
+            String::from_utf8(reply).unwrap()
+        });
+
+        // Another connection keeps being served, byte for byte.
+        let mut client = Client::connect(addr).unwrap();
+        let mut served = 0usize;
+        while !sent.load(Ordering::Relaxed) || served < queries.len() {
+            let q = queries[served % queries.len()];
+            let name = vocab.name(q);
+            let id = served as u64;
+            let line = format!(
+                "{{\"kind\":\"score\",\"id\":{id},\"query\":{},\"k\":{k}}}",
+                taxo_core::json::encode(&Value::Str(name.to_owned()))
+            );
+            let expected = taxo_serve::protocol::score_response(
+                Some(id),
+                name,
+                0,
+                taxo_serve::Tier::F32,
+                &vocab,
+                &snapshot.score_query(q, cap, k),
+            );
+            assert_eq!(client.call_raw(&line).unwrap(), expected, "query {name:?}");
+            served += 1;
+        }
+
+        let reply = flood.join().expect("flooding client panicked");
+        let lines: Vec<&str> = reply.lines().collect();
+        assert_eq!(lines.len(), 1, "exactly one reply line, got {reply:?}");
+        let v = taxo_core::json::parse(lines[0]).unwrap();
+        assert_eq!(v.get("ok"), Some(&Value::Bool(false)));
+        assert_eq!(v.get("error").and_then(Value::as_str), Some("bad_request"));
+    });
+
+    let mut client = Client::connect(addr).unwrap();
+    client.shutdown().unwrap();
+    router.join();
+    h0.join();
+    h1.join();
+}

@@ -259,7 +259,8 @@ impl ScoreCache {
 /// Key of one cached rendered response: `(version, tier, query, k)`.
 pub type ResponseKey = (u64, Tier, ConceptId, u64);
 
-/// Sharded LRU of fully rendered `score` response tails.
+/// Sharded LRU of fully rendered int8 `score` response tails (f32
+/// responses are spliced from the snapshot's response index instead).
 ///
 /// Scoring is pure and ranking/rendering are deterministic, so one
 /// `(snapshot_version, tier, query, k)` always produces the same bytes

@@ -10,16 +10,18 @@
 //!   request kinds `score` (query term → ranked attachment candidates),
 //!   `ingest` (new query–click evidence), `health`, `stats` (the
 //!   taxo-obs snapshot), and `shutdown`.
-//! * **Score table** ([`snapshot`]): f32 `score` requests read the
-//!   detector's scores from a table the
-//!   [`taxo_expand::IncrementalExpander`] fills once per pair and
-//!   detector (at start-up and at ingest), on the connection thread.
+//! * **Score table and response index** ([`snapshot`]): the
+//!   [`taxo_expand::IncrementalExpander`] scores each candidate pair once
+//!   per detector (at start-up and at ingest), and every snapshot ranks
+//!   and renders each served query once from that table. An f32 `score`
+//!   request is a lookup and a splice on the connection thread.
 //! * **Micro-batching** ([`batch`], int8 tier): concurrent `score`
 //!   requests coalesce into one deduplicated, batched scoring sweep over
 //!   the [`taxo_expand::BatchScorer`] fast path.
-//! * **Score caching** ([`cache`], int8 tier): a sharded LRU keyed by
-//!   `(snapshot_version, query, item)`; fully cached requests are
-//!   answered on the connection worker without touching the scorer.
+//! * **Score and response caching** ([`cache`], int8 tier): sharded
+//!   LRUs keyed by `(snapshot_version, query, item)` and by
+//!   `(snapshot_version, tier, query, k)`; cached requests are answered
+//!   on the connection worker without touching the scorer.
 //! * **Hot-swapped snapshots** ([`snapshot`]): an immutable
 //!   model+taxonomy [`ServeSnapshot`] behind a version-stamped store;
 //!   the ingest thread rebuilds and atomically publishes, readers

@@ -23,6 +23,7 @@
 
 use crate::json::{self, ObjWriter, Value};
 use crate::snapshot::ScoredCandidate;
+use std::fmt::Write as _;
 use taxo_core::Vocabulary;
 use taxo_obs::MetricsSnapshot;
 
@@ -33,7 +34,8 @@ pub const MAX_FRAME: usize = 1 << 20;
 
 /// The incremental line-frame decoder shared by every data plane: the
 /// blocking connection workers, the epoll reactor's per-connection
-/// state machines, and the router's multiplexed upstream pool.
+/// state machines, and the router's client connections and multiplexed
+/// upstream pool.
 ///
 /// Bytes arrive in arbitrary splits ([`FrameDecoder::push`]);
 /// [`FrameDecoder::next_frame`] yields each complete `\n`-terminated
@@ -416,14 +418,51 @@ pub fn stale_epoch_response(id: Option<u64>, version: u64) -> String {
     w.finish()
 }
 
+/// Bytes a rendered candidate object usually takes, for pre-sizing.
+const CANDIDATE_BYTES: usize = 72;
+
+/// Appends the per-request envelope of a successful response,
+/// `{"id":…,"ok":true,`.
+fn push_envelope(out: &mut String, id: Option<u64>) {
+    match id {
+        Some(id) => {
+            let _ = write!(out, "{{\"id\":{id},\"ok\":true,");
+        }
+        None => out.push_str("{\"id\":null,\"ok\":true,"),
+    }
+}
+
+/// Appends the members of a `score` tail that precede the version:
+/// `"kind":"score","query":…,"tier":…,"version":`.
+fn push_score_head(out: &mut String, query: &str, tier: Tier) {
+    out.push_str("\"kind\":\"score\",\"query\":");
+    json::encode_str(query, out);
+    out.push_str(",\"tier\":\"");
+    out.push_str(tier.as_str());
+    out.push_str("\",\"version\":");
+}
+
+/// Appends one ranked candidate object,
+/// `{"term":…,"score":…,"attached":…}`. The score is emitted with
+/// `f32::Display` so it parses back bit-identical.
+fn push_candidate(out: &mut String, vocab: &Vocabulary, c: &ScoredCandidate) {
+    out.push_str("{\"term\":");
+    json::encode_str(vocab.name(c.item), out);
+    let _ = write!(out, ",\"score\":{}", c.score);
+    out.push_str(if c.attached {
+        ",\"attached\":true}"
+    } else {
+        ",\"attached\":false}"
+    });
+}
+
 /// Renders the request-independent tail of a `score` response — every
 /// byte after `"ok":true,`. One `(version, tier, query, k)` always
 /// produces the same tail (scoring is pure and ranking is
 /// deterministic), which is what lets the server cache rendered tails
 /// and answer repeat queries with [`splice_response`] alone. Candidate
 /// order is the ranked order produced by
-/// [`crate::snapshot::ServeSnapshot::rank`]; scores are emitted with
-/// `f32::Display` so they parse back bit-identical.
+/// [`crate::snapshot::ServeSnapshot::rank`].
 pub fn score_response_tail(
     query: &str,
     version: u64,
@@ -431,34 +470,86 @@ pub fn score_response_tail(
     vocab: &Vocabulary,
     candidates: &[ScoredCandidate],
 ) -> String {
-    let mut arr = String::from("[");
+    let mut out = String::with_capacity(64 + query.len() + CANDIDATE_BYTES * candidates.len());
+    push_score_head(&mut out, query, tier);
+    let _ = write!(out, "{version},\"candidates\":[");
     for (i, c) in candidates.iter().enumerate() {
         if i > 0 {
-            arr.push(',');
+            out.push(',');
         }
-        let mut item = ObjWriter::new();
-        item.str("term", vocab.name(c.item))
-            .f32("score", c.score)
-            .bool("attached", c.attached);
-        arr.push_str(&item.finish());
+        push_candidate(&mut out, vocab, c);
     }
-    arr.push(']');
-    let mut w = ObjWriter::new();
-    w.str("kind", "score")
-        .str("query", query)
-        .str("tier", tier.as_str())
-        .u64("version", version)
-        .raw("candidates", &arr);
-    // Drop the opening brace: the tail is spliced after a per-request
-    // `{"id":…,"ok":true,` prefix.
-    w.finish().split_off(1)
+    out.push_str("]}");
+    out
 }
 
 /// Prepends the per-request envelope to a [`score_response_tail`].
 pub fn splice_response(id: Option<u64>, tail: &str) -> String {
-    match id {
-        Some(id) => format!("{{\"id\":{id},\"ok\":true,{tail}"),
-        None => format!("{{\"id\":null,\"ok\":true,{tail}"),
+    // The envelope takes at most 37 bytes; one more is spare for the
+    // frame terminator the server appends.
+    let mut out = String::with_capacity(38 + tail.len());
+    push_envelope(&mut out, id);
+    out.push_str(tail);
+    out
+}
+
+/// One query's whole ranked f32 candidate list, rendered once so that a
+/// `score` response for any `k` is spliced from a prefix of it. Ranking
+/// is a total order (score descending, then item id), so the top `k` is
+/// always the first `min(k, n)` candidates. The version is written at
+/// splice time: a rendering outlives the snapshot it was made for as
+/// long as the ranked list stays the same.
+#[derive(Debug)]
+pub(crate) struct RenderedRanking {
+    /// The tail's members before the version, query name included.
+    head: String,
+    /// The candidate objects, comma-joined in rank order.
+    body: String,
+    /// Where each candidate object ends in `body`.
+    ends: Vec<usize>,
+}
+
+impl RenderedRanking {
+    /// Renders `ranked` — the full ranking of `query`, as
+    /// [`crate::snapshot::ServeSnapshot::rank`] returns it with an
+    /// unbounded `k` — for the f32 tier.
+    pub fn render(query: &str, vocab: &Vocabulary, ranked: &[ScoredCandidate]) -> RenderedRanking {
+        let mut head = String::with_capacity(64 + query.len());
+        push_score_head(&mut head, query, Tier::F32);
+        let mut body = String::with_capacity(CANDIDATE_BYTES * ranked.len());
+        let mut ends = Vec::with_capacity(ranked.len());
+        for (i, c) in ranked.iter().enumerate() {
+            if i > 0 {
+                body.push(',');
+            }
+            push_candidate(&mut body, vocab, c);
+            ends.push(body.len());
+        }
+        RenderedRanking { head, body, ends }
+    }
+
+    /// Candidates in the ranking.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// The complete response to request `id` for the top `k` at
+    /// `version`: byte-identical to [`score_response`] over the same
+    /// ranking truncated to `k`.
+    pub fn response(&self, id: Option<u64>, version: u64, k: usize) -> String {
+        let body = match k.min(self.ends.len()) {
+            0 => "",
+            n => &self.body[..self.ends[n - 1]],
+        };
+        // Envelope, version and closing bytes take at most 74 bytes; one
+        // more is spare for the frame terminator the server appends.
+        let mut out = String::with_capacity(75 + self.head.len() + body.len());
+        push_envelope(&mut out, id);
+        out.push_str(&self.head);
+        let _ = write!(out, "{version},\"candidates\":[");
+        out.push_str(body);
+        out.push_str("]}");
+        out
     }
 }
 
@@ -776,6 +867,75 @@ mod tests {
         assert_eq!(c.get("score").unwrap().as_f32(), Some(0.25));
         assert_eq!(c.get("attached"), Some(&Value::Bool(true)));
         assert_eq!(v.get("tier").unwrap().as_str(), Some("int8"));
+    }
+
+    /// The exact bytes of a score response: every other check compares
+    /// two renderings with each other, so this one holds the format.
+    #[test]
+    fn score_response_bytes_are_pinned() {
+        let mut vocab = Vocabulary::new();
+        let odd = vocab.intern("say \"hi\"\tnow\u{1}");
+        let crisps = vocab.intern("crisps");
+        let cands = vec![
+            ScoredCandidate {
+                item: odd,
+                score: 0.875,
+                attached: false,
+            },
+            ScoredCandidate {
+                item: crisps,
+                score: 1.5e-5,
+                attached: true,
+            },
+        ];
+        let query = "snack \"mix\"";
+        assert_eq!(
+            score_response(Some(7), query, 3, Tier::F32, &vocab, &cands),
+            r#"{"id":7,"ok":true,"kind":"score","query":"snack \"mix\"","tier":"f32","version":3,"candidates":[{"term":"say \"hi\"\tnow\u0001","score":0.875,"attached":false},{"term":"crisps","score":0.000015,"attached":true}]}"#
+        );
+        assert_eq!(
+            score_response(None, query, 3, Tier::Int8, &vocab, &cands),
+            r#"{"id":null,"ok":true,"kind":"score","query":"snack \"mix\"","tier":"int8","version":3,"candidates":[{"term":"say \"hi\"\tnow\u0001","score":0.875,"attached":false},{"term":"crisps","score":0.000015,"attached":true}]}"#
+        );
+        assert_eq!(
+            score_response(None, "snack", 0, Tier::F32, &vocab, &[]),
+            r#"{"id":null,"ok":true,"kind":"score","query":"snack","tier":"f32","version":0,"candidates":[]}"#
+        );
+        assert_eq!(
+            score_response(Some(1), "snack", 12, Tier::Int8, &vocab, &[]),
+            r#"{"id":1,"ok":true,"kind":"score","query":"snack","tier":"int8","version":12,"candidates":[]}"#
+        );
+    }
+
+    #[test]
+    fn rendered_ranking_splices_every_prefix() {
+        let mut vocab = Vocabulary::new();
+        let ranked: Vec<ScoredCandidate> = ["say \"hi\"\tnow\u{1}", "crisps", "chips"]
+            .into_iter()
+            .zip([0.875, 1.5e-5, -0.0])
+            .enumerate()
+            .map(|(i, (term, score))| ScoredCandidate {
+                item: vocab.intern(term),
+                score,
+                attached: i == 1,
+            })
+            .collect();
+        let rendered = RenderedRanking::render("snack \"mix\"", &vocab, &ranked);
+        assert_eq!(rendered.len(), 3);
+        assert_eq!(
+            rendered.response(Some(7), 3, 2),
+            r#"{"id":7,"ok":true,"kind":"score","query":"snack \"mix\"","tier":"f32","version":3,"candidates":[{"term":"say \"hi\"\tnow\u0001","score":0.875,"attached":false},{"term":"crisps","score":0.000015,"attached":true}]}"#
+        );
+        for k in 0..=ranked.len() + 2 {
+            for id in [Some(u64::MAX), Some(0), None] {
+                let top = &ranked[..k.min(ranked.len())];
+                assert_eq!(
+                    rendered.response(id, u64::MAX, k),
+                    score_response(id, "snack \"mix\"", u64::MAX, Tier::F32, &vocab, top),
+                    "k = {k}, id = {id:?}"
+                );
+            }
+        }
     }
 
     #[test]

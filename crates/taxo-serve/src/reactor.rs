@@ -518,13 +518,14 @@ impl Conn {
         let idx = (slot - self.flush_base) as usize;
         self.slots[idx] = Some(response);
         while let Some(Some(_)) = self.slots.front() {
-            let response = self
+            let mut frame = self
                 .slots
                 .pop_front()
                 .flatten()
                 .expect("front checked Some");
             self.flush_base += 1;
-            self.outq.push_back(format!("{response}\n").into_bytes());
+            frame.push('\n');
+            self.outq.push_back(frame.into_bytes());
         }
     }
 

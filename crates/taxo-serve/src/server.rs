@@ -5,9 +5,9 @@
 //! [`ServerBuilder::bind`]):
 //!
 //! ```text
-//! acceptor ──► conn queue ──► worker 0..N   (parse + respond; f32 scores
-//!                               │   ▲        read from the snapshot's
-//!                               │   │        score table)
+//! acceptor ──► conn queue ──► worker 0..N   (parse + respond; f32
+//!                               │   ▲        responses spliced from the
+//!                               │   │        snapshot's response index)
 //!               int8 score jobs ▼   │ scores (per-job mpsc)
 //!                            scorer thread   (one par_map per batch)
 //!                               ┆
@@ -21,6 +21,10 @@
 //! [`IncrementalExpander`] scores each candidate pair once per detector
 //! (at bind for the served window, at ingest for pairs new to it, once
 //! more after a promotion) and every snapshot shares that table by `Arc`.
+//! An f32 response changes only when a snapshot is published, so each
+//! snapshot also ranks and renders every served query once, into its
+//! response index; an ingest's snapshot re-renders only the queries
+//! whose ranked list changed.
 //!
 //! Every queue is a [`BoundedQueue`]: when one fills up the server sheds
 //! the request with a `busy` response instead of stalling the socket.
@@ -131,9 +135,10 @@ pub struct ServeConfig {
     /// out under LRU pressure; size this to a few times the working set
     /// of hot pairs.
     pub score_cache_cap: usize,
-    /// Rendered-response LRU capacity in entries, keyed by
-    /// `(snapshot_version, tier, query, k)` — repeat queries splice a
-    /// cached tail instead of re-ranking and re-rendering.
+    /// int8 rendered-response LRU capacity in entries, keyed by
+    /// `(snapshot_version, tier, query, k)` — repeat int8 queries splice
+    /// a cached tail instead of re-ranking and re-rendering (f32
+    /// responses come from the snapshot's response index).
     pub resp_cache_cap: usize,
     /// Tier answering `score` requests that name none.
     pub default_tier: Tier,
@@ -757,7 +762,14 @@ impl ServerBuilder {
             let _g = span!("serve.scores.initial_fill");
             expander.cover_window(&vocab, cfg.max_candidates);
         }
-        let initial = build_snapshot(initial_version, &vocab, &detector, &quant, &expander);
+        let initial = build_snapshot(
+            initial_version,
+            &vocab,
+            &detector,
+            &quant,
+            &expander,
+            cfg.max_candidates,
+        );
         // Reactor mode: create every reactor's epoll instance and wake
         // eventfd up front so kernel setup errors surface at bind time,
         // not inside a detached thread. Off Linux, `IoModel::Reactor`
@@ -1015,8 +1027,8 @@ fn handle_conn(mut stream: TcpStream, shared: &Shared, reader: &mut SnapshotRead
                     return;
                 }
             };
-            let (response, close) = handle_line(&line, shared, reader);
-            let frame = format!("{response}\n");
+            let (mut frame, close) = handle_line(&line, shared, reader);
+            frame.push('\n');
             match taxo_fault::inject("serve.conn.write") {
                 taxo_fault::Injection::Pass => out.extend_from_slice(frame.as_bytes()),
                 // Injected write failure: this response is lost and the
@@ -1302,8 +1314,26 @@ fn prepare_score(
         });
     }
 
-    // Request fastest path: a previously rendered response for this
-    // exact (version, tier, query, k). Scoring is pure and rendering
+    // f32 requests are spliced on this thread from the snapshot's
+    // response index, ranked and rendered once per snapshot on the write
+    // path: no response cache, no queue hop, no scorer, and so never in
+    // the accepted/completed ledger. A query without an entry has no
+    // eligible candidates.
+    if tier == Tier::F32 {
+        let (response, candidates) = match snapshot.indexed_response(id, query_id, k) {
+            Some(indexed) => indexed,
+            None => {
+                let v = snapshot.version;
+                let empty = protocol::score_response(id, query, v, tier, &snapshot.vocab, &[]);
+                (empty, 0)
+            }
+        };
+        histogram!("serve.score.candidates").observe(candidates as u64);
+        return Ok(response);
+    }
+
+    // int8 fastest path: a previously rendered response for this exact
+    // (version, tier, query, k). Scoring is pure and rendering
     // deterministic, so splicing the cached tail under this request's
     // envelope is byte-identical to redoing the whole request.
     let rkey = (snapshot.version, tier, query_id, k as u64);
@@ -1315,16 +1345,6 @@ fn prepare_score(
     histogram!("serve.score.candidates").observe(items.len() as u64);
     if items.is_empty() {
         return Ok(render_ranked(shared, id, query, &snapshot, rkey, &[]));
-    }
-
-    // f32 requests are answered on this thread from the snapshot's score
-    // table, filled at ingest: no queue hop, no scorer, no score cache,
-    // and so never in the accepted/completed ledger. The table holds the
-    // detector's exact bits, so responses match recomputation.
-    if tier == Tier::F32 {
-        let scores = snapshot.table_scores(query_id, &items);
-        let ranked = snapshot.rank(query_id, &items, &scores, k);
-        return Ok(render_ranked(shared, id, query, &snapshot, rkey, &ranked));
     }
 
     // int8 fast path: when every pair is cached under this snapshot, answer
@@ -1764,8 +1784,14 @@ fn ingest_loop(
                     );
                     expander.cover_window(vocab, shared.cfg.max_candidates);
                     ledger_version = version;
-                    let next =
-                        Arc::new(build_snapshot(version, vocab, &detector, &quant, &expander));
+                    let next = Arc::new(build_snapshot(
+                        version,
+                        vocab,
+                        &detector,
+                        &quant,
+                        &expander,
+                        shared.cfg.max_candidates,
+                    ));
                     last = Arc::clone(&next);
                     counter!("serve.ingest.applied").inc();
                     counter!("serve.promote.applied").inc();
@@ -1868,22 +1894,23 @@ fn ingest_loop(
 }
 
 /// Freezes the expander's current state as the snapshot for `version`,
-/// sharing its score table.
+/// sharing its score table and rendering its response index under the
+/// serving cap `cap`.
 fn build_snapshot(
     version: u64,
     vocab: &Arc<Vocabulary>,
     detector: &Arc<HypoDetector>,
     quant: &Arc<QuantizedDetector>,
     expander: &IncrementalExpander,
+    cap: usize,
 ) -> ServeSnapshot {
     ServeSnapshot::build_scored(
         version,
         Arc::clone(vocab),
         Arc::clone(detector),
         Arc::clone(quant),
-        expander.taxonomy().clone(),
-        &expander.candidate_pairs(),
-        Arc::clone(expander.scores()),
+        expander,
+        cap,
     )
 }
 

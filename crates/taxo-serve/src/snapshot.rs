@@ -1,9 +1,10 @@
 //! Immutable serving snapshots and the hot-swap store.
 //!
 //! A [`ServeSnapshot`] is everything a `score` request reads — detector,
-//! vocabulary, taxonomy, the mined candidate index, and the detector's
-//! score table — frozen at one version. Snapshots are immutable once
-//! built: the ingest thread builds a **new** snapshot after every
+//! vocabulary, taxonomy, the mined candidate index, the detector's
+//! score table, and the f32 response index ranked and rendered from it —
+//! frozen at one version. Snapshots are immutable once built: the
+//! ingest thread builds a **new** snapshot after every
 //! [`taxo_expand::IncrementalExpander`] batch and publishes it through
 //! [`SnapshotStore`]; requests in flight keep the `Arc` they started
 //! with, so every response is internally consistent (entirely old state
@@ -15,12 +16,14 @@
 //! touched only on the request *after* a swap (and swaps are rare —
 //! one per ingest batch).
 
-use crate::protocol::Tier;
+use crate::protocol::{RenderedRanking, Tier};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use taxo_core::{ConceptId, Taxonomy, Vocabulary};
-use taxo_expand::{CandidatePair, HypoDetector, PairScores, QuantizedDetector};
+use taxo_expand::{
+    CandidatePair, HypoDetector, IncrementalExpander, PairScores, QuantizedDetector,
+};
 
 /// Candidate pairs sampled per snapshot build to measure the realized
 /// int8-vs-f32 score divergence published on the
@@ -68,6 +71,39 @@ pub struct ServeSnapshot {
     /// computed once at build instead of per request, and shared with
     /// the successors that keep the same rows.
     feats: Arc<FeatureRows>,
+    /// The f32 response of every served query, ranked and rendered once
+    /// at build. Empty for snapshots from [`ServeSnapshot::build`].
+    index: ResponseIndex,
+}
+
+/// The f32 response index: one entry per query with eligible
+/// candidates under the serving cap.
+#[derive(Debug, Default)]
+struct ResponseIndex {
+    /// The serving cap the entries were ranked under (0: no index).
+    cap: usize,
+    entries: HashMap<ConceptId, Arc<IndexEntry>>,
+}
+
+/// One query's ranked list and its rendering. Entries are shared by
+/// `Arc` between successive snapshots while the ranked list is unchanged.
+#[derive(Debug)]
+struct IndexEntry {
+    ranked: Vec<ScoredCandidate>,
+    rendered: RenderedRanking,
+}
+
+impl IndexEntry {
+    /// Whether `ranked` is this entry's list: the same items, score bits
+    /// and attached flags, in the same order.
+    fn ranks(&self, ranked: &[ScoredCandidate]) -> bool {
+        self.ranked.len() == ranked.len()
+            && self.ranked.iter().zip(ranked).all(|(a, b)| {
+                a.item == b.item
+                    && a.score.to_bits() == b.score.to_bits()
+                    && a.attached == b.attached
+            })
+    }
 }
 
 /// Structural feature rows of candidate pairs: `index` maps a pair to its
@@ -110,9 +146,9 @@ impl ServeSnapshot {
     /// tokenizations are cached inside the detector itself). Requests
     /// then copy precomputed rows instead of re-deriving them.
     ///
-    /// The snapshot has no score table: [`ServeSnapshot::table_scores`]
-    /// recomputes every pair. Servers build theirs with
-    /// [`ServeSnapshot::build_scored`] from their expander's table.
+    /// The snapshot has no score table and no response index:
+    /// [`ServeSnapshot::table_scores`] recomputes every pair. Servers
+    /// build theirs with [`ServeSnapshot::build_scored`].
     pub fn build(
         version: u64,
         vocab: Arc<Vocabulary>,
@@ -135,29 +171,6 @@ impl ServeSnapshot {
         taxonomy: Taxonomy,
         pairs: &[CandidatePair],
     ) -> ServeSnapshot {
-        ServeSnapshot::build_scored(
-            version,
-            vocab,
-            detector,
-            quant,
-            taxonomy,
-            pairs,
-            Arc::default(),
-        )
-    }
-
-    /// [`ServeSnapshot::build_with_quant`] serving f32 scores from
-    /// `scores`, which must come from the same `detector` (e.g.
-    /// [`taxo_expand::IncrementalExpander::scores`]).
-    pub fn build_scored(
-        version: u64,
-        vocab: Arc<Vocabulary>,
-        detector: Arc<HypoDetector>,
-        quant: Arc<QuantizedDetector>,
-        taxonomy: Taxonomy,
-        pairs: &[CandidatePair],
-        scores: Arc<PairScores>,
-    ) -> ServeSnapshot {
         let mut feats = FeatureRows {
             dim: detector
                 .structural
@@ -176,20 +189,48 @@ impl ServeSnapshot {
             quant_divergence,
             divergence_sample,
             taxonomy,
-            scores,
+            scores: Arc::default(),
             by_query: taxo_expand::candidates_by_query(pairs),
             feats: Arc::new(feats),
+            index: ResponseIndex::default(),
         }
+    }
+
+    /// A server's snapshot of `expander`'s current state: f32 scores
+    /// come from its score table, and the response index holds every
+    /// query's ranked, rendered f32 response under the serving cap
+    /// `cap`. `detector` must be the expander's detector.
+    pub fn build_scored(
+        version: u64,
+        vocab: Arc<Vocabulary>,
+        detector: Arc<HypoDetector>,
+        quant: Arc<QuantizedDetector>,
+        expander: &IncrementalExpander,
+        cap: usize,
+    ) -> ServeSnapshot {
+        let mut snapshot = ServeSnapshot::build_with_quant(
+            version,
+            vocab,
+            detector,
+            quant,
+            expander.taxonomy().clone(),
+            &expander.candidate_pairs(),
+        );
+        snapshot.scores = Arc::clone(expander.scores());
+        snapshot.index = snapshot.index_with(cap, &ResponseIndex::default());
+        snapshot
     }
 
     /// The next snapshot under the same detector: `taxonomy` and the
     /// candidate set `pairs` after an ingest, with the score table
     /// `scores`. The parts that depend only on the detector carry over
     /// instead of being recomputed on every ingest: the structural rows
-    /// this snapshot holds, and the int8 divergence while its sample of
-    /// candidates is unchanged. `pairs` must hold every candidate pair of
-    /// this snapshot (an expander's candidate set only grows); the result
-    /// then equals [`ServeSnapshot::build_scored`] on the same parts.
+    /// this snapshot holds, the int8 divergence while its sample of
+    /// candidates is unchanged, and every response-index entry whose
+    /// ranked list is unchanged. `pairs` must hold every candidate pair
+    /// of this snapshot (an expander's candidate set only grows); the
+    /// result then equals [`ServeSnapshot::build_scored`] on the same
+    /// parts and serving cap.
     pub(crate) fn successor(
         &self,
         version: u64,
@@ -210,7 +251,7 @@ impl ServeSnapshot {
         } else {
             measure_divergence(&self.quant, &self.vocab, &divergence_sample)
         };
-        ServeSnapshot {
+        let mut next = ServeSnapshot {
             version,
             vocab: Arc::clone(&self.vocab),
             detector: Arc::clone(&self.detector),
@@ -221,7 +262,66 @@ impl ServeSnapshot {
             scores,
             by_query: taxo_expand::candidates_by_query(pairs),
             feats,
+            index: ResponseIndex::default(),
+        };
+        next.index = next.index_with(self.index.cap, &self.index);
+        next
+    }
+
+    /// Ranks every query's eligible candidates under `cap` and renders
+    /// the f32 responses, reusing each entry of `prev` whose ranked list
+    /// is unchanged. Rendered entries count in `serve.index.rendered`.
+    fn index_with(&self, cap: usize, prev: &ResponseIndex) -> ResponseIndex {
+        let mut entries = HashMap::new();
+        if cap > 0 {
+            let _g = taxo_obs::span!("serve.index.build");
+            let mut rendered = 0u64;
+            for &query in self.by_query.keys() {
+                let items = self.eligible(query, cap);
+                if items.is_empty() {
+                    continue;
+                }
+                let scores = self.table_scores(query, &items);
+                let ranked = self.rank(query, &items, &scores, usize::MAX);
+                let entry = match prev.entries.get(&query) {
+                    Some(entry) if entry.ranks(&ranked) => Arc::clone(entry),
+                    _ => {
+                        rendered += 1;
+                        Arc::new(IndexEntry {
+                            rendered: RenderedRanking::render(
+                                self.vocab.name(query),
+                                &self.vocab,
+                                &ranked,
+                            ),
+                            ranked,
+                        })
+                    }
+                };
+                entries.insert(query, entry);
+            }
+            taxo_obs::counter!("serve.index.rendered").add(rendered);
         }
+        ResponseIndex { cap, entries }
+    }
+
+    /// The f32 response to request `id` for the top `k` candidates of
+    /// `query`, spliced from the response index, and the query's
+    /// eligible-candidate count. The response is byte-identical to
+    /// rendering [`ServeSnapshot::score_query`]`(query, cap, k)` with
+    /// [`crate::protocol::score_response`] at this version. `None` when
+    /// the query has no entry: no eligible candidates under the cap, or
+    /// a snapshot without an index.
+    pub(crate) fn indexed_response(
+        &self,
+        id: Option<u64>,
+        query: ConceptId,
+        k: usize,
+    ) -> Option<(String, usize)> {
+        let entry = self.index.entries.get(&query)?;
+        Some((
+            entry.rendered.response(id, self.version, k),
+            entry.rendered.len(),
+        ))
     }
 
     /// The precomputed structural feature row of a mined candidate pair,
@@ -253,9 +353,9 @@ impl ServeSnapshot {
     }
 
     /// The f32 scores of `items` for `query` (in `items` order), read
-    /// from the score table. A pair the table lacks is scored on the
-    /// calling thread — bit-identical, but the encoder on the read path —
-    /// and counted in `serve.score.table_misses`.
+    /// from the score table by the response-index build. A pair the
+    /// table lacks is scored on the calling thread — bit-identical, but
+    /// an encoder pass — and counted in `serve.score.table_misses`.
     pub fn table_scores(&self, query: ConceptId, items: &[ConceptId]) -> Vec<f32> {
         items
             .iter()
@@ -542,16 +642,20 @@ mod tests {
         ));
         let vocab = Arc::new(vocab);
         let quant = Arc::new(QuantizedDetector::from_detector(Arc::clone(&detector)));
-        let fresh = |version: u64, pairs: &[CandidatePair]| {
-            ServeSnapshot::build_with_quant(
+        // A server-style snapshot: a response index under a cap of 8.
+        let fresh_with = |version: u64, taxonomy: Taxonomy, pairs: &[CandidatePair]| {
+            let mut snap = ServeSnapshot::build_with_quant(
                 version,
                 Arc::clone(&vocab),
                 Arc::clone(&detector),
                 Arc::clone(&quant),
-                tax.clone(),
+                taxonomy,
                 pairs,
-            )
+            );
+            snap.index = snap.index_with(8, &ResponseIndex::default());
+            snap
         };
+        let fresh = |version: u64, pairs: &[CandidatePair]| fresh_with(version, tax.clone(), pairs);
         let assert_same = |a: &ServeSnapshot, b: &ServeSnapshot, pairs: &[CandidatePair]| {
             assert_eq!(a.quant_divergence.to_bits(), b.quant_divergence.to_bits());
             for p in pairs {
@@ -562,7 +666,16 @@ mod tests {
             }
             for &q in &ids {
                 assert_eq!(a.eligible(q, 8), b.eligible(q, 8));
+                let render = |snap: &ServeSnapshot, k| {
+                    let entry = snap.index.entries.get(&q)?;
+                    Some(entry.rendered.response(Some(5), 0, k))
+                };
+                for k in [1, 3, 8, 20] {
+                    assert_eq!(render(a, k), render(b, k), "query {q:?}, k {k}");
+                }
             }
+            assert_eq!(a.index.cap, b.index.cap);
+            assert_eq!(a.index.entries.len(), b.index.entries.len());
         };
 
         // Growth inside the divergence sample: measured again.
@@ -573,10 +686,38 @@ mod tests {
         // Growth past it: the sample, and so the divergence, carry over.
         let v2 = v1.successor(2, tax.clone(), &all, Arc::default());
         assert_same(&v2, &fresh(2, &all), &all);
-        // No new pair: the rows are shared, not copied.
+        // No new pair: the rows and every index entry are shared, not
+        // copied.
         let v3 = v2.successor(3, tax.clone(), &all, Arc::default());
         assert!(Arc::ptr_eq(&v3.feats, &v2.feats));
         assert_same(&v3, &v2, &all);
+        assert!(v3
+            .index
+            .entries
+            .iter()
+            .all(|(q, entry)| Arc::ptr_eq(entry, &v2.index.entries[q])));
+        assert_eq!(
+            v3.indexed_response(None, ids[0], 8).map(|(r, _)| r),
+            v2.indexed_response(None, ids[0], 8)
+                .map(|(r, _)| r.replace("\"version\":2,", "\"version\":3,")),
+            "the version is written at splice time"
+        );
+        // A new attachment inside a query's window changes only that
+        // query's ranking (clicks rank c11 first for every query).
+        let mut attached = tax.clone();
+        attached.add_edge(ids[2], ids[11]).unwrap();
+        let v4 = v3.successor(4, attached.clone(), &all, Arc::default());
+        assert_same(&v4, &fresh_with(4, attached, &all), &all);
+        for (q, entry) in &v4.index.entries {
+            assert_eq!(Arc::ptr_eq(entry, &v3.index.entries[q]), *q != ids[2]);
+        }
+        // Snapshots built without a serving cap carry no index, nor do
+        // their successors.
+        let pairs = [pair(0, 1, 9), pair(0, 2, 5)];
+        let bare = tiny_snapshot(0, &pairs);
+        assert!(bare.indexed_response(None, ConceptId(0), 8).is_none());
+        let next = bare.successor(1, bare.taxonomy.clone(), &pairs, Arc::default());
+        assert!(next.index.entries.is_empty());
     }
 
     /// Serializes the tests that publish: the divergence gauge is

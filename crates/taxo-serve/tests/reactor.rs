@@ -101,6 +101,8 @@ fn reactor_scores_bit_identical_to_offline_baseline() {
     let snapshot = handle.store().load();
     let accepted_before = taxo_obs::counter!("serve.score.accepted").get();
     let misses_before = taxo_obs::counter!("serve.score.table_misses").get();
+    let resp_hits_before = taxo_obs::counter!("serve.resp_cache.hits").get();
+    let resp_misses_before = taxo_obs::counter!("serve.resp_cache.misses").get();
 
     let mut client = Client::connect(handle.addr()).unwrap();
     for &q in queries.iter().take(40) {
@@ -116,9 +118,9 @@ fn reactor_scores_bit_identical_to_offline_baseline() {
             "reactor-served candidates for {name:?} must be bit-identical to offline scoring"
         );
     }
-    // f32 requests are answered from the snapshot's score table on the
-    // reactor thread: no score job is ever queued, and no pair is
-    // missing from the table.
+    // f32 requests are spliced from the snapshot's response index on
+    // the reactor thread: no score job is ever queued, no pair is
+    // missing from the table, and the response cache is never probed.
     assert_eq!(
         taxo_obs::counter!("serve.score.accepted").get(),
         accepted_before,
@@ -127,6 +129,16 @@ fn reactor_scores_bit_identical_to_offline_baseline() {
     assert_eq!(
         taxo_obs::counter!("serve.score.table_misses").get(),
         misses_before
+    );
+    assert_eq!(
+        taxo_obs::counter!("serve.resp_cache.hits").get(),
+        resp_hits_before,
+        "f32 traffic must never hit the response cache"
+    );
+    assert_eq!(
+        taxo_obs::counter!("serve.resp_cache.misses").get(),
+        resp_misses_before,
+        "f32 traffic must never probe the response cache"
     );
     handle.shutdown_and_join();
 }

@@ -2,7 +2,7 @@
 //! bit-identical scoring vs. the offline baseline, error codes, health
 //! and stats introspection, backpressure shedding, graceful shutdown.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use taxo_core::{ConceptId, Vocabulary};
 use taxo_expand::{
     DetectorConfig, ExpansionConfig, HypoDetector, IncrementalExpander, RelationalConfig,
@@ -10,6 +10,15 @@ use taxo_expand::{
 };
 use taxo_serve::{candidate_key, expected_key, Client, Reply, ServeConfig, Server, Tier};
 use taxo_synth::{ClickConfig, ClickLog, World, WorldConfig};
+
+/// Serializes the tests that send int8 traffic: the metrics registry is
+/// process-global, and only int8 requests probe the response cache (f32
+/// ones are spliced from the snapshot's response index), so a test
+/// holding this lock sees exactly its own response-cache counts.
+fn int8_lock() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// A deterministic serving fixture: a synthetic world, a vanilla
 /// (untrained) detector — cheap but fully deterministic — and an
@@ -91,6 +100,7 @@ fn scores_are_bit_identical_to_offline_baseline() {
 
 #[test]
 fn repeated_queries_hit_the_cache_and_stay_bit_identical() {
+    let _guard = int8_lock();
     let (vocab, expander, _) = fixture(16);
     let pairs = expander.candidate_pairs();
     let cfg = ServeConfig::default();
@@ -104,16 +114,14 @@ fn repeated_queries_hit_the_cache_and_stay_bit_identical() {
     let queries = scorable_queries(&snapshot, &pairs, cap);
     let q = queries[0];
     let name = vocab.name(q);
-    let n_items = snapshot.eligible(q, cap).len() as u64;
-    let offline = expected_key(&vocab, &snapshot.score_query(q, cap, k));
+    let offline = expected_key(&vocab, &snapshot.score_query_tier(q, cap, k, Tier::Int8));
 
-    // The metrics registry is process-global and other tests bump the
-    // cache counters too, so only a monotonic lower bound is asserted.
-    let _ = n_items;
-    let hits_before = taxo_obs::counter!("serve.resp_cache.hits").get();
+    let hits = || taxo_obs::counter!("serve.resp_cache.hits").get();
+    let misses = || taxo_obs::counter!("serve.resp_cache.misses").get();
+    let (hits_before, misses_before) = (hits(), misses());
     let mut client = Client::connect(handle.addr()).unwrap();
     for round in 0..3 {
-        let reply = client.score(name, Some(k)).unwrap();
+        let reply = client.score_tier(name, Some(k), Some(Tier::Int8)).unwrap();
         let Reply::Ok(v) = reply else {
             panic!("round {round}: score {name:?} failed: {reply:?}");
         };
@@ -124,18 +132,16 @@ fn repeated_queries_hit_the_cache_and_stay_bit_identical() {
         );
     }
     // Round 1 misses and fills the rendered-response cache; rounds 2 and
-    // 3 are answered by splicing the cached tail.
-    let hits_after = taxo_obs::counter!("serve.resp_cache.hits").get();
-    assert!(
-        hits_after >= hits_before + 2,
-        "expected at least 2 rendered-response hits, saw {}",
-        hits_after - hits_before
-    );
+    // 3 are answered by splicing the cached tail. Exact counts: no other
+    // test's traffic can reach the cache while the lock is held.
+    assert_eq!(hits() - hits_before, 2, "rendered-response hits");
+    assert_eq!(misses() - misses_before, 1, "rendered-response misses");
     handle.shutdown_and_join();
 }
 
 #[test]
 fn int8_tier_is_bit_identical_to_offline_quant_replay() {
+    let _guard = int8_lock();
     let (vocab, expander, _) = fixture(17);
     let pairs = expander.candidate_pairs();
     let cfg = ServeConfig::default();
@@ -257,6 +263,7 @@ fn health_and_stats_report_server_state() {
 
 #[test]
 fn overload_sheds_with_busy_and_never_corrupts_responses() {
+    let _guard = int8_lock();
     let (vocab, expander, _) = fixture(14);
     let pairs = expander.candidate_pairs();
     let cfg = ServeConfig {
