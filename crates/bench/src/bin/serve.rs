@@ -3,10 +3,9 @@
 //!
 //! ```text
 //! serve [--addr 127.0.0.1:7878] [--seed 42] [--threads N]
-//!       [--workers N] [--batch-max N] [--queue-cap N]
+//!       [--batch-max N] [--queue-cap N]
 //!       [--max-candidates N] [--tier f32|int8]
-//!       [--io-model blocking|reactor] [--reactor-threads N]
-//!       [--idle-timeout-ms N]
+//!       [--reactor-threads N] [--idle-timeout-ms N]
 //!       [--score-cache N] [--resp-cache N] [--metrics-json PATH]
 //!       [--data-dir PATH] [--fsync always|batch|batch:<OPS>:<MS>]
 //!       [--snapshot-every N] [--recover]
@@ -19,17 +18,17 @@
 //! histograms, per-kind latency spans) after shutdown. `--threads` sets
 //! the compute thread count unless `TAXO_THREADS` is set (env wins).
 //!
-//! f32 `score` requests are spliced on the connection thread from the
+//! Client connections are multiplexed over `--reactor-threads` epoll
+//! reactors (Linux only; default 2), each connection dealt to one of them
+//! round-robin; `--idle-timeout-ms` closes connections silent for that
+//! long.
+//!
+//! f32 `score` requests are spliced on the reactor thread from the
 //! snapshot's response index: each served query's candidates are scored
 //! into a table, ranked and rendered once per snapshot, at start-up and
 //! at each ingest. `--batch-max`, `--queue-cap`, `--score-cache` and
 //! `--resp-cache` size the micro-batched scorer queue, its score cache
 //! and the rendered-response cache, which serve the int8 tier only.
-//!
-//! `--io-model reactor` (Linux) multiplexes all client connections over
-//! `--reactor-threads` epoll reactors instead of one blocking thread per
-//! connection; `--idle-timeout-ms` closes connections silent for that
-//! long in either model.
 //!
 //! `--data-dir` turns on durability: every ingest batch is appended to a
 //! CRC32-framed WAL and fsynced before it is acknowledged (`--fsync`
@@ -79,14 +78,12 @@ fn main() {
             "--addr" => addr = take(&args, &mut i, "--addr"),
             "--seed" => seed = parse(&take(&args, &mut i, "--seed")),
             "--threads" => threads = Some(parse(&take(&args, &mut i, "--threads"))),
-            "--workers" => cfg.workers = parse(&take(&args, &mut i, "--workers")),
             "--batch-max" => cfg.batch_max = parse(&take(&args, &mut i, "--batch-max")),
             "--queue-cap" => cfg.score_queue_cap = parse(&take(&args, &mut i, "--queue-cap")),
             "--max-candidates" => {
                 cfg.max_candidates = parse(&take(&args, &mut i, "--max-candidates"));
             }
             "--tier" => cfg.default_tier = parse(&take(&args, &mut i, "--tier")),
-            "--io-model" => cfg.io_model = parse(&take(&args, &mut i, "--io-model")),
             "--reactor-threads" => {
                 cfg.reactor_threads = parse(&take(&args, &mut i, "--reactor-threads"));
             }
@@ -118,15 +115,15 @@ fn main() {
             "--help" | "-h" => {
                 let d = ServeConfig::default();
                 println!(
-                    "serve [--addr HOST:PORT] [--seed N] [--threads N] [--workers N] \
+                    "serve [--addr HOST:PORT] [--seed N] [--threads N] \
                      [--batch-max N] [--queue-cap N] [--max-candidates N] [--tier f32|int8] \
-                     [--io-model blocking|reactor] [--reactor-threads N] [--idle-timeout-ms N] \
+                     [--reactor-threads N] [--idle-timeout-ms N] \
                      [--score-cache N] [--resp-cache N] [--metrics-json PATH] \
                      [--data-dir PATH] \
                      [--fsync always|batch|batch:<OPS>:<MS>] [--snapshot-every N] [--recover] \
                      [--retrain-every N] [--shadow-sample N] [--promote-gate P[:LAT_US]]\n\n\
                      f32 responses are ranked and rendered once per snapshot, at start-up and\n\
-                     at each ingest, and spliced on the connection thread. These flags apply\n\
+                     at each ingest, and spliced on the reactor thread. These flags apply\n\
                      to the int8 tier only:\n  \
                      --batch-max N    int8 score jobs coalesced into one scoring pass ({})\n  \
                      --queue-cap N    int8 score queue capacity; beyond it, busy ({})\n  \

@@ -23,7 +23,9 @@
 //! predictable branch — zero allocation, zero locking — so production
 //! binaries carry the points for free. Delay faults are applied *inside*
 //! [`inject`] (the call sleeps, then reports [`Injection::Pass`]), so
-//! call sites only ever branch on `Fail`/`Short`.
+//! call sites only ever branch on `Fail`/`Short`. A call site that must
+//! not sleep its thread asks [`fired`] instead and applies the fault
+//! itself.
 //!
 //! # Plans
 //!
@@ -317,30 +319,36 @@ pub fn armed() -> bool {
     ARMED.load(Ordering::Acquire)
 }
 
-/// The injection decision for one hit of `name`.
+/// The fault that fires on this hit of `name`, if any: the hit is
+/// counted and a fired fault bumps `fault.injected.<name>`, but nothing
+/// is applied — for call sites that apply it themselves, like an event
+/// loop that holds one connection back for a [`FaultAction::Delay`]
+/// instead of sleeping the thread that serves every other one.
 ///
-/// Unarmed: one relaxed load, returns [`Injection::Pass`]. Armed: counts
-/// the hit, consults the policy, applies [`FaultAction::Delay`] inline
-/// (sleeps, then passes), and bumps `fault.injected.<name>` for every
-/// fired fault.
-pub fn inject(name: &str) -> Injection {
+/// Unarmed: one relaxed load, returns `None`.
+pub fn fired(name: &str) -> Option<FaultAction> {
     if !ARMED.load(Ordering::Relaxed) {
-        return Injection::Pass;
+        return None;
     }
-    let action = {
-        let slot = plan_slot().read().unwrap_or_else(|e| e.into_inner());
-        match slot.as_ref().and_then(|plan| plan.decide(name)) {
-            Some(action) => action,
-            None => return Injection::Pass,
-        }
-    };
+    let action = plan_slot()
+        .read()
+        .unwrap_or_else(|e| e.into_inner())
+        .as_ref()?
+        .decide(name)?;
     taxo_obs::registry()
         .counter(&format!("fault.injected.{name}"))
         .inc();
-    match action {
-        FaultAction::Fail => Injection::Fail,
-        FaultAction::Short(n) => Injection::Short(n),
-        FaultAction::Delay(ms) => {
+    Some(action)
+}
+
+/// The injection decision for one hit of `name`: [`fired`], with a
+/// [`FaultAction::Delay`] applied inline (sleeps, then passes).
+pub fn inject(name: &str) -> Injection {
+    match fired(name) {
+        None => Injection::Pass,
+        Some(FaultAction::Fail) => Injection::Fail,
+        Some(FaultAction::Short(n)) => Injection::Short(n),
+        Some(FaultAction::Delay(ms)) => {
             std::thread::sleep(Duration::from_millis(ms));
             Injection::Pass
         }

@@ -13,22 +13,24 @@
 //! Responses are reassembled by the shared incremental
 //! [`FrameDecoder`] (no `BufReader`, no fd-duplicating `try_clone`),
 //! which is what lets [`recv_multi`] drain **all shards of a fan-out
-//! concurrently** over one epoll instance on Linux: the burst's
-//! wall-clock is the *slowest* shard, not the sum. Off Linux it
-//! degrades to the sequential drain.
+//! concurrently** over one epoll instance: the burst's wall-clock is
+//! the *slowest* shard, not the sum.
 //!
 //! Fault points (see `taxo-fault`):
 //! * [`FAULT_CONNECT`] — upstream connect refused.
 //! * [`FAULT_WRITE`] — forwarded frame lost (`fail`) or torn
 //!   mid-line (`short:N`), then the connection drops.
 //! * [`FAULT_READ`] — shard response lost; connection drops. Consulted
-//!   once per shard per drain, in shard order, on both drain paths.
+//!   once per shard per drain, in shard order, on both drain paths
+//!   ([`Upstream::recv`] and [`recv_multi`]).
 //! * [`FAULT_SLOW`] — a slow shard (`delay:MS` stalls the exchange).
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::os::unix::io::AsRawFd;
 use std::time::{Duration, Instant};
 use taxo_obs::counter;
+use taxo_serve::reactor::{Events, Poller, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLRDHUP};
 use taxo_serve::FrameDecoder;
 
 /// Injected connect refusal.
@@ -197,10 +199,10 @@ impl Upstream {
 
 /// Drains a fan-out: for each `(shard, expect)` in `plan`, reads
 /// `expect` response lines from `ups[shard]`, returning the line groups
-/// in plan order. On Linux all shards drain concurrently over one epoll
-/// instance; elsewhere they drain sequentially. Fault points fire per
-/// shard in plan order on both paths, so a seeded chaos plan replays
-/// identically.
+/// in plan order. All shards drain concurrently over one epoll
+/// instance; fault points fire per shard in plan order first, so a
+/// seeded chaos plan replays identically whatever order the shards
+/// answer in.
 ///
 /// Any failure resets the failed connection and returns the error; the
 /// caller discards the whole burst (resetting the rest of the group)
@@ -210,8 +212,7 @@ pub fn recv_multi(
     plan: &[(u32, usize)],
 ) -> std::io::Result<Vec<Vec<String>>> {
     // Fault points first, in deterministic (plan) order — decoupled from
-    // readiness-arrival order so chaos seeds replay identically on both
-    // drain paths.
+    // readiness-arrival order so chaos seeds replay identically.
     for &(shard, _) in plan {
         let _ = taxo_fault::inject(FAULT_SLOW);
         if taxo_fault::should_fail(FAULT_READ) {
@@ -219,67 +220,6 @@ pub fn recv_multi(
             return Err(injected("upstream read"));
         }
     }
-    recv_multi_inner(ups, plan)
-}
-
-#[cfg(not(target_os = "linux"))]
-fn recv_multi_inner(
-    ups: &mut [Upstream],
-    plan: &[(u32, usize)],
-) -> std::io::Result<Vec<Vec<String>>> {
-    // Portable fallback: sequential blocking drains (fault points
-    // already consulted by the caller).
-    let mut out = Vec::with_capacity(plan.len());
-    for &(shard, expect) in plan {
-        out.push(recv_sans_faults(&mut ups[shard as usize], expect)?);
-    }
-    Ok(out)
-}
-
-#[cfg(not(target_os = "linux"))]
-fn recv_sans_faults(up: &mut Upstream, expect: usize) -> std::io::Result<Vec<String>> {
-    let read_timeout = up.read_timeout;
-    let result = (|| {
-        let conn = up.ensure()?;
-        let mut lines = Vec::with_capacity(expect);
-        let mut chunk = [0u8; 4096];
-        let deadline = Instant::now() + read_timeout;
-        loop {
-            conn.pop_into(&mut lines, expect)?;
-            if lines.len() == expect {
-                return Ok(lines);
-            }
-            match conn.stream.read(&mut chunk) {
-                Ok(0) => {
-                    return Err(std::io::Error::new(
-                        ErrorKind::UnexpectedEof,
-                        "shard closed the connection",
-                    ));
-                }
-                Ok(n) => conn.dec.push(&chunk[..n]),
-                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                    if Instant::now() >= deadline {
-                        return Err(ErrorKind::TimedOut.into());
-                    }
-                }
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-    })();
-    if result.is_err() {
-        up.reset();
-    }
-    result
-}
-
-#[cfg(target_os = "linux")]
-fn recv_multi_inner(
-    ups: &mut [Upstream],
-    plan: &[(u32, usize)],
-) -> std::io::Result<Vec<Vec<String>>> {
-    use std::os::unix::io::AsRawFd;
-    use taxo_serve::reactor::{Events, Poller, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLRDHUP};
 
     /// Per-shard drain progress, indexed by plan position (= epoll
     /// token).

@@ -190,17 +190,15 @@ impl<T> BoundedQueue<T> {
     }
 }
 
-/// Where one job's scores go back to. The scorer thread is agnostic to
-/// the I/O model serving the connection: a blocking worker parks on the
-/// receiving end of a channel, while a reactor connection gets its
-/// completion pushed to the owning reactor thread's inbox (waking its
-/// epoll loop), with the response rendered there.
+/// Where one job's scores go back to. A wire request's completion is
+/// pushed to the reactor thread that owns its connection (waking its
+/// epoll loop), with the response rendered there; in-process callers
+/// wait on the receiving end of a channel.
 pub enum ScoreSink {
-    /// Blocking path: the connection worker waits on the paired
-    /// receiver.
+    /// In-process callers: the caller waits on the paired receiver.
     Channel(mpsc::Sender<Vec<f32>>),
-    /// Reactor path: completion lands in the reactor thread's inbox.
-    #[cfg(target_os = "linux")]
+    /// Wire requests: the completion lands in the reactor thread's
+    /// inbox.
     Reactor(crate::reactor::CompletionSink),
 }
 
@@ -217,10 +215,7 @@ impl ScoreSink {
             ScoreSink::Channel(tx) => {
                 let _ = tx.send(scores);
             }
-            #[cfg(target_os = "linux")]
-            ScoreSink::Reactor(sink) => {
-                sink.deliver(crate::reactor::Payload::Score(scores));
-            }
+            ScoreSink::Reactor(sink) => sink.deliver(crate::reactor::Payload::Score(scores)),
         }
     }
 
@@ -231,7 +226,6 @@ impl ScoreSink {
     pub fn cancel(&self) {
         match self {
             ScoreSink::Channel(_) => {}
-            #[cfg(target_os = "linux")]
             ScoreSink::Reactor(sink) => sink.cancel(),
         }
     }

@@ -4,8 +4,11 @@
 //! taxonomy in one shot; this crate is the deployment shape the paper
 //! describes — a continuously maintained taxonomy answering live
 //! traffic. It is std-only (no tokio, no serde), matching the
-//! workspace's vendored-deps constraint:
+//! workspace's vendored-deps constraint, and Linux-only:
 //!
+//! * **Connection reactor** ([`reactor`]): a few epoll threads multiplex
+//!   every client connection; the acceptor deals connections out
+//!   round-robin, and pipelined requests answer in request order.
 //! * **Wire protocol** ([`protocol`]): line-delimited JSON over TCP with
 //!   request kinds `score` (query term → ranked attachment candidates),
 //!   `ingest` (new query–click evidence), `health`, `stats` (the
@@ -14,14 +17,14 @@
 //!   [`taxo_expand::IncrementalExpander`] scores each candidate pair once
 //!   per detector (at start-up and at ingest), and every snapshot ranks
 //!   and renders each served query once from that table. An f32 `score`
-//!   request is a lookup and a splice on the connection thread.
+//!   request is a lookup and a splice on the reactor thread.
 //! * **Micro-batching** ([`batch`], int8 tier): concurrent `score`
 //!   requests coalesce into one deduplicated, batched scoring sweep over
 //!   the [`taxo_expand::BatchScorer`] fast path.
 //! * **Score and response caching** ([`cache`], int8 tier): sharded
 //!   LRUs keyed by `(snapshot_version, query, item)` and by
 //!   `(snapshot_version, tier, query, k)`; cached requests are answered
-//!   on the connection worker without touching the scorer.
+//!   on the reactor thread without touching the scorer.
 //! * **Hot-swapped snapshots** ([`snapshot`]): an immutable
 //!   model+taxonomy [`ServeSnapshot`] behind a version-stamped store;
 //!   the ingest thread rebuilds and atomically publishes, readers
@@ -62,12 +65,14 @@
 //! # Ok::<(), taxo_serve::ServeError>(())
 //! ```
 
+#[cfg(not(target_os = "linux"))]
+compile_error!("taxo-serve is Linux-only: its connection data plane is an epoll reactor");
+
 pub mod batch;
 pub mod cache;
 pub mod client;
 pub mod durable;
 pub mod protocol;
-#[cfg(target_os = "linux")]
 pub mod reactor;
 pub mod server;
 pub mod shadow;
@@ -85,8 +90,8 @@ pub use protocol::{
     FrameDecoder, FrameTooLong, IngestPhase, IngestRecord, IngestSummary, Request, Tier, MAX_FRAME,
 };
 pub use server::{
-    ControlError, IoModel, PromoteOutcome, ServeConfig, ServeController, ServeError, Server,
-    ServerBuilder, ServerHandle, FAULT_PROMOTE,
+    ControlError, PromoteOutcome, ServeConfig, ServeController, ServeError, Server, ServerBuilder,
+    ServerHandle, FAULT_PROMOTE,
 };
 pub use shadow::{ShadowSample, ShadowTap};
 pub use snapshot::{ScoredCandidate, ServeSnapshot, SnapshotReader, SnapshotStore};

@@ -33,9 +33,8 @@ use taxo_obs::MetricsSnapshot;
 pub const MAX_FRAME: usize = 1 << 20;
 
 /// The incremental line-frame decoder shared by every data plane: the
-/// blocking connection workers, the epoll reactor's per-connection
-/// state machines, and the router's client connections and multiplexed
-/// upstream pool.
+/// epoll reactor's per-connection state machines, and the router's
+/// client connections and multiplexed upstream pool.
 ///
 /// Bytes arrive in arbitrary splits ([`FrameDecoder::push`]);
 /// [`FrameDecoder::next_frame`] yields each complete `\n`-terminated

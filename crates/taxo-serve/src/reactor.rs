@@ -1,20 +1,19 @@
-//! Event-driven connection multiplexing: a std-only epoll reactor.
+//! Event-driven connection multiplexing: a std-only epoll reactor, the
+//! server's connection data plane.
 //!
-//! Under [`crate::IoModel::Reactor`] the server replaces its
-//! thread-per-connection workers with N reactor threads. Each owns one
-//! epoll instance plus per-connection state machines: an incremental
-//! [`FrameDecoder`] over a reused read buffer, an ordered response-slot
-//! queue (pipelined requests answer in request order even when their
-//! scores complete out of order), and a pending-write queue flushed with
-//! vectored writes when the socket signals writability.
+//! The server runs `ServeConfig::reactor_threads` reactor threads (two by
+//! default); the acceptor deals connections out to them round-robin.
+//! Each owns one epoll instance plus per-connection state machines: an
+//! incremental [`FrameDecoder`] over a reused read buffer, an ordered
+//! response-slot queue (pipelined requests answer in request order even
+//! when their scores complete out of order), and a write queue flushed
+//! with vectored writes.
 //!
-//! Scoring and ingest are untouched: decoded requests flow through the
-//! exact same [`process_line`] dispatch and the same `BoundedQueue`s as
-//! the blocking path, so snapshot-consistency, WAL, shadow-tap, and
-//! fault-injection invariants hold verbatim. Only the wait differs — a
-//! blocking worker parks on an mpsc receiver, while a reactor connection
-//! parks a [`CompletionSink`] in the job and keeps serving other sockets
-//! until the completion lands back in its [`Inbox`].
+//! Decoded requests flow through [`process_line`] into the server's
+//! `BoundedQueue`s. f32 scores, health, stats and sheds are answered on
+//! the reactor thread; a queued job (an int8 score, an ingest) carries a
+//! [`CompletionSink`], and the reactor keeps serving other sockets until
+//! the completion lands back in its [`Inbox`].
 //!
 //! # Readiness discipline (level-triggered, deliberately)
 //!
@@ -23,26 +22,33 @@
 //! never a stuck connection — the simplest discipline that is correct
 //! under fault injection (a dropped wakeup is recovered by the next
 //! tick). The rules, which `reactor_respects_write_interest_discipline`
-//! in the integration suite pins:
+//! and `reactor_answers_a_pipelined_burst_then_half_close` in the
+//! integration suite pin:
 //!
-//! * `EPOLLIN | EPOLLRDHUP` is always armed; on readability the socket
-//!   is read **until `WouldBlock`** so level-triggering cannot re-fire
-//!   on bytes already buffered in the decoder.
-//! * `EPOLLOUT` is armed **only while the pending-write queue is
-//!   non-empty** (each arming counts `serve.reactor.stalled_writes`),
-//!   and disarmed the moment the queue drains — otherwise a mostly-idle
-//!   writable socket would wake the reactor on every tick.
+//! * `EPOLLIN | EPOLLRDHUP` is always armed. A read that fills less
+//!   than the read buffer ends the read burst: the socket is empty, and
+//!   bytes or an EOF that arrive later fire again, so no `recv` is spent
+//!   on `EAGAIN`.
+//! * `EPOLLOUT` is armed **only while the write queue is non-empty**
+//!   (each arming counts `serve.reactor.stalled_writes`), and disarmed
+//!   the moment it drains — otherwise a mostly-idle writable socket
+//!   would wake the reactor on every tick.
+//! * The wake eventfd is read only on a tick where its token fired.
 //!
-//! The module is std-only: the four syscalls it needs (`epoll_create1`,
+//! # Chaos points
+//!
+//! [`FAULT_READ`] is consulted once per read and [`FAULT_WRITE`] once
+//! per response frame, so an `nth` plan counts requests and responses;
+//! [`FAULT_WAKEUP`] once per inbox ring.
+//!
+//! The module is std-only: the syscalls it needs (`epoll_create1`,
 //! `epoll_ctl`, `epoll_wait`, `eventfd`, plus `fcntl` for `O_NONBLOCK`)
-//! are declared inline below, Linux-gated at the module level from
-//! `lib.rs`.
+//! are declared inline below; the crate is Linux-only.
 
-use crate::batch::ScoreSink;
 use crate::protocol::{self, FrameDecoder};
 use crate::server::{
-    process_line, render_ingest_reply, render_score_reply, IngestReply, IngestSink, LineOutcome,
-    PendingScore, RequestSinks, Shared,
+    process_line, render_ingest_reply, render_score_reply, IngestReply, LineOutcome, PendingScore,
+    Shared,
 };
 use crate::snapshot::SnapshotReader;
 use std::collections::{HashMap, VecDeque};
@@ -53,16 +59,21 @@ use std::os::unix::io::{AsRawFd, RawFd};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
+use taxo_fault::FaultAction;
 use taxo_obs::{counter, gauge};
 
-/// Chaos point consulted once per read burst on a reactor connection
-/// (`Fail` drops the connection, `Short(n)` keeps an n-byte prefix then
-/// drops) — the reactor twin of `serve.conn.read`.
-pub const FAULT_READ: &str = "reactor.read";
-/// Chaos point consulted once per flush attempt (`Fail` drops the
-/// connection losing the buffered responses, `Short(n)` emits an n-byte
-/// prefix of the front frame so the tear is observable, then drops).
-pub const FAULT_WRITE: &str = "reactor.write";
+/// Chaos point consulted once per read that returned bytes (`fail`
+/// drops the connection with the bytes unconsumed, `short:N` keeps an
+/// N-byte prefix, answers what it completes, then closes).
+pub const FAULT_READ: &str = "serve.conn.read";
+/// Chaos point consulted once per response frame, in response order
+/// (`fail` loses this frame and every later one and drops the
+/// connection once the earlier frames flush; `short:N` sends an N-byte
+/// prefix of the frame first, so the tear is observable).
+///
+/// A `delay:MS` at either point holds that connection's output back for
+/// MS (to the next 50 ms tick) while the reactor serves every other one.
+pub const FAULT_WRITE: &str = "serve.conn.write";
 /// Chaos point at [`Inbox::wake`]: `Fail` swallows the eventfd write (a
 /// lost wakeup). The queued item is *not* lost — every reactor tick
 /// re-drains its inbox, so the only effect is added latency, which is
@@ -72,6 +83,9 @@ pub const FAULT_WAKEUP: &str = "reactor.wakeup";
 /// How long a gracefully closed connection keeps reading (and
 /// discarding) after its write half is shut, waiting for the peer's EOF.
 const LINGER: Duration = Duration::from_millis(250);
+
+/// Most frames one `writev` gathers.
+const MAX_IOV: usize = 64;
 
 // ---------------------------------------------------------------------
 // Raw syscall surface (no libc crate; glibc-compatible declarations).
@@ -193,9 +207,9 @@ impl Poller {
             )
         };
         if n < 0 {
+            events.filled = 0;
             let err = io::Error::last_os_error();
             if err.raw_os_error() == Some(EINTR) {
-                events.filled = 0;
                 return Ok(0);
             }
             return Err(err);
@@ -306,8 +320,8 @@ pub(crate) enum Payload {
     Score(Vec<f32>),
     Ingest(Box<IngestReply>),
     /// The job was dropped without completing (teardown or simulated
-    /// crash) — the reactor twin of a dead mpsc channel, rendered as the
-    /// same `shutting_down` error the blocking path produces.
+    /// crash) — the reactor twin of a dead mpsc channel, rendered as a
+    /// `shutting_down` error.
     Dead,
 }
 
@@ -425,30 +439,19 @@ impl Drop for CompletionSink {
     }
 }
 
-/// Sink factory for one request line on a reactor connection: the slot
-/// was assigned before dispatch, so a queued job's completion knows
-/// exactly which response position it owes.
-struct ReactorSinks<'a> {
+/// The response slot one request line owes: the slot is assigned
+/// before dispatch, so a queued job's completion knows exactly which
+/// response position of which connection it fills.
+pub(crate) struct ReplyTo<'a> {
     inbox: &'a Arc<Inbox>,
     token: u64,
     slot: u64,
 }
 
-impl RequestSinks for ReactorSinks<'_> {
-    fn score_sink(&mut self) -> ScoreSink {
-        ScoreSink::Reactor(CompletionSink::new(
-            Arc::clone(self.inbox),
-            self.token,
-            self.slot,
-        ))
-    }
-
-    fn ingest_sink(&mut self) -> IngestSink {
-        IngestSink::Reactor(CompletionSink::new(
-            Arc::clone(self.inbox),
-            self.token,
-            self.slot,
-        ))
+impl ReplyTo<'_> {
+    /// A completion sink for this slot, made only when a job is queued.
+    pub(crate) fn sink(&self) -> CompletionSink {
+        CompletionSink::new(Arc::clone(self.inbox), self.token, self.slot)
     }
 }
 
@@ -479,6 +482,13 @@ struct Conn {
     wants_writable: bool,
     /// Close once every owed response has flushed.
     closing: bool,
+    /// An injected write fault cut the response stream: nothing after
+    /// the cut is answered, and the connection closes once `outq`
+    /// drains.
+    torn: bool,
+    /// An injected delay holds `outq` back until then; the tick's sweep
+    /// releases it.
+    hold_until: Option<Instant>,
     /// Set once the write half is shut: the deadline by which the
     /// lingering close gives up waiting for the peer's EOF.
     linger_until: Option<Instant>,
@@ -486,7 +496,7 @@ struct Conn {
 }
 
 impl Conn {
-    fn new(stream: TcpStream, token: u64) -> Conn {
+    fn new(stream: TcpStream, token: u64, now: Instant) -> Conn {
         Conn {
             stream,
             token,
@@ -499,8 +509,10 @@ impl Conn {
             out_head: 0,
             wants_writable: false,
             closing: false,
+            torn: false,
+            hold_until: None,
             linger_until: None,
-            last_activity: Instant::now(),
+            last_activity: now,
         }
     }
 
@@ -512,9 +524,12 @@ impl Conn {
         }
     }
 
-    /// Fills one response slot and promotes the filled prefix to the
-    /// write queue.
+    /// Fills one response slot and moves the filled prefix to the write
+    /// queue, consulting [`FAULT_WRITE`] once per frame.
     fn fill_slot(&mut self, slot: u64, response: String) {
+        if self.torn {
+            return;
+        }
         let idx = (slot - self.flush_base) as usize;
         self.slots[idx] = Some(response);
         while let Some(Some(_)) = self.slots.front() {
@@ -522,45 +537,67 @@ impl Conn {
                 .slots
                 .pop_front()
                 .flatten()
-                .expect("front checked Some");
+                .expect("front checked Some")
+                .into_bytes();
             self.flush_base += 1;
-            frame.push('\n');
-            self.outq.push_back(frame.into_bytes());
+            frame.push(b'\n');
+            let fault = taxo_fault::fired(FAULT_WRITE);
+            match fault {
+                None | Some(FaultAction::Delay(_)) => {
+                    self.outq.push_back(frame);
+                    self.hold(fault);
+                }
+                // Injected write failure: this response and every later
+                // one are lost; the client must retry elsewhere.
+                Some(FaultAction::Fail) => return self.tear(),
+                // Half-written frame: a prefix goes out before the
+                // connection drops, so the tear is observable.
+                Some(FaultAction::Short(n)) => {
+                    frame.truncate(n);
+                    self.outq.push_back(frame);
+                    return self.tear();
+                }
+            }
         }
     }
 
-    /// Writes as much of the pending queue as the socket accepts,
-    /// gathering up to 64 frames per syscall. `Ok(true)` means fully
-    /// drained; `Err` means the connection must drop.
+    /// Holds the output back for an injected delay, if `fault` is one.
+    fn hold(&mut self, fault: Option<FaultAction>) {
+        if let Some(FaultAction::Delay(ms)) = fault {
+            let until = Instant::now() + Duration::from_millis(ms);
+            self.hold_until = self.hold_until.max(Some(until));
+        }
+    }
+
+    /// Cuts the response stream after what `outq` already holds.
+    fn tear(&mut self) {
+        self.torn = true;
+        self.closing = true;
+        self.slots.clear();
+        self.pending.clear();
+    }
+
+    /// Writes as much of the write queue as the socket takes, gathering
+    /// up to [`MAX_IOV`] frames per syscall. `Ok(true)` means nothing is
+    /// left that the socket could take now (drained, or held by an
+    /// injected delay); `Ok(false)` means the socket is full; `Err` means
+    /// the connection must drop.
     fn flush(&mut self) -> io::Result<bool> {
+        if self.hold_until.is_some() {
+            return Ok(true);
+        }
         while !self.outq.is_empty() {
-            match taxo_fault::inject(FAULT_WRITE) {
-                taxo_fault::Injection::Pass => {}
-                // Injected write failure: buffered responses are lost and
-                // the connection drops — the client must retry elsewhere.
-                taxo_fault::Injection::Fail => {
-                    return Err(io::Error::new(
-                        ErrorKind::BrokenPipe,
-                        "injected write fault",
-                    ));
+            let written = {
+                let mut slices = [IoSlice::new(&[]); MAX_IOV];
+                let mut used = 0;
+                for (slice, frame) in slices.iter_mut().zip(&self.outq) {
+                    *slice = IoSlice::new(frame);
+                    used += 1;
                 }
-                // Half-written frame: emit a prefix of the front frame so
-                // the tear is observable, then drop.
-                taxo_fault::Injection::Short(n) => {
-                    let front = &self.outq[0][self.out_head..];
-                    let _ = self.stream.write(&front[..n.min(front.len())]);
-                    return Err(io::Error::new(
-                        ErrorKind::BrokenPipe,
-                        "injected short write",
-                    ));
-                }
-            }
-            let mut slices: Vec<IoSlice<'_>> = Vec::with_capacity(self.outq.len().min(64));
-            slices.push(IoSlice::new(&self.outq[0][self.out_head..]));
-            for frame in self.outq.iter().skip(1).take(63) {
-                slices.push(IoSlice::new(frame));
-            }
-            match self.stream.write_vectored(&slices) {
+                slices[0] = IoSlice::new(&self.outq[0][self.out_head..]);
+                self.stream.write_vectored(&slices[..used])
+            };
+            match written {
                 Ok(0) => return Err(ErrorKind::WriteZero.into()),
                 Ok(mut n) => {
                     while n > 0 {
@@ -639,12 +676,6 @@ impl Slab {
         self.live -= 1;
         Some(conn)
     }
-
-    fn indices(&self) -> Vec<usize> {
-        (0..self.conns.len())
-            .filter(|&i| self.conns[i].is_some())
-            .collect()
-    }
 }
 
 /// One reactor thread: drains its inbox, waits for readiness, and drives
@@ -659,9 +690,15 @@ pub(crate) fn run(poller: Poller, inbox: &Arc<Inbox>, shared: &Shared) {
     let mut buf = vec![0u8; 16 * 1024];
 
     loop {
-        let fired = poller.wait(&mut events, 50).unwrap_or(0);
-        counter!("serve.reactor.events").add(fired as u64);
-        inbox.wake.drain();
+        let _ = poller.wait(&mut events, 50);
+        // Reset the eventfd before taking the inbox, so a push racing the
+        // take rings it again; and only when it fired, so a tick woken by
+        // sockets alone reads nothing extra.
+        if events.iter().any(|(token, _)| token == WAKE_TOKEN) {
+            inbox.wake.drain();
+        }
+        // One clock read per tick stamps activity and drives the sweeps.
+        let now = Instant::now();
 
         // Fresh connections from the acceptor. One that arrives after
         // shutdown began is registered anyway: the sweep below closes it
@@ -671,7 +708,7 @@ pub(crate) fn run(poller: Poller, inbox: &Arc<Inbox>, shared: &Shared) {
             if set_nonblocking(stream.as_raw_fd()).is_err() {
                 continue;
             }
-            let idx = slab.insert(|token| Conn::new(stream, token));
+            let idx = slab.insert(|token| Conn::new(stream, token, now));
             let conn = self_conn(&mut slab, idx);
             if poller
                 .add(conn.stream.as_raw_fd(), conn.token, conn.interest())
@@ -740,6 +777,7 @@ pub(crate) fn run(poller: Poller, inbox: &Arc<Inbox>, shared: &Shared) {
                     shared,
                     &mut reader,
                     inbox,
+                    now,
                 ) {
                     continue;
                 }
@@ -750,14 +788,23 @@ pub(crate) fn run(poller: Poller, inbox: &Arc<Inbox>, shared: &Shared) {
         // Shutdown and idle sweeps (each tick; the 50ms wait timeout
         // bounds how stale they can run).
         let shutting_down = shared.is_shutdown();
-        for idx in slab.indices() {
-            let conn = self_conn(&mut slab, idx);
+        for idx in 0..slab.conns.len() {
+            let Some(conn) = slab.conns[idx].as_mut() else {
+                continue;
+            };
             if let Some(deadline) = conn.linger_until {
-                if Instant::now() >= deadline {
+                if now >= deadline {
                     close_conn(&poller, &mut slab, idx);
                 }
                 continue;
             }
+            if conn.hold_until.is_some_and(|until| now >= until) {
+                conn.hold_until = None;
+                if !service_writes(&poller, &mut slab, idx) {
+                    continue;
+                }
+            }
+            let conn = self_conn(&mut slab, idx);
             if shutting_down {
                 conn.closing = true;
             }
@@ -765,7 +812,7 @@ pub(crate) fn run(poller: Poller, inbox: &Arc<Inbox>, shared: &Shared) {
                 linger_close(&poller, &mut slab, idx);
             } else if !conn.closing
                 && conn.drained()
-                && conn.last_activity.elapsed() >= shared.cfg.idle_timeout
+                && now.duration_since(conn.last_activity) >= shared.cfg.idle_timeout
             {
                 counter!("serve.conn.idle_closed").inc();
                 close_conn(&poller, &mut slab, idx);
@@ -841,6 +888,12 @@ fn service_writes(poller: &Poller, slab: &mut Slab, idx: usize) -> bool {
             }
             true
         }
+        // A torn stream does not wait on a slow reader: what the peer
+        // has not taken yet is lost with the connection.
+        Ok(false) if conn.torn => {
+            close_conn(poller, slab, idx);
+            false
+        }
         Ok(false) => {
             if !conn.wants_writable {
                 // Stalled: the kernel buffer is full. Arm EPOLLOUT and
@@ -858,8 +911,8 @@ fn service_writes(poller: &Poller, slab: &mut Slab, idx: usize) -> bool {
     }
 }
 
-/// Reads until `WouldBlock`/EOF, decodes complete frames, and dispatches
-/// each through the shared [`process_line`]. Returns false when the
+/// Reads until the socket is empty or at EOF, decodes complete frames,
+/// and dispatches each through [`process_line`]. Returns false when the
 /// connection was closed.
 #[allow(clippy::too_many_arguments)]
 fn service_reads(
@@ -870,10 +923,11 @@ fn service_reads(
     shared: &Shared,
     reader: &mut SnapshotReader,
     inbox: &Arc<Inbox>,
+    now: Instant,
 ) -> bool {
     enum ReadEnd {
         Eof,
-        WouldBlock,
+        Empty,
         Kill,
         /// Injected short read: keep what arrived, then close after
         /// flushing what is owed.
@@ -885,21 +939,29 @@ fn service_reads(
             match conn.stream.read(buf) {
                 Ok(0) => break ReadEnd::Eof,
                 Ok(n) => {
-                    conn.last_activity = Instant::now();
-                    match taxo_fault::inject(FAULT_READ) {
-                        taxo_fault::Injection::Pass => conn.dec.push(&buf[..n]),
+                    conn.last_activity = now;
+                    let fault = taxo_fault::fired(FAULT_READ);
+                    match fault {
+                        None | Some(FaultAction::Delay(_)) => {
+                            conn.dec.push(&buf[..n]);
+                            conn.hold(fault);
+                        }
                         // Injected read failure: drop the connection with
                         // the bytes unconsumed (a reset mid-request).
-                        taxo_fault::Injection::Fail => break ReadEnd::Kill,
+                        Some(FaultAction::Fail) => break ReadEnd::Kill,
                         // Short read: keep a prefix of the chunk, then
                         // close.
-                        taxo_fault::Injection::Short(keep) => {
+                        Some(FaultAction::Short(keep)) => {
                             conn.dec.push(&buf[..keep.min(n)]);
                             break ReadEnd::ShortClose;
                         }
                     }
+                    // A read short of the buffer emptied the socket.
+                    if n < buf.len() {
+                        break ReadEnd::Empty;
+                    }
                 }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break ReadEnd::WouldBlock,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break ReadEnd::Empty,
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 Err(_) => break ReadEnd::Kill,
             }
@@ -913,13 +975,16 @@ fn service_reads(
         }
         ReadEnd::ShortClose => self_conn(slab, idx).closing = true,
         ReadEnd::Eof => saw_eof = true,
-        ReadEnd::WouldBlock => {}
+        ReadEnd::Empty => {}
     }
 
     // Dispatch every complete frame (even when closing: accepted bytes
-    // get responses, matching the blocking path).
+    // get responses), unless a write fault has cut the response stream.
     loop {
         let conn = self_conn(slab, idx);
+        if conn.torn {
+            break;
+        }
         let line = match conn.dec.next_frame() {
             Ok(Some(line)) => line,
             Ok(None) => break,
@@ -941,16 +1006,18 @@ fn service_reads(
         let slot = conn.next_slot;
         conn.next_slot += 1;
         conn.slots.push_back(None);
-        let token = conn.token;
-        let mut sinks = ReactorSinks { inbox, token, slot };
-        match process_line(&line, shared, reader, &mut sinks) {
+        let reply_to = ReplyTo {
+            inbox,
+            token: conn.token,
+            slot,
+        };
+        match process_line(&line, shared, reader, &reply_to) {
             LineOutcome::Ready { response, close } => {
                 let conn = self_conn(slab, idx);
                 conn.fill_slot(slot, response);
                 if close {
-                    // Respond, then close; like the blocking path, any
-                    // frames still buffered after a shutdown request are
-                    // dropped.
+                    // Respond, then close; any frames still buffered
+                    // after a shutdown request are dropped.
                     conn.closing = true;
                     break;
                 }
@@ -1019,7 +1086,7 @@ mod tests {
             let client = TcpStream::connect(addr).expect("connect");
             let (server, _) = listener.accept().expect("accept");
             std::mem::forget(client);
-            Conn::new(server, token)
+            Conn::new(server, token, Instant::now())
         };
         let mut slab = Slab::new();
         let idx = slab.insert(make_conn);

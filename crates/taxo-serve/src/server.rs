@@ -1,21 +1,25 @@
-//! The TCP server: acceptor, connection-worker pool, micro-batching
+//! The TCP server: acceptor, epoll reactor threads, micro-batching
 //! scorer (int8 tier), and the single ingest/rebuild thread.
 //!
 //! Thread layout (all plain `std::thread`, started by
 //! [`ServerBuilder::bind`]):
 //!
 //! ```text
-//! acceptor ──► conn queue ──► worker 0..N   (parse + respond; f32
-//!                               │   ▲        responses spliced from the
-//!                               │   │        snapshot's response index)
-//!               int8 score jobs ▼   │ scores (per-job mpsc)
-//!                            scorer thread   (one par_map per batch)
-//!                               ┆
-//! workers ──► ingest queue ──► ingest thread (WAL append+fsync →
-//!                                             IncrementalExpander: score
-//!                                             new pairs, expand +
-//!                                             snapshot rebuild + publish)
+//! acceptor ──► reactor 0..N      (round-robin; epoll over every connection,
+//!                │   ▲            parse + respond; f32 responses spliced
+//!                │   │            from the snapshot's response index)
+//! int8 score jobs ▼   │ completions (reactor inbox + eventfd)
+//!              scorer thread      (one par_map per batch)
+//!                ┆
+//! reactors ──► ingest queue ──► ingest thread (WAL append+fsync →
+//!                                              IncrementalExpander: score
+//!                                              new pairs, expand +
+//!                                              snapshot rebuild + publish)
 //! ```
+//!
+//! Connections are served by `crate::reactor`: each reactor thread owns
+//! an epoll instance and the state machines of its share of the
+//! connections, so an idle connection costs a slot, not a thread.
 //!
 //! A pair's f32 score depends only on the detector, so the
 //! [`IncrementalExpander`] scores each candidate pair once per detector
@@ -43,10 +47,11 @@ use crate::batch::{score_batch, BoundedQueue, PushError, ScoreJob, ScoreSink};
 use crate::cache::{ResponseCache, ResponseKey, ScoreCache};
 use crate::durable::{self, DurabilityConfig, FsyncPolicy, RecoveryReport};
 use crate::protocol::{self, IngestPhase, IngestRecord, IngestSummary, Request, Tier};
+use crate::reactor::{self, CompletionSink, Inbox, ReplyTo};
 use crate::shadow::{ShadowSample, ShadowTap};
 use crate::snapshot::{ScoredCandidate, ServeSnapshot, SnapshotReader, SnapshotStore};
-use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::ErrorKind;
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
@@ -59,62 +64,10 @@ use taxo_expand::{
 use taxo_obs::{counter, gauge, histogram, span};
 use taxo_wal::{WalError, WalWriter};
 
-/// Which I/O engine drives client connections.
-///
-/// The scorer and ingest tiers are identical under both models — only
-/// the socket layer changes, so every snapshot-consistency, WAL, and
-/// exactly-once invariant is model-independent.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IoModel {
-    /// Thread-per-connection blocking reads (the portable default):
-    /// each of `workers` threads owns one connection at a time, so live
-    /// concurrency is capped at the worker count.
-    #[default]
-    Blocking,
-    /// Readiness-driven epoll reactor (Linux): `reactor_threads`
-    /// threads multiplex every connection through per-connection state
-    /// machines (see `crate::reactor`). On non-Linux targets this
-    /// silently falls back to [`IoModel::Blocking`].
-    Reactor,
-}
-
-impl IoModel {
-    /// Flag/metric spelling.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            IoModel::Blocking => "blocking",
-            IoModel::Reactor => "reactor",
-        }
-    }
-}
-
-impl std::fmt::Display for IoModel {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-impl std::str::FromStr for IoModel {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<IoModel, String> {
-        match s {
-            "blocking" => Ok(IoModel::Blocking),
-            "reactor" => Ok(IoModel::Reactor),
-            other => Err(format!(
-                "unknown io model {other:?} (expected blocking or reactor)"
-            )),
-        }
-    }
-}
-
 /// Server sizing knobs. The defaults suit the tiny demo pipeline; every
 /// field must be at least 1.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Connection-worker pool size (each worker serves one connection at
-    /// a time, many requests per connection).
-    pub workers: usize,
     /// Maximum int8 `score` jobs coalesced into one batched scoring call
     /// (f32 requests never queue).
     pub batch_max: usize,
@@ -122,9 +75,6 @@ pub struct ServeConfig {
     pub score_queue_cap: usize,
     /// `ingest` queue capacity.
     pub ingest_queue_cap: usize,
-    /// Accepted-connection backlog; beyond it connections are refused
-    /// with a single `busy` line.
-    pub conn_backlog: usize,
     /// Candidate items scored per query (most-clicked first).
     pub max_candidates: usize,
     /// Default `k` (returned candidates) when a request names none.
@@ -145,32 +95,27 @@ pub struct ServeConfig {
     /// Shadow-tap queue capacity: mirrored score samples awaiting the
     /// trainer. A full queue sheds samples (never live requests).
     pub shadow_queue_cap: usize,
-    /// Which I/O engine drives client connections.
-    pub io_model: IoModel,
-    /// Reactor threads under [`IoModel::Reactor`] (each owns one epoll
-    /// instance and a share of the connections). Ignored when blocking.
+    /// Reactor threads serving client connections (each owns one epoll
+    /// instance; the acceptor deals connections out round-robin).
     pub reactor_threads: usize,
     /// Close a connection after this long without a single received
-    /// byte, so a silent client cannot pin a blocking worker (or hold a
-    /// reactor slot) forever. Counted as `serve.conn.idle_closed`.
+    /// byte, so a silent client cannot hold a reactor slot forever.
+    /// Counted as `serve.conn.idle_closed`.
     pub idle_timeout: Duration,
 }
 
 impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
-            workers: 8,
             batch_max: 64,
             score_queue_cap: 256,
             ingest_queue_cap: 16,
-            conn_backlog: 64,
             max_candidates: 16,
             default_k: 8,
             score_cache_cap: 65_536,
             resp_cache_cap: 16_384,
             default_tier: Tier::F32,
             shadow_queue_cap: 1024,
-            io_model: IoModel::Blocking,
             reactor_threads: 2,
             idle_timeout: Duration::from_secs(30),
         }
@@ -183,11 +128,9 @@ impl ServeConfig {
     /// the pipeline config builders use).
     pub fn validate(&self) -> Result<(), TaxoError> {
         for (name, v) in [
-            ("serve.workers", self.workers),
             ("serve.batch_max", self.batch_max),
             ("serve.score_queue_cap", self.score_queue_cap),
             ("serve.ingest_queue_cap", self.ingest_queue_cap),
-            ("serve.conn_backlog", self.conn_backlog),
             ("serve.max_candidates", self.max_candidates),
             ("serve.default_k", self.default_k),
             ("serve.score_cache_cap", self.score_cache_cap),
@@ -289,32 +232,25 @@ pub(crate) enum IngestJob {
 /// Where an ingest acknowledgement goes back to — the ingest twin of
 /// [`crate::batch::ScoreSink`]. A dropped-without-send sink (the
 /// simulated-crash path drops whole jobs) surfaces to the reactor as a
-/// dead completion, matching the dead channel a blocking worker sees.
+/// dead completion, and to a [`ServeController`] caller as a dead
+/// channel.
 pub(crate) enum IngestSink {
-    /// Blocking path (and the [`ServeController`]): the caller waits on
-    /// the paired receiver.
+    /// [`ServeController`] calls: the caller waits on the paired
+    /// receiver.
     Channel(mpsc::Sender<IngestReply>),
-    /// Reactor path: the ack lands in the reactor thread's inbox.
-    #[cfg(target_os = "linux")]
-    Reactor(crate::reactor::CompletionSink),
+    /// Wire `ingest` requests: the ack lands in the reactor thread's
+    /// inbox.
+    Reactor(CompletionSink),
 }
 
 impl IngestSink {
-    fn channel() -> (IngestSink, mpsc::Receiver<IngestReply>) {
-        let (tx, rx) = mpsc::channel();
-        (IngestSink::Channel(tx), rx)
-    }
-
     /// Delivers the acknowledgement (a dead receiver is ignored).
     pub(crate) fn send(&self, reply: IngestReply) {
         match self {
             IngestSink::Channel(tx) => {
                 let _ = tx.send(reply);
             }
-            #[cfg(target_os = "linux")]
-            IngestSink::Reactor(sink) => {
-                sink.deliver(crate::reactor::Payload::Ingest(Box::new(reply)));
-            }
+            IngestSink::Reactor(sink) => sink.deliver(reactor::Payload::Ingest(Box::new(reply))),
         }
     }
 
@@ -323,13 +259,12 @@ impl IngestSink {
     fn cancel(&self) {
         match self {
             IngestSink::Channel(_) => {}
-            #[cfg(target_os = "linux")]
             IngestSink::Reactor(sink) => sink.cancel(),
         }
     }
 }
 
-/// What the ingest thread tells the connection worker to render.
+/// What the ingest thread tells the reactor (or controller) to render.
 pub(crate) enum IngestReply {
     /// Single-phase: applied and published.
     Applied(IngestSummary),
@@ -352,29 +287,26 @@ pub(crate) enum IngestReply {
 pub(crate) struct Shared {
     pub(crate) cfg: ServeConfig,
     pub(crate) store: Arc<SnapshotStore>,
-    /// int8 served-score LRU: probed by connection workers (all-hit
-    /// requests skip the scorer round trip entirely) and filled by the
-    /// scorer.
+    /// int8 served-score LRU: probed by the reactors (all-hit requests
+    /// skip the scorer round trip entirely) and filled by the scorer.
     cache: ScoreCache,
     /// Rendered-response LRU: a hit answers the request with one splice.
     resp: ResponseCache,
     score_queue: BoundedQueue<ScoreJob>,
     ingest_queue: BoundedQueue<IngestJob>,
-    conn_queue: BoundedQueue<TcpStream>,
     shutdown: AtomicBool,
     /// Set when an injected WAL failure halted the server mid-flight —
     /// the in-process stand-in for the process dying.
     crashed: AtomicBool,
     /// Ingest batches applied so far (served in `health`).
     batches: AtomicU64,
-    /// Shadow tap on the worker score path (disarmed until a control
-    /// plane arms it).
+    /// Shadow tap on the score path (disarmed until a control plane
+    /// arms it).
     tap: Arc<ShadowTap>,
-    /// One inbox per reactor thread (empty under [`IoModel::Blocking`]):
-    /// the acceptor round-robins fresh connections into them, and
-    /// shutdown rings every wakeup fd so a parked `epoll_wait` notices.
-    #[cfg(target_os = "linux")]
-    reactors: Vec<Arc<crate::reactor::Inbox>>,
+    /// One inbox per reactor thread: the acceptor round-robins fresh
+    /// connections into them, and shutdown rings every wakeup fd so a
+    /// parked `epoll_wait` notices.
+    reactors: Vec<Arc<Inbox>>,
 }
 
 impl Shared {
@@ -387,10 +319,8 @@ impl Shared {
             return;
         }
         counter!("serve.shutdowns").inc();
-        self.conn_queue.close();
         self.score_queue.close();
         self.ingest_queue.close();
-        #[cfg(target_os = "linux")]
         for inbox in &self.reactors {
             inbox.wake();
         }
@@ -688,15 +618,6 @@ impl ServerBuilder {
         self
     }
 
-    /// Selects the connection I/O model. Defaults to
-    /// [`IoModel::Blocking`]; [`IoModel::Reactor`] multiplexes
-    /// connections over epoll on Linux and falls back to the blocking
-    /// path on other platforms.
-    pub fn io_model(mut self, io_model: IoModel) -> Self {
-        self.cfg.io_model = io_model;
-        self
-    }
-
     /// Marks this server as resuming from a [`Server::recover`] run: the
     /// snapshot version ledger continues from the recovered version, and
     /// an existing manifest in the durability directory is expected
@@ -770,19 +691,12 @@ impl ServerBuilder {
             &expander,
             cfg.max_candidates,
         );
-        // Reactor mode: create every reactor's epoll instance and wake
-        // eventfd up front so kernel setup errors surface at bind time,
-        // not inside a detached thread. Off Linux, `IoModel::Reactor`
-        // falls back to the blocking path.
-        #[cfg(target_os = "linux")]
-        let reactor_parts: Vec<(crate::reactor::Poller, Arc<crate::reactor::Inbox>)> =
-            if cfg.io_model == IoModel::Reactor {
-                (0..cfg.reactor_threads)
-                    .map(|_| crate::reactor::reactor_parts())
-                    .collect::<std::io::Result<_>>()?
-            } else {
-                Vec::new()
-            };
+        // Create every reactor's epoll instance and wake eventfd up
+        // front so kernel setup errors surface at bind time, not inside
+        // a detached thread.
+        let reactor_parts: Vec<(reactor::Poller, Arc<Inbox>)> = (0..cfg.reactor_threads)
+            .map(|_| reactor::reactor_parts())
+            .collect::<std::io::Result<_>>()?;
 
         let shared = Arc::new(Shared {
             score_queue: BoundedQueue::with_fault_points(
@@ -795,11 +709,6 @@ impl ServerBuilder {
                 "serve.queue.ingest.push",
                 "serve.queue.ingest.pop",
             ),
-            conn_queue: BoundedQueue::with_fault_points(
-                cfg.conn_backlog,
-                "serve.queue.conn.push",
-                "serve.queue.conn.pop",
-            ),
             store: Arc::new(SnapshotStore::new(initial)),
             cache: ScoreCache::new(cfg.score_cache_cap),
             resp: ResponseCache::new(cfg.resp_cache_cap),
@@ -807,18 +716,12 @@ impl ServerBuilder {
             crashed: AtomicBool::new(false),
             batches: AtomicU64::new(expander.batches() as u64),
             tap: Arc::new(ShadowTap::new(cfg.shadow_queue_cap)),
-            #[cfg(target_os = "linux")]
             reactors: reactor_parts
                 .iter()
                 .map(|(_, inbox)| Arc::clone(inbox))
                 .collect(),
             cfg,
         });
-
-        #[cfg(target_os = "linux")]
-        let use_reactor = !reactor_parts.is_empty();
-        #[cfg(not(target_os = "linux"))]
-        let use_reactor = false;
 
         let mut threads = Vec::new();
         {
@@ -829,23 +732,12 @@ impl ServerBuilder {
                     .spawn(move || acceptor_loop(&listener, &shared))?,
             );
         }
-        if !use_reactor {
-            for i in 0..shared.cfg.workers {
-                let shared = Arc::clone(&shared);
-                threads.push(
-                    std::thread::Builder::new()
-                        .name(format!("serve-worker-{i}"))
-                        .spawn(move || worker_loop(&shared))?,
-                );
-            }
-        }
-        #[cfg(target_os = "linux")]
         for (i, (poller, inbox)) in reactor_parts.into_iter().enumerate() {
             let shared = Arc::clone(&shared);
             threads.push(
                 std::thread::Builder::new()
                     .name(format!("serve-reactor-{i}"))
-                    .spawn(move || crate::reactor::run(poller, &inbox, &shared))?,
+                    .spawn(move || reactor::run(poller, &inbox, &shared))?,
             );
         }
         {
@@ -921,12 +813,11 @@ fn init_durability(
     })
 }
 
+/// Accepts connections and deals them out round-robin across the
+/// reactor inboxes. There is no backlog shed here: multiplexing hundreds
+/// of idle connections is the reactors' job, so the listener backlog and
+/// the fd limit are the only caps.
 fn acceptor_loop(listener: &TcpListener, shared: &Shared) {
-    // Reactor mode: round-robin fresh connections across the reactor
-    // inboxes. There is no backlog shed here — multiplexing hundreds of
-    // idle connections is the reactor's whole job, so the listener
-    // backlog and the fd limit are the only caps.
-    #[cfg_attr(not(target_os = "linux"), allow(unused_mut, unused_variables))]
     let mut next_reactor = 0usize;
     loop {
         match listener.accept() {
@@ -941,26 +832,11 @@ fn acceptor_loop(listener: &TcpListener, shared: &Shared) {
                 // Responses are one small frame each; Nagle would hold
                 // them hostage to the next request's ACK.
                 let _ = stream.set_nodelay(true);
-                #[cfg(target_os = "linux")]
-                if !shared.reactors.is_empty() {
-                    if shared.is_shutdown() {
-                        return;
-                    }
-                    shared.reactors[next_reactor % shared.reactors.len()].push_conn(stream);
-                    next_reactor += 1;
-                    continue;
+                if shared.is_shutdown() {
+                    return;
                 }
-                match shared.conn_queue.try_push(stream) {
-                    Ok(depth) => gauge!("serve.queue.conn_depth").set(depth as i64),
-                    Err(PushError::Full(mut stream)) => {
-                        counter!("serve.shed.conn").inc();
-                        let line =
-                            protocol::error_response(None, "busy", Some("connection backlog full"));
-                        let _ = stream.write_all(format!("{line}\n").as_bytes());
-                        // stream drops → connection closes.
-                    }
-                    Err(PushError::Closed(_)) => return,
-                }
+                shared.reactors[next_reactor % shared.reactors.len()].push_conn(stream);
+                next_reactor += 1;
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock => {
                 if shared.is_shutdown() {
@@ -975,147 +851,6 @@ fn acceptor_loop(listener: &TcpListener, shared: &Shared) {
                 std::thread::sleep(Duration::from_millis(2));
             }
         }
-    }
-}
-
-fn worker_loop(shared: &Shared) {
-    let mut reader = shared.store.reader();
-    while let Some(mut conns) = shared.conn_queue.drain(1) {
-        let stream = conns.pop().expect("drain(1) returns one item");
-        gauge!("serve.connections.active").add(1);
-        handle_conn(stream, shared, &mut reader);
-        gauge!("serve.connections.active").add(-1);
-    }
-}
-
-/// Serves one connection until EOF, error, idle expiry, or shutdown.
-/// Frames are reassembled by the shared incremental
-/// [`protocol::FrameDecoder`] — the same decoder the reactor path uses —
-/// so a read timeout can never tear a frame.
-fn handle_conn(mut stream: TcpStream, shared: &Shared, reader: &mut SnapshotReader) {
-    // The short poll-ish timeout keeps the worker responsive to
-    // shutdown; the idle clock below is what actually bounds how long a
-    // silent client may pin this worker.
-    if stream
-        .set_read_timeout(Some(Duration::from_millis(100)))
-        .is_err()
-    {
-        return;
-    }
-    let mut dec = protocol::FrameDecoder::new();
-    let mut chunk = [0u8; 4096];
-    let mut out: Vec<u8> = Vec::new();
-    let mut idle_since = Instant::now();
-    loop {
-        // Serve every complete line already buffered, even mid-shutdown:
-        // accepted bytes get responses. Responses for one burst of
-        // pipelined requests coalesce into a single write below — on a
-        // one-syscall-per-line protocol the write() count is a real
-        // throughput lever.
-        out.clear();
-        loop {
-            let line = match dec.next_frame() {
-                Ok(Some(line)) => line,
-                Ok(None) => break,
-                // Unterminated overlong line: refuse and drop the
-                // connection (the decoder cannot resynchronize).
-                Err(e) => {
-                    counter!("serve.errors.bad_request").inc();
-                    let line = protocol::error_response(None, "bad_request", Some(&e.to_string()));
-                    out.extend_from_slice(format!("{line}\n").as_bytes());
-                    let _ = stream.write_all(&out);
-                    return;
-                }
-            };
-            let (mut frame, close) = handle_line(&line, shared, reader);
-            frame.push('\n');
-            match taxo_fault::inject("serve.conn.write") {
-                taxo_fault::Injection::Pass => out.extend_from_slice(frame.as_bytes()),
-                // Injected write failure: this response is lost and the
-                // connection drops — the client must retry elsewhere.
-                // Earlier responses in the burst are still delivered.
-                taxo_fault::Injection::Fail => {
-                    let _ = stream.write_all(&out);
-                    return;
-                }
-                // Half-written frame: emit a prefix, then drop the
-                // connection so the tear is observable, not hidden.
-                taxo_fault::Injection::Short(n) => {
-                    out.extend_from_slice(&frame.as_bytes()[..n.min(frame.len())]);
-                    let _ = stream.write_all(&out);
-                    return;
-                }
-            }
-            if close {
-                let _ = stream.write_all(&out);
-                return;
-            }
-        }
-        if !out.is_empty() && stream.write_all(&out).is_err() {
-            return;
-        }
-        if shared.is_shutdown() {
-            return;
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => return, // EOF
-            Ok(n) => {
-                idle_since = Instant::now();
-                match taxo_fault::inject("serve.conn.read") {
-                    taxo_fault::Injection::Pass => dec.push(&chunk[..n]),
-                    // Injected read failure: drop the connection with the
-                    // bytes unconsumed (a reset mid-request).
-                    taxo_fault::Injection::Fail => return,
-                    // Short read: keep a prefix of the chunk and drop the
-                    // rest of the frame on the floor, then close.
-                    taxo_fault::Injection::Short(keep) => {
-                        dec.push(&chunk[..keep.min(n)]);
-                        return;
-                    }
-                }
-            }
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                // Idle-connection hazard: a silent keep-alive client
-                // would otherwise own this worker forever.
-                if idle_since.elapsed() >= shared.cfg.idle_timeout {
-                    counter!("serve.conn.idle_closed").inc();
-                    return;
-                }
-            }
-            Err(_) => return,
-        }
-    }
-}
-
-/// Sink factory handed to [`process_line`]: the I/O model decides how a
-/// queued job's completion travels back — a parked channel receiver for
-/// blocking workers, a reactor completion slot for the epoll path. Sinks
-/// are created lazily, only at queue-push time; cache-hit requests never
-/// touch one.
-pub(crate) trait RequestSinks {
-    fn score_sink(&mut self) -> ScoreSink;
-    fn ingest_sink(&mut self) -> IngestSink;
-}
-
-/// Blocking-path sinks: plain mpsc channels whose receivers the worker
-/// parks on right after dispatch.
-#[derive(Default)]
-struct BlockingSinks {
-    score_rx: Option<mpsc::Receiver<Vec<f32>>>,
-    ingest_rx: Option<mpsc::Receiver<IngestReply>>,
-}
-
-impl RequestSinks for BlockingSinks {
-    fn score_sink(&mut self) -> ScoreSink {
-        let (sink, rx) = ScoreSink::channel();
-        self.score_rx = Some(rx);
-        sink
-    }
-
-    fn ingest_sink(&mut self) -> IngestSink {
-        let (sink, rx) = IngestSink::channel();
-        self.ingest_rx = Some(rx);
-        sink
     }
 }
 
@@ -1135,56 +870,22 @@ pub(crate) struct PendingScore {
 pub(crate) enum LineOutcome {
     /// Respond now; `close` ends the connection after the flush.
     Ready { response: String, close: bool },
-    /// A score job is in the queue carrying this factory's sink.
+    /// A score job is in the queue carrying a sink for `reply_to`.
     ScorePending(PendingScore),
-    /// An ingest job is in the queue carrying this factory's sink.
+    /// An ingest job is in the queue carrying a sink for `reply_to`.
     IngestPending { id: Option<u64> },
 }
 
-/// Dispatches one request line; returns the response line and whether to
-/// close the connection afterwards. Blocking-path wrapper over
-/// [`process_line`] that parks on the reply channel when a job queued.
-fn handle_line(line: &str, shared: &Shared, reader: &mut SnapshotReader) -> (String, bool) {
-    let mut sinks = BlockingSinks::default();
-    match process_line(line, shared, reader, &mut sinks) {
-        LineOutcome::Ready { response, close } => (response, close),
-        LineOutcome::ScorePending(ps) => {
-            let rx = sinks
-                .score_rx
-                .take()
-                .expect("score dispatch created a channel sink");
-            let response = match rx.recv() {
-                Ok(scores) => render_score_reply(shared, &ps, &scores),
-                // The scorer drains every accepted job before exiting, so
-                // a dead channel can only mean teardown raced us
-                // mid-drain.
-                Err(_) => protocol::error_response(ps.id, "shutting_down", None),
-            };
-            (response, false)
-        }
-        LineOutcome::IngestPending { id } => {
-            let rx = sinks
-                .ingest_rx
-                .take()
-                .expect("ingest dispatch created a channel sink");
-            let response = match rx.recv() {
-                Ok(reply) => render_ingest_reply(id, reply),
-                Err(_) => protocol::error_response(id, "shutting_down", None),
-            };
-            (response, false)
-        }
-    }
-}
-
-/// Parses and dispatches one request line. Shared verbatim by both I/O
-/// models: everything up to (and including) the queue push — caches,
-/// epoch guard, shadow tap, ledger counters, shedding — is identical,
-/// and only the wait-for-completion differs per model.
+/// Parses and dispatches one request line: everything up to (and
+/// including) the queue push — caches, epoch guard, shadow tap, ledger
+/// counters, shedding. A queued job carries a completion sink for
+/// `reply_to`, created only at queue-push time (cache-hit requests never
+/// touch one).
 pub(crate) fn process_line(
     line: &str,
     shared: &Shared,
     reader: &mut SnapshotReader,
-    sinks: &mut dyn RequestSinks,
+    reply_to: &ReplyTo<'_>,
 ) -> LineOutcome {
     let req = match protocol::parse_request(line) {
         Ok(req) => req,
@@ -1207,7 +908,7 @@ pub(crate) fn process_line(
         } => {
             counter!("serve.requests.score").inc();
             let _g = span!("serve.request.score");
-            match prepare_score(id, &query, k, tier, epoch, shared, reader, sinks) {
+            match prepare_score(id, &query, k, tier, epoch, shared, reader, reply_to) {
                 Ok(response) => LineOutcome::Ready {
                     response,
                     close: false,
@@ -1218,7 +919,7 @@ pub(crate) fn process_line(
         Request::Ingest { records, phase, .. } => {
             counter!("serve.requests.ingest").inc();
             let _g = span!("serve.request.ingest");
-            match prepare_ingest(id, records, phase, shared, sinks) {
+            match prepare_ingest(id, records, phase, shared, reply_to) {
                 Some(response) => LineOutcome::Ready {
                     response,
                     close: false,
@@ -1253,7 +954,8 @@ pub(crate) fn process_line(
         Request::Shutdown { .. } => {
             counter!("serve.requests.shutdown").inc();
             shared.begin_shutdown();
-            // Respond, then close; other workers finish buffered work.
+            // Respond, then close; other connections finish buffered
+            // work.
             LineOutcome::Ready {
                 response: protocol::shutdown_response(id),
                 close: true,
@@ -1264,9 +966,8 @@ pub(crate) fn process_line(
 
 /// The score path. `Ok` carries a finished response (every f32 request,
 /// an int8 cache hit, an error, a shed); `Err` means an int8 job was
-/// accepted into the scorer queue carrying `sinks.score_sink()` and the
-/// caller must wait for its completion before rendering via
-/// [`render_score_reply`].
+/// accepted into the scorer queue carrying a sink for `reply_to`, and
+/// the caller renders its completion via [`render_score_reply`].
 #[allow(clippy::too_many_arguments)]
 fn prepare_score(
     id: Option<u64>,
@@ -1276,7 +977,7 @@ fn prepare_score(
     epoch: Option<u64>,
     shared: &Shared,
     reader: &mut SnapshotReader,
-    sinks: &mut dyn RequestSinks,
+    reply_to: &ReplyTo<'_>,
 ) -> Result<String, PendingScore> {
     let tier = tier.unwrap_or(shared.cfg.default_tier);
     if tier == Tier::Int8 {
@@ -1348,7 +1049,7 @@ fn prepare_score(
     }
 
     // int8 fast path: when every pair is cached under this snapshot, answer
-    // on the worker thread — no queue, no scorer round trip. The cached
+    // on the reactor thread — no queue, no scorer round trip. The cached
     // scores are bit-identical to recomputing, so responses are
     // indistinguishable from the slow path. The job never enters the
     // accepted/completed ledger (it is never enqueued).
@@ -1367,7 +1068,7 @@ fn prepare_score(
         tier,
         query: query_id,
         items: items.clone(),
-        reply: sinks.score_sink(),
+        reply: ScoreSink::Reactor(reply_to.sink()),
     };
     match shared.score_queue.try_push(job) {
         Ok(depth) => {
@@ -1403,9 +1104,8 @@ fn prepare_score(
     }
 }
 
-/// Ranks, renders, and caches one completed score. Shared by both I/O
-/// models so the rendered bytes — and the response-cache insert — are
-/// identical regardless of how the completion travelled back.
+/// Ranks, renders, and caches one completed score: the same bytes — and
+/// the same response-cache insert — as a cache-hit answer.
 pub(crate) fn render_score_reply(shared: &Shared, ps: &PendingScore, scores: &[f32]) -> String {
     let ranked = ps.snapshot.rank(ps.query_id, &ps.items, scores, ps.k);
     let rkey = (ps.snapshot.version, ps.tier, ps.query_id, ps.k as u64);
@@ -1432,19 +1132,19 @@ fn render_ranked(
 
 /// The ingest path up to (and including) the queue push. `Some` carries
 /// a finished response (shed, shutdown); `None` means a batch was
-/// accepted carrying `sinks.ingest_sink()`.
+/// accepted carrying a sink for `reply_to`.
 fn prepare_ingest(
     id: Option<u64>,
     records: Vec<IngestRecord>,
     phase: IngestPhase,
     shared: &Shared,
-    sinks: &mut dyn RequestSinks,
+    reply_to: &ReplyTo<'_>,
 ) -> Option<String> {
     counter!("serve.ingest.records_offered").add(records.len() as u64);
     match shared.ingest_queue.try_push(IngestJob::Batch {
         records,
         phase,
-        reply: sinks.ingest_sink(),
+        reply: IngestSink::Reactor(reply_to.sink()),
     }) {
         Ok(depth) => {
             // Mirrors `serve.score.accepted`: paired with
@@ -1471,7 +1171,7 @@ fn prepare_ingest(
     }
 }
 
-/// Renders one ingest completion; shared by both I/O models.
+/// Renders one ingest completion.
 pub(crate) fn render_ingest_reply(id: Option<u64>, reply: IngestReply) -> String {
     match reply {
         IngestReply::Applied(summary) => protocol::ingest_response(id, &summary),

@@ -1,12 +1,8 @@
-//! End-to-end coverage of the epoll reactor I/O model: bit-identity vs.
-//! the offline baseline, pipelined response ordering, write-interest
-//! (EPOLLOUT) discipline under a non-reading client, idle-connection
-//! reaping on both I/O models, shutdown drain, and the exactly-once
-//! score ledger under reactor-path chaos.
-//!
-//! Everything here is Linux-only (the reactor itself is); the blocking
-//! fallback keeps its coverage in `roundtrip.rs`.
-#![cfg(target_os = "linux")]
+//! End-to-end coverage of the epoll reactor data plane: bit-identity vs.
+//! the offline baseline, pipelined response ordering, a pipelined burst
+//! followed by a half-close, write-interest (EPOLLOUT) discipline under
+//! a non-reading client, idle-connection reaping, shutdown drain, and
+//! the exactly-once score ledger under connection chaos.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -19,7 +15,7 @@ use taxo_expand::{
 };
 use taxo_fault::{FaultAction, FaultPlan, Trigger};
 use taxo_serve::{
-    candidate_key, expected_key, Client, IoModel, Reply, ServeConfig, Server, ServerHandle, Tier,
+    candidate_key, expected_key, Client, Reply, ServeConfig, Server, ServerHandle, Tier,
 };
 use taxo_synth::{ClickConfig, ClickLog, World, WorldConfig};
 
@@ -78,7 +74,6 @@ fn reactor_server(seed: u64, cfg: ServeConfig) -> (Arc<Vocabulary>, Vec<ConceptI
     let cap = cfg.max_candidates;
     let handle = Server::builder(expander, Arc::clone(&vocab))
         .config(cfg)
-        .io_model(IoModel::Reactor)
         .bind("127.0.0.1:0")
         .unwrap();
     let snapshot = handle.store().load();
@@ -188,6 +183,54 @@ fn reactor_preserves_pipelined_response_order() {
 }
 
 #[test]
+fn reactor_answers_a_pipelined_burst_then_half_close() {
+    let _guard = test_lock();
+    let cfg = ServeConfig::default();
+    let k = cfg.default_k;
+    let (vocab, queries, handle) = reactor_server(12, cfg);
+
+    // Several pipelined requests and the end of the write half in one
+    // burst: the first read takes every request short of the read
+    // buffer and ends the read burst there, so the EOF must still be
+    // seen on a later readiness event — after every response is out.
+    let n = 24u64;
+    let mut burst = String::new();
+    for id in 0..n {
+        let name = vocab.name(queries[id as usize % queries.len()]);
+        burst.push_str(&format!(
+            "{{\"kind\":\"score\",\"id\":{id},\"query\":{},\"k\":{k}}}\n",
+            json_str(name)
+        ));
+    }
+    let mut stream = TcpStream::connect(handle.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    stream.write_all(burst.as_bytes()).unwrap();
+    stream.shutdown(std::net::Shutdown::Write).unwrap();
+
+    let mut reply = String::new();
+    stream
+        .read_to_string(&mut reply)
+        .expect("the server must answer, then close");
+    let ids: Vec<u64> = reply
+        .lines()
+        .map(|line| {
+            let v = taxo_serve::json::parse(line).unwrap();
+            assert!(
+                matches!(v.get("ok"), Some(taxo_serve::json::Value::Bool(true))),
+                "every pipelined request must succeed, got {line}"
+            );
+            v.get("id")
+                .and_then(taxo_serve::json::Value::as_u64)
+                .unwrap()
+        })
+        .collect();
+    assert_eq!(ids, (0..n).collect::<Vec<_>>(), "every response, in order");
+    handle.shutdown_and_join();
+}
+
+#[test]
 fn reactor_respects_write_interest_discipline() {
     let _guard = test_lock();
     let (_vocab, _queries, handle) = reactor_server(11, ServeConfig::default());
@@ -198,9 +241,11 @@ fn reactor_respects_write_interest_discipline() {
     // and later disarmed — every response still arriving, in order.
     let stalled_before = taxo_obs::counter!("serve.reactor.stalled_writes").get();
     // Must comfortably exceed what the kernel can absorb unread: the
-    // send buffer autotunes up to tcp_wmem[2] (4MB here) on top of the
-    // peer's receive window.
-    let n = 60_000usize;
+    // send buffer autotunes up to tcp_wmem[2] (4MB on a stock kernel) on
+    // top of the peer's receive window, and with responses written while
+    // the requests still stream in, a loopback peer was seen holding
+    // 6MB (60k responses) unread. 200k responses are about 21MB.
+    let n = 200_000usize;
     let mut stream = TcpStream::connect(handle.addr()).unwrap();
     let mut burst = String::new();
     for id in 0..n {
@@ -258,33 +303,6 @@ fn reactor_idle_closes_silent_connections() {
 }
 
 #[test]
-fn blocking_fallback_idle_closes_silent_connections() {
-    let _guard = test_lock();
-    let (vocab, expander, _) = fixture(15);
-    let handle = Server::builder(expander, vocab)
-        .config(ServeConfig {
-            idle_timeout: Duration::from_millis(200),
-            ..ServeConfig::default()
-        })
-        .bind("127.0.0.1:0")
-        .unwrap();
-
-    let closed_before = taxo_obs::counter!("serve.conn.idle_closed").get();
-    let mut stream = TcpStream::connect(handle.addr()).unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    let mut buf = [0u8; 64];
-    let n = stream.read(&mut buf).unwrap();
-    assert_eq!(n, 0, "blocking server must close the idle connection");
-    assert!(
-        taxo_obs::counter!("serve.conn.idle_closed").get() > closed_before,
-        "idle close must be counted on the blocking path too"
-    );
-    handle.shutdown_and_join();
-}
-
-#[test]
 fn reactor_serves_hundreds_of_concurrent_connections() {
     let _guard = test_lock();
     let cfg = ServeConfig::default();
@@ -294,9 +312,9 @@ fn reactor_serves_hundreds_of_concurrent_connections() {
     let snapshot = handle.store().load();
     let addr = handle.addr();
 
-    // Far more live connections than the blocking model's worker count
-    // could ever hold open; every one stays up across three rounds and
-    // every response is verified bit-identical.
+    // Far more live connections than reactor threads; every one stays
+    // up across three rounds and every response is verified
+    // bit-identical.
     let conns = 300usize;
     let mut clients: Vec<Client> = (0..conns).map(|_| Client::connect(addr).unwrap()).collect();
     for round in 0..3 {
@@ -381,8 +399,8 @@ fn reactor_chaos_keeps_exactly_once_score_ledger() {
     let completed_before = taxo_obs::counter!("serve.score.completed").get();
     let wakeups_before = taxo_obs::counter!("fault.injected.reactor.wakeup").get();
 
-    // Seeded chaos on every reactor point: dropped read bursts, torn
-    // writes, and swallowed wakeups. Connections die mid-request; the
+    // Seeded chaos on every connection point: dropped reads, torn
+    // response frames, and swallowed wakeups. Connections die mid-request; the
     // client reconnects and retries. Served responses must stay
     // bit-identical, and the accepted/completed score ledger must
     // balance once the server drains — a job whose connection died is
@@ -392,8 +410,8 @@ fn reactor_chaos_keeps_exactly_once_score_ledger() {
     // (f32 is answered inline from the score table).
     taxo_fault::arm(
         FaultPlan::new(18)
-            .with("reactor.read", Trigger::Nth(13), FaultAction::Fail)
-            .with("reactor.write", Trigger::Nth(17), FaultAction::Short(3))
+            .with("serve.conn.read", Trigger::Nth(13), FaultAction::Fail)
+            .with("serve.conn.write", Trigger::Nth(17), FaultAction::Short(3))
             .with("reactor.wakeup", Trigger::Nth(5), FaultAction::Fail),
     );
 

@@ -432,7 +432,7 @@ fn builder_rejects_invalid_configs_with_field_names() {
     let (vocab, expander, _) = fixture(41);
 
     let bad = ServeConfig {
-        workers: 0,
+        reactor_threads: 0,
         ..ServeConfig::default()
     };
     match Server::builder(expander, Arc::clone(&vocab))
@@ -440,7 +440,7 @@ fn builder_rejects_invalid_configs_with_field_names() {
         .bind("127.0.0.1:0")
     {
         Err(ServeError::Config(TaxoError::InvalidConfig { field, .. })) => {
-            assert_eq!(field, "serve.workers");
+            assert_eq!(field, "serve.reactor_threads");
         }
         Err(other) => panic!("expected a field-named InvalidConfig, got {other}"),
         Ok(_) => panic!("an invalid config must not bind"),

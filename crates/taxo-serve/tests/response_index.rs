@@ -1,6 +1,6 @@
 //! The f32 response index over a fixed trace — version 0, a run of
-//! ingests, a promotion, and a WAL recovery — served by the blocking
-//! model at 1 thread and by the reactor at 8:
+//! ingests, a promotion, and a WAL recovery — served at 1 compute thread
+//! and at 8:
 //!
 //! * **Byte identity.** After every step, every window query (plus one
 //!   query without candidates) is served byte for byte as
@@ -25,7 +25,7 @@ use taxo_expand::{
 };
 use taxo_nn::parallel;
 use taxo_serve::{
-    protocol, Client, DurabilityConfig, FsyncPolicy, IngestPhase, IoModel, Reply, ServeConfig,
+    protocol, Client, DurabilityConfig, FsyncPolicy, IngestPhase, Reply, ServeConfig,
     ServeSnapshot, Server, ServerHandle, Tier,
 };
 use taxo_synth::{ClickConfig, ClickLog, ClickRecord, World, WorldConfig};
@@ -137,9 +137,8 @@ fn durability(dir: &Path) -> DurabilityConfig {
     }
 }
 
-/// Runs the trace on one I/O model; returns the entries rendered by each
-/// step.
-fn run_trace(io_model: IoModel, label: &str) -> Vec<u64> {
+/// Runs the trace; returns the entries rendered by each step.
+fn run_trace(label: &str) -> Vec<u64> {
     let world = World::generate(&WorldConfig {
         target_nodes: 120,
         ..WorldConfig::tiny(SEED)
@@ -160,10 +159,7 @@ fn run_trace(io_model: IoModel, label: &str) -> Vec<u64> {
     let half = log.records.len() / 2;
     expander.ingest(&world.vocab, &log.records[..half]);
     let vocab = Arc::new(world.vocab);
-    let cfg = ServeConfig {
-        io_model,
-        ..ServeConfig::default()
-    };
+    let cfg = ServeConfig::default();
     let dir = std::env::temp_dir().join(format!(
         "taxo-serve-response-index-{label}-{}",
         std::process::id()
@@ -269,10 +265,9 @@ fn run_trace(io_model: IoModel, label: &str) -> Vec<u64> {
 #[test]
 fn index_responses_are_byte_identical_and_rendered_once_per_change() {
     parallel::set_threads(1);
-    let sequential = run_trace(IoModel::Blocking, "blocking");
-    // Off Linux the reactor falls back to the blocking model.
+    let sequential = run_trace("1-thread");
     parallel::set_threads(8);
-    let threaded = run_trace(IoModel::Reactor, "reactor");
+    let threaded = run_trace("8-thread");
     parallel::set_threads(1);
     assert_eq!(
         sequential, threaded,

@@ -267,10 +267,8 @@ fn overload_sheds_with_busy_and_never_corrupts_responses() {
     let (vocab, expander, _) = fixture(14);
     let pairs = expander.candidate_pairs();
     let cfg = ServeConfig {
-        workers: 4,
         batch_max: 2,
         score_queue_cap: 2,
-        conn_backlog: 4,
         ..ServeConfig::default()
     };
     let cap = cfg.max_candidates;

@@ -205,14 +205,14 @@ struct SimRun {
 /// The full 8-segment decision trace: scores + one ingest batch per
 /// segment, a control epoch wherever one is due, and a deliberate
 /// tap-disarmed window (segments 4–5) so the second epoch is starved.
-fn decision_sim(seed: u64, workers: usize) -> SimRun {
+fn decision_sim(seed: u64, reactor_threads: usize) -> SimRun {
     taxo_fault::disarm();
     let (vocab, expander, log, world) = fixture(seed);
     let queries = score_queries(&vocab, &expander, 24);
     let batches = ingest_batches(&log, 8);
     let handle = Server::builder(expander, Arc::clone(&vocab))
         .config(ServeConfig {
-            workers,
+            reactor_threads,
             ..ServeConfig::default()
         })
         .bind("127.0.0.1:0")
@@ -259,7 +259,7 @@ fn decision_sim(seed: u64, workers: usize) -> SimRun {
 }
 
 /// (a) Same seed ⇒ the same decisions, the same served bits, the same
-/// ledger — across repeated runs and across worker counts.
+/// ledger — across repeated runs and across reactor thread counts.
 #[test]
 fn decisions_are_identical_across_runs_and_worker_counts() {
     let _g = test_lock();
@@ -295,9 +295,9 @@ fn decisions_are_identical_across_runs_and_worker_counts() {
     assert_eq!(base.acked, rerun.acked, "rerun ledger");
 
     let wide = decision_sim(91, 8);
-    assert_eq!(base.decisions, wide.decisions, "8-worker decisions");
-    assert_eq!(base.transcript, wide.transcript, "8-worker transcript");
-    assert_eq!(base.acked, wide.acked, "8-worker ledger");
+    assert_eq!(base.decisions, wide.decisions, "8-reactor decisions");
+    assert_eq!(base.transcript, wide.transcript, "8-reactor transcript");
+    assert_eq!(base.acked, wide.acked, "8-reactor ledger");
 }
 
 /// (b)+(c) A trainer that retrains and is *rejected* every epoch leaves

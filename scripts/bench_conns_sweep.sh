@@ -1,14 +1,13 @@
 #!/usr/bin/env bash
-# Connection-count sweep for the serve data plane: runs the verified
-# loadgen against a fresh release server at each connection count, once
-# per I/O model, and leaves one machine-readable bench summary per run
+# Connection-count sweep for the serve data plane (the epoll reactor):
+# runs the verified loadgen against a fresh release server at each
+# connection count and leaves one machine-readable bench summary per run
 # in the output directory.
 #
 #   scripts/bench_conns_sweep.sh [OUT_DIR]
 #
 # Tunables (env):
 #   CONNS      connection counts to sweep       (default "8 64 256 512")
-#   IO_MODELS  serve --io-model values to sweep (default "blocking reactor")
 #   REQUESTS   total score requests per run     (default 20000)
 #   SEED       world seed for server + verifier (default 42)
 #   PORT       serve port                       (default 7878)
@@ -17,16 +16,14 @@
 # Every run is fully verified (--verify): each response must be
 # bit-identical to the offline baseline, so a sweep that completes is
 # also a correctness pass at every swept concurrency. A run that cannot
-# complete its quota (the blocking model sheds hard at high connection
-# counts — that is the point of the sweep) is reported and recorded in
-# its bench summary, and the sweep carries on.
+# complete its quota is reported and recorded in its bench summary, and
+# the sweep carries on.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 OUT_DIR="${1:-target/bench-conns-sweep}"
 CONNS="${CONNS:-8 64 256 512}"
-IO_MODELS="${IO_MODELS:-blocking reactor}"
 REQUESTS="${REQUESTS:-20000}"
 SEED="${SEED:-42}"
 PORT="${PORT:-7878}"
@@ -47,22 +44,19 @@ wait_listening() { # PID LOGFILE
     return 1
 }
 
-for model in $IO_MODELS; do
-    for conns in $CONNS; do
-        label="serve-${model}-${conns}c"
-        log="$OUT_DIR/$label.server.log"
-        echo "== $label: $REQUESTS requests over $conns connections =="
-        "$SERVE" --addr "127.0.0.1:$PORT" --seed "$SEED" --io-model "$model" \
-            >"$log" 2>&1 &
-        server_pid=$!
-        wait_listening "$server_pid" "$log"
-        "$LOADGEN" --addr "127.0.0.1:$PORT" --seed "$SEED" \
-            --connections "$conns" --requests "$REQUESTS" --retries "$RETRIES" \
-            --verify --shutdown \
-            --bench-json "$OUT_DIR/$label.json" --bench-label "$label" ||
-            echo "!! $label: run degraded (see $OUT_DIR/$label.json)"
-        wait "$server_pid" || true
-    done
+for conns in $CONNS; do
+    label="serve-reactor-${conns}c"
+    log="$OUT_DIR/$label.server.log"
+    echo "== $label: $REQUESTS requests over $conns connections =="
+    "$SERVE" --addr "127.0.0.1:$PORT" --seed "$SEED" >"$log" 2>&1 &
+    server_pid=$!
+    wait_listening "$server_pid" "$log"
+    "$LOADGEN" --addr "127.0.0.1:$PORT" --seed "$SEED" \
+        --connections "$conns" --requests "$REQUESTS" --retries "$RETRIES" \
+        --verify --shutdown \
+        --bench-json "$OUT_DIR/$label.json" --bench-label "$label" ||
+        echo "!! $label: run degraded (see $OUT_DIR/$label.json)"
+    wait "$server_pid" || true
 done
 
 echo "== sweep summaries =="
