@@ -2,11 +2,12 @@
 //! protocol as `taxo-serve` and routes each request to the shard that
 //! owns it.
 //!
-//! Thread layout mirrors the shard server (all plain `std::thread`):
+//! Thread layout (all plain `std::thread`; unlike the shard server's
+//! reactor, the client front end is still thread-per-connection):
 //!
 //! ```text
 //! acceptor ──► conn queue ──► worker 0..N
-//!                               │  each worker owns one lazy
+//!                               │  each worker owns one lazy blocking
 //!                               ▼  connection per shard
 //!                        shard 0 … shard M   (taxo-serve processes)
 //! ```
@@ -17,6 +18,15 @@
 //! merge. Responses a shard renders are forwarded byte-for-byte — the
 //! router never re-renders a score, so the end-to-end bit-identity
 //! contract survives the extra tier.
+//!
+//! **Score bursts.** A worker writes each epoch-stamped score line
+//! straight into its shard's frame with `protocol::push_score_request`,
+//! in the canonical shape that the shard's `parse_request` reads in one
+//! scan. It sends every shard its
+//! frame, then drains the shards one after another with blocking
+//! [`Upstream::recv`] calls; the shards work in parallel meanwhile, so
+//! a burst costs its slowest shard. A response is checked for
+//! `stale_epoch` only when its head reads `"ok":false`.
 //!
 //! **Consistency.** Every forwarded `score` is stamped with the
 //! [`VectorStore`] entry the router read for the owning shard; shards
@@ -29,7 +39,7 @@
 //! one atomic publication.
 
 use crate::ring::HashRing;
-use crate::upstream::{self, Upstream};
+use crate::upstream::Upstream;
 use crate::vector::VectorStore;
 use std::collections::BTreeMap;
 use std::io::{ErrorKind, Read, Write};
@@ -498,27 +508,28 @@ fn write_id(w: &mut ObjWriter, id: Option<u64>) {
     };
 }
 
-fn render_score_line(item: &ScoreItem, epoch: u64, frame: &mut String) {
-    let mut w = ObjWriter::new();
-    w.str("kind", "score");
-    write_id(&mut w, item.id);
-    w.str("query", &item.query);
-    if let Some(k) = item.k {
-        w.u64("k", k as u64);
-    }
-    if let Some(t) = item.tier {
-        w.str("tier", t.as_str());
-    }
-    w.u64("epoch", epoch);
-    frame.push_str(&w.finish());
-    frame.push('\n');
-}
-
 /// Parses a line into its JSON value if it is an `ok:true` response.
 fn parse_ok(line: &str) -> Option<Value> {
     json::parse(line)
         .ok()
         .filter(|v| v.get("ok") == Some(&Value::Bool(true)))
+}
+
+/// The current version a shard reports in a `stale_epoch` rejection.
+/// Every shard response opens with `{"id":…,"ok":`, and the id is an
+/// integer or `null`, so the head tells an error from a score without
+/// reading the candidates; only errors are parsed.
+fn stale_version(line: &str) -> Option<u64> {
+    let after_id = line.strip_prefix("{\"id\":")?;
+    let head = &after_id[after_id.find(',')?..];
+    if !head.starts_with(",\"ok\":false,") {
+        return None;
+    }
+    let v = json::parse(line).ok()?;
+    if v.get("error").and_then(Value::as_str) != Some("stale_epoch") {
+        return None;
+    }
+    v.get("version").and_then(Value::as_u64)
 }
 
 /// Routes one run of consecutive score requests. Every response the
@@ -543,13 +554,26 @@ fn route_scores(items: &[&ScoreItem], shared: &RouterShared, ups: &mut [Upstream
         if multi {
             counter!("serve.router.fanout").inc();
         }
-        // Send every shard its frame before reading any response, so
-        // the shards overlap their work during a fan-out.
+        // Send every shard its frame before reading any response, so the
+        // shards overlap their work during a fan-out. Draining them one
+        // after another then costs the slowest shard, not the sum: the
+        // others' responses wait in their socket buffers meanwhile.
         let mut failure = false;
+        let mut frame = String::new();
         for (&shard, idxs) in &groups {
-            let mut frame = String::new();
+            frame.clear();
             for &i in idxs {
-                render_score_line(items[i], vector[shard as usize], &mut frame);
+                let item = items[i];
+                let epoch = Some(vector[shard as usize]);
+                protocol::push_score_request(
+                    &mut frame,
+                    item.id,
+                    &item.query,
+                    item.k,
+                    item.tier,
+                    epoch,
+                );
+                frame.push('\n');
             }
             if ups[shard as usize].send(&frame).is_err() {
                 failure = true;
@@ -558,36 +582,16 @@ fn route_scores(items: &[&ScoreItem], shared: &RouterShared, ups: &mut [Upstream
         }
         let mut replies: Vec<Option<String>> = vec![None; items.len()];
         if !failure {
-            if multi {
-                // Drain all shards of the fan-out concurrently (one
-                // epoll instance on Linux): the burst costs the slowest
-                // shard, not the sum of all of them.
-                let plan: Vec<(u32, usize)> = groups
-                    .iter()
-                    .map(|(&shard, idxs)| (shard, idxs.len()))
-                    .collect();
-                match upstream::recv_multi(ups, &plan) {
-                    Ok(groups_lines) => {
-                        for (idxs, lines) in groups.values().zip(groups_lines) {
-                            for (&i, line) in idxs.iter().zip(lines) {
-                                replies[i] = Some(line);
-                            }
+            for (&shard, idxs) in &groups {
+                match ups[shard as usize].recv(idxs.len()) {
+                    Ok(lines) => {
+                        for (&i, line) in idxs.iter().zip(lines) {
+                            replies[i] = Some(line);
                         }
                     }
-                    Err(_) => failure = true,
-                }
-            } else {
-                for (&shard, idxs) in &groups {
-                    match ups[shard as usize].recv(idxs.len()) {
-                        Ok(lines) => {
-                            for (&i, line) in idxs.iter().zip(lines) {
-                                replies[i] = Some(line);
-                            }
-                        }
-                        Err(_) => {
-                            failure = true;
-                            break;
-                        }
+                    Err(_) => {
+                        failure = true;
+                        break;
                     }
                 }
             }
@@ -613,15 +617,9 @@ fn route_scores(items: &[&ScoreItem], shared: &RouterShared, ups: &mut [Upstream
         let mut stale: Vec<(usize, u64)> = Vec::new();
         for (&shard, idxs) in &groups {
             for &i in idxs {
-                let line = replies[i].as_ref().expect("filled above");
-                if line.contains("stale_epoch") {
-                    if let Ok(v) = json::parse(line) {
-                        if v.get("error").and_then(Value::as_str) == Some("stale_epoch") {
-                            if let Some(cur) = v.get("version").and_then(Value::as_u64) {
-                                stale.push((shard as usize, cur));
-                            }
-                        }
-                    }
+                let line = replies[i].as_deref().expect("filled above");
+                if let Some(cur) = stale_version(line) {
+                    stale.push((shard as usize, cur));
                 }
             }
         }
@@ -1211,4 +1209,33 @@ fn fanout_stats(id: Option<u64>, _shared: &RouterShared, ups: &mut [Upstream]) -
         .raw("histograms", &hists_obj)
         .raw("spans", &spans_obj);
     w.finish()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn stale_epoch_is_read_from_error_responses_only() {
+        assert_eq!(
+            stale_version(&protocol::stale_epoch_response(Some(3), 9)),
+            Some(9)
+        );
+        assert_eq!(
+            stale_version(&protocol::stale_epoch_response(None, 0)),
+            Some(0)
+        );
+        assert_eq!(
+            stale_version(&protocol::error_response(
+                Some(3),
+                "busy",
+                Some("stale_epoch")
+            )),
+            None
+        );
+        // A score whose query names the error code is still a score.
+        let score = r#"{"id":4,"ok":true,"kind":"score","query":"stale_epoch","tier":"f32","version":2,"candidates":[]}"#;
+        assert_eq!(stale_version(score), None);
+        assert_eq!(stale_version("not json"), None);
+    }
 }

@@ -21,7 +21,7 @@
 //! process's registry, not the server's).
 
 use crate::json::{self, Value};
-use crate::protocol::Tier;
+use crate::protocol::{self, Tier};
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
@@ -331,7 +331,8 @@ impl Client {
         tier: Option<Tier>,
     ) -> std::io::Result<Reply> {
         let id = self.fresh_id();
-        let line = score_line(id, query, k, tier);
+        let mut line = String::new();
+        protocol::push_score_request(&mut line, Some(id), query, k, tier, None);
         self.call_retrying(&line, id)
     }
 
@@ -363,7 +364,7 @@ impl Client {
             for query in queries {
                 let id = self.fresh_id();
                 ids.push(id);
-                frame.push_str(&score_line(id, query, k, tier));
+                protocol::push_score_request(&mut frame, Some(id), query, k, tier, None);
                 frame.push('\n');
             }
             let burst = (|| {
@@ -446,18 +447,6 @@ impl Client {
         w.str("kind", "shutdown").u64("id", id);
         self.call(&w.finish(), Some(id))
     }
-}
-
-fn score_line(id: u64, query: &str, k: Option<usize>, tier: Option<Tier>) -> String {
-    let mut w = json::ObjWriter::new();
-    w.str("kind", "score").u64("id", id).str("query", query);
-    if let Some(k) = k {
-        w.u64("k", k as u64);
-    }
-    if let Some(t) = tier {
-        w.str("tier", t.as_str());
-    }
-    w.finish()
 }
 
 fn protocol_error(msg: String) -> std::io::Error {

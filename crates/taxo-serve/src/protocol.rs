@@ -34,7 +34,7 @@ pub const MAX_FRAME: usize = 1 << 20;
 
 /// The incremental line-frame decoder shared by every data plane: the
 /// epoll reactor's per-connection state machines, and the router's
-/// client connections and multiplexed upstream pool.
+/// client connections and shard connections.
 ///
 /// Bytes arrive in arbitrary splits ([`FrameDecoder::push`]);
 /// [`FrameDecoder::next_frame`] yields each complete `\n`-terminated
@@ -303,7 +303,114 @@ pub struct IngestRecord {
 }
 
 /// Parses one request line.
+///
+/// The canonical score line is read in one scan, with no [`Value`]
+/// tree: `{"kind":"score","id":N,"query":"…"[,"k":N][,"tier":"…"][,"epoch":N]}`,
+/// members in that order, no whitespace, the query free of escapes and
+/// control bytes, and every number a plain integer of at most 19
+/// digits without a leading zero. [`push_score_request`] writes that
+/// shape for [`crate::Client`] and the router, and the load generators
+/// emit it too. Any other line, and any line the scan cannot settle
+/// (`k` of 0, an unknown `tier`, `"id":null`, …), goes to the tree
+/// parser unchanged. Both paths give the same result for every line the
+/// scan accepts (`tests/parse_scan_props.rs`).
 pub fn parse_request(line: &str) -> Result<Request, String> {
+    match scan_score(line) {
+        Some(req) => Ok(req),
+        None => parse_tree(line),
+    }
+}
+
+/// The one-scan reader of a canonical score line; `None` sends the
+/// line to [`parse_tree`].
+fn scan_score(line: &str) -> Option<Request> {
+    let rest = line.strip_prefix(r#"{"kind":"score","id":"#)?;
+    let (id, rest) = scan_u64(rest)?;
+    let rest = rest.strip_prefix(r#","query":""#)?;
+    // A `"` ends the string; a `\` or a control byte means the tree
+    // parser has to decode it. Non-ASCII bytes pass as they are, and
+    // the ASCII `"` the scan stops at is always a char boundary.
+    let end = rest
+        .bytes()
+        .position(|b| b == b'"' || b == b'\\' || b < 0x20)?;
+    let (query, rest) = rest.split_at(end);
+    let mut rest = rest.strip_prefix('"')?;
+    let mut k = None;
+    if let Some(after) = rest.strip_prefix(r#","k":"#) {
+        let (n, after) = scan_u64(after)?;
+        k = Some(usize::try_from(n).ok().filter(|&k| k >= 1)?);
+        rest = after;
+    }
+    let mut tier = None;
+    if let Some(after) = rest.strip_prefix(r#","tier":""#) {
+        let (name, after) = after.split_once('"')?;
+        tier = Some(Tier::parse(name)?);
+        rest = after;
+    }
+    let mut epoch = None;
+    if let Some(after) = rest.strip_prefix(r#","epoch":"#) {
+        let (n, after) = scan_u64(after)?;
+        epoch = Some(n);
+        rest = after;
+    }
+    (rest == "}").then(|| Request::Score {
+        id: Some(id),
+        query: query.to_owned(),
+        k,
+        tier,
+        epoch,
+    })
+}
+
+/// Reads a leading integer the way the encoder writes one: `0`, or 1 to
+/// 19 digits without a leading zero, which cannot overflow a `u64`.
+fn scan_u64(s: &str) -> Option<(u64, &str)> {
+    let digits = s.bytes().take(20).take_while(u8::is_ascii_digit).count();
+    if digits == 0 || digits == 20 || (digits > 1 && s.starts_with('0')) {
+        return None;
+    }
+    let (num, rest) = s.split_at(digits);
+    let n = num.bytes().fold(0u64, |n, d| n * 10 + u64::from(d - b'0'));
+    Some((n, rest))
+}
+
+/// Appends a `score` request in the canonical shape that
+/// [`parse_request`] reads in one scan (without the frame terminator):
+/// members `kind`, `id`, `query`, `k`, `tier`, `epoch` in that order,
+/// absent ones left out, the bytes an [`ObjWriter`] writes member by
+/// member.
+pub fn push_score_request(
+    out: &mut String,
+    id: Option<u64>,
+    query: &str,
+    k: Option<usize>,
+    tier: Option<Tier>,
+    epoch: Option<u64>,
+) {
+    out.push_str("{\"kind\":\"score\",\"id\":");
+    match id {
+        Some(id) => {
+            let _ = write!(out, "{id}");
+        }
+        None => out.push_str("null"),
+    }
+    out.push_str(",\"query\":");
+    json::encode_str(query, out);
+    if let Some(k) = k {
+        let _ = write!(out, ",\"k\":{k}");
+    }
+    if let Some(tier) = tier {
+        let _ = write!(out, ",\"tier\":\"{}\"", tier.as_str());
+    }
+    if let Some(epoch) = epoch {
+        let _ = write!(out, ",\"epoch\":{epoch}");
+    }
+    out.push('}');
+}
+
+/// Parses a request line through a [`Value`] tree: every request kind,
+/// any member order, any valid JSON.
+fn parse_tree(line: &str) -> Result<Request, String> {
     let v = json::parse(line)?;
     let id = v.get("id").and_then(Value::as_u64);
     let kind = v
@@ -774,6 +881,86 @@ mod tests {
             parse_request(r#"{"kind":"shutdown"}"#).unwrap(),
             Request::Shutdown { id: None }
         );
+    }
+
+    /// Lines the one-scan reader leaves to the tree parser;
+    /// `tests/parse_scan_props.rs` checks that both paths agree on every
+    /// line.
+    #[test]
+    fn scan_leaves_other_lines_to_the_tree() {
+        for line in [
+            r#"{"kind":"score","query":"chips"}"#,
+            r#"{"kind":"score","id":null,"query":"chips"}"#,
+            r#"{"kind":"score","id":18446744073709551615,"query":"chips"}"#,
+            r#"{"kind":"score","id":-1,"query":"chips"}"#,
+            r#"{"kind":"score","id":1.5,"query":"chips"}"#,
+            r#"{"kind":"score","id":01,"query":"chips"}"#,
+            r#"{"kind":"score","id":1,"query":"say \"hi\""}"#,
+            r#"{"kind":"score","id":1,"query":"ch\u0069ps"}"#,
+            "{\"kind\":\"score\",\"id\":1,\"query\":\"tab\there\"}",
+            r#"{"kind":"score","id":1,"query":"chips","k":0}"#,
+            r#"{"kind":"score","id":1,"query":"chips","k":05}"#,
+            r#"{"kind":"score","id":1,"query":"chips","tier":"fp16"}"#,
+            r#"{"kind":"score","id":1,"query":"chips","tier":"f\u00332"}"#,
+            r#"{"kind":"score","id":1,"query":"chips","epoch":1e2}"#,
+            r#"{"kind":"score","id":1,"query":"chips","epoch":1,"k":2}"#,
+            r#"{"kind":"score","id":1,"query":"chips","k":2,"k":3}"#,
+            r#"{"id":1,"kind":"score","query":"chips"}"#,
+            r#"{"kind":"score", "id":1,"query":"chips"}"#,
+            r#"{"kind":"score","id":1,"query":"chips"} "#,
+            r#"{"kind":"score","id":1,"query":"chips"}x"#,
+        ] {
+            assert_eq!(scan_score(line), None, "{line}");
+        }
+    }
+
+    /// The writer's bytes are what an `ObjWriter` writes member by
+    /// member, and the scan reads them back whenever an id is present.
+    #[test]
+    fn score_requests_match_the_object_writer_and_scan_back() {
+        for id in [None, Some(0), Some(u64::MAX / 2)] {
+            for query in ["chips", "say \"hi\"\tnow\u{1}", "crème brûlée", ""] {
+                for k in [None, Some(1), Some(usize::MAX / 2)] {
+                    for tier in [None, Some(Tier::F32), Some(Tier::Int8)] {
+                        for epoch in [None, Some(0), Some(u64::MAX / 2)] {
+                            let mut w = ObjWriter::new();
+                            w.str("kind", "score");
+                            match id {
+                                Some(id) => w.u64("id", id),
+                                None => w.raw("id", "null"),
+                            };
+                            w.str("query", query);
+                            if let Some(k) = k {
+                                w.u64("k", k as u64);
+                            }
+                            if let Some(t) = tier {
+                                w.str("tier", t.as_str());
+                            }
+                            if let Some(e) = epoch {
+                                w.u64("epoch", e);
+                            }
+                            let mut line = String::from("prefix");
+                            push_score_request(&mut line, id, query, k, tier, epoch);
+                            assert_eq!(line, format!("prefix{}", w.finish()));
+                            let line = &line["prefix".len()..];
+                            let req = Request::Score {
+                                id,
+                                query: query.to_owned(),
+                                k,
+                                tier,
+                                epoch,
+                            };
+                            assert_eq!(parse_request(line), Ok(req.clone()), "{line}");
+                            // Only an id-less line or a query that needs escapes
+                            // leaves the scan.
+                            let plain = id.is_some()
+                                && !query.contains(|c: char| c == '"' || c == '\\' || c < ' ');
+                            assert_eq!(scan_score(line), plain.then_some(req), "{line}");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

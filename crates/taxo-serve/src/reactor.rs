@@ -97,16 +97,16 @@ const EPOLL_CTL_DEL: c_int = 2;
 const EPOLL_CTL_MOD: c_int = 3;
 
 /// Readable (also set on listen-socket accept readiness).
-pub const EPOLLIN: u32 = 0x1;
+pub(crate) const EPOLLIN: u32 = 0x1;
 /// Writable.
-pub const EPOLLOUT: u32 = 0x4;
+pub(crate) const EPOLLOUT: u32 = 0x4;
 /// Error condition (always reported; never needs registering).
-pub const EPOLLERR: u32 = 0x8;
+pub(crate) const EPOLLERR: u32 = 0x8;
 /// Hangup (always reported; never needs registering).
-pub const EPOLLHUP: u32 = 0x10;
+pub(crate) const EPOLLHUP: u32 = 0x10;
 /// Peer shut down its write half — lets a half-close surface as an
 /// event instead of waiting for a zero-byte read.
-pub const EPOLLRDHUP: u32 = 0x2000;
+pub(crate) const EPOLLRDHUP: u32 = 0x2000;
 
 const EFD_CLOEXEC: c_int = 0o2000000;
 const F_GETFL: c_int = 3;
@@ -147,20 +147,19 @@ fn cvt(ret: c_int) -> io::Result<c_int> {
 
 /// Sets `O_NONBLOCK` on a raw fd via `fcntl` (the std helper only exists
 /// on socket types; the eventfd needs this too).
-pub fn set_nonblocking(fd: RawFd) -> io::Result<()> {
+pub(crate) fn set_nonblocking(fd: RawFd) -> io::Result<()> {
     let flags = cvt(unsafe { fcntl(fd, F_GETFL, 0) })?;
     cvt(unsafe { fcntl(fd, F_SETFL, flags | O_NONBLOCK) })?;
     Ok(())
 }
 
-/// An owned epoll instance. Also reused by taxo-router's multiplexed
-/// upstream pool — hence `pub`.
-pub struct Poller {
+/// An owned epoll instance.
+pub(crate) struct Poller {
     epfd: RawFd,
 }
 
 impl Poller {
-    pub fn new() -> io::Result<Poller> {
+    pub(crate) fn new() -> io::Result<Poller> {
         let epfd = cvt(unsafe { epoll_create1(EPOLL_CLOEXEC) })?;
         Ok(Poller { epfd })
     }
@@ -180,24 +179,24 @@ impl Poller {
     }
 
     /// Registers `fd` with the given level-triggered interest set.
-    pub fn add(&self, fd: RawFd, token: u64, interest: u32) -> io::Result<()> {
+    pub(crate) fn add(&self, fd: RawFd, token: u64, interest: u32) -> io::Result<()> {
         self.ctl(EPOLL_CTL_ADD, fd, token, interest)
     }
 
     /// Replaces the interest set of an already-registered fd.
-    pub fn modify(&self, fd: RawFd, token: u64, interest: u32) -> io::Result<()> {
+    pub(crate) fn modify(&self, fd: RawFd, token: u64, interest: u32) -> io::Result<()> {
         self.ctl(EPOLL_CTL_MOD, fd, token, interest)
     }
 
     /// Deregisters `fd` (closing the fd does this implicitly; explicit
     /// removal keeps the kernel table tight on long-lived reactors).
-    pub fn delete(&self, fd: RawFd) -> io::Result<()> {
+    pub(crate) fn delete(&self, fd: RawFd) -> io::Result<()> {
         self.ctl(EPOLL_CTL_DEL, fd, 0, 0)
     }
 
     /// Waits up to `timeout_ms` for readiness; fills `events` and
     /// returns how many fired. `EINTR` is reported as zero events.
-    pub fn wait(&self, events: &mut Events, timeout_ms: i32) -> io::Result<usize> {
+    pub(crate) fn wait(&self, events: &mut Events, timeout_ms: i32) -> io::Result<usize> {
         let n = unsafe {
             epoll_wait(
                 self.epfd,
@@ -228,13 +227,13 @@ impl Drop for Poller {
 }
 
 /// Reusable `epoll_wait` output buffer.
-pub struct Events {
+pub(crate) struct Events {
     buf: Vec<EpollEvent>,
     filled: usize,
 }
 
 impl Events {
-    pub fn with_capacity(cap: usize) -> Events {
+    pub(crate) fn with_capacity(cap: usize) -> Events {
         Events {
             buf: vec![EpollEvent { events: 0, data: 0 }; cap.max(1)],
             filled: 0,
@@ -242,7 +241,7 @@ impl Events {
     }
 
     /// The `(token, readiness)` pairs the last wait filled in.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, u32)> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (u64, u32)> + '_ {
         // Copy out of the (possibly packed) struct before field access.
         self.buf[..self.filled].iter().map(|ev| {
             let ev = *ev;
