@@ -3,10 +3,13 @@
 //!
 //! ```text
 //! router --shards HOST:PORT,HOST:PORT,... [--addr 127.0.0.1:7979]
-//!        [--workers N] [--vnodes N] [--seed N] [--shard-retries N]
+//!        [--vnodes N] [--seed N] [--shard-retries N]
 //!        [--metrics-json PATH]
 //!        [--retrain-every N] [--shadow-sample N] [--promote-gate P[:LAT_US]]
 //! ```
+//!
+//! Client connections are served by 8 epoll reactor threads, each with
+//! one connection per shard; a connection silent for 30 s is closed.
 //!
 //! Every shard must already be listening: the router probes each one's
 //! `health` at startup to seed its version vector and refuses to start
@@ -63,7 +66,6 @@ fn main() {
                     })
                     .collect();
             }
-            "--workers" => cfg.workers = parse(&take(&args, &mut i, "--workers")),
             "--vnodes" => cfg.vnodes = parse(&take(&args, &mut i, "--vnodes")),
             "--seed" => cfg.ring_seed = parse(&take(&args, &mut i, "--seed")),
             "--shard-retries" => {
@@ -84,8 +86,8 @@ fn main() {
             }
             "--help" | "-h" => {
                 println!(
-                    "router --shards HOST:PORT,... [--addr HOST:PORT] [--workers N] \
-                     [--vnodes N] [--seed N] [--shard-retries N] [--metrics-json PATH] \
+                    "router --shards HOST:PORT,... [--addr HOST:PORT] [--vnodes N] \
+                     [--seed N] [--shard-retries N] [--metrics-json PATH] \
                      [--retrain-every N] [--shadow-sample N] [--promote-gate P[:LAT_US]]"
                 );
                 return;

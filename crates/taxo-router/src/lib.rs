@@ -20,6 +20,10 @@
 //!   keeps forwarded responses bit-identical to what a healthy exchange
 //!   would have produced, and idempotent scores plus shard-side WAL
 //!   recovery keep ingest exactly-once.
+//! * **Connections** ([`router`]): client connections are served by
+//!   `taxo-serve`'s epoll reactor, the connection layer the shards run;
+//!   each of its threads runs the route handlers inline over its own
+//!   connection per shard, and closes a client silent for 30 s.
 //!
 //! ```no_run
 //! use taxo_router::{Router, RouterConfig};

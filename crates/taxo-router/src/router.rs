@@ -2,15 +2,21 @@
 //! protocol as `taxo-serve` and routes each request to the shard that
 //! owns it.
 //!
-//! Thread layout (all plain `std::thread`; unlike the shard server's
-//! reactor, the client front end is still thread-per-connection):
+//! Thread layout (all plain `std::thread`): client connections are
+//! served by `taxo-serve`'s connection reactor, the one the shards run,
+//! with this module's route handlers as its [`Service`].
 //!
 //! ```text
-//! acceptor ──► conn queue ──► worker 0..N
-//!                               │  each worker owns one lazy blocking
-//!                               ▼  connection per shard
-//!                        shard 0 … shard M   (taxo-serve processes)
+//! acceptor ──► reactor 0..7   (round-robin; epoll over client connections,
+//!                │             route handlers inline; each owns one lazy
+//!                ▼             blocking connection per shard)
+//!         shard 0 … shard M   (taxo-serve processes)
 //! ```
+//!
+//! A client burst is read, fanned out, drained and answered on the
+//! reactor thread that owns its connection: no queue sits between a
+//! reactor thread and its upstreams. A connection placed on a thread
+//! that is busy with a slow burst waits for that burst.
 //!
 //! **Routing.** `score` routes by the query (parent-concept) term
 //! through the [`HashRing`]; `ingest` partitions its records the same
@@ -19,14 +25,13 @@
 //! router never re-renders a score, so the end-to-end bit-identity
 //! contract survives the extra tier.
 //!
-//! **Score bursts.** A worker writes each epoch-stamped score line
-//! straight into its shard's frame with `protocol::push_score_request`,
-//! in the canonical shape that the shard's `parse_request` reads in one
-//! scan. It sends every shard its
-//! frame, then drains the shards one after another with blocking
-//! [`Upstream::recv`] calls; the shards work in parallel meanwhile, so
-//! a burst costs its slowest shard. A response is checked for
-//! `stale_epoch` only when its head reads `"ok":false`.
+//! **Score bursts.** Each epoch-stamped score line is written straight
+//! into its shard's frame with `protocol::push_score_request`, in the
+//! canonical shape that the shard's `parse_request` reads in one scan.
+//! Every shard is sent its frame, then the shards are drained one after
+//! another with blocking [`Upstream::recv`] calls; the shards work in
+//! parallel meanwhile, so a burst costs its slowest shard. A response
+//! is checked for `stale_epoch` only when its head reads `"ok":false`.
 //!
 //! **Consistency.** Every forwarded `score` is stamped with the
 //! [`VectorStore`] entry the router read for the owning shard; shards
@@ -42,27 +47,30 @@ use crate::ring::HashRing;
 use crate::upstream::Upstream;
 use crate::vector::VectorStore;
 use std::collections::BTreeMap;
-use std::io::{ErrorKind, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::convert::Infallible;
+use std::io::ErrorKind;
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 use taxo_core::json::{self, ObjWriter, Value};
 use taxo_core::TaxoError;
-use taxo_obs::{counter, gauge};
+use taxo_obs::counter;
 use taxo_serve::protocol::{self, IngestPhase, IngestRecord, Request, Tier};
-use taxo_serve::{BoundedQueue, PushError};
+use taxo_serve::reactor::{self, Burst, Service};
+
+/// Reactor threads serving client connections; each owns one connection
+/// per shard.
+const THREADS: usize = 8;
+
+/// Close a client connection after this long without a received byte,
+/// as `taxo-serve` does by default.
+const IDLE_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Router sizing and behaviour knobs.
 #[derive(Debug, Clone)]
 pub struct RouterConfig {
-    /// Connection-worker pool size (each worker serves one client
-    /// connection at a time and owns one connection per shard).
-    pub workers: usize,
-    /// Accepted-connection backlog; beyond it connections are refused
-    /// with a single `busy` line.
-    pub conn_backlog: usize,
     /// Virtual nodes per shard on the consistent-hash ring.
     pub vnodes: usize,
     /// Ring placement seed — every router over the same shard list must
@@ -81,8 +89,6 @@ pub struct RouterConfig {
 impl Default for RouterConfig {
     fn default() -> Self {
         RouterConfig {
-            workers: 8,
-            conn_backlog: 64,
             vnodes: 64,
             ring_seed: 0x7461_786f_2d72_6f75, // "taxo-rou"
             shard_retries: 3,
@@ -95,14 +101,17 @@ impl Default for RouterConfig {
 impl RouterConfig {
     /// Field-named validation, surfaced by [`RouterBuilder::bind`].
     pub fn validate(&self) -> Result<(), TaxoError> {
-        for (name, v) in [
-            ("router.workers", self.workers),
-            ("router.conn_backlog", self.conn_backlog),
-            ("router.vnodes", self.vnodes),
-        ] {
-            if v == 0 {
-                return Err(TaxoError::invalid_config(name, "must be at least 1"));
-            }
+        if self.vnodes == 0 {
+            return Err(TaxoError::invalid_config(
+                "router.vnodes",
+                "must be at least 1",
+            ));
+        }
+        if self.upstream_read_timeout.is_zero() {
+            return Err(TaxoError::invalid_config(
+                "router.upstream_read_timeout",
+                "must be non-zero",
+            ));
         }
         Ok(())
     }
@@ -113,7 +122,7 @@ impl RouterConfig {
 pub enum RouterError {
     /// A configuration field failed validation.
     Config(TaxoError),
-    /// Binding the listener, spawning threads, or probing a shard
+    /// Binding the listener, starting the reactor, or probing a shard
     /// failed.
     Io(std::io::Error),
 }
@@ -153,20 +162,43 @@ struct RouterShared {
     shards: Vec<SocketAddr>,
     ring: HashRing,
     vector: VectorStore,
-    conn_queue: BoundedQueue<TcpStream>,
     shutdown: AtomicBool,
 }
 
 impl RouterShared {
+    fn begin_shutdown(&self) {
+        self.shutdown.store(true, Ordering::Release);
+    }
+}
+
+impl Service for RouterShared {
+    type Local = Vec<Upstream>;
+    type Pending = Infallible;
+    type Payload = Infallible;
+
+    /// One lazy connection per shard, reused across every client
+    /// connection this reactor thread serves.
+    fn local(&self) -> Vec<Upstream> {
+        self.shards
+            .iter()
+            .map(|&addr| Upstream::new(addr, self.cfg.upstream_read_timeout))
+            .collect()
+    }
+
+    fn dispatch(&self, ups: &mut Vec<Upstream>, lines: &[String], burst: &mut Burst<'_, Self>) {
+        handle_burst(lines, self, ups, burst);
+    }
+
+    fn render(&self, pending: Infallible, _: Option<Infallible>) -> String {
+        match pending {}
+    }
+
     fn is_shutdown(&self) -> bool {
         self.shutdown.load(Ordering::Acquire)
     }
 
-    fn begin_shutdown(&self) {
-        if self.shutdown.swap(true, Ordering::AcqRel) {
-            return;
-        }
-        self.conn_queue.close();
+    fn idle_timeout(&self) -> Duration {
+        IDLE_TIMEOUT
     }
 }
 
@@ -243,7 +275,7 @@ impl RouterBuilder {
 
     /// Binds the listener, probes every shard's `health` to seed the
     /// version vector (a dead shard fails the bind — start shards
-    /// first), and starts the acceptor and worker threads.
+    /// first), and starts the acceptor and reactor threads.
     pub fn bind(self, addr: impl ToSocketAddrs) -> Result<RouterHandle, RouterError> {
         let RouterBuilder { shards, cfg } = self;
         cfg.validate()?;
@@ -255,7 +287,6 @@ impl RouterBuilder {
         }
         taxo_fault::arm_from_env();
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
 
         // Seed the vector from each shard's live version. Probing also
@@ -284,135 +315,19 @@ impl RouterBuilder {
 
         let ring = HashRing::new(shards.len(), cfg.vnodes, cfg.ring_seed);
         let shared = Arc::new(RouterShared {
-            conn_queue: BoundedQueue::new(cfg.conn_backlog),
             vector: VectorStore::new(initial),
             ring,
             shards,
             shutdown: AtomicBool::new(false),
             cfg,
         });
-
-        let mut threads = Vec::new();
-        {
-            let shared = Arc::clone(&shared);
-            threads.push(
-                std::thread::Builder::new()
-                    .name("router-acceptor".into())
-                    .spawn(move || acceptor_loop(&listener, &shared))?,
-            );
-        }
-        for i in 0..shared.cfg.workers {
-            let shared = Arc::clone(&shared);
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("router-worker-{i}"))
-                    .spawn(move || worker_loop(&shared))?,
-            );
-        }
+        let threads = reactor::spawn("router", listener, THREADS, &shared)?;
 
         Ok(RouterHandle {
             addr,
             shared,
             threads,
         })
-    }
-}
-
-fn acceptor_loop(listener: &TcpListener, shared: &RouterShared) {
-    loop {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                counter!("serve.router.connections.accepted").inc();
-                let _ = stream.set_nodelay(true);
-                match shared.conn_queue.try_push(stream) {
-                    Ok(depth) => gauge!("serve.router.conn_depth").set(depth as i64),
-                    Err(PushError::Full(mut stream)) => {
-                        counter!("serve.router.shed.conn").inc();
-                        let line =
-                            protocol::error_response(None, "busy", Some("connection backlog full"));
-                        let _ = stream.write_all(format!("{line}\n").as_bytes());
-                    }
-                    Err(PushError::Closed(_)) => return,
-                }
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                if shared.is_shutdown() {
-                    return;
-                }
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => {
-                if shared.is_shutdown() {
-                    return;
-                }
-                std::thread::sleep(Duration::from_millis(2));
-            }
-        }
-    }
-}
-
-fn worker_loop(shared: &RouterShared) {
-    // One lazy connection per shard, reused across all the client
-    // connections this worker will ever serve.
-    let mut ups: Vec<Upstream> = shared
-        .shards
-        .iter()
-        .map(|&addr| Upstream::new(addr, shared.cfg.upstream_read_timeout))
-        .collect();
-    while let Some(mut conns) = shared.conn_queue.drain(1) {
-        let stream = conns.pop().expect("drain(1) returns one item");
-        handle_conn(stream, shared, &mut ups);
-    }
-}
-
-/// Serves one client connection. Frames are reassembled by the shared
-/// [`protocol::FrameDecoder`], as in `taxo-serve` and the upstream pool.
-/// All complete lines buffered at each wake-up are handled as one burst,
-/// so a pipelined client frame fans out to the shards as pipelined
-/// per-shard frames. An unterminated line longer than
-/// [`protocol::MAX_FRAME`] gets one `bad_request` and the connection
-/// closes.
-fn handle_conn(mut stream: TcpStream, shared: &RouterShared, ups: &mut [Upstream]) {
-    if stream
-        .set_read_timeout(Some(Duration::from_millis(100)))
-        .is_err()
-    {
-        return;
-    }
-    let mut dec = protocol::FrameDecoder::new();
-    let mut chunk = [0u8; 4096];
-    loop {
-        let mut lines: Vec<String> = Vec::new();
-        let overlong = loop {
-            match dec.next_frame() {
-                Ok(Some(line)) => lines.push(line),
-                Ok(None) => break None,
-                Err(e) => break Some(e),
-            }
-        };
-        if !lines.is_empty() {
-            let (out, close) = handle_burst(&lines, shared, ups);
-            if stream.write_all(&out).is_err() || close {
-                return;
-            }
-        }
-        // The decoder cannot resynchronize after an overlong line: refuse
-        // it and drop the connection.
-        if let Some(e) = overlong {
-            counter!("serve.router.errors.bad_request").inc();
-            let line = protocol::error_response(None, "bad_request", Some(&e.to_string()));
-            let _ = stream.write_all(format!("{line}\n").as_bytes());
-            return;
-        }
-        if shared.is_shutdown() {
-            return;
-        }
-        match stream.read(&mut chunk) {
-            Ok(0) => return, // EOF
-            Ok(n) => dec.push(&chunk[..n]),
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
-            Err(_) => return,
-        }
     }
 }
 
@@ -433,9 +348,16 @@ struct ScoreItem {
     tier: Option<Tier>,
 }
 
-/// Handles every line of one client burst, preserving response order.
-fn handle_burst(lines: &[String], shared: &RouterShared, ups: &mut [Upstream]) -> (Vec<u8>, bool) {
-    let slots: Vec<Slot> = lines
+/// Answers every line of one client burst, in order. A run of
+/// consecutive scores is routed together, so a pipelined client frame
+/// fans out to the shards as pipelined per-shard frames.
+fn handle_burst(
+    lines: &[String],
+    shared: &RouterShared,
+    ups: &mut [Upstream],
+    burst: &mut Burst<'_, RouterShared>,
+) {
+    let mut slots = lines
         .iter()
         .map(|line| match protocol::parse_request(line) {
             // The router owns epoch stamping: a client-supplied epoch is
@@ -445,47 +367,35 @@ fn handle_burst(lines: &[String], shared: &RouterShared, ups: &mut [Upstream]) -
             }) => Slot::Score(ScoreItem { id, query, k, tier }),
             Ok(req) => Slot::Other(req),
             Err(e) => {
-                counter!("serve.router.errors.bad_request").inc();
+                counter!("serve.errors.bad_request").inc();
                 Slot::Ready(protocol::error_response(None, "bad_request", Some(&e)))
             }
         })
-        .collect();
-    let mut out: Vec<u8> = Vec::new();
-    let mut close = false;
-    let mut i = 0;
-    while i < slots.len() {
-        match &slots[i] {
-            Slot::Ready(resp) => {
-                out.extend_from_slice(resp.as_bytes());
-                out.push(b'\n');
-                i += 1;
-            }
-            Slot::Score(_) => {
-                let mut j = i;
-                let mut items: Vec<&ScoreItem> = Vec::new();
-                while let Some(Slot::Score(item)) = slots.get(j) {
+        .peekable();
+    while let Some(slot) = slots.next() {
+        if !burst.open() {
+            break;
+        }
+        match slot {
+            Slot::Ready(resp) => burst.ready(resp),
+            Slot::Score(item) => {
+                let mut items = vec![item];
+                while let Some(Slot::Score(item)) = slots.next_if(|s| matches!(s, Slot::Score(_))) {
                     items.push(item);
-                    j += 1;
                 }
                 for resp in route_scores(&items, shared, ups) {
-                    out.extend_from_slice(resp.as_bytes());
-                    out.push(b'\n');
+                    burst.ready(resp);
                 }
-                i = j;
             }
             Slot::Other(req) => {
-                let (resp, c) = route_other(req, shared, ups);
-                out.extend_from_slice(resp.as_bytes());
-                out.push(b'\n');
-                i += 1;
-                if c {
-                    close = true;
-                    break;
+                let (resp, close) = route_other(&req, shared, ups);
+                burst.ready(resp);
+                if close {
+                    burst.close();
                 }
             }
         }
     }
-    (out, close)
 }
 
 fn plain_line(kind: &str) -> String {
@@ -536,7 +446,7 @@ fn stale_version(line: &str) -> Option<u64> {
 /// client sees comes from a single attempt against a single vector
 /// read: a stale-epoch rejection or transport failure anywhere discards
 /// the whole attempt, so one burst can never mix epochs.
-fn route_scores(items: &[&ScoreItem], shared: &RouterShared, ups: &mut [Upstream]) -> Vec<String> {
+fn route_scores(items: &[ScoreItem], shared: &RouterShared, ups: &mut [Upstream]) -> Vec<String> {
     let mut transport_budget = shared.cfg.shard_retries;
     // Stale retries resolve by waiting out the in-flight swap; a small
     // bound only guards against a pathological commit storm.
@@ -563,7 +473,7 @@ fn route_scores(items: &[&ScoreItem], shared: &RouterShared, ups: &mut [Upstream
         for (&shard, idxs) in &groups {
             frame.clear();
             for &i in idxs {
-                let item = items[i];
+                let item = &items[i];
                 let epoch = Some(vector[shard as usize]);
                 protocol::push_score_request(
                     &mut frame,

@@ -1,8 +1,8 @@
-//! Per-worker shard connections with chaos injection points.
+//! Per-thread shard connections with chaos injection points.
 //!
-//! Each router worker owns one lazy connection per shard, reused across
-//! the client connections *and bursts* it serves — reconnects happen
-//! only after a transport failure, counted by
+//! Each router reactor thread owns one lazy connection per shard,
+//! reused across the client connections *and bursts* it serves —
+//! reconnects happen only after a transport failure, counted by
 //! `serve.router.upstream_reconnects` (pinned at zero by the fixed-trace
 //! metrics determinism test: a healthy run never reopens). A transport
 //! failure anywhere — injected or real — resets the connection; the
@@ -19,7 +19,8 @@
 //! burst costs its slowest shard rather than the sum. A drain has one
 //! deadline, `read_timeout` from its start, checked after every read
 //! and capping each read's `SO_RCVTIMEO`, so a shard that trickles
-//! bytes without finishing a line cannot hold the worker.
+//! bytes without finishing a line cannot hold the thread. A timeout too
+//! long to add to the clock leaves the drain without a deadline.
 //!
 //! Fault points (see `taxo-fault`):
 //! * [`FAULT_CONNECT`] — upstream connect refused.
@@ -74,7 +75,7 @@ impl Conn {
     }
 }
 
-/// One shard connection, owned by one router worker.
+/// One shard connection, owned by one router reactor thread.
 pub struct Upstream {
     addr: SocketAddr,
     read_timeout: Duration,
@@ -167,13 +168,15 @@ impl Upstream {
             }
             let mut lines = Vec::with_capacity(expect);
             let mut chunk = [0u8; READ_CHUNK];
-            let deadline = Instant::now() + read_timeout;
+            let deadline = Instant::now().checked_add(read_timeout);
             loop {
                 conn.pop_into(&mut lines, expect)?;
                 if lines.len() == expect {
                     return Ok(lines);
                 }
-                let left = deadline.saturating_duration_since(Instant::now());
+                let left = deadline.map_or(read_timeout, |d| {
+                    d.saturating_duration_since(Instant::now())
+                });
                 if left.is_zero() {
                     return Err(ErrorKind::TimedOut.into());
                 }
@@ -181,8 +184,8 @@ impl Upstream {
                 // millisecond: a drain that ends within its first
                 // millisecond, as a healthy one does, keeps the socket's
                 // timeout and pays no extra syscall.
-                let cap =
-                    Duration::from_millis(left.as_micros().div_ceil(1000) as u64).min(read_timeout);
+                let ms = u64::try_from(left.as_micros().div_ceil(1000)).unwrap_or(u64::MAX);
+                let cap = Duration::from_millis(ms).min(read_timeout);
                 if cap != conn.rcv_timeout {
                     conn.stream.set_read_timeout(Some(cap))?;
                     conn.rcv_timeout = cap;

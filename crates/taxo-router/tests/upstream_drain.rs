@@ -8,18 +8,28 @@
 //!   after another.
 //! * The drain's fault points fire per shard in plan order, `slow`
 //!   before `read`, and stop at the first failure.
+//! * Router clients get the connection contract of the serve reactor:
+//!   a pipelined burst and a half-close are answered in order, then EOF;
+//!   an injected `serve.conn.write` fault cuts one connection only.
+//! * The upstream read timeout is validated: zero is a config error, and
+//!   one too long to add to the clock means no deadline, not a panic.
 //!
-//! The tests share one lock: a fault plan is armed process-wide.
+//! The tests share one lock: a fault plan is armed process-wide. The
+//! fake shards are plain threads, so the router's reactor is the only
+//! consumer of the `serve.conn.*` fault points here.
 
-use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex, MutexGuard, OnceLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use taxo_core::json::{self, Value};
+use taxo_core::TaxoError;
 use taxo_fault::{FaultAction, FaultPlan, Trigger};
-use taxo_router::{Router, RouterConfig, RouterHandle, Upstream, FAULT_READ, FAULT_SLOW};
+use taxo_router::{
+    Router, RouterConfig, RouterError, RouterHandle, Upstream, FAULT_READ, FAULT_SLOW,
+};
 use taxo_serve::protocol::{self, Request};
 
 fn test_lock() -> MutexGuard<'static, ()> {
@@ -153,6 +163,16 @@ fn router_over(shards: &[FakeShard]) -> RouterHandle {
         .unwrap()
 }
 
+/// [`router_over`] with `cfg`, returning the bind result.
+fn router_with(shards: &[FakeShard], cfg: RouterConfig) -> Result<RouterHandle, RouterError> {
+    Router::builder(shards.iter().map(|s| s.addr).collect())
+        .config(RouterConfig {
+            forward_shutdown: false,
+            ..cfg
+        })
+        .bind("127.0.0.1:0")
+}
+
 /// One two-line score burst whose first query is owned by shard 0 and
 /// second by shard 1.
 fn two_shard_burst(router: &RouterHandle) -> String {
@@ -171,6 +191,32 @@ fn two_shard_burst(router: &RouterHandle) -> String {
         ));
     }
     burst
+}
+
+/// Sends `burst` on a fresh connection, shuts its write half if
+/// `half_close`, and returns every response line the router sent before
+/// its EOF.
+fn exchange(router: &RouterHandle, burst: &str, half_close: bool) -> Vec<String> {
+    let mut stream = TcpStream::connect(router.addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    stream.write_all(burst.as_bytes()).unwrap();
+    if half_close {
+        stream.shutdown(Shutdown::Write).unwrap();
+    }
+    let mut replies = String::new();
+    stream.read_to_string(&mut replies).unwrap();
+    replies.lines().map(str::to_owned).collect()
+}
+
+/// The id and `ok` flag of one response line.
+fn id_ok(line: &str) -> (Option<u64>, bool) {
+    let v = json::parse(line).unwrap();
+    (
+        v.get("id").and_then(Value::as_u64),
+        v.get("ok") == Some(&Value::Bool(true)),
+    )
 }
 
 /// Sends `burst` through the router and checks its two responses come
@@ -258,5 +304,90 @@ fn fault_points_fire_per_shard_and_stop_at_the_first_failure() {
     assert_eq!(counter_value(&slow) - slow0, 3);
     assert_eq!(counter_value(&read) - read0, 1);
     assert_eq!(counter_value("serve.router.shard_retries") - retries0, 1);
+    router.shutdown_and_join();
+}
+
+#[test]
+fn pipelined_burst_then_half_close_is_answered_in_order_then_eof() {
+    let _g = test_lock();
+    let shards = [
+        FakeShard::start(quick_scores),
+        FakeShard::start(quick_scores),
+    ];
+    let router = router_over(&shards);
+    // Two two-shard score runs around a fanned-out health, in one frame.
+    let scores = two_shard_burst(&router);
+    let burst = format!(
+        "{}{{\"kind\":\"health\",\"id\":3}}\n{}",
+        scores,
+        scores
+            .replace("\"id\":1,", "\"id\":4,")
+            .replace("\"id\":2,", "\"id\":5,")
+    );
+    let replies = exchange(&router, &burst, true);
+    let seen: Vec<(Option<u64>, bool)> = replies.iter().map(|l| id_ok(l)).collect();
+    let want: Vec<(Option<u64>, bool)> = (1..=5).map(|id| (Some(id), true)).collect();
+    assert_eq!(seen, want, "{replies:?}");
+    router.shutdown_and_join();
+}
+
+#[test]
+fn a_write_fault_cuts_one_connection_and_spares_the_next() {
+    let _g = test_lock();
+    let shards = [
+        FakeShard::start(quick_scores),
+        FakeShard::start(quick_scores),
+    ];
+    let router = router_over(&shards);
+    let burst = two_shard_burst(&router);
+    taxo_fault::arm(FaultPlan::new(0).with(
+        taxo_serve::reactor::FAULT_WRITE,
+        Trigger::Nth(2),
+        FaultAction::Fail,
+    ));
+    // The second response is the fault's second hit: it is lost, and the
+    // router closes the connection after the first, although the client
+    // keeps its write half open.
+    let cut = exchange(&router, &burst, false);
+    // A fresh connection's one response is the third hit, and passes.
+    let fresh = exchange(&router, "{\"kind\":\"health\",\"id\":7}\n", true);
+    taxo_fault::disarm();
+    let cut: Vec<(Option<u64>, bool)> = cut.iter().map(|l| id_ok(l)).collect();
+    assert_eq!(cut, vec![(Some(1), true)]);
+    let fresh: Vec<(Option<u64>, bool)> = fresh.iter().map(|l| id_ok(l)).collect();
+    assert_eq!(fresh, vec![(Some(7), true)]);
+    router.shutdown_and_join();
+}
+
+#[test]
+fn zero_upstream_read_timeout_is_a_config_error() {
+    let _g = test_lock();
+    let shards = [FakeShard::start(quick_scores)];
+    let cfg = RouterConfig {
+        upstream_read_timeout: Duration::ZERO,
+        ..RouterConfig::default()
+    };
+    match router_with(&shards, cfg) {
+        Err(RouterError::Config(TaxoError::InvalidConfig { field, .. })) => {
+            assert_eq!(field, "router.upstream_read_timeout");
+        }
+        Err(other) => panic!("expected a field-named InvalidConfig, got {other}"),
+        Ok(_) => panic!("a zero upstream read timeout must not bind"),
+    }
+}
+
+#[test]
+fn an_unaddable_upstream_read_timeout_means_no_deadline() {
+    let _g = test_lock();
+    let shards = [
+        FakeShard::start(quick_scores),
+        FakeShard::start(quick_scores),
+    ];
+    let cfg = RouterConfig {
+        upstream_read_timeout: Duration::MAX,
+        ..RouterConfig::default()
+    };
+    let router = router_with(&shards, cfg).expect("Duration::MAX binds");
+    route(&router, &two_shard_burst(&router));
     router.shutdown_and_join();
 }

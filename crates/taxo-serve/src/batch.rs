@@ -31,6 +31,7 @@
 
 use crate::cache::{ScoreCache, ScoreKey};
 use crate::protocol::Tier;
+use crate::server::Payload;
 use crate::snapshot::ServeSnapshot;
 use std::collections::{HashMap, VecDeque};
 use std::sync::mpsc;
@@ -199,7 +200,7 @@ pub enum ScoreSink {
     Channel(mpsc::Sender<Vec<f32>>),
     /// Wire requests: the completion lands in the reactor thread's
     /// inbox.
-    Reactor(crate::reactor::CompletionSink),
+    Reactor(crate::reactor::CompletionSink<Payload>),
 }
 
 impl ScoreSink {
@@ -215,7 +216,7 @@ impl ScoreSink {
             ScoreSink::Channel(tx) => {
                 let _ = tx.send(scores);
             }
-            ScoreSink::Reactor(sink) => sink.deliver(crate::reactor::Payload::Score(scores)),
+            ScoreSink::Reactor(sink) => sink.deliver(Payload::Score(scores)),
         }
     }
 

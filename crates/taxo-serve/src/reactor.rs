@@ -1,19 +1,23 @@
 //! Event-driven connection multiplexing: a std-only epoll reactor, the
-//! server's connection data plane.
+//! connection layer of both serving tiers.
 //!
-//! The server runs `ServeConfig::reactor_threads` reactor threads (two by
-//! default); the acceptor deals connections out to them round-robin.
-//! Each owns one epoll instance plus per-connection state machines: an
-//! incremental [`FrameDecoder`] over a reused read buffer, an ordered
-//! response-slot queue (pipelined requests answer in request order even
-//! when their scores complete out of order), and a write queue flushed
-//! with vectored writes.
+//! [`spawn`] starts an acceptor and a few reactor threads on one
+//! listener; the acceptor deals connections out to them round-robin.
+//! Each reactor thread owns one epoll instance plus per-connection state
+//! machines: an incremental [`FrameDecoder`] over a reused read buffer,
+//! an ordered response-slot queue (pipelined requests answer in request
+//! order even when their answers complete out of order), and a write
+//! queue flushed with vectored writes.
 //!
-//! Decoded requests flow through [`process_line`] into the server's
-//! `BoundedQueue`s. f32 scores, health, stats and sheds are answered on
-//! the reactor thread; a queued job (an int8 score, an ingest) carries a
-//! [`CompletionSink`], and the reactor keeps serving other sockets until
-//! the completion lands back in its [`Inbox`].
+//! What a request line means is up to the [`Service`]: the server's
+//! shared state implements it, and so does `taxo-router`'s router. The
+//! reactor hands the service every complete line one read delivered as a
+//! [`Burst`], and the service answers the lines in order. The server
+//! answers f32 scores, health, stats and sheds inline, and queues int8
+//! scores and ingests with a [`CompletionSink`]: the reactor keeps
+//! serving other sockets until the completion lands back in its inbox,
+//! then renders it with [`Service::render`]. The router routes a burst
+//! to its shards and drains them inline, on the reactor thread.
 //!
 //! # Readiness discipline (level-triggered, deliberately)
 //!
@@ -39,25 +43,22 @@
 //!
 //! [`FAULT_READ`] is consulted once per read and [`FAULT_WRITE`] once
 //! per response frame, so an `nth` plan counts requests and responses;
-//! [`FAULT_WAKEUP`] once per inbox ring.
+//! [`FAULT_WAKEUP`] once per inbox ring; [`FAULT_ACCEPT`] once per
+//! accepted connection. They fire on both tiers.
 //!
 //! The module is std-only: the syscalls it needs (`epoll_create1`,
 //! `epoll_ctl`, `epoll_wait`, `eventfd`, plus `fcntl` for `O_NONBLOCK`)
 //! are declared inline below; the crate is Linux-only.
 
 use crate::protocol::{self, FrameDecoder};
-use crate::server::{
-    process_line, render_ingest_reply, render_score_reply, IngestReply, LineOutcome, PendingScore,
-    Shared,
-};
-use crate::snapshot::SnapshotReader;
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, ErrorKind, IoSlice, Read, Write};
-use std::net::{Shutdown, TcpStream};
+use std::net::{Shutdown, TcpListener, TcpStream};
 use std::os::raw::{c_int, c_uint, c_void};
 use std::os::unix::io::{AsRawFd, RawFd};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use taxo_fault::FaultAction;
 use taxo_obs::{counter, gauge};
@@ -74,11 +75,14 @@ pub const FAULT_READ: &str = "serve.conn.read";
 /// A `delay:MS` at either point holds that connection's output back for
 /// MS (to the next 50 ms tick) while the reactor serves every other one.
 pub const FAULT_WRITE: &str = "serve.conn.write";
-/// Chaos point at [`Inbox::wake`]: `Fail` swallows the eventfd write (a
+/// Chaos point at each inbox ring: `Fail` swallows the eventfd write (a
 /// lost wakeup). The queued item is *not* lost — every reactor tick
 /// re-drains its inbox, so the only effect is added latency, which is
 /// exactly the hazard a lost wakeup has in production.
 pub const FAULT_WAKEUP: &str = "reactor.wakeup";
+/// Chaos point consulted once per accepted connection: `fail` drops the
+/// stream before its first byte, the "connection drop" fault.
+pub const FAULT_ACCEPT: &str = "serve.accept";
 
 /// How long a gracefully closed connection keeps reading (and
 /// discarding) after its write half is shut, waiting for the peer's EOF.
@@ -306,35 +310,63 @@ fn token_gen(token: u64) -> u32 {
     (token >> 32) as u32
 }
 
-/// A completed job travelling back to the reactor that owns the
-/// connection.
-struct Completion {
-    token: u64,
-    slot: u64,
-    payload: Payload,
+/// What one listener's connections mean: the reactor owns accept,
+/// framing, ordering, idle and lingering close; a service answers the
+/// request lines.
+pub trait Service: Sized + Send + Sync + 'static {
+    /// State each reactor thread owns, made on that thread.
+    type Local;
+    /// What a request answered later keeps in its response slot.
+    type Pending;
+    /// What another thread delivers to complete a pending request.
+    type Payload: Send + 'static;
+
+    /// The calling reactor thread's state.
+    fn local(&self) -> Self::Local;
+
+    /// Answers, in order, the complete request lines one read delivered.
+    fn dispatch(&self, local: &mut Self::Local, lines: &[String], burst: &mut Burst<'_, Self>);
+
+    /// Renders a pending request's response from its completion; `None`
+    /// means the job was dropped without completing (teardown or a
+    /// simulated crash).
+    fn render(&self, pending: Self::Pending, payload: Option<Self::Payload>) -> String;
+
+    /// Whether shutdown has begun: the reactors stop reading, flush what
+    /// is owed, close every connection and exit.
+    fn is_shutdown(&self) -> bool;
+
+    /// How long a connection may stay silent before it is closed.
+    fn idle_timeout(&self) -> Duration;
 }
 
-/// What a completion carries.
-pub(crate) enum Payload {
-    Score(Vec<f32>),
-    Ingest(Box<IngestReply>),
-    /// The job was dropped without completing (teardown or simulated
-    /// crash) — the reactor twin of a dead mpsc channel, rendered as a
-    /// `shutting_down` error.
-    Dead,
+/// A completed job travelling back to the reactor that owns the
+/// connection; a `None` payload is a job dropped without completing.
+struct Completion<P> {
+    token: u64,
+    slot: u64,
+    payload: Option<P>,
 }
 
 /// One reactor thread's mailbox: fresh connections from the acceptor
-/// plus completions from the scorer/ingest threads, with an eventfd to
-/// interrupt the parked `epoll_wait`.
-pub(crate) struct Inbox {
+/// plus completions from other threads, with an eventfd to interrupt the
+/// parked `epoll_wait`.
+struct Inbox<P> {
     conns: Mutex<Vec<TcpStream>>,
-    completions: Mutex<Vec<Completion>>,
+    completions: Mutex<Vec<Completion<P>>>,
     wake: WakeFd,
 }
 
-impl Inbox {
-    pub(crate) fn push_conn(&self, stream: TcpStream) {
+impl<P> Inbox<P> {
+    fn new() -> io::Result<Inbox<P>> {
+        Ok(Inbox {
+            conns: Mutex::new(Vec::new()),
+            completions: Mutex::new(Vec::new()),
+            wake: WakeFd::new()?,
+        })
+    }
+
+    fn push_conn(&self, stream: TcpStream) {
         self.conns
             .lock()
             .expect("reactor inbox poisoned")
@@ -342,7 +374,7 @@ impl Inbox {
         self.wake();
     }
 
-    fn push_completion(&self, completion: Completion) {
+    fn push_completion(&self, completion: Completion<P>) {
         self.completions
             .lock()
             .expect("reactor inbox poisoned")
@@ -353,7 +385,7 @@ impl Inbox {
     /// Rings the eventfd. Under an injected [`FAULT_WAKEUP`] the ring is
     /// swallowed — the queued item still lands on the next tick, so a
     /// lost wakeup degrades latency, never correctness.
-    pub(crate) fn wake(&self) {
+    fn wake(&self) {
         counter!("serve.reactor.wakeups").inc();
         if taxo_fault::should_fail(FAULT_WAKEUP) {
             return;
@@ -365,52 +397,106 @@ impl Inbox {
         std::mem::take(&mut *self.conns.lock().expect("reactor inbox poisoned"))
     }
 
-    fn take_completions(&self) -> Vec<Completion> {
+    fn take_completions(&self) -> Vec<Completion<P>> {
         std::mem::take(&mut *self.completions.lock().expect("reactor inbox poisoned"))
     }
 }
 
-/// Creates one reactor's poller + inbox pair, with the wake eventfd
-/// already registered — called at bind time so epoll/eventfd setup
-/// errors surface from `ServerBuilder::bind`, not a detached thread.
-pub(crate) fn reactor_parts() -> io::Result<(Poller, Arc<Inbox>)> {
-    let poller = Poller::new()?;
-    let wake = WakeFd::new()?;
-    poller.add(wake.fd, WAKE_TOKEN, EPOLLIN)?;
-    let inbox = Arc::new(Inbox {
-        conns: Mutex::new(Vec::new()),
-        completions: Mutex::new(Vec::new()),
-        wake,
-    });
-    Ok((poller, inbox))
+/// Starts the connection layer of one listener: `threads` reactor
+/// threads, named `{name}-reactor-{i}`, and a `{name}-acceptor` thread
+/// that deals connections out to them round-robin, all serving
+/// `service`. Every epoll instance and wake eventfd is created before
+/// any thread starts, so kernel set-up errors surface here.
+pub fn spawn<S: Service>(
+    name: &str,
+    listener: TcpListener,
+    threads: usize,
+    service: &Arc<S>,
+) -> io::Result<Vec<JoinHandle<()>>> {
+    listener.set_nonblocking(true)?;
+    let mut parts = Vec::with_capacity(threads);
+    for _ in 0..threads {
+        let poller = Poller::new()?;
+        let inbox = Arc::new(Inbox::<S::Payload>::new()?);
+        poller.add(inbox.wake.fd, WAKE_TOKEN, EPOLLIN)?;
+        parts.push((poller, inbox));
+    }
+    let inboxes: Vec<_> = parts.iter().map(|(_, inbox)| Arc::clone(inbox)).collect();
+    let mut handles = Vec::with_capacity(threads + 1);
+    let acceptor = Arc::clone(service);
+    handles.push(
+        std::thread::Builder::new()
+            .name(format!("{name}-acceptor"))
+            .spawn(move || accept_loop(&listener, &inboxes, &*acceptor))?,
+    );
+    for (i, (poller, inbox)) in parts.into_iter().enumerate() {
+        let service = Arc::clone(service);
+        handles.push(
+            std::thread::Builder::new()
+                .name(format!("{name}-reactor-{i}"))
+                .spawn(move || run(poller, &inbox, &*service))?,
+        );
+    }
+    Ok(handles)
+}
+
+/// Accepts connections and deals them out round-robin across the
+/// reactor inboxes. There is no backlog shed here: multiplexing hundreds
+/// of idle connections is the reactors' job, so the listener backlog and
+/// the fd limit are the only caps. Once shutdown begins it rings every
+/// reactor, so none sleeps out its tick, and exits.
+fn accept_loop<S: Service>(
+    listener: &TcpListener,
+    inboxes: &[Arc<Inbox<S::Payload>>],
+    service: &S,
+) {
+    let mut next = 0usize;
+    while !service.is_shutdown() {
+        match listener.accept() {
+            Ok((stream, _)) => {
+                if taxo_fault::should_fail(FAULT_ACCEPT) {
+                    continue;
+                }
+                counter!("serve.connections.accepted").inc();
+                // Responses are one small frame each; Nagle would hold
+                // them hostage to the next request's ACK.
+                let _ = stream.set_nodelay(true);
+                inboxes[next % inboxes.len()].push_conn(stream);
+                next += 1;
+            }
+            Err(_) => std::thread::sleep(Duration::from_millis(2)),
+        }
+    }
+    for inbox in inboxes {
+        inbox.wake();
+    }
 }
 
 /// The write half of a queued job's reply path on the reactor: fills one
 /// response slot of one connection, at most once. Dropping it unsent
-/// delivers [`Payload::Dead`] so an abandoned job still resolves its
-/// slot (the connection would otherwise wait forever); [`cancel`]
+/// delivers a `None` payload so an abandoned job still resolves its
+/// slot (the connection would otherwise wait forever); `cancel`
 /// suppresses that for jobs bounced at the queue — their slot was
 /// already answered inline with `busy`/`shutting_down`.
-///
-/// [`cancel`]: CompletionSink::cancel
-pub struct CompletionSink {
-    inbox: Arc<Inbox>,
+pub struct CompletionSink<P> {
+    inbox: Arc<Inbox<P>>,
     token: u64,
     slot: u64,
     sent: AtomicBool,
 }
 
-impl CompletionSink {
-    fn new(inbox: Arc<Inbox>, token: u64, slot: u64) -> CompletionSink {
-        CompletionSink {
-            inbox,
-            token,
-            slot,
-            sent: AtomicBool::new(false),
-        }
+impl<P> CompletionSink<P> {
+    /// Delivers the completion and wakes the owning reactor.
+    pub(crate) fn deliver(&self, payload: P) {
+        self.push(Some(payload));
     }
 
-    pub(crate) fn deliver(&self, payload: Payload) {
+    /// Abandons the slot without a completion.
+    pub(crate) fn cancel(&self) {
+        self.sent.store(true, Ordering::Release);
+    }
+
+    fn push(&self, payload: Option<P>) {
         if self.sent.swap(true, Ordering::AcqRel) {
             return;
         }
@@ -420,48 +506,75 @@ impl CompletionSink {
             payload,
         });
     }
+}
 
-    pub(crate) fn cancel(&self) {
-        self.sent.store(true, Ordering::Release);
+impl<P> Drop for CompletionSink<P> {
+    fn drop(&mut self) {
+        self.push(None);
     }
 }
 
-impl Drop for CompletionSink {
-    fn drop(&mut self) {
-        if !self.sent.swap(true, Ordering::AcqRel) {
-            self.inbox.push_completion(Completion {
-                token: self.token,
-                slot: self.slot,
-                payload: Payload::Dead,
-            });
+/// The answers to one read's complete request lines: each answer fills
+/// the connection's next response slot, so answers leave in request
+/// order.
+pub struct Burst<'a, S: Service> {
+    conn: &'a mut Conn<S::Pending>,
+    inbox: &'a Arc<Inbox<S::Payload>>,
+    stopped: bool,
+}
+
+impl<S: Service> Burst<'_, S> {
+    /// Whether the connection still takes answers: false once an answer
+    /// closed it or an injected write fault cut its response stream.
+    pub fn open(&self) -> bool {
+        !self.stopped && !self.conn.torn
+    }
+
+    /// Answers the next request now.
+    pub fn ready(&mut self, response: String) {
+        if let Some(slot) = self.next_slot() {
+            self.conn.fill_slot(slot, response);
         }
     }
-}
 
-/// The response slot one request line owes: the slot is assigned
-/// before dispatch, so a queued job's completion knows exactly which
-/// response position of which connection it fills.
-pub(crate) struct ReplyTo<'a> {
-    inbox: &'a Arc<Inbox>,
-    token: u64,
-    slot: u64,
-}
+    /// A sink for the next request's slot, made when a job is queued.
+    pub(crate) fn sink(&self) -> CompletionSink<S::Payload> {
+        CompletionSink {
+            inbox: Arc::clone(self.inbox),
+            token: self.conn.token,
+            slot: self.conn.next_slot,
+            sent: AtomicBool::new(false),
+        }
+    }
 
-impl ReplyTo<'_> {
-    /// A completion sink for this slot, made only when a job is queued.
-    pub(crate) fn sink(&self) -> CompletionSink {
-        CompletionSink::new(Arc::clone(self.inbox), self.token, self.slot)
+    /// Leaves the next request's slot to the completion its
+    /// [`sink`](Burst::sink) delivers.
+    pub(crate) fn pending(&mut self, pending: S::Pending) {
+        if let Some(slot) = self.next_slot() {
+            self.conn.pending.insert(slot, pending);
+        }
+    }
+
+    /// Closes the connection once everything it owes has flushed; the
+    /// rest of this read's lines go unanswered.
+    pub fn close(&mut self) {
+        self.stopped = true;
+        self.conn.closing = true;
+    }
+
+    fn next_slot(&mut self) -> Option<u64> {
+        if !self.open() {
+            return None;
+        }
+        let slot = self.conn.next_slot;
+        self.conn.next_slot += 1;
+        self.conn.slots.push_back(None);
+        Some(slot)
     }
 }
 
-/// A queued request whose response slot is waiting on a completion.
-enum PendingReq {
-    Score(PendingScore),
-    Ingest { id: Option<u64> },
-}
-
-/// Per-connection state machine.
-struct Conn {
+/// Per-connection state machine; `T` is what a pending slot keeps.
+struct Conn<T> {
     stream: TcpStream,
     token: u64,
     dec: FrameDecoder,
@@ -471,8 +584,8 @@ struct Conn {
     flush_base: u64,
     next_slot: u64,
     slots: VecDeque<Option<String>>,
-    /// Slots waiting on scorer/ingest completions.
-    pending: HashMap<u64, PendingReq>,
+    /// Slots waiting on completions.
+    pending: HashMap<u64, T>,
     /// Encoded frames not yet written; `out_head` is the partial-write
     /// offset into the front frame.
     outq: VecDeque<Vec<u8>>,
@@ -494,8 +607,8 @@ struct Conn {
     last_activity: Instant,
 }
 
-impl Conn {
-    fn new(stream: TcpStream, token: u64, now: Instant) -> Conn {
+impl<T> Conn<T> {
+    fn new(stream: TcpStream, token: u64, now: Instant) -> Conn<T> {
         Conn {
             stream,
             token,
@@ -628,15 +741,15 @@ impl Conn {
 /// Connection table: slab with generation-stamped tokens so events and
 /// completions addressed to a closed (and possibly reused) slot are
 /// detectably stale.
-struct Slab {
-    conns: Vec<Option<Conn>>,
+struct Slab<T> {
+    conns: Vec<Option<Conn<T>>>,
     gens: Vec<u32>,
     free: Vec<usize>,
     live: usize,
 }
 
-impl Slab {
-    fn new() -> Slab {
+impl<T> Slab<T> {
+    fn new() -> Slab<T> {
         Slab {
             conns: Vec::new(),
             gens: Vec::new(),
@@ -645,7 +758,7 @@ impl Slab {
         }
     }
 
-    fn insert(&mut self, make: impl FnOnce(u64) -> Conn) -> usize {
+    fn insert(&mut self, make: impl FnOnce(u64) -> Conn<T>) -> usize {
         let idx = match self.free.pop() {
             Some(idx) => idx,
             None => {
@@ -660,7 +773,7 @@ impl Slab {
         idx
     }
 
-    fn get_mut(&mut self, token: u64) -> Option<&mut Conn> {
+    fn get_mut(&mut self, token: u64) -> Option<&mut Conn<T>> {
         let idx = token_idx(token);
         if idx >= self.conns.len() || self.gens[idx] != token_gen(token) {
             return None;
@@ -668,7 +781,7 @@ impl Slab {
         self.conns[idx].as_mut()
     }
 
-    fn remove(&mut self, idx: usize) -> Option<Conn> {
+    fn remove(&mut self, idx: usize) -> Option<Conn<T>> {
         let conn = self.conns.get_mut(idx)?.take()?;
         self.gens[idx] = self.gens[idx].wrapping_add(1);
         self.free.push(idx);
@@ -680,13 +793,15 @@ impl Slab {
 /// One reactor thread: drains its inbox, waits for readiness, and drives
 /// every connection state machine it owns until shutdown has closed the
 /// last one.
-pub(crate) fn run(poller: Poller, inbox: &Arc<Inbox>, shared: &Shared) {
-    let mut reader = shared.store.reader();
+fn run<S: Service>(poller: Poller, inbox: &Arc<Inbox<S::Payload>>, service: &S) {
+    let mut local = service.local();
     let mut slab = Slab::new();
     let mut events = Events::with_capacity(256);
     // Reused read buffer: every connection reads through this one chunk,
     // appending into its own decoder.
     let mut buf = vec![0u8; 16 * 1024];
+    // Reused line list: the complete frames of one read.
+    let mut lines = Vec::new();
 
     loop {
         let _ = poller.wait(&mut events, 50);
@@ -719,29 +834,15 @@ pub(crate) fn run(poller: Poller, inbox: &Arc<Inbox>, shared: &Shared) {
             gauge!("serve.reactor.conns").add(1);
         }
 
-        // Completions from the scorer/ingest threads.
+        // Completions from other threads.
         for completion in inbox.take_completions() {
             let Some(conn) = slab.get_mut(completion.token) else {
                 continue; // connection died while the job was in flight
             };
-            let Some(req) = conn.pending.remove(&completion.slot) else {
+            let Some(pending) = conn.pending.remove(&completion.slot) else {
                 continue;
             };
-            let response = match (completion.payload, req) {
-                (Payload::Score(scores), PendingReq::Score(ps)) => {
-                    render_score_reply(shared, &ps, &scores)
-                }
-                (Payload::Ingest(reply), PendingReq::Ingest { id }) => {
-                    render_ingest_reply(id, *reply)
-                }
-                (Payload::Dead, PendingReq::Score(ps)) => {
-                    protocol::error_response(ps.id, "shutting_down", None)
-                }
-                (Payload::Dead, PendingReq::Ingest { id }) => {
-                    protocol::error_response(id, "shutting_down", None)
-                }
-                _ => unreachable!("completion kind matches the sink that queued it"),
-            };
+            let response = service.render(pending, completion.payload);
             conn.fill_slot(completion.slot, response);
             let idx = token_idx(completion.token);
             service_writes(&poller, &mut slab, idx);
@@ -769,14 +870,7 @@ pub(crate) fn run(poller: Poller, inbox: &Arc<Inbox>, shared: &Shared) {
             }
             if readiness & (EPOLLIN | EPOLLRDHUP | EPOLLHUP) != 0 {
                 if !service_reads(
-                    &poller,
-                    &mut slab,
-                    idx,
-                    &mut buf,
-                    shared,
-                    &mut reader,
-                    inbox,
-                    now,
+                    &poller, &mut slab, idx, &mut buf, &mut lines, inbox, now, service, &mut local,
                 ) {
                     continue;
                 }
@@ -786,7 +880,8 @@ pub(crate) fn run(poller: Poller, inbox: &Arc<Inbox>, shared: &Shared) {
 
         // Shutdown and idle sweeps (each tick; the 50ms wait timeout
         // bounds how stale they can run).
-        let shutting_down = shared.is_shutdown();
+        let shutting_down = service.is_shutdown();
+        let idle_timeout = service.idle_timeout();
         for idx in 0..slab.conns.len() {
             let Some(conn) = slab.conns[idx].as_mut() else {
                 continue;
@@ -811,7 +906,7 @@ pub(crate) fn run(poller: Poller, inbox: &Arc<Inbox>, shared: &Shared) {
                 linger_close(&poller, &mut slab, idx);
             } else if !conn.closing
                 && conn.drained()
-                && now.duration_since(conn.last_activity) >= shared.cfg.idle_timeout
+                && now.duration_since(conn.last_activity) >= idle_timeout
             {
                 counter!("serve.conn.idle_closed").inc();
                 close_conn(&poller, &mut slab, idx);
@@ -824,11 +919,11 @@ pub(crate) fn run(poller: Poller, inbox: &Arc<Inbox>, shared: &Shared) {
     }
 }
 
-fn self_conn(slab: &mut Slab, idx: usize) -> &mut Conn {
+fn self_conn<T>(slab: &mut Slab<T>, idx: usize) -> &mut Conn<T> {
     slab.conns[idx].as_mut().expect("live slot")
 }
 
-fn close_conn(poller: &Poller, slab: &mut Slab, idx: usize) {
+fn close_conn<T>(poller: &Poller, slab: &mut Slab<T>, idx: usize) {
     if let Some(conn) = slab.remove(idx) {
         let _ = poller.delete(conn.stream.as_raw_fd());
         gauge!("serve.reactor.conns").add(-1);
@@ -845,7 +940,7 @@ fn close_conn(poller: &Poller, slab: &mut Slab, idx: usize) {
 /// EOF or [`LINGER`] elapses, and only then close. Level-triggered
 /// readiness brings the connection back to [`discard_reads`] while
 /// bytes are pending; the shutdown sweep enforces the deadline.
-fn linger_close(poller: &Poller, slab: &mut Slab, idx: usize) {
+fn linger_close<T>(poller: &Poller, slab: &mut Slab<T>, idx: usize) {
     let conn = self_conn(slab, idx);
     if conn.stream.shutdown(Shutdown::Write).is_err() {
         close_conn(poller, slab, idx);
@@ -856,7 +951,7 @@ fn linger_close(poller: &Poller, slab: &mut Slab, idx: usize) {
 
 /// Reads a lingering connection until `WouldBlock`, discarding the
 /// bytes; closes it at EOF or on error.
-fn discard_reads(poller: &Poller, slab: &mut Slab, idx: usize, buf: &mut [u8]) {
+fn discard_reads<T>(poller: &Poller, slab: &mut Slab<T>, idx: usize, buf: &mut [u8]) {
     let conn = self_conn(slab, idx);
     loop {
         match conn.stream.read(buf) {
@@ -873,7 +968,7 @@ fn discard_reads(poller: &Poller, slab: &mut Slab, idx: usize, buf: &mut [u8]) {
 /// Flushes a connection's write queue and maintains the `EPOLLOUT`
 /// discipline. Returns false when the connection was closed or, owing
 /// nothing more, began its lingering close.
-fn service_writes(poller: &Poller, slab: &mut Slab, idx: usize) -> bool {
+fn service_writes<T>(poller: &Poller, slab: &mut Slab<T>, idx: usize) -> bool {
     let conn = self_conn(slab, idx);
     match conn.flush() {
         Ok(true) => {
@@ -911,18 +1006,19 @@ fn service_writes(poller: &Poller, slab: &mut Slab, idx: usize) -> bool {
 }
 
 /// Reads until the socket is empty or at EOF, decodes complete frames,
-/// and dispatches each through [`process_line`]. Returns false when the
-/// connection was closed.
+/// and hands them to the service as one [`Burst`]. Returns false when
+/// the connection was closed.
 #[allow(clippy::too_many_arguments)]
-fn service_reads(
+fn service_reads<S: Service>(
     poller: &Poller,
-    slab: &mut Slab,
+    slab: &mut Slab<S::Pending>,
     idx: usize,
     buf: &mut [u8],
-    shared: &Shared,
-    reader: &mut SnapshotReader,
-    inbox: &Arc<Inbox>,
+    lines: &mut Vec<String>,
+    inbox: &Arc<Inbox<S::Payload>>,
     now: Instant,
+    service: &S,
+    local: &mut S::Local,
 ) -> bool {
     enum ReadEnd {
         Eof,
@@ -979,58 +1075,34 @@ fn service_reads(
 
     // Dispatch every complete frame (even when closing: accepted bytes
     // get responses), unless a write fault has cut the response stream.
-    loop {
-        let conn = self_conn(slab, idx);
-        if conn.torn {
-            break;
-        }
-        let line = match conn.dec.next_frame() {
-            Ok(Some(line)) => line,
-            Ok(None) => break,
-            // Unterminated overlong line: answer with bad_request and
-            // close (the decoder cannot resynchronize).
-            Err(e) => {
-                counter!("serve.errors.bad_request").inc();
-                let slot = conn.next_slot;
-                conn.next_slot += 1;
-                conn.slots.push_back(None);
-                conn.fill_slot(
-                    slot,
-                    protocol::error_response(None, "bad_request", Some(&e.to_string())),
-                );
-                conn.closing = true;
-                break;
+    let conn = self_conn(slab, idx);
+    if !conn.torn {
+        let overlong = loop {
+            match conn.dec.next_frame() {
+                Ok(Some(line)) => lines.push(line),
+                Ok(None) => break None,
+                Err(e) => break Some(e),
             }
         };
-        let slot = conn.next_slot;
-        conn.next_slot += 1;
-        conn.slots.push_back(None);
-        let reply_to = ReplyTo {
+        let mut burst = Burst {
+            conn,
             inbox,
-            token: conn.token,
-            slot,
+            stopped: false,
         };
-        match process_line(&line, shared, reader, &reply_to) {
-            LineOutcome::Ready { response, close } => {
-                let conn = self_conn(slab, idx);
-                conn.fill_slot(slot, response);
-                if close {
-                    // Respond, then close; any frames still buffered
-                    // after a shutdown request are dropped.
-                    conn.closing = true;
-                    break;
-                }
-            }
-            LineOutcome::ScorePending(ps) => {
-                self_conn(slab, idx)
-                    .pending
-                    .insert(slot, PendingReq::Score(ps));
-            }
-            LineOutcome::IngestPending { id } => {
-                self_conn(slab, idx)
-                    .pending
-                    .insert(slot, PendingReq::Ingest { id });
-            }
+        if !lines.is_empty() {
+            service.dispatch(local, lines, &mut burst);
+            lines.clear();
+        }
+        // Unterminated overlong line: answer with bad_request and close
+        // (the decoder cannot resynchronize).
+        if let Some(e) = overlong.filter(|_| burst.open()) {
+            counter!("serve.errors.bad_request").inc();
+            burst.ready(protocol::error_response(
+                None,
+                "bad_request",
+                Some(&e.to_string()),
+            ));
+            burst.close();
         }
     }
 
@@ -1085,7 +1157,7 @@ mod tests {
             let client = TcpStream::connect(addr).expect("connect");
             let (server, _) = listener.accept().expect("accept");
             std::mem::forget(client);
-            Conn::new(server, token, Instant::now())
+            Conn::<()>::new(server, token, Instant::now())
         };
         let mut slab = Slab::new();
         let idx = slab.insert(make_conn);

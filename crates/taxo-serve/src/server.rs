@@ -17,9 +17,10 @@
 //!                                              snapshot rebuild + publish)
 //! ```
 //!
-//! Connections are served by `crate::reactor`: each reactor thread owns
-//! an epoll instance and the state machines of its share of the
-//! connections, so an idle connection costs a slot, not a thread.
+//! Connections are served by `crate::reactor`, for which `Shared` is
+//! the [`Service`]: each reactor thread owns an epoll instance and the
+//! state machines of its share of the connections, so an idle connection
+//! costs a slot, not a thread.
 //!
 //! A pair's f32 score depends only on the detector, so the
 //! [`IncrementalExpander`] scores each candidate pair once per detector
@@ -47,10 +48,9 @@ use crate::batch::{score_batch, BoundedQueue, PushError, ScoreJob, ScoreSink};
 use crate::cache::{ResponseCache, ResponseKey, ScoreCache};
 use crate::durable::{self, DurabilityConfig, FsyncPolicy, RecoveryReport};
 use crate::protocol::{self, IngestPhase, IngestRecord, IngestSummary, Request, Tier};
-use crate::reactor::{self, CompletionSink, Inbox, ReplyTo};
+use crate::reactor::{self, Burst, CompletionSink, Service};
 use crate::shadow::{ShadowSample, ShadowTap};
 use crate::snapshot::{ScoredCandidate, ServeSnapshot, SnapshotReader, SnapshotStore};
-use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -240,7 +240,7 @@ pub(crate) enum IngestSink {
     Channel(mpsc::Sender<IngestReply>),
     /// Wire `ingest` requests: the ack lands in the reactor thread's
     /// inbox.
-    Reactor(CompletionSink),
+    Reactor(CompletionSink<Payload>),
 }
 
 impl IngestSink {
@@ -250,7 +250,7 @@ impl IngestSink {
             IngestSink::Channel(tx) => {
                 let _ = tx.send(reply);
             }
-            IngestSink::Reactor(sink) => sink.deliver(reactor::Payload::Ingest(Box::new(reply))),
+            IngestSink::Reactor(sink) => sink.deliver(Payload::Ingest(Box::new(reply))),
         }
     }
 
@@ -265,7 +265,7 @@ impl IngestSink {
 }
 
 /// What the ingest thread tells the reactor (or controller) to render.
-pub(crate) enum IngestReply {
+pub enum IngestReply {
     /// Single-phase: applied and published.
     Applied(IngestSummary),
     /// Two-phase step 1: applied, durable, snapshot built but held.
@@ -282,6 +282,21 @@ pub(crate) enum IngestReply {
         code: &'static str,
         detail: &'static str,
     },
+}
+
+/// What a queued job delivers to the reactor slot it fills (public
+/// because [`crate::ScoreSink`] carries a sink of it).
+pub enum Payload {
+    /// An int8 score job's scores, in `items` order.
+    Score(Vec<f32>),
+    /// An ingest job's acknowledgement.
+    Ingest(Box<IngestReply>),
+}
+
+/// A queued request whose response slot is waiting on a completion.
+pub(crate) enum PendingReq {
+    Score(PendingScore),
+    Ingest { id: Option<u64> },
 }
 
 pub(crate) struct Shared {
@@ -303,17 +318,9 @@ pub(crate) struct Shared {
     /// Shadow tap on the score path (disarmed until a control plane
     /// arms it).
     tap: Arc<ShadowTap>,
-    /// One inbox per reactor thread: the acceptor round-robins fresh
-    /// connections into them, and shutdown rings every wakeup fd so a
-    /// parked `epoll_wait` notices.
-    reactors: Vec<Arc<Inbox>>,
 }
 
 impl Shared {
-    pub(crate) fn is_shutdown(&self) -> bool {
-        self.shutdown.load(Ordering::Acquire)
-    }
-
     fn begin_shutdown(&self) {
         if self.shutdown.swap(true, Ordering::AcqRel) {
             return;
@@ -321,9 +328,6 @@ impl Shared {
         counter!("serve.shutdowns").inc();
         self.score_queue.close();
         self.ingest_queue.close();
-        for inbox in &self.reactors {
-            inbox.wake();
-        }
     }
 
     /// Simulated crash: halt like a dying process would. In-flight
@@ -652,7 +656,6 @@ impl ServerBuilder {
         // because an empty env never disarms).
         taxo_fault::arm_from_env();
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
 
         let wal = match durability {
@@ -691,13 +694,6 @@ impl ServerBuilder {
             &expander,
             cfg.max_candidates,
         );
-        // Create every reactor's epoll instance and wake eventfd up
-        // front so kernel setup errors surface at bind time, not inside
-        // a detached thread.
-        let reactor_parts: Vec<(reactor::Poller, Arc<Inbox>)> = (0..cfg.reactor_threads)
-            .map(|_| reactor::reactor_parts())
-            .collect::<std::io::Result<_>>()?;
-
         let shared = Arc::new(Shared {
             score_queue: BoundedQueue::with_fault_points(
                 cfg.score_queue_cap,
@@ -716,30 +712,10 @@ impl ServerBuilder {
             crashed: AtomicBool::new(false),
             batches: AtomicU64::new(expander.batches() as u64),
             tap: Arc::new(ShadowTap::new(cfg.shadow_queue_cap)),
-            reactors: reactor_parts
-                .iter()
-                .map(|(_, inbox)| Arc::clone(inbox))
-                .collect(),
             cfg,
         });
 
-        let mut threads = Vec::new();
-        {
-            let shared = Arc::clone(&shared);
-            threads.push(
-                std::thread::Builder::new()
-                    .name("serve-acceptor".into())
-                    .spawn(move || acceptor_loop(&listener, &shared))?,
-            );
-        }
-        for (i, (poller, inbox)) in reactor_parts.into_iter().enumerate() {
-            let shared = Arc::clone(&shared);
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("serve-reactor-{i}"))
-                    .spawn(move || reactor::run(poller, &inbox, &shared))?,
-            );
-        }
+        let mut threads = reactor::spawn("serve", listener, shared.cfg.reactor_threads, &shared)?;
         {
             let shared = Arc::clone(&shared);
             threads.push(
@@ -813,47 +789,6 @@ fn init_durability(
     })
 }
 
-/// Accepts connections and deals them out round-robin across the
-/// reactor inboxes. There is no backlog shed here: multiplexing hundreds
-/// of idle connections is the reactors' job, so the listener backlog and
-/// the fd limit are the only caps.
-fn acceptor_loop(listener: &TcpListener, shared: &Shared) {
-    let mut next_reactor = 0usize;
-    loop {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                if taxo_fault::should_fail("serve.accept") {
-                    // Injected accept failure: the stream drops here and
-                    // the peer sees a closed connection before its first
-                    // byte — the "connection drop" chaos fault.
-                    continue;
-                }
-                counter!("serve.connections.accepted").inc();
-                // Responses are one small frame each; Nagle would hold
-                // them hostage to the next request's ACK.
-                let _ = stream.set_nodelay(true);
-                if shared.is_shutdown() {
-                    return;
-                }
-                shared.reactors[next_reactor % shared.reactors.len()].push_conn(stream);
-                next_reactor += 1;
-            }
-            Err(e) if e.kind() == ErrorKind::WouldBlock => {
-                if shared.is_shutdown() {
-                    return;
-                }
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => {
-                if shared.is_shutdown() {
-                    return;
-                }
-                std::thread::sleep(Duration::from_millis(2));
-            }
-        }
-    }
-}
-
 /// A score job accepted into the scorer queue: everything needed to
 /// rank, render, and cache the response once the scores come back.
 pub(crate) struct PendingScore {
@@ -866,35 +801,65 @@ pub(crate) struct PendingScore {
     pub(crate) items: Vec<taxo_core::ConceptId>,
 }
 
-/// What one request line resolved to.
-pub(crate) enum LineOutcome {
-    /// Respond now; `close` ends the connection after the flush.
-    Ready { response: String, close: bool },
-    /// A score job is in the queue carrying a sink for `reply_to`.
-    ScorePending(PendingScore),
-    /// An ingest job is in the queue carrying a sink for `reply_to`.
-    IngestPending { id: Option<u64> },
+impl Service for Shared {
+    type Local = SnapshotReader;
+    type Pending = PendingReq;
+    type Payload = Payload;
+
+    fn local(&self) -> SnapshotReader {
+        self.store.reader()
+    }
+
+    fn dispatch(&self, reader: &mut SnapshotReader, lines: &[String], burst: &mut Burst<'_, Self>) {
+        for line in lines {
+            if !burst.open() {
+                break;
+            }
+            process_line(line, self, reader, burst);
+        }
+    }
+
+    fn render(&self, pending: PendingReq, payload: Option<Payload>) -> String {
+        match (payload, pending) {
+            (Some(Payload::Score(scores)), PendingReq::Score(ps)) => {
+                render_score_reply(self, &ps, &scores)
+            }
+            (Some(Payload::Ingest(reply)), PendingReq::Ingest { id }) => {
+                render_ingest_reply(id, *reply)
+            }
+            (None, PendingReq::Score(ps)) => protocol::error_response(ps.id, "shutting_down", None),
+            (None, PendingReq::Ingest { id }) => {
+                protocol::error_response(id, "shutting_down", None)
+            }
+            _ => unreachable!("completion kind matches the sink that queued it"),
+        }
+    }
+
+    fn is_shutdown(&self) -> bool {
+        self.shutdown.load(Ordering::Acquire)
+    }
+
+    fn idle_timeout(&self) -> Duration {
+        self.cfg.idle_timeout
+    }
 }
 
-/// Parses and dispatches one request line: everything up to (and
-/// including) the queue push — caches, epoch guard, shadow tap, ledger
-/// counters, shedding. A queued job carries a completion sink for
-/// `reply_to`, created only at queue-push time (cache-hit requests never
-/// touch one).
-pub(crate) fn process_line(
+/// Parses, dispatches and answers one request line: everything up to
+/// (and including) the queue push — caches, epoch guard, shadow tap,
+/// ledger counters, shedding. A queued job carries a completion sink for
+/// the line's slot, made only at queue-push time (cache-hit requests
+/// never touch one).
+fn process_line(
     line: &str,
     shared: &Shared,
     reader: &mut SnapshotReader,
-    reply_to: &ReplyTo<'_>,
-) -> LineOutcome {
+    burst: &mut Burst<'_, Shared>,
+) {
     let req = match protocol::parse_request(line) {
         Ok(req) => req,
         Err(e) => {
             counter!("serve.errors.bad_request").inc();
-            return LineOutcome::Ready {
-                response: protocol::error_response(None, "bad_request", Some(&e)),
-                close: false,
-            };
+            return burst.ready(protocol::error_response(None, "bad_request", Some(&e)));
         }
     };
     let id = req.id();
@@ -907,67 +872,65 @@ pub(crate) fn process_line(
             ..
         } => {
             counter!("serve.requests.score").inc();
-            let _g = span!("serve.request.score");
-            match prepare_score(id, &query, k, tier, epoch, shared, reader, reply_to) {
-                Ok(response) => LineOutcome::Ready {
-                    response,
-                    close: false,
-                },
-                Err(pending) => LineOutcome::ScorePending(pending),
+            let outcome = {
+                let _g = span!("serve.request.score");
+                prepare_score(id, &query, k, tier, epoch, shared, reader, burst)
+            };
+            match outcome {
+                Ok(response) => burst.ready(response),
+                Err(pending) => burst.pending(PendingReq::Score(pending)),
             }
         }
         Request::Ingest { records, phase, .. } => {
             counter!("serve.requests.ingest").inc();
-            let _g = span!("serve.request.ingest");
-            match prepare_ingest(id, records, phase, shared, reply_to) {
-                Some(response) => LineOutcome::Ready {
-                    response,
-                    close: false,
-                },
-                None => LineOutcome::IngestPending { id },
+            let outcome = {
+                let _g = span!("serve.request.ingest");
+                prepare_ingest(id, records, phase, shared, burst)
+            };
+            match outcome {
+                Some(response) => burst.ready(response),
+                None => burst.pending(PendingReq::Ingest { id }),
             }
         }
         Request::Health { .. } => {
             counter!("serve.requests.health").inc();
-            let _g = span!("serve.request.health");
-            let snap = reader.current();
-            LineOutcome::Ready {
-                response: protocol::health_response(
+            let response = {
+                let _g = span!("serve.request.health");
+                let snap = reader.current();
+                protocol::health_response(
                     id,
                     snap.version,
                     snap.taxonomy.node_count(),
                     snap.taxonomy.edge_count(),
                     shared.batches.load(Ordering::Relaxed),
                     shared.is_shutdown(),
-                ),
-                close: false,
-            }
+                )
+            };
+            burst.ready(response);
         }
         Request::Stats { .. } => {
             counter!("serve.requests.stats").inc();
-            let _g = span!("serve.request.stats");
-            LineOutcome::Ready {
-                response: protocol::stats_response(id, &taxo_obs::snapshot()),
-                close: false,
-            }
+            let response = {
+                let _g = span!("serve.request.stats");
+                protocol::stats_response(id, &taxo_obs::snapshot())
+            };
+            burst.ready(response);
         }
         Request::Shutdown { .. } => {
             counter!("serve.requests.shutdown").inc();
             shared.begin_shutdown();
             // Respond, then close; other connections finish buffered
-            // work.
-            LineOutcome::Ready {
-                response: protocol::shutdown_response(id),
-                close: true,
-            }
+            // work, and this read's later lines are dropped.
+            burst.ready(protocol::shutdown_response(id));
+            burst.close();
         }
     }
 }
 
 /// The score path. `Ok` carries a finished response (every f32 request,
 /// an int8 cache hit, an error, a shed); `Err` means an int8 job was
-/// accepted into the scorer queue carrying a sink for `reply_to`, and
-/// the caller renders its completion via [`render_score_reply`].
+/// accepted into the scorer queue carrying a sink for the burst's next
+/// slot, and its completion renders via [`render_score_reply`].
 #[allow(clippy::too_many_arguments)]
 fn prepare_score(
     id: Option<u64>,
@@ -977,7 +940,7 @@ fn prepare_score(
     epoch: Option<u64>,
     shared: &Shared,
     reader: &mut SnapshotReader,
-    reply_to: &ReplyTo<'_>,
+    burst: &Burst<'_, Shared>,
 ) -> Result<String, PendingScore> {
     let tier = tier.unwrap_or(shared.cfg.default_tier);
     if tier == Tier::Int8 {
@@ -1068,7 +1031,7 @@ fn prepare_score(
         tier,
         query: query_id,
         items: items.clone(),
-        reply: ScoreSink::Reactor(reply_to.sink()),
+        reply: ScoreSink::Reactor(burst.sink()),
     };
     match shared.score_queue.try_push(job) {
         Ok(depth) => {
@@ -1106,7 +1069,7 @@ fn prepare_score(
 
 /// Ranks, renders, and caches one completed score: the same bytes — and
 /// the same response-cache insert — as a cache-hit answer.
-pub(crate) fn render_score_reply(shared: &Shared, ps: &PendingScore, scores: &[f32]) -> String {
+fn render_score_reply(shared: &Shared, ps: &PendingScore, scores: &[f32]) -> String {
     let ranked = ps.snapshot.rank(ps.query_id, &ps.items, scores, ps.k);
     let rkey = (ps.snapshot.version, ps.tier, ps.query_id, ps.k as u64);
     render_ranked(shared, ps.id, &ps.query, &ps.snapshot, rkey, &ranked)
@@ -1132,19 +1095,19 @@ fn render_ranked(
 
 /// The ingest path up to (and including) the queue push. `Some` carries
 /// a finished response (shed, shutdown); `None` means a batch was
-/// accepted carrying a sink for `reply_to`.
+/// accepted carrying a sink for the burst's next slot.
 fn prepare_ingest(
     id: Option<u64>,
     records: Vec<IngestRecord>,
     phase: IngestPhase,
     shared: &Shared,
-    reply_to: &ReplyTo<'_>,
+    burst: &Burst<'_, Shared>,
 ) -> Option<String> {
     counter!("serve.ingest.records_offered").add(records.len() as u64);
     match shared.ingest_queue.try_push(IngestJob::Batch {
         records,
         phase,
-        reply: IngestSink::Reactor(reply_to.sink()),
+        reply: IngestSink::Reactor(burst.sink()),
     }) {
         Ok(depth) => {
             // Mirrors `serve.score.accepted`: paired with
@@ -1172,7 +1135,7 @@ fn prepare_ingest(
 }
 
 /// Renders one ingest completion.
-pub(crate) fn render_ingest_reply(id: Option<u64>, reply: IngestReply) -> String {
+fn render_ingest_reply(id: Option<u64>, reply: IngestReply) -> String {
     match reply {
         IngestReply::Applied(summary) => protocol::ingest_response(id, &summary),
         IngestReply::Prepared(summary) => protocol::ingest_prepared_response(id, &summary),
