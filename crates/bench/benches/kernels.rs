@@ -2,7 +2,7 @@
 //! the training paths actually hit, plus larger square shapes where the
 //! parallel row-split engages (the kernels stay sequential below the
 //! FLOP-count threshold, so the small shapes double as a regression
-//! check that the threshold keeps spawn overhead off the hot path).
+//! check that the threshold keeps the pool hand-off off the hot path).
 //!
 //! Run sequentially vs threaded to measure the speedup on a multicore
 //! host:

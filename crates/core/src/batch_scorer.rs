@@ -281,8 +281,9 @@ impl BatchScorer {
 }
 
 /// A lock-protected stack of warm [`BatchScorer`]s, shared across
-/// `par_map` workers: scoped worker threads are re-spawned per call, so a
-/// `thread_local` arena would never stay warm — popping from a pool does.
+/// `par_map` workers. The compute pool's workers persist, so a
+/// `thread_local` arena would stay warm as well; the pool type stays
+/// because callers (servebench's replay among them) pass one in.
 #[derive(Debug, Default)]
 pub struct ScratchPool {
     pool: Mutex<Vec<BatchScorer>>,

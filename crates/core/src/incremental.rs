@@ -39,6 +39,10 @@ pub struct IncrementalExpander {
     window: usize,
     /// Warm scoring arenas for table fills.
     pool: ScratchPool,
+    /// The item matcher over the vocabulary the last ingest saw, with
+    /// that vocabulary's length. Concepts are only ever appended, so a
+    /// vocabulary of the same length is the same vocabulary.
+    matcher: Option<(usize, ConceptMatcher)>,
 }
 
 /// The complete durable state of a session — everything
@@ -93,6 +97,7 @@ impl IncrementalExpander {
             batches,
             scores: Arc::default(),
             pool: ScratchPool::new(),
+            matcher: None,
         }
     }
 
@@ -121,7 +126,10 @@ impl IncrementalExpander {
         self.batches += 1;
         counter!("incremental.batches").inc();
         counter!("incremental.records").add(records.len() as u64);
-        let matcher = ConceptMatcher::new(vocab);
+        if self.matcher.as_ref().map(|(len, _)| *len) != Some(vocab.len()) {
+            self.matcher = Some((vocab.len(), ConceptMatcher::new(vocab)));
+        }
+        let (_, matcher) = self.matcher.as_ref().expect("matcher built above");
         for r in records {
             let Some(item) = matcher.identify(&r.item_text) else {
                 continue;

@@ -6,7 +6,8 @@
 //! The binary holds exactly one test so the counting `#[global_allocator]`
 //! only ever observes this test's thread plus a parked harness thread;
 //! the armed window contains pure compute (no printing, no spawning, and
-//! `TAXO_THREADS=1` so `par_map` never starts scoped workers).
+//! `TAXO_THREADS=1` so `par_map` runs inline and never starts the
+//! compute pool).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

@@ -3,10 +3,10 @@ use std::ops::{Index, IndexMut};
 
 use crate::parallel;
 
-/// Minimum multiply-accumulate count before a matmul kernel spawns
-/// threads. Below this the spawn overhead of a scoped-thread fan-out
-/// (tens of microseconds) dominates the arithmetic, so the kernels fall
-/// back to the sequential loop. `1 << 20` MACs is roughly a
+/// Minimum multiply-accumulate count before a matmul kernel goes
+/// parallel. Below this, handing row blocks to the compute pool and
+/// waking a worker dominates the arithmetic, so the kernels fall back
+/// to the sequential loop. `1 << 20` MACs is roughly a
 /// `128 × 64 · 64 × 128` product.
 const PAR_MIN_MACS: usize = 1 << 20;
 

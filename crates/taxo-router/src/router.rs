@@ -50,7 +50,6 @@ use std::collections::BTreeMap;
 use std::convert::Infallible;
 use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -58,7 +57,7 @@ use taxo_core::json::{self, ObjWriter, Value};
 use taxo_core::TaxoError;
 use taxo_obs::counter;
 use taxo_serve::protocol::{self, IngestPhase, IngestRecord, Request, Tier};
-use taxo_serve::reactor::{self, Burst, Service};
+use taxo_serve::reactor::{self, Burst, Service, ShutdownSignal};
 
 /// Reactor threads serving client connections; each owns one connection
 /// per shard.
@@ -162,12 +161,12 @@ struct RouterShared {
     shards: Vec<SocketAddr>,
     ring: HashRing,
     vector: VectorStore,
-    shutdown: AtomicBool,
+    shutdown: ShutdownSignal,
 }
 
 impl RouterShared {
     fn begin_shutdown(&self) {
-        self.shutdown.store(true, Ordering::Release);
+        self.shutdown.set();
     }
 }
 
@@ -193,8 +192,8 @@ impl Service for RouterShared {
         match pending {}
     }
 
-    fn is_shutdown(&self) -> bool {
-        self.shutdown.load(Ordering::Acquire)
+    fn shutdown_signal(&self) -> &ShutdownSignal {
+        &self.shutdown
     }
 
     fn idle_timeout(&self) -> Duration {
@@ -318,7 +317,7 @@ impl RouterBuilder {
             vector: VectorStore::new(initial),
             ring,
             shards,
-            shutdown: AtomicBool::new(false),
+            shutdown: ShutdownSignal::new()?,
             cfg,
         });
         let threads = reactor::spawn("router", listener, THREADS, &shared)?;

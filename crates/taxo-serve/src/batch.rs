@@ -36,6 +36,7 @@ use crate::snapshot::ServeSnapshot;
 use std::collections::{HashMap, VecDeque};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
+use std::time::Instant;
 use taxo_core::ConceptId;
 use taxo_expand::ScratchPool;
 use taxo_obs::{histogram, span};
@@ -129,11 +130,34 @@ impl<T> BoundedQueue<T> {
     /// empty. `None` means closed and fully drained — the consumer
     /// should exit.
     pub fn drain(&self, max: usize) -> Option<Vec<T>> {
+        self.take(max, None)
+    }
+
+    /// [`BoundedQueue::drain`] that gives up at `deadline`: takes up to
+    /// `max` items as soon as any are pending, returning `Some(vec![])`
+    /// if the queue is still open and empty at `deadline` and `None` once
+    /// it is closed and dry. The WAL group committer uses this to top up
+    /// an fsync batch: it sleeps on the condvar, so each arriving job
+    /// costs one wake-up.
+    pub fn drain_until(&self, max: usize, deadline: Instant) -> Option<Vec<T>> {
+        self.take(max, Some(deadline))
+    }
+
+    /// Non-blocking [`BoundedQueue::drain`]: takes up to `max` items if
+    /// any are pending, returning `Some(vec![])` when the queue is open
+    /// but empty and `None` once it is closed and dry.
+    pub fn try_drain(&self, max: usize) -> Option<Vec<T>> {
+        self.take(max, Some(Instant::now()))
+    }
+
+    /// The drains' one loop: waits for items while the queue is open and
+    /// empty, until `deadline` (forever if `None`).
+    fn take(&self, max: usize, deadline: Option<Instant>) -> Option<Vec<T>> {
         let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
         loop {
             if !state.items.is_empty() {
                 let take = state.items.len().min(max.max(1));
-                let items = Some(state.items.drain(..take).collect());
+                let items = state.items.drain(..take).collect();
                 drop(state);
                 if let Some(point) = self.fault_pop {
                     // Delay-only point: a stalled consumer is the fault
@@ -142,32 +166,23 @@ impl<T> BoundedQueue<T> {
                     // configured here deliberately do nothing.
                     let _ = taxo_fault::inject(point);
                 }
-                return items;
+                return Some(items);
             }
             if state.closed {
                 return None;
             }
-            state = self.readable.wait(state).unwrap_or_else(|e| e.into_inner());
+            state = match deadline {
+                None => self.readable.wait(state).unwrap_or_else(|e| e.into_inner()),
+                Some(deadline) => {
+                    let now = Instant::now();
+                    if now >= deadline {
+                        return Some(Vec::new());
+                    }
+                    let wait = self.readable.wait_timeout(state, deadline - now);
+                    wait.unwrap_or_else(|e| e.into_inner()).0
+                }
+            };
         }
-    }
-
-    /// Non-blocking [`BoundedQueue::drain`]: takes up to `max` items if
-    /// any are pending, returning `Some(vec![])` when the queue is open
-    /// but empty and `None` once it is closed and dry. The WAL group
-    /// committer uses this to top up an fsync batch without sleeping on
-    /// the condvar past its delay window.
-    pub fn try_drain(&self, max: usize) -> Option<Vec<T>> {
-        let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        if state.items.is_empty() {
-            return if state.closed { None } else { Some(Vec::new()) };
-        }
-        let take = state.items.len().min(max.max(1));
-        let items: Vec<T> = state.items.drain(..take).collect();
-        drop(state);
-        if let Some(point) = self.fault_pop {
-            let _ = taxo_fault::inject(point);
-        }
-        Some(items)
     }
 
     /// Closes the queue: further pushes fail, consumers drain what is

@@ -2,7 +2,9 @@
 //! connection layer of both serving tiers.
 //!
 //! [`spawn`] starts an acceptor and a few reactor threads on one
-//! listener; the acceptor deals connections out to them round-robin.
+//! listener; the acceptor deals connections out to them round-robin,
+//! and between connections sleeps in `epoll_wait` on the listener and
+//! the service's [`ShutdownSignal`].
 //! Each reactor thread owns one epoll instance plus per-connection state
 //! machines: an incremental [`FrameDecoder`] over a reused read buffer,
 //! an ordered response-slot queue (pipelined requests answer in request
@@ -297,6 +299,8 @@ impl Drop for WakeFd {
 /// so a completion addressed to a closed-and-reused slot is detectably
 /// stale; the wake eventfd gets the one token no connection can have.
 const WAKE_TOKEN: u64 = u64::MAX;
+/// The listener's token on the acceptor's own epoll instance.
+const LISTEN_TOKEN: u64 = 0;
 
 fn pack_token(idx: usize, gen: u32) -> u64 {
     (idx as u64) | ((gen as u64) << 32)
@@ -308,6 +312,35 @@ fn token_idx(token: u64) -> usize {
 
 fn token_gen(token: u64) -> u32 {
     (token >> 32) as u32
+}
+
+/// Begins a listener's shutdown: a flag the reactors read every tick,
+/// plus an eventfd that wakes the acceptor parked on the listener.
+pub struct ShutdownSignal {
+    set: AtomicBool,
+    wake: WakeFd,
+}
+
+impl ShutdownSignal {
+    pub fn new() -> io::Result<ShutdownSignal> {
+        Ok(ShutdownSignal {
+            set: AtomicBool::new(false),
+            wake: WakeFd::new()?,
+        })
+    }
+
+    /// Sets the signal and wakes the acceptor; true for the first call.
+    pub fn set(&self) -> bool {
+        if self.set.swap(true, Ordering::AcqRel) {
+            return false;
+        }
+        self.wake.ring();
+        true
+    }
+
+    pub fn is_set(&self) -> bool {
+        self.set.load(Ordering::Acquire)
+    }
 }
 
 /// What one listener's connections mean: the reactor owns accept,
@@ -332,9 +365,15 @@ pub trait Service: Sized + Send + Sync + 'static {
     /// simulated crash).
     fn render(&self, pending: Self::Pending, payload: Option<Self::Payload>) -> String;
 
-    /// Whether shutdown has begun: the reactors stop reading, flush what
-    /// is owed, close every connection and exit.
-    fn is_shutdown(&self) -> bool;
+    /// The signal that begins shutdown: the acceptor stops, and the
+    /// reactors stop reading, flush what is owed, close every connection
+    /// and exit.
+    fn shutdown_signal(&self) -> &ShutdownSignal;
+
+    /// Whether shutdown has begun.
+    fn is_shutdown(&self) -> bool {
+        self.shutdown_signal().is_set()
+    }
 
     /// How long a connection may stay silent before it is closed.
     fn idle_timeout(&self) -> Duration;
@@ -414,6 +453,9 @@ pub fn spawn<S: Service>(
     service: &Arc<S>,
 ) -> io::Result<Vec<JoinHandle<()>>> {
     listener.set_nonblocking(true)?;
+    let accept_poller = Poller::new()?;
+    accept_poller.add(listener.as_raw_fd(), LISTEN_TOKEN, EPOLLIN)?;
+    accept_poller.add(service.shutdown_signal().wake.fd, WAKE_TOKEN, EPOLLIN)?;
     let mut parts = Vec::with_capacity(threads);
     for _ in 0..threads {
         let poller = Poller::new()?;
@@ -427,7 +469,7 @@ pub fn spawn<S: Service>(
     handles.push(
         std::thread::Builder::new()
             .name(format!("{name}-acceptor"))
-            .spawn(move || accept_loop(&listener, &inboxes, &*acceptor))?,
+            .spawn(move || accept_loop(&listener, &accept_poller, &inboxes, &*acceptor))?,
     );
     for (i, (poller, inbox)) in parts.into_iter().enumerate() {
         let service = Arc::clone(service);
@@ -443,13 +485,17 @@ pub fn spawn<S: Service>(
 /// Accepts connections and deals them out round-robin across the
 /// reactor inboxes. There is no backlog shed here: multiplexing hundreds
 /// of idle connections is the reactors' job, so the listener backlog and
-/// the fd limit are the only caps. Once shutdown begins it rings every
-/// reactor, so none sleeps out its tick, and exits.
+/// the fd limit are the only caps. Between connections it sleeps in
+/// `epoll_wait` on the listener and the [`ShutdownSignal`], with no
+/// timeout. Once shutdown begins it rings every reactor, so none sleeps
+/// out its tick, and exits.
 fn accept_loop<S: Service>(
     listener: &TcpListener,
+    poller: &Poller,
     inboxes: &[Arc<Inbox<S::Payload>>],
     service: &S,
 ) {
+    let mut events = Events::with_capacity(2);
     let mut next = 0usize;
     while !service.is_shutdown() {
         match listener.accept() {
@@ -464,6 +510,12 @@ fn accept_loop<S: Service>(
                 inboxes[next % inboxes.len()].push_conn(stream);
                 next += 1;
             }
+            Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                let _ = poller.wait(&mut events, -1);
+            }
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            // Out of fds, say: the connection stays in the backlog and
+            // the listener stays readable, so back off before retrying.
             Err(_) => std::thread::sleep(Duration::from_millis(2)),
         }
     }

@@ -48,7 +48,7 @@ use crate::batch::{score_batch, BoundedQueue, PushError, ScoreJob, ScoreSink};
 use crate::cache::{ResponseCache, ResponseKey, ScoreCache};
 use crate::durable::{self, DurabilityConfig, FsyncPolicy, RecoveryReport};
 use crate::protocol::{self, IngestPhase, IngestRecord, IngestSummary, Request, Tier};
-use crate::reactor::{self, Burst, CompletionSink, Service};
+use crate::reactor::{self, Burst, CompletionSink, Service, ShutdownSignal};
 use crate::shadow::{ShadowSample, ShadowTap};
 use crate::snapshot::{ScoredCandidate, ServeSnapshot, SnapshotReader, SnapshotStore};
 use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
@@ -309,7 +309,7 @@ pub(crate) struct Shared {
     resp: ResponseCache,
     score_queue: BoundedQueue<ScoreJob>,
     ingest_queue: BoundedQueue<IngestJob>,
-    shutdown: AtomicBool,
+    shutdown: ShutdownSignal,
     /// Set when an injected WAL failure halted the server mid-flight —
     /// the in-process stand-in for the process dying.
     crashed: AtomicBool,
@@ -322,7 +322,7 @@ pub(crate) struct Shared {
 
 impl Shared {
     fn begin_shutdown(&self) {
-        if self.shutdown.swap(true, Ordering::AcqRel) {
+        if !self.shutdown.set() {
             return;
         }
         counter!("serve.shutdowns").inc();
@@ -708,7 +708,7 @@ impl ServerBuilder {
             store: Arc::new(SnapshotStore::new(initial)),
             cache: ScoreCache::new(cfg.score_cache_cap),
             resp: ResponseCache::new(cfg.resp_cache_cap),
-            shutdown: AtomicBool::new(false),
+            shutdown: ShutdownSignal::new()?,
             crashed: AtomicBool::new(false),
             batches: AtomicU64::new(expander.batches() as u64),
             tap: Arc::new(ShadowTap::new(cfg.shadow_queue_cap)),
@@ -835,8 +835,8 @@ impl Service for Shared {
         }
     }
 
-    fn is_shutdown(&self) -> bool {
-        self.shutdown.load(Ordering::Acquire)
+    fn shutdown_signal(&self) -> &ShutdownSignal {
+        &self.shutdown
     }
 
     fn idle_timeout(&self) -> Duration {
@@ -1159,27 +1159,19 @@ fn scorer_loop(shared: &Shared) {
 
 /// Collects one WAL commit group: the jobs already drained, topped up
 /// from the queue until `max_ops` or `max_delay` under a
-/// [`FsyncPolicy::Batch`] policy.
-fn fill_commit_group(
-    jobs: &mut Vec<IngestJob>,
-    queue: &BoundedQueue<IngestJob>,
-    fsync: FsyncPolicy,
-) {
+/// [`FsyncPolicy::Batch`] policy. It sleeps on the queue between jobs,
+/// so a group costs one wake-up per job that joins it.
+fn fill_commit_group<T>(jobs: &mut Vec<T>, queue: &BoundedQueue<T>, fsync: FsyncPolicy) {
     let FsyncPolicy::Batch { max_ops, max_delay } = fsync else {
         return;
     };
     let deadline = Instant::now() + max_delay;
     while jobs.len() < max_ops {
-        match queue.try_drain(max_ops - jobs.len()) {
+        match queue.drain_until(max_ops - jobs.len(), deadline) {
             Some(more) if !more.is_empty() => jobs.extend(more),
-            Some(_) => {
-                if Instant::now() >= deadline {
-                    return;
-                }
-                std::thread::sleep(Duration::from_micros(200));
-            }
-            // Closed and dry: commit what we have.
-            None => return,
+            // The window closed, or the queue closed and ran dry: commit
+            // what we have.
+            _ => return,
         }
     }
 }
@@ -1608,5 +1600,52 @@ fn checkpoint_state(
             counter!("serve.wal.snapshot_errors").inc();
             eprintln!("# taxo-serve: snapshot publish skipped: {e}");
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const WINDOW: FsyncPolicy = FsyncPolicy::Batch {
+        max_ops: 4,
+        max_delay: Duration::from_millis(5),
+    };
+
+    #[test]
+    fn a_job_pushed_inside_the_window_joins_the_group() {
+        // A push that lands after the window closed proves nothing, so a
+        // run the scheduler delayed that long is retried.
+        for _ in 0..20 {
+            let queue = Arc::new(BoundedQueue::new(8));
+            let start = Instant::now();
+            let pusher = {
+                let queue = Arc::clone(&queue);
+                std::thread::spawn(move || {
+                    let at = start + Duration::from_millis(1);
+                    std::thread::sleep(at.saturating_duration_since(Instant::now()));
+                    queue.try_push(2).expect("room in the queue");
+                    Instant::now()
+                })
+            };
+            let mut jobs = vec![1];
+            fill_commit_group(&mut jobs, &queue, WINDOW);
+            let pushed = pusher.join().expect("pusher");
+            if pushed < start + Duration::from_millis(5) {
+                assert_eq!(jobs, vec![1, 2], "a job pushed inside the window");
+                return;
+            }
+        }
+        panic!("no push landed inside the 5-ms window in 20 tries");
+    }
+
+    #[test]
+    fn a_lone_job_commits_no_earlier_than_max_delay() {
+        let queue = BoundedQueue::new(8);
+        let mut jobs = vec![1];
+        let start = Instant::now();
+        fill_commit_group(&mut jobs, &queue, WINDOW);
+        assert!(start.elapsed() >= Duration::from_millis(5));
+        assert_eq!(jobs, vec![1]);
     }
 }
