@@ -1,3 +1,4 @@
+use crate::relational::{PairCtx, PairGrads};
 use crate::{LabeledPair, RelationalModel, StructuralModel};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -120,24 +121,36 @@ impl HypoDetector {
             + self.structural.as_ref().map_or(0, |s| s.feature_dim())
     }
 
+    /// Writes the edge representation `e = [r ⊕ s]` (Eq. 14) of
+    /// `<parent, child>` into `row` (zeroed, [`HypoDetector::edge_dim`]
+    /// long), reading `r` from `pair` (filled by
+    /// [`RelationalModel::forward_pair_into`]).
+    fn fill_edge_row(&self, pair: &PairCtx, parent: ConceptId, child: ConceptId, row: &mut [f32]) {
+        let rel_dim = self.relational.as_ref().map_or(0, |r| r.dim());
+        if rel_dim > 0 {
+            row[..rel_dim].copy_from_slice(pair.r());
+        }
+        if let Some(st) = &self.structural {
+            st.pair_features_into(parent, child, &mut row[rel_dim..]);
+        }
+    }
+
+    /// The training path's edge features of one pair, as a `1 × edge_dim`
+    /// matrix plus the pair's encoder context.
+    #[cfg(test)]
     fn edge_features(
         &self,
         vocab: &Vocabulary,
         parent: ConceptId,
         child: ConceptId,
-    ) -> (Matrix, Option<crate::relational::PairCtx>) {
-        let mut parts: Vec<Matrix> = Vec::with_capacity(2);
-        let mut rel_ctx = None;
+    ) -> (Matrix, Option<PairCtx>) {
+        let mut pair = PairCtx::default();
         if let Some(rel) = &self.relational {
-            let (r, ctx) = rel.forward_pair(vocab.name(parent), vocab.name(child));
-            parts.push(r);
-            rel_ctx = Some(ctx);
+            rel.forward_pair_into(vocab, parent, child, &mut pair);
         }
-        if let Some(st) = &self.structural {
-            parts.push(st.pair_features(parent, child));
-        }
-        let refs: Vec<&Matrix> = parts.iter().collect();
-        (Matrix::hstack(&refs), rel_ctx)
+        let mut e = Matrix::zeros(1, self.edge_dim());
+        self.fill_edge_row(&pair, parent, child, e.row_mut(0));
+        (e, self.relational.is_some().then_some(pair))
     }
 
     /// Probability that `<parent, child>` is a hyponymy relation.
@@ -145,8 +158,8 @@ impl HypoDetector {
     /// Runs the allocation-free inference fast path (a thread-resident
     /// [`crate::BatchScorer`] arena): no backward context is built and no
     /// intermediate matrices are allocated after the thread's first call.
-    /// Bitwise identical to the gradient-capable
-    /// [`HypoDetector::edge_features`] + MLP path used in training.
+    /// Bitwise identical to the gradient-capable training path
+    /// ([`RelationalModel::forward_pair_into`], the edge row, the MLP).
     pub fn score(&self, vocab: &Vocabulary, parent: ConceptId, child: ConceptId) -> f32 {
         SCORER.with(|s| s.borrow_mut().score_one(self, vocab, parent, child))
     }
@@ -205,6 +218,13 @@ impl HypoDetector {
         let mut order: Vec<usize> = (0..train.len()).collect();
         let mut epoch_losses = Vec::with_capacity(cfg.epochs);
         let rel_dim = self.relational.as_ref().map_or(0, |r| r.dim());
+        // Reused for the whole call: one encoder context per batch slot,
+        // the backward temporaries, and the batch's feature rows, dropout
+        // mask and labels.
+        let mut pairs: Vec<PairCtx> = vec![PairCtx::default(); cfg.batch];
+        let mut grads = PairGrads::default();
+        let (mut x, mut mask) = (Matrix::default(), Matrix::default());
+        let mut labels: Vec<usize> = Vec::with_capacity(cfg.batch);
 
         for _ in 0..cfg.epochs {
             counter!("train.detector.epochs").inc();
@@ -212,69 +232,67 @@ impl HypoDetector {
             let mut total = 0.0f64;
             let mut batches = 0usize;
             for chunk in order.chunks(cfg.batch) {
-                // Data-parallel forward: `edge_features` is pure (`&self`,
-                // no rng), so batch elements run concurrently and come
-                // back in index order — thread-count invariant.
-                let this: &HypoDetector = &*self;
-                let mut rows = Vec::with_capacity(chunk.len());
-                let mut ctxs = Vec::with_capacity(chunk.len());
-                let mut labels = Vec::with_capacity(chunk.len());
-                for (e, ctx, label) in taxo_nn::parallel::par_map(chunk.len(), |j| {
-                    let p = &train[chunk[j]];
-                    let (e, ctx) = this.edge_features(vocab, p.parent, p.child);
-                    (e, ctx, usize::from(p.label))
-                }) {
-                    rows.push(e);
-                    ctxs.push(ctx);
-                    labels.push(label);
+                // Data-parallel encoder forwards: `forward_pair_into` is
+                // pure (`&self`, no rng) and each batch slot owns its
+                // context, so the slots fill concurrently — thread-count
+                // invariant.
+                let pairs = &mut pairs[..chunk.len()];
+                {
+                    let rel = self.relational.as_ref();
+                    taxo_nn::parallel::par_map_into(pairs, |j, pair| {
+                        let p = &train[chunk[j]];
+                        if let Some(rel) = rel {
+                            rel.forward_pair_into(vocab, p.parent, p.child, pair);
+                        }
+                    });
                 }
-                let refs: Vec<&Matrix> = rows.iter().collect();
-                let mut x = Matrix::vstack(&refs);
+                x.reset(chunk.len(), self.edge_dim());
+                labels.clear();
+                for (j, pair) in pairs.iter().enumerate() {
+                    let p = &train[chunk[j]];
+                    self.fill_edge_row(pair, p.parent, p.child, x.row_mut(j));
+                    labels.push(usize::from(p.label));
+                }
                 // Inverted dropout on the structural slice only (see the
                 // `input_dropout` doc). When there is no relational part,
                 // the whole feature vector is structural.
                 let keep = 1.0 - cfg.input_dropout;
-                let mask = if cfg.input_dropout > 0.0 && rel_dim < x.cols() {
-                    let m = Matrix::from_fn(x.rows(), x.cols(), |_, c| {
-                        if c >= rel_dim && rng.random_range(0.0..1.0) < f64::from(cfg.input_dropout)
-                        {
-                            0.0
-                        } else if c >= rel_dim {
-                            1.0 / keep
-                        } else {
-                            1.0
+                let dropout = cfg.input_dropout > 0.0 && rel_dim < x.cols();
+                if dropout {
+                    mask.reset_for_overwrite(x.rows(), x.cols());
+                    for r in 0..x.rows() {
+                        for (c, m) in mask.row_mut(r).iter_mut().enumerate() {
+                            *m = if c >= rel_dim
+                                && rng.random_range(0.0..1.0) < f64::from(cfg.input_dropout)
+                            {
+                                0.0
+                            } else if c >= rel_dim {
+                                1.0 / keep
+                            } else {
+                                1.0
+                            };
                         }
-                    });
-                    x = x.hadamard(&m);
-                    Some(m)
-                } else {
-                    None
-                };
+                    }
+                    x.hadamard_assign(&mask);
+                }
                 let (logits, mlp_ctx) = self.mlp.forward(&x);
                 let (loss, dlogits) = losses::softmax_xent(&logits, &labels);
                 let mut dx = self.mlp.backward(&mlp_ctx, &dlogits);
-                if let Some(m) = &mask {
-                    dx = dx.hadamard(m);
+                if dropout {
+                    dx.hadamard_assign(&mask);
                 }
                 total += loss as f64;
                 batches += 1;
                 counter!("train.detector.batches").inc();
 
                 // Route gradients into the representation modules.
-                for (row, ctx) in ctxs.iter().enumerate() {
-                    let d_row = dx.slice_rows(row, 1);
-                    if let (Some(rel), Some(pair_ctx), true) = (
-                        self.relational.as_mut(),
-                        ctx.as_ref(),
-                        self.finetune_encoder,
-                    ) {
-                        let d_r = Matrix::from_fn(1, rel_dim, |_, c| d_row[(0, c)]);
-                        rel.backward_pair(pair_ctx, &d_r);
+                for (row, pair) in pairs.iter().enumerate() {
+                    let d_row = dx.row(row);
+                    if let (Some(rel), true) = (self.relational.as_mut(), self.finetune_encoder) {
+                        rel.backward_pair_into(pair, &d_row[..rel_dim], &mut grads);
                     }
                     if let Some(st) = self.structural.as_mut() {
-                        let d_s =
-                            Matrix::from_fn(1, st.feature_dim(), |_, c| d_row[(0, rel_dim + c)]);
-                        st.backward_pair(&d_s);
+                        st.backward_pair(&Matrix::row_vector(d_row[rel_dim..].to_vec()));
                     }
                 }
                 adam_mlp.step(&mut self.mlp);

@@ -76,10 +76,11 @@ pub use inference::{expand_taxonomy, ExpansionConfig, ExpansionConfigBuilder, Ex
 pub use pair_scores::PairScores;
 pub use pipeline::{PipelineConfig, PipelineConfigBuilder, TrainedPipeline};
 pub use quantized::QuantizedDetector;
-// `relational::PairCtx` (the encoder's backward context) is deliberately
-// *not* re-exported at the top level: it is an implementation detail of
+// `relational::PairCtx` and `relational::PairGrads` (the encoder's
+// reusable forward context and backward temporaries) are deliberately
+// *not* re-exported at the top level: they are implementation details of
 // encoder fine-tuning, reachable under [`relational`] for the rare caller
-// that drives `forward_pair` / `backward_pair` by hand.
+// that drives `forward_pair_into` / `backward_pair_into` by hand.
 pub use relational::{RelationalConfig, RelationalModel};
 pub use report::{render_markdown, summarize, ExpansionSummary};
 pub use selfsup::{

@@ -2,7 +2,9 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{RngExt, SeedableRng};
 use taxo_core::{ConceptId, Vocabulary};
-use taxo_nn::{Adam, EncoderConfig, EncoderCtx, Matrix, Module, TransformerEncoder};
+use taxo_nn::{
+    Adam, EncoderConfig, EncoderCtx, EncoderGrads, Matrix, MlmWindow, Module, TransformerEncoder,
+};
 use taxo_obs::counter;
 use taxo_text::{ConceptMatcher, TokenVocab, CLS, MASK, SEP};
 
@@ -68,48 +70,33 @@ impl RelationalConfig {
     }
 }
 
-/// One prepared MLM example: the masked token ids and the
-/// `(position, original id)` recovery targets.
-type MlmExample = (Vec<u32>, Vec<(usize, u32)>);
-
-/// Drains one gradient-accumulation window: data-parallel MLM forwards
-/// (pure, against frozen parameter values), then a sequential gradient
-/// reduction in example order and one optimiser step. Returns the summed
-/// loss. No-op on an empty window.
-fn flush_mlm_window(
-    encoder: &mut TransformerEncoder,
-    adam: &mut Adam,
-    pending: &mut Vec<MlmExample>,
-) -> f64 {
-    if pending.is_empty() {
-        return 0.0;
-    }
-    let results = {
-        let enc: &TransformerEncoder = encoder;
-        taxo_nn::parallel::par_map(pending.len(), |i| {
-            let (masked, targets) = &pending[i];
-            enc.mlm_forward(masked, targets)
-        })
-    };
-    let mut total = 0.0f64;
-    for (loss, grads) in &results {
-        total += f64::from(*loss);
-        if let Some(g) = grads {
-            encoder.mlm_apply(g);
-        }
-    }
-    adam.step(encoder);
-    pending.clear();
-    total
+/// Reusable forward state of one pair encoding, consumed by
+/// [`RelationalModel::backward_pair_into`] during fine-tuning. Detector
+/// training keeps one per batch slot for a whole training call.
+#[derive(Debug, Clone, Default)]
+pub struct PairCtx {
+    /// The pair template's (truncated) token and segment ids.
+    ids: Vec<u32>,
+    segments: Vec<u32>,
+    enc: EncoderCtx,
+    /// The relational representation `r` (`d_model` long).
+    r: Vec<f32>,
 }
 
-/// Forward cache of one pair encoding, consumed by
-/// [`RelationalModel::backward_pair`] during fine-tuning.
-#[derive(Debug, Clone)]
-pub struct PairCtx {
-    enc_ctx: EncoderCtx,
-    seq_len: usize,
-    d_model: usize,
+impl PairCtx {
+    /// The relational representation `r` of the last forward.
+    pub fn r(&self) -> &[f32] {
+        &self.r
+    }
+}
+
+/// Backward temporaries of [`RelationalModel::backward_pair_into`]; one
+/// serves a whole training call.
+#[derive(Debug, Clone, Default)]
+pub struct PairGrads {
+    /// Gradient w.r.t. the encoder output.
+    d_hidden: Matrix,
+    enc: EncoderGrads,
 }
 
 /// C-BERT and the template encoder: a Transformer pretrained on UGC with
@@ -198,18 +185,17 @@ impl RelationalModel {
         let mut adam = Adam::new(cfg.lr);
         let mut order: Vec<usize> = (0..corpus.len()).collect();
         let mut epoch_losses = Vec::with_capacity(cfg.pretrain_epochs);
+        // One gradient-accumulation window, reused for the whole run.
+        // Masks are sampled sequentially (keeping the rng stream identical
+        // to the fused loop); each full window runs its forwards in
+        // parallel and reduces gradients in index order, so results are
+        // thread-count invariant (see `MlmWindow::flush`).
+        let mut window = MlmWindow::new();
+        let (mut ids, mut masked, mut targets) = (Vec::new(), Vec::new(), Vec::new());
         for _ in 0..cfg.pretrain_epochs {
             order.shuffle(&mut rng);
             let mut total = 0.0f64;
             let mut counted = 0usize;
-            // One gradient-accumulation window of prepared examples.
-            // Masks are sampled sequentially (keeping the rng stream
-            // identical to the fused loop); each full window runs its
-            // forwards in parallel and reduces gradients in index order,
-            // so results are thread-count invariant: within a window the
-            // parameters are constant (only `adam.step` mutates values),
-            // making the parallel forwards equal to the sequential ones.
-            let mut pending: Vec<MlmExample> = Vec::with_capacity(cfg.accum);
             for &si in &order {
                 let sentence = &corpus[si];
                 let body = model.tokens.encode(sentence);
@@ -217,7 +203,7 @@ impl RelationalModel {
                     continue;
                 }
                 // Sequence: [CLS] body [SEP]; body token t sits at t+1.
-                let mut ids = Vec::with_capacity(body.len() + 2);
+                ids.clear();
                 ids.push(CLS);
                 ids.extend_from_slice(&body);
                 ids.push(SEP);
@@ -246,8 +232,8 @@ impl RelationalModel {
                 if mask_positions.is_empty() {
                     continue;
                 }
-                let mut masked = ids.clone();
-                let mut targets = Vec::with_capacity(mask_positions.len());
+                masked.clone_from(&ids);
+                targets.clear();
                 for &p in &mask_positions {
                     if p < masked.len() - 1 {
                         targets.push((p, ids[p]));
@@ -257,13 +243,13 @@ impl RelationalModel {
                 if targets.is_empty() {
                     continue;
                 }
-                pending.push((masked, targets));
+                window.push(&masked, &targets);
                 counted += 1;
-                if pending.len() >= cfg.accum {
-                    total += flush_mlm_window(&mut model.encoder, &mut adam, &mut pending);
+                if window.len() >= cfg.accum {
+                    total += window.flush(&mut model.encoder, &mut adam);
                 }
             }
-            total += flush_mlm_window(&mut model.encoder, &mut adam, &mut pending);
+            total += window.flush(&mut model.encoder, &mut adam);
             counter!("train.mlm.epochs").inc();
             counter!("train.mlm.examples").add(counted as u64);
             epoch_losses.push((total / counted.max(1) as f64) as f32);
@@ -347,38 +333,72 @@ impl RelationalModel {
     }
 
     /// Encodes a pair into its relational representation `r` (1 × d) and
-    /// a backward context. The readout averages the `[CLS]` vector with
-    /// the mean of all token states: a small from-scratch encoder carries
-    /// most pair information in the token states themselves, whereas the
-    /// paper's full-size BERT can afford a pure-`[CLS]` readout (Eq. 7).
+    /// a backward context; see [`RelationalModel::forward_pair_into`].
     pub fn forward_pair(&self, query_name: &str, item_name: &str) -> (Matrix, PairCtx) {
-        let (ids, segments) = self.pair_ids(query_name, item_name);
-        let (hidden, enc_ctx) = self.encoder.forward_with_segments(&ids, &segments);
-        let n = hidden.rows();
-        let r = Matrix::from_fn(1, hidden.cols(), |_, c| {
-            let mean: f32 = (0..n).map(|t| hidden[(t, c)]).sum::<f32>() / n as f32;
-            0.5 * hidden[(0, c)] + 0.5 * mean
-        });
-        let ctx = PairCtx {
-            enc_ctx,
-            seq_len: n,
-            d_model: hidden.cols(),
-        };
-        (r, ctx)
+        let mut ctx = PairCtx::default();
+        (ctx.ids, ctx.segments) = self.pair_ids(query_name, item_name);
+        self.encode_pair(&mut ctx);
+        (Matrix::row_vector(ctx.r.clone()), ctx)
     }
 
-    /// Routes the gradient w.r.t. `r` back through the encoder.
+    /// The training forward of one pair into a reused context: stages the
+    /// cached pair template ([`RelationalModel::append_pair_ids`], the
+    /// tokens [`RelationalModel::pair_ids`] gives for the two names, so
+    /// the same bits), encodes it and reads `r` out into
+    /// [`PairCtx::r`]. Allocates nothing once `ctx` is warm.
+    pub fn forward_pair_into(
+        &self,
+        vocab: &Vocabulary,
+        query: ConceptId,
+        item: ConceptId,
+        ctx: &mut PairCtx,
+    ) {
+        ctx.ids.clear();
+        ctx.segments.clear();
+        self.append_pair_ids(vocab, query, item, &mut ctx.ids, &mut ctx.segments);
+        self.encode_pair(ctx);
+    }
+
+    /// Encodes `ctx.ids` and computes the readout, which averages the
+    /// `[CLS]` vector with the mean of all token states: a small
+    /// from-scratch encoder carries most pair information in the token
+    /// states themselves, whereas the paper's full-size BERT can afford a
+    /// pure-`[CLS]` readout (Eq. 7).
+    fn encode_pair(&self, ctx: &mut PairCtx) {
+        self.encoder
+            .forward_ctx(&ctx.ids, Some(&ctx.segments), &mut ctx.enc);
+        let hidden = ctx.enc.hidden();
+        let n = hidden.rows();
+        ctx.r.clear();
+        ctx.r.extend((0..hidden.cols()).map(|c| {
+            let mean: f32 = (0..n).map(|t| hidden.row(t)[c]).sum::<f32>() / n as f32;
+            0.5 * hidden.row(0)[c] + 0.5 * mean
+        }));
+    }
+
+    /// Routes the gradient w.r.t. `r` back through the encoder; see
+    /// [`RelationalModel::backward_pair_into`].
     pub fn backward_pair(&mut self, ctx: &PairCtx, d_r: &Matrix) {
-        let n = ctx.seq_len as f32;
-        let mut d_hidden = Matrix::zeros(ctx.seq_len, ctx.d_model);
-        for c in 0..ctx.d_model {
-            let shared = 0.5 * d_r[(0, c)] / n;
-            for t in 0..ctx.seq_len {
-                d_hidden[(t, c)] = shared;
+        self.backward_pair_into(ctx, d_r.row(0), &mut PairGrads::default());
+    }
+
+    /// Routes the gradient w.r.t. `r` (`d_model` long) back through the
+    /// encoder, taking every temporary from `g`.
+    pub fn backward_pair_into(&mut self, ctx: &PairCtx, d_r: &[f32], g: &mut PairGrads) {
+        let hidden = ctx.enc.hidden();
+        let (len, d) = (hidden.rows(), hidden.cols());
+        let n = len as f32;
+        g.d_hidden.reset_for_overwrite(len, d);
+        for t in 0..len {
+            for (o, &dr) in g.d_hidden.row_mut(t).iter_mut().zip(d_r) {
+                *o = 0.5 * dr / n;
             }
-            d_hidden[(0, c)] += 0.5 * d_r[(0, c)];
         }
-        self.encoder.backward(&ctx.enc_ctx, &d_hidden);
+        for (o, &dr) in g.d_hidden.row_mut(0).iter_mut().zip(d_r) {
+            *o += 0.5 * dr;
+        }
+        self.encoder
+            .backward_into(&ctx.enc, &g.d_hidden, &mut g.enc);
     }
 
     /// The `[CLS]` embedding of a single concept (Eq. 8), used to

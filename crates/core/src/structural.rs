@@ -172,25 +172,17 @@ impl StructuralModel {
     /// `s = [h_q ⊕ p_parent ⊕ h_i ⊕ p_child]` (position parts dropped
     /// under the ablation).
     pub fn pair_features(&self, query: ConceptId, item: ConceptId) -> Matrix {
-        let hq = self.node_vector(query);
-        let hi = self.node_vector(item);
-        let mut out = Vec::with_capacity(self.feature_dim());
-        out.extend_from_slice(&hq);
-        if self.use_position {
-            out.extend_from_slice(self.pos.parent.value.row(0));
-        }
-        out.extend_from_slice(&hi);
-        if self.use_position {
-            out.extend_from_slice(self.pos.child.value.row(0));
-        }
+        let mut out = vec![0.0; self.feature_dim()];
+        self.pair_features_into(query, item, &mut out);
         Matrix::row_vector(out)
     }
 
     /// Allocation-free [`StructuralModel::pair_features`]: writes the
     /// Eq. 13 layout `[h_q ⊕ p_parent ⊕ h_i ⊕ p_child]` into `out`, which
     /// must be zeroed and exactly [`StructuralModel::feature_dim`] long
-    /// (unknown concepts keep their zero slice). Copies the same values in
-    /// the same layout, so scores downstream are bitwise identical.
+    /// (unknown concepts keep their zero slice, as [`StructuralModel::node_vector`]
+    /// gives them). Detector training and scoring both build the feature
+    /// here.
     pub fn pair_features_into(&self, query: ConceptId, item: ConceptId, out: &mut [f32]) {
         assert_eq!(out.len(), self.feature_dim());
         let d = self.h.cols();

@@ -163,17 +163,13 @@ pub fn relu_grad(x: f32) -> f32 {
     }
 }
 
-/// Applies GELU element-wise, returning output and keeping `x` for the
-/// backward pass.
-pub fn gelu_forward(x: &Matrix) -> Matrix {
-    x.map(gelu)
-}
-
-/// dL/dx given dL/dy and the forward input.
-pub fn gelu_backward(x: &Matrix, dy: &Matrix) -> Matrix {
-    let mut dx = x.map(gelu_grad);
-    dx = dx.hadamard(dy);
-    dx
+/// GELU's backward pass: turns dL/dy into dL/dx in place: `d[i] *= gelu_grad(x[i])`, where
+/// `x` is the forward input.
+pub fn gelu_backward_in_place(x: &Matrix, d: &mut Matrix) {
+    assert_eq!((x.rows(), x.cols()), (d.rows(), d.cols()));
+    for (g, &xi) in d.data_mut().iter_mut().zip(x.data()) {
+        *g *= gelu_grad(xi);
+    }
 }
 
 #[cfg(test)]
@@ -277,10 +273,11 @@ mod tests {
     #[test]
     fn matrix_wrappers() {
         let x = Matrix::from_vec(1, 3, vec![-1.0, 0.0, 2.0]);
-        let y = gelu_forward(&x);
+        let mut y = x.clone();
+        gelu_in_place(y.data_mut());
         assert!((y[(0, 1)]).abs() < 1e-6);
-        let dy = Matrix::from_vec(1, 3, vec![1.0, 1.0, 1.0]);
-        let dx = gelu_backward(&x, &dy);
+        let mut dx = Matrix::from_vec(1, 3, vec![1.0, 1.0, 1.0]);
+        gelu_backward_in_place(&x, &mut dx);
         assert!((dx[(0, 2)] - gelu_grad(2.0)).abs() < 1e-6);
     }
 }

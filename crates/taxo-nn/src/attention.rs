@@ -1,7 +1,16 @@
-use crate::{Linear, LinearCtx, Matrix, Module, Param};
+use crate::scratch::AttentionGrads;
+use crate::{Linear, Matrix, Module, Param};
 use rand::rngs::StdRng;
 
 /// Multi-head scaled-dot-product self-attention over one sequence.
+///
+/// One head kernel (`attend_head`) serves training and inference.
+/// Training (`forward_ctx` /
+/// [`MultiHeadSelfAttention::backward_into`]) keeps its activations in a
+/// caller-owned [`AttentionCtx`] and its backward temporaries in
+/// [`AttentionGrads`], so a warm step allocates nothing; the allocating
+/// [`MultiHeadSelfAttention::forward`] / [`MultiHeadSelfAttention::backward`]
+/// wrap the same code.
 #[derive(Debug, Clone)]
 pub struct MultiHeadSelfAttention {
     pub wq: Linear,
@@ -11,18 +20,64 @@ pub struct MultiHeadSelfAttention {
     n_heads: usize,
 }
 
-/// Saved activations for one attention forward pass.
-#[derive(Debug, Clone)]
+/// Saved activations of one attention training forward pass, reused from
+/// one sequence to the next.
+#[derive(Debug, Clone, Default)]
 pub struct AttentionCtx {
-    q_ctx: LinearCtx,
-    k_ctx: LinearCtx,
-    v_ctx: LinearCtx,
-    o_ctx: LinearCtx,
+    /// The attention input; the caller writes it before
+    /// `forward_ctx` (a block writes its
+    /// LayerNorm output straight here).
+    pub(crate) input: Matrix,
     q: Matrix,
     k: Matrix,
     v: Matrix,
     /// Per-head attention probabilities, each `n × n`.
     probs: Vec<Matrix>,
+    /// Concatenated head outputs, the output projection's input.
+    concat: Matrix,
+}
+
+/// One head of one sequence: `scores = softmax(Q_h·K_hᵀ · scale)` into
+/// `scores`, then `concat_h += scores · V_h`. The sequence owns rows
+/// `base .. base + n` of `q`/`k`/`v`/`concat`, the head owns columns
+/// `off .. off + dh`. Dots run in the canonical lane order; the weighted
+/// sum accumulates `j` ascending and skips exact zeros.
+#[allow(clippy::too_many_arguments)]
+fn attend_head(
+    q: &Matrix,
+    k: &Matrix,
+    v: &Matrix,
+    base: usize,
+    n: usize,
+    off: usize,
+    dh: usize,
+    scale: f32,
+    scores: &mut Matrix,
+    concat: &mut Matrix,
+) {
+    scores.reset_for_overwrite(n, n);
+    for i in 0..n {
+        let qi = &q.row(base + i)[off..off + dh];
+        let srow = scores.row_mut(i);
+        for (j, s) in srow.iter_mut().enumerate() {
+            let kj = &k.row(base + j)[off..off + dh];
+            *s = crate::lanes::dot(qi, kj) * scale;
+        }
+    }
+    scores.softmax_rows();
+    for i in 0..n {
+        let srow = scores.row(i);
+        let crow = &mut concat.row_mut(base + i)[off..off + dh];
+        for (j, &a) in srow.iter().enumerate() {
+            if a == 0.0 {
+                continue;
+            }
+            let vj = &v.row(base + j)[off..off + dh];
+            for (o, &vv) in crow.iter_mut().zip(vj) {
+                *o += a * vv;
+            }
+        }
+    }
 }
 
 impl MultiHeadSelfAttention {
@@ -47,73 +102,44 @@ impl MultiHeadSelfAttention {
         self.wq.output_dim() / self.n_heads
     }
 
-    /// `x: n × d_model` → `n × d_model`.
+    /// `x: n × d_model` → `n × d_model`. Wraps
+    /// `forward_ctx`.
     pub fn forward(&self, x: &Matrix) -> (Matrix, AttentionCtx) {
-        let n = x.rows();
-        let dh = self.head_dim();
-        let scale = 1.0 / (dh as f32).sqrt();
-
-        let (q, q_ctx) = self.wq.forward(x);
-        let (k, k_ctx) = self.wk.forward(x);
-        let (v, v_ctx) = self.wv.forward(x);
-
-        let mut concat = Matrix::zeros(n, self.wq.output_dim());
-        let mut probs = Vec::with_capacity(self.n_heads);
-        for h in 0..self.n_heads {
-            let off = h * dh;
-            // scores = Qh · Khᵀ * scale — canonical lane-order dots.
-            let mut scores = Matrix::zeros(n, n);
-            for i in 0..n {
-                let qi = &q.row(i)[off..off + dh];
-                let srow = scores.row_mut(i);
-                for (j, s) in srow.iter_mut().enumerate() {
-                    let kj = &k.row(j)[off..off + dh];
-                    *s = crate::lanes::dot(qi, kj) * scale;
-                }
-            }
-            scores.softmax_rows();
-            // Oh = A · Vh
-            for i in 0..n {
-                let srow = scores.row(i);
-                let crow = &mut concat.row_mut(i)[off..off + dh];
-                for (j, &a) in srow.iter().enumerate() {
-                    if a == 0.0 {
-                        continue;
-                    }
-                    let vj = &v.row(j)[off..off + dh];
-                    for (o, &vv) in crow.iter_mut().zip(vj) {
-                        *o += a * vv;
-                    }
-                }
-            }
-            probs.push(scores);
-        }
-        let (y, o_ctx) = self.wo.forward(&concat);
-        (
-            y,
-            AttentionCtx {
-                q_ctx,
-                k_ctx,
-                v_ctx,
-                o_ctx,
-                q,
-                k,
-                v,
-                probs,
-            },
-        )
+        let mut ctx = AttentionCtx::default();
+        ctx.input.copy_from(x);
+        let mut y = Matrix::default();
+        self.forward_ctx(&mut ctx, &mut y);
+        (y, ctx)
     }
 
-    /// Forward-only variant of [`MultiHeadSelfAttention::forward`] over a
-    /// batch of `x.rows() / seq_len` stacked equal-length sequences, writing
-    /// into caller-owned scratch buffers (`scores` is reused per head and
-    /// per sequence).
+    /// Training forward over the sequence in `ctx.input`: saves the
+    /// projections, per-head probabilities and head outputs in `ctx` and
+    /// writes the attention output into `out`.
+    pub(crate) fn forward_ctx(&self, ctx: &mut AttentionCtx, out: &mut Matrix) {
+        let n = ctx.input.rows();
+        let dh = self.head_dim();
+        let scale = 1.0 / (dh as f32).sqrt();
+        self.wq.forward_into(&ctx.input, &mut ctx.q);
+        self.wk.forward_into(&ctx.input, &mut ctx.k);
+        self.wv.forward_into(&ctx.input, &mut ctx.v);
+        ctx.concat.reset(n, self.wq.output_dim());
+        ctx.probs.resize_with(self.n_heads, Matrix::default);
+        for (h, probs) in ctx.probs.iter_mut().enumerate() {
+            let (q, k, v) = (&ctx.q, &ctx.k, &ctx.v);
+            attend_head(q, k, v, 0, n, h * dh, dh, scale, probs, &mut ctx.concat);
+        }
+        self.wo.forward_into(&ctx.concat, out);
+    }
+
+    /// Forward-only variant of `forward_ctx` over
+    /// a batch of `x.rows() / seq_len` stacked equal-length sequences,
+    /// writing into caller-owned scratch buffers (`scores` is reused per
+    /// head and per sequence).
     ///
-    /// Attention never mixes rows across sequences: within each `seq_len`
-    /// row slice the score/softmax/weighted-sum loops are the exact loops
-    /// of the allocating path, and the q/k/v/o projections are row-wise
-    /// GEMMs, so every sequence's output is bitwise identical to encoding
-    /// it alone.
+    /// Attention never mixes rows across sequences: each `seq_len` row
+    /// slice runs `attend_head` exactly as the training path does, and
+    /// the q/k/v/o projections are row-wise GEMMs, so every sequence's
+    /// output is bitwise identical to encoding it alone.
     #[allow(clippy::too_many_arguments)]
     pub fn forward_batch_into(
         &self,
@@ -138,102 +164,111 @@ impl MultiHeadSelfAttention {
 
         concat.reset(rows, self.wq.output_dim());
         for s in 0..batch {
-            let base = s * seq_len;
-            let n = seq_len;
             for h in 0..self.n_heads {
-                let off = h * dh;
-                scores.reset_for_overwrite(n, n);
-                for i in 0..n {
-                    let qi = &q.row(base + i)[off..off + dh];
-                    let srow = scores.row_mut(i);
-                    for (j, s) in srow.iter_mut().enumerate() {
-                        let kj = &k.row(base + j)[off..off + dh];
-                        *s = crate::lanes::dot(qi, kj) * scale;
-                    }
-                }
-                scores.softmax_rows();
-                for i in 0..n {
-                    let srow = scores.row(i);
-                    let crow = &mut concat.row_mut(base + i)[off..off + dh];
-                    for (j, &a) in srow.iter().enumerate() {
-                        if a == 0.0 {
-                            continue;
-                        }
-                        let vj = &v.row(base + j)[off..off + dh];
-                        for (o, &vv) in crow.iter_mut().zip(vj) {
-                            *o += a * vv;
-                        }
-                    }
-                }
+                attend_head(
+                    q,
+                    k,
+                    v,
+                    s * seq_len,
+                    seq_len,
+                    h * dh,
+                    dh,
+                    scale,
+                    scores,
+                    concat,
+                );
             }
         }
         self.wo.forward_into(concat, out);
     }
 
-    /// Accumulates all projection gradients and returns dx.
+    /// Accumulates all projection gradients and returns dx. Wraps
+    /// [`MultiHeadSelfAttention::backward_into`].
     pub fn backward(&mut self, ctx: &AttentionCtx, dy: &Matrix) -> Matrix {
+        let mut dx = Matrix::default();
+        self.backward_into(ctx, dy, &mut dx, &mut AttentionGrads::default());
+        dx
+    }
+
+    /// Accumulates all projection gradients and writes dx into a
+    /// caller-owned buffer, taking every temporary from `g`. The head
+    /// loops walk row slices; each gradient element accumulates in the
+    /// order of the textbook loops (`dV`, `dK` over query rows `i`
+    /// ascending, `dQ` over key rows `j` ascending, every dot over the
+    /// head's columns ascending).
+    pub fn backward_into(
+        &mut self,
+        ctx: &AttentionCtx,
+        dy: &Matrix,
+        dx: &mut Matrix,
+        g: &mut AttentionGrads,
+    ) {
         let n = dy.rows();
+        let d = self.wq.output_dim();
         let dh = self.head_dim();
         let scale = 1.0 / (dh as f32).sqrt();
 
         // Back through the output projection.
-        let dconcat = self.wo.backward(&ctx.o_ctx, dy);
+        self.wo.backward_into(&ctx.concat, dy, &mut g.dconcat);
 
-        let mut dq = Matrix::zeros(n, self.wq.output_dim());
-        let mut dk = Matrix::zeros(n, self.wk.output_dim());
-        let mut dv = Matrix::zeros(n, self.wv.output_dim());
-
-        for h in 0..self.n_heads {
+        g.dq.reset(n, d);
+        g.dk.reset(n, d);
+        g.dv.reset(n, d);
+        for (h, probs) in ctx.probs.iter().enumerate() {
             let off = h * dh;
-            let probs = &ctx.probs[h];
+            let cols = off..off + dh;
 
-            // dV_h = Aᵀ · dO_h ; dA = dO_h · V_hᵀ
-            let mut d_scores = Matrix::zeros(n, n);
+            // dV_h = Aᵀ · dO_h ; dA = dO_h · V_hᵀ.
+            g.d_scores.reset_for_overwrite(n, n);
             for i in 0..n {
+                let d_o = &g.dconcat.row(i)[cols.clone()];
+                let a_row = probs.row(i);
+                let ds_row = g.d_scores.row_mut(i);
                 for j in 0..n {
-                    let a = probs[(i, j)];
+                    let a = a_row[j];
+                    let dv_row = &mut g.dv.row_mut(j)[cols.clone()];
+                    let v_row = &ctx.v.row(j)[cols.clone()];
                     let mut d_a = 0.0;
                     for c in 0..dh {
-                        let d_o = dconcat[(i, off + c)];
-                        dv[(j, off + c)] += a * d_o;
-                        d_a += d_o * ctx.v[(j, off + c)];
+                        dv_row[c] += a * d_o[c];
+                        d_a += d_o[c] * v_row[c];
                     }
-                    d_scores[(i, j)] = d_a;
+                    ds_row[j] = d_a;
                 }
             }
             // Softmax backward per row: ds_j = a_j (dA_j - Σ_k dA_k a_k).
             for i in 0..n {
                 let row_a = probs.row(i);
-                let dot: f32 = d_scores
-                    .row(i)
-                    .iter()
-                    .zip(row_a)
-                    .map(|(&d, &a)| d * a)
-                    .sum();
-                let ds_row = d_scores.row_mut(i);
+                let ds_row = g.d_scores.row_mut(i);
+                let dot: f32 = ds_row.iter().zip(row_a).map(|(&d, &a)| d * a).sum();
                 for (ds, &a) in ds_row.iter_mut().zip(row_a) {
                     *ds = a * (*ds - dot);
                 }
             }
             // dQ_h = dS · K_h * scale ; dK_h = dSᵀ · Q_h * scale.
             for i in 0..n {
-                for j in 0..n {
-                    let ds = d_scores[(i, j)] * scale;
+                let q_row = &ctx.q.row(i)[cols.clone()];
+                let dq_row = &mut g.dq.row_mut(i)[cols.clone()];
+                for (j, &d_s) in g.d_scores.row(i).iter().enumerate() {
+                    let ds = d_s * scale;
                     if ds == 0.0 {
                         continue;
                     }
+                    let k_row = &ctx.k.row(j)[cols.clone()];
+                    let dk_row = &mut g.dk.row_mut(j)[cols.clone()];
                     for c in 0..dh {
-                        dq[(i, off + c)] += ds * ctx.k[(j, off + c)];
-                        dk[(j, off + c)] += ds * ctx.q[(i, off + c)];
+                        dq_row[c] += ds * k_row[c];
+                        dk_row[c] += ds * q_row[c];
                     }
                 }
             }
         }
 
-        let mut dx = self.wq.backward(&ctx.q_ctx, &dq);
-        dx.add_assign(&self.wk.backward(&ctx.k_ctx, &dk));
-        dx.add_assign(&self.wv.backward(&ctx.v_ctx, &dv));
-        dx
+        self.wq.backward_into(&ctx.input, &g.dq, dx);
+        self.wk.backward_into(&ctx.input, &g.dk, &mut g.dx_part);
+        dx.add_assign(&g.dx_part);
+        self.wv.backward_into(&ctx.input, &g.dv, &mut g.dx_part);
+        dx.add_assign(&g.dx_part);
     }
 }
 

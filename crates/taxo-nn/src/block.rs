@@ -1,3 +1,4 @@
+use crate::scratch::BlockGrads;
 use crate::{
     AttentionCtx, FeedForward, FeedForwardCtx, LayerNorm, LayerNormCtx, Matrix, Module,
     MultiHeadSelfAttention, Param,
@@ -9,6 +10,13 @@ use rand::rngs::StdRng;
 ///
 /// Pre-LN keeps gradients stable without a warmup schedule, which matters
 /// for a from-scratch substrate trained with plain Adam.
+///
+/// Training runs in place on the residual stream
+/// ([`TransformerBlock::forward_ctx`] / [`TransformerBlock::backward_in_place`])
+/// with activations in a caller-owned [`BlockCtx`] and backward
+/// temporaries in [`BlockGrads`]; the allocating
+/// [`TransformerBlock::forward`] / [`TransformerBlock::backward`] wrap the
+/// same code.
 #[derive(Debug, Clone)]
 pub struct TransformerBlock {
     pub ln1: LayerNorm,
@@ -17,8 +25,11 @@ pub struct TransformerBlock {
     pub ffn: FeedForward,
 }
 
-/// Saved activations for one block forward pass.
-#[derive(Debug, Clone)]
+/// Saved activations of one block training forward pass, reused from one
+/// sequence to the next. LN1 writes its output straight into the
+/// attention context's input and LN2 into the FFN context's input, so no
+/// activation is stored twice.
+#[derive(Debug, Clone, Default)]
 pub struct BlockCtx {
     ln1_ctx: LayerNormCtx,
     attn_ctx: AttentionCtx,
@@ -36,32 +47,35 @@ impl TransformerBlock {
         }
     }
 
+    /// Wraps [`TransformerBlock::forward_ctx`].
     pub fn forward(&self, x: &Matrix) -> (Matrix, BlockCtx) {
-        let (normed1, ln1_ctx) = self.ln1.forward(x);
-        let (attn_out, attn_ctx) = self.attn.forward(&normed1);
-        let mut a = x.clone();
-        a.add_assign(&attn_out);
-
-        let (normed2, ln2_ctx) = self.ln2.forward(&a);
-        let (ffn_out, ffn_ctx) = self.ffn.forward(&normed2);
-        let mut y = a;
-        y.add_assign(&ffn_out);
-        (
-            y,
-            BlockCtx {
-                ln1_ctx,
-                attn_ctx,
-                ln2_ctx,
-                ffn_ctx,
-            },
-        )
+        let mut y = x.clone();
+        let mut ctx = BlockCtx::default();
+        self.forward_ctx(&mut y, &mut ctx, &mut Matrix::default());
+        (y, ctx)
     }
 
-    /// Forward-only variant of [`TransformerBlock::forward`] over stacked
-    /// equal-length sequences, mutating `h` in place with caller-owned
-    /// scratch. The residual adds run in the same element order as the
-    /// allocating path (`x + attn_out`, then `a + ffn_out`), so the result
-    /// is bitwise identical per sequence.
+    /// Training forward, mutating the residual stream `h` in place and
+    /// saving every activation the backward pass reads in `ctx`. `tmp`
+    /// holds each sub-layer's output before its residual add. The adds
+    /// run `x + attn_out`, then `a + ffn_out`, per element.
+    pub fn forward_ctx(&self, h: &mut Matrix, ctx: &mut BlockCtx, tmp: &mut Matrix) {
+        self.ln1
+            .forward_ctx(h, &mut ctx.attn_ctx.input, &mut ctx.ln1_ctx);
+        self.attn.forward_ctx(&mut ctx.attn_ctx, tmp);
+        h.add_assign(tmp);
+
+        self.ln2
+            .forward_ctx(h, &mut ctx.ffn_ctx.input, &mut ctx.ln2_ctx);
+        self.ffn.forward_ctx(&mut ctx.ffn_ctx, tmp);
+        h.add_assign(tmp);
+    }
+
+    /// Forward-only variant of [`TransformerBlock::forward_ctx`] over
+    /// stacked equal-length sequences, mutating `h` in place with
+    /// caller-owned scratch and saving nothing. Same sub-layer kernels,
+    /// same residual add order, so the result is bitwise identical per
+    /// sequence.
     pub fn forward_batch_in_place(
         &self,
         h: &mut Matrix,
@@ -87,19 +101,28 @@ impl TransformerBlock {
         h.add_assign(&s.ffn_out);
     }
 
+    /// Wraps [`TransformerBlock::backward_in_place`].
     pub fn backward(&mut self, ctx: &BlockCtx, dy: &Matrix) -> Matrix {
+        let mut d = dy.clone();
+        self.backward_in_place(ctx, &mut d, &mut BlockGrads::default());
+        d
+    }
+
+    /// Backward pass turning `d` (dL/dy) into dL/dx in place. Each
+    /// residual add `d += sub-layer dx` adds the same two values the
+    /// allocating form's `dx += d` did; IEEE addition commutes bit for bit.
+    pub fn backward_in_place(&mut self, ctx: &BlockCtx, d: &mut Matrix, g: &mut BlockGrads) {
         // y = a + ffn(ln2(a)).
-        let d_ffn_out = dy;
-        let d_normed2 = self.ffn.backward(&ctx.ffn_ctx, d_ffn_out);
-        let mut da = self.ln2.backward(&ctx.ln2_ctx, &d_normed2);
-        da.add_assign(dy); // residual
+        self.ffn
+            .backward_into(&ctx.ffn_ctx, d, &mut g.d_sub, &mut g.d_act);
+        self.ln2.backward_into(&ctx.ln2_ctx, &g.d_sub, &mut g.d_ln);
+        d.add_assign(&g.d_ln); // residual
 
         // a = x + attn(ln1(x)).
-        let d_attn_out = &da;
-        let d_normed1 = self.attn.backward(&ctx.attn_ctx, d_attn_out);
-        let mut dx = self.ln1.backward(&ctx.ln1_ctx, &d_normed1);
-        dx.add_assign(&da); // residual
-        dx
+        self.attn
+            .backward_into(&ctx.attn_ctx, d, &mut g.d_sub, &mut g.attn);
+        self.ln1.backward_into(&ctx.ln1_ctx, &g.d_sub, &mut g.d_ln);
+        d.add_assign(&g.d_ln); // residual
     }
 }
 

@@ -2,15 +2,12 @@ use crate::{Matrix, Module, Param};
 use rand::rngs::StdRng;
 
 /// A lookup table mapping ids to `dim`-dimensional rows.
+///
+/// Stateless across calls: the ids a forward gathered are the context its
+/// backward scatters through, and the caller keeps them.
 #[derive(Debug, Clone)]
 pub struct Embedding {
     pub table: Param,
-}
-
-/// Saved ids for one [`Embedding::forward`] call.
-#[derive(Debug, Clone)]
-pub struct EmbeddingCtx {
-    ids: Vec<u32>,
 }
 
 impl Embedding {
@@ -21,20 +18,20 @@ impl Embedding {
         }
     }
 
-    /// Gathers rows for `ids` into an `ids.len() × dim` matrix.
-    pub fn forward(&self, ids: &[u32]) -> (Matrix, EmbeddingCtx) {
-        let dim = self.table.value.cols();
-        let mut out = Matrix::zeros(ids.len(), dim);
+    /// Gathers the rows for `ids` into `out` (`ids.len() × dim`),
+    /// reusing its buffer.
+    pub fn forward_into(&self, ids: &[u32], out: &mut Matrix) {
+        out.reset_for_overwrite(ids.len(), self.dim());
         for (r, &id) in ids.iter().enumerate() {
             out.row_mut(r)
                 .copy_from_slice(self.table.value.row(id as usize));
         }
-        (out, EmbeddingCtx { ids: ids.to_vec() })
     }
 
-    /// Scatters `dout` rows back into the table gradient.
-    pub fn backward(&mut self, ctx: &EmbeddingCtx, dout: &Matrix) {
-        for (r, &id) in ctx.ids.iter().enumerate() {
+    /// Scatters `dout` row `r` into the gradient row of the `r`-th id,
+    /// in id order.
+    pub fn backward(&mut self, ids: impl IntoIterator<Item = u32>, dout: &Matrix) {
+        for (r, id) in ids.into_iter().enumerate() {
             let grad_row = self.table.grad.row_mut(id as usize);
             for (g, &d) in grad_row.iter_mut().zip(dout.row(r)) {
                 *g += d;
@@ -68,7 +65,8 @@ mod tests {
     fn gather_returns_table_rows() {
         let mut rng = StdRng::seed_from_u64(0);
         let emb = Embedding::new(5, 3, &mut rng);
-        let (out, _) = emb.forward(&[2, 2, 4]);
+        let mut out = Matrix::default();
+        emb.forward_into(&[2, 2, 4], &mut out);
         assert_eq!(out.row(0), emb.table.value.row(2));
         assert_eq!(out.row(1), emb.table.value.row(2));
         assert_eq!(out.row(2), emb.table.value.row(4));
@@ -78,9 +76,8 @@ mod tests {
     fn backward_scatters_and_accumulates_repeats() {
         let mut rng = StdRng::seed_from_u64(0);
         let mut emb = Embedding::new(4, 2, &mut rng);
-        let (_, ctx) = emb.forward(&[1, 1, 3]);
         let dout = Matrix::from_vec(3, 2, vec![1., 2., 10., 20., 5., 6.]);
-        emb.backward(&ctx, &dout);
+        emb.backward([1, 1, 3], &dout);
         assert_eq!(emb.table.grad.row(1), &[11., 22.]);
         assert_eq!(emb.table.grad.row(3), &[5., 6.]);
         assert_eq!(emb.table.grad.row(0), &[0., 0.]);

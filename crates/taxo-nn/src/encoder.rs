@@ -1,6 +1,6 @@
+use crate::scratch::EncoderGrads;
 use crate::{
-    losses, BlockCtx, Embedding, EmbeddingCtx, LayerNorm, LayerNormCtx, Matrix, Module, Param,
-    TransformerBlock,
+    BlockCtx, Embedding, LayerNorm, LayerNormCtx, Matrix, Module, Param, TransformerBlock,
 };
 use rand::rngs::StdRng;
 
@@ -46,6 +46,15 @@ impl EncoderConfig {
 /// model head — the substrate standing in for BERT-Chinese. "C-BERT" in
 /// the paper is exactly this encoder pretrained with *concept-level*
 /// masking on user-generated content (Section III-B1).
+///
+/// Training runs on reused buffers: [`TransformerEncoder::forward_ctx`]
+/// writes one sequence's activations into a caller-owned [`EncoderCtx`]
+/// and [`TransformerEncoder::backward_into`] takes its temporaries from an
+/// [`EncoderGrads`], so a warm training step allocates nothing. The
+/// allocating [`TransformerEncoder::forward`] wraps the same code;
+/// inference runs the same kernels batched through
+/// [`TransformerEncoder::forward_batch_into`].
+/// The MLM head lives in [`crate::mlm`].
 #[derive(Debug, Clone)]
 pub struct TransformerEncoder {
     pub config: EncoderConfig,
@@ -63,29 +72,30 @@ pub struct TransformerEncoder {
     pub mlm_bias: Param,
 }
 
-/// Saved activations for one encoder forward pass.
-#[derive(Debug, Clone)]
+/// Saved activations of one encoder training forward pass, reused from
+/// one sequence to the next: a warm context allocates only when a longer
+/// sequence than any before comes through.
+#[derive(Debug, Clone, Default)]
 pub struct EncoderCtx {
-    tok_ctx: EmbeddingCtx,
-    pos_ctx: EmbeddingCtx,
-    seg_ctx: EmbeddingCtx,
+    /// The token and segment ids encoded (after truncation): the
+    /// embedding backward scatters through them.
+    ids: Vec<u32>,
+    segments: Vec<u32>,
+    /// The residual stream, mutated in place through the blocks.
+    h: Matrix,
+    /// A sub-layer's output before its residual add.
+    tmp: Matrix,
     block_ctxs: Vec<BlockCtx>,
     final_ln_ctx: LayerNormCtx,
+    /// Per-token hidden states, the encoder output (`len × d_model`).
+    hidden: Matrix,
 }
 
-/// One MLM example's pending gradients, produced by the pure
-/// [`TransformerEncoder::mlm_forward`] and folded into the parameters by
-/// [`TransformerEncoder::mlm_apply`]. Splitting the fused step this way
-/// lets a pretraining window run its forwards in parallel while the
-/// gradient reduction stays in fixed example order.
-pub struct MlmGrads {
-    ctx: EncoderCtx,
-    /// Gradient w.r.t. the encoder output (masked rows scattered back).
-    d_hidden: Matrix,
-    /// Tied-head gradient for the token embedding table.
-    d_tok_table: Matrix,
-    /// Gradient for the MLM output bias.
-    d_mlm_bias: Matrix,
+impl EncoderCtx {
+    /// The hidden states of the last [`TransformerEncoder::forward_ctx`].
+    pub fn hidden(&self) -> &Matrix {
+        &self.hidden
+    }
 }
 
 impl TransformerEncoder {
@@ -105,59 +115,69 @@ impl TransformerEncoder {
         }
     }
 
-    /// MLM logits for a batch of hidden rows: `h · Eᵀ + b` with `E` the
-    /// tied token embedding table.
-    fn mlm_logits(&self, hidden_rows: &Matrix) -> Matrix {
-        let mut logits = hidden_rows.matmul_nt(&self.tok.table.value);
-        logits.add_row_broadcast(&self.mlm_bias.value);
-        logits
-    }
-
     /// Encodes a token-id sequence into per-token hidden states
     /// (`len × d_model`), all tokens in segment 0.
     pub fn forward(&self, ids: &[u32]) -> (Matrix, EncoderCtx) {
-        let segments = vec![0u32; ids.len()];
-        self.forward_with_segments(ids, &segments)
+        let mut ctx = EncoderCtx::default();
+        self.forward_ctx(ids, None, &mut ctx);
+        (std::mem::take(&mut ctx.hidden), ctx)
     }
 
     /// Encodes with explicit per-token segment ids (0 or 1). Sequences
-    /// longer than `max_len` are truncated.
+    /// longer than `max_len` are truncated. Wraps
+    /// [`TransformerEncoder::forward_ctx`].
     pub fn forward_with_segments(&self, ids: &[u32], segments: &[u32]) -> (Matrix, EncoderCtx) {
-        assert_eq!(ids.len(), segments.len(), "one segment id per token");
-        let n = ids.len().min(self.config.max_len);
-        let ids = &ids[..n];
-        let segments = &segments[..n];
-        assert!(!ids.is_empty(), "cannot encode an empty sequence");
-        let positions: Vec<u32> = (0..ids.len() as u32).collect();
-        let (tok_emb, tok_ctx) = self.tok.forward(ids);
-        let (pos_emb, pos_ctx) = self.pos.forward(&positions);
-        let (seg_emb, seg_ctx) = self.seg.forward(segments);
-        let mut h = tok_emb;
-        h.add_assign(&pos_emb);
-        h.add_assign(&seg_emb);
+        let mut ctx = EncoderCtx::default();
+        self.forward_ctx(ids, Some(segments), &mut ctx);
+        (std::mem::take(&mut ctx.hidden), ctx)
+    }
 
-        let mut block_ctxs = Vec::with_capacity(self.blocks.len());
-        for block in &self.blocks {
-            let (next, ctx) = block.forward(&h);
-            h = next;
-            block_ctxs.push(ctx);
+    /// Training forward of one sequence into a reused context: the
+    /// hidden states land in [`EncoderCtx::hidden`]. `segments` gives one
+    /// segment id (0 or 1) per token; `None` puts every token in segment
+    /// 0. Sequences longer than `max_len` are truncated.
+    pub fn forward_ctx(&self, ids: &[u32], segments: Option<&[u32]>, ctx: &mut EncoderCtx) {
+        if let Some(segments) = segments {
+            assert_eq!(ids.len(), segments.len(), "one segment id per token");
         }
-        let (out, final_ln_ctx) = self.final_ln.forward(&h);
-        (
-            out,
-            EncoderCtx {
-                tok_ctx,
-                pos_ctx,
-                seg_ctx,
-                block_ctxs,
-                final_ln_ctx,
-            },
-        )
+        let n = ids.len().min(self.config.max_len);
+        assert!(n > 0, "cannot encode an empty sequence");
+        ctx.ids.clear();
+        ctx.ids.extend_from_slice(&ids[..n]);
+        ctx.segments.clear();
+        match segments {
+            Some(segments) => ctx.segments.extend_from_slice(&segments[..n]),
+            None => ctx.segments.resize(n, 0),
+        }
+        self.embed_into(&ctx.ids, &ctx.segments, n, &mut ctx.h);
+        ctx.block_ctxs
+            .resize_with(self.blocks.len(), BlockCtx::default);
+        for (block, bctx) in self.blocks.iter().zip(&mut ctx.block_ctxs) {
+            block.forward_ctx(&mut ctx.h, bctx, &mut ctx.tmp);
+        }
+        self.final_ln
+            .forward_ctx(&ctx.h, &mut ctx.hidden, &mut ctx.final_ln_ctx);
+    }
+
+    /// The embedding layer of both paths: row `r` of `h` becomes
+    /// `tok[ids[r]] + pos[r % seq_len] + seg[segments[r]]`, summed in that
+    /// order per element.
+    fn embed_into(&self, ids: &[u32], segments: &[u32], seq_len: usize, h: &mut Matrix) {
+        self.tok.forward_into(ids, h);
+        for (r, &seg) in segments.iter().enumerate() {
+            let row = h.row_mut(r);
+            for (a, &b) in row.iter_mut().zip(self.pos.table.value.row(r % seq_len)) {
+                *a += b;
+            }
+            for (a, &b) in row.iter_mut().zip(self.seg.table.value.row(seg as usize)) {
+                *a += b;
+            }
+        }
     }
 
     /// Forward-only, allocation-free variant of
-    /// [`TransformerEncoder::forward_with_segments`] over a batch of
-    /// stacked equal-length sequences.
+    /// [`TransformerEncoder::forward_ctx`] over a batch of stacked
+    /// equal-length sequences.
     ///
     /// `ids`/`segments` hold `batch × seq_len` tokens row-major; the
     /// caller has already truncated to `max_len` (so `1 ≤ seq_len ≤
@@ -165,10 +185,10 @@ impl TransformerEncoder {
     /// `scratch.enc_out` (`batch·seq_len × d_model`); sequence `s` owns
     /// rows `s*seq_len .. (s+1)*seq_len`.
     ///
-    /// Embedding sums run tok → pos → seg per element like the allocating
-    /// path, blocks and the final LayerNorm are the `*_into` twins, so
-    /// each sequence's rows are bitwise identical to encoding it alone
-    /// with [`TransformerEncoder::forward_with_segments`].
+    /// The embedding sum is the shared one, blocks and the final LayerNorm
+    /// are the `*_into` twins of the training kernels, so each sequence's
+    /// rows are bitwise identical to encoding it alone with
+    /// [`TransformerEncoder::forward_with_segments`].
     pub fn forward_batch_into(
         &self,
         ids: &[u32],
@@ -184,23 +204,7 @@ impl TransformerEncoder {
             self.config.max_len
         );
         assert!(ids.len().is_multiple_of(seq_len), "ragged batch");
-        let rows = ids.len();
-        let d = self.config.d_model;
-
-        scratch.h.reset_for_overwrite(rows, d);
-        for (r, (&id, &seg)) in ids.iter().zip(segments).enumerate() {
-            let row = scratch.h.row_mut(r);
-            row.copy_from_slice(self.tok.table.value.row(id as usize));
-            let pos_row = self.pos.table.value.row(r % seq_len);
-            for (a, &b) in row.iter_mut().zip(pos_row) {
-                *a += b;
-            }
-            let seg_row = self.seg.table.value.row(seg as usize);
-            for (a, &b) in row.iter_mut().zip(seg_row) {
-                *a += b;
-            }
-        }
-
+        self.embed_into(ids, segments, seq_len, &mut scratch.h);
         for block in &self.blocks {
             block.forward_batch_in_place(&mut scratch.h, seq_len, &mut scratch.block);
         }
@@ -208,15 +212,18 @@ impl TransformerEncoder {
     }
 
     /// Backpropagates `d_hidden` (gradient w.r.t. the forward output)
-    /// through the whole encoder, accumulating parameter gradients.
-    pub fn backward(&mut self, ctx: &EncoderCtx, d_hidden: &Matrix) {
-        let mut d = self.final_ln.backward(&ctx.final_ln_ctx, d_hidden);
+    /// through the whole encoder, accumulating parameter gradients, with
+    /// every temporary taken from `g`: final LayerNorm, blocks last to
+    /// first, then the token, position and segment scatters.
+    pub fn backward_into(&mut self, ctx: &EncoderCtx, d_hidden: &Matrix, g: &mut EncoderGrads) {
+        self.final_ln
+            .backward_into(&ctx.final_ln_ctx, d_hidden, &mut g.d);
         for (block, bctx) in self.blocks.iter_mut().zip(&ctx.block_ctxs).rev() {
-            d = block.backward(bctx, &d);
+            block.backward_in_place(bctx, &mut g.d, &mut g.block);
         }
-        self.tok.backward(&ctx.tok_ctx, &d);
-        self.pos.backward(&ctx.pos_ctx, &d);
-        self.seg.backward(&ctx.seg_ctx, &d);
+        self.tok.backward(ctx.ids.iter().copied(), &g.d);
+        self.pos.backward(0..ctx.ids.len() as u32, &g.d);
+        self.seg.backward(ctx.segments.iter().copied(), &g.d);
     }
 
     /// Convenience: encode and return only the `[CLS]` (first-row) vector,
@@ -225,88 +232,6 @@ impl TransformerEncoder {
     pub fn cls_vector(&self, ids: &[u32]) -> Vec<f32> {
         let (h, _) = self.forward(ids);
         h.row(0).to_vec()
-    }
-
-    /// One MLM training example: `masked_ids` is the input with `[MASK]`
-    /// substitutions already applied; `targets` lists
-    /// `(position, original_id)` for every masked slot. Accumulates
-    /// gradients for all parameters (including the MLM head) and returns
-    /// the mean cross-entropy over the masked slots.
-    pub fn mlm_step(&mut self, masked_ids: &[u32], targets: &[(usize, u32)]) -> f32 {
-        let (loss, grads) = self.mlm_forward(masked_ids, targets);
-        if let Some(g) = &grads {
-            self.mlm_apply(g);
-        }
-        loss
-    }
-
-    /// The pure (`&self`) half of [`TransformerEncoder::mlm_step`]:
-    /// forward pass plus head-gradient computation, with **no** parameter
-    /// mutation. Returns `(loss, None)` when no target position survives
-    /// truncation. Several examples can run concurrently; applying the
-    /// returned [`MlmGrads`] in a fixed order via
-    /// [`TransformerEncoder::mlm_apply`] keeps accumulation deterministic
-    /// at any thread count.
-    pub fn mlm_forward(
-        &self,
-        masked_ids: &[u32],
-        targets: &[(usize, u32)],
-    ) -> (f32, Option<MlmGrads>) {
-        let (hidden, ctx) = self.forward(masked_ids);
-        let usable: Vec<(usize, u32)> = targets
-            .iter()
-            .copied()
-            .filter(|&(p, _)| p < hidden.rows())
-            .collect();
-        if usable.is_empty() {
-            return (0.0, None);
-        }
-        // Gather hidden rows at masked positions.
-        let gathered =
-            Matrix::from_fn(usable.len(), hidden.cols(), |r, c| hidden[(usable[r].0, c)]);
-        let logits = self.mlm_logits(&gathered);
-        let target_ids: Vec<usize> = usable.iter().map(|&(_, t)| t as usize).collect();
-        let (loss, dlogits) = losses::softmax_xent(&logits, &target_ids);
-        // Tied-head backward: d_gathered = dlogits · E, dE = dlogitsᵀ · h.
-        let d_gathered = dlogits.matmul(&self.tok.table.value);
-        let d_tok_table = dlogits.matmul_tn(&gathered);
-        let d_mlm_bias = dlogits.sum_rows();
-        // Scatter back to a full d_hidden.
-        let mut d_hidden = Matrix::zeros(hidden.rows(), hidden.cols());
-        for (r, &(p, _)) in usable.iter().enumerate() {
-            for c in 0..hidden.cols() {
-                d_hidden[(p, c)] += d_gathered[(r, c)];
-            }
-        }
-        (
-            loss,
-            Some(MlmGrads {
-                ctx,
-                d_hidden,
-                d_tok_table,
-                d_mlm_bias,
-            }),
-        )
-    }
-
-    /// The mutating half of [`TransformerEncoder::mlm_step`]: folds one
-    /// example's [`MlmGrads`] into the parameter gradients, matching the
-    /// accumulation order of the original fused step (head gradients
-    /// first, then the encoder backward pass).
-    pub fn mlm_apply(&mut self, grads: &MlmGrads) {
-        self.tok.table.grad.add_assign(&grads.d_tok_table);
-        self.mlm_bias.grad.add_assign(&grads.d_mlm_bias);
-        self.backward(&grads.ctx, &grads.d_hidden);
-    }
-
-    /// Predicted distribution over the vocabulary at `position` of the
-    /// encoded `ids` (used to inspect what MLM pretraining learned).
-    pub fn mlm_predict(&self, ids: &[u32], position: usize) -> Vec<f32> {
-        let (hidden, _) = self.forward(ids);
-        let row = Matrix::from_fn(1, hidden.cols(), |_, c| hidden[(position, c)]);
-        let mut logits = self.mlm_logits(&row);
-        logits.softmax_rows();
-        logits.row(0).to_vec()
     }
 }
 

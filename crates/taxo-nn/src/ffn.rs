@@ -1,20 +1,30 @@
-use crate::activations::{gelu_backward, gelu_forward};
-use crate::{Linear, LinearCtx, Matrix, Module, Param};
+use crate::activations::{gelu_backward_in_place, gelu_in_place};
+use crate::{Linear, Matrix, Module, Param};
 use rand::rngs::StdRng;
 
 /// The position-wise feed-forward block: `Linear → GELU → Linear`.
+///
+/// Training keeps its activations in a caller-owned [`FeedForwardCtx`]
+/// (`forward_ctx` / [`FeedForward::backward_into`]); the
+/// allocating [`FeedForward::forward`] / [`FeedForward::backward`] wrap
+/// the same code.
 #[derive(Debug, Clone)]
 pub struct FeedForward {
     pub lin1: Linear,
     pub lin2: Linear,
 }
 
-/// Saved activations for one [`FeedForward::forward`] call.
-#[derive(Debug, Clone)]
+/// Saved activations of one [`FeedForward`] training forward pass,
+/// reused from one sequence to the next.
+#[derive(Debug, Clone, Default)]
 pub struct FeedForwardCtx {
-    ctx1: LinearCtx,
-    ctx2: LinearCtx,
+    /// The block input; the caller writes it before
+    /// `forward_ctx`.
+    pub(crate) input: Matrix,
+    /// `lin1` output, the GELU input.
     pre_act: Matrix,
+    /// GELU output, `lin2`'s input.
+    act: Matrix,
 }
 
 impl FeedForward {
@@ -26,35 +36,54 @@ impl FeedForward {
         }
     }
 
+    /// Wraps `forward_ctx`.
     pub fn forward(&self, x: &Matrix) -> (Matrix, FeedForwardCtx) {
-        let (pre_act, ctx1) = self.lin1.forward(x);
-        let act = gelu_forward(&pre_act);
-        let (y, ctx2) = self.lin2.forward(&act);
-        (
-            y,
-            FeedForwardCtx {
-                ctx1,
-                ctx2,
-                pre_act,
-            },
-        )
+        let mut ctx = FeedForwardCtx::default();
+        ctx.input.copy_from(x);
+        let mut y = Matrix::default();
+        self.forward_ctx(&mut ctx, &mut y);
+        (y, ctx)
     }
 
-    /// Forward-only variant of [`FeedForward::forward`]: `hidden` and
+    /// Training forward over `ctx.input`, saving the pre-activation and
+    /// the GELU output in `ctx`.
+    pub(crate) fn forward_ctx(&self, ctx: &mut FeedForwardCtx, out: &mut Matrix) {
+        self.lin1.forward_into(&ctx.input, &mut ctx.pre_act);
+        ctx.act.copy_from(&ctx.pre_act);
+        gelu_in_place(ctx.act.data_mut());
+        self.lin2.forward_into(&ctx.act, out);
+    }
+
+    /// Forward-only variant of `forward_ctx`: `hidden` and
     /// `out` are caller-owned scratch. GELU runs in place over the hidden
-    /// buffer through the 8-wide lane kernel — the same elementwise
-    /// function as `gelu_forward`, so the result is bitwise identical to
-    /// the allocating path.
+    /// buffer through the same 8-wide lane kernel, so the result is
+    /// bitwise identical to the training path.
     pub fn forward_into(&self, x: &Matrix, hidden: &mut Matrix, out: &mut Matrix) {
         self.lin1.forward_into(x, hidden);
-        crate::activations::gelu_in_place(hidden.data_mut());
+        gelu_in_place(hidden.data_mut());
         self.lin2.forward_into(hidden, out);
     }
 
+    /// Wraps [`FeedForward::backward_into`].
     pub fn backward(&mut self, ctx: &FeedForwardCtx, dy: &Matrix) -> Matrix {
-        let d_act = self.lin2.backward(&ctx.ctx2, dy);
-        let d_pre = gelu_backward(&ctx.pre_act, &d_act);
-        self.lin1.backward(&ctx.ctx1, &d_pre)
+        let mut dx = Matrix::default();
+        self.backward_into(ctx, dy, &mut dx, &mut Matrix::default());
+        dx
+    }
+
+    /// Accumulates both layers' gradients and writes dx; `d_act` is
+    /// caller-owned scratch for the hidden-layer gradient, scaled by
+    /// GELU′ in place.
+    pub fn backward_into(
+        &mut self,
+        ctx: &FeedForwardCtx,
+        dy: &Matrix,
+        dx: &mut Matrix,
+        d_act: &mut Matrix,
+    ) {
+        self.lin2.backward_into(&ctx.act, dy, d_act);
+        gelu_backward_in_place(&ctx.pre_act, d_act);
+        self.lin1.backward_into(&ctx.input, d_act, dx);
     }
 }
 

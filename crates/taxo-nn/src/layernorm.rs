@@ -9,8 +9,10 @@ pub struct LayerNorm {
     pub eps: f32,
 }
 
-/// Saved statistics for one [`LayerNorm::forward`] call.
-#[derive(Debug, Clone)]
+/// Saved statistics of one [`LayerNorm`] training forward pass. Reused
+/// from call to call: [`LayerNorm::forward_ctx`] overwrites it and
+/// allocates only when a longer sequence than any before comes through.
+#[derive(Debug, Clone, Default)]
 pub struct LayerNormCtx {
     /// Normalised input x̂ (before γ/β).
     normalized: Matrix,
@@ -19,8 +21,8 @@ pub struct LayerNormCtx {
 }
 
 /// Per-row mean and 1/σ in the canonical lane order of [`crate::lanes`].
-/// The single shared implementation is what makes `forward` and
-/// `forward_into` bitwise identical by construction.
+/// The single shared implementation is what makes the training and
+/// inference forwards bitwise identical by construction.
 #[inline]
 pub(crate) fn row_stats(row: &[f32], eps: f32) -> (f32, f32) {
     let d = row.len();
@@ -39,76 +41,97 @@ impl LayerNorm {
         }
     }
 
-    /// Normalises each row of `x`.
+    /// Normalises each row of `x`. Wraps [`LayerNorm::forward_ctx`].
     pub fn forward(&self, x: &Matrix) -> (Matrix, LayerNormCtx) {
-        let (n, d) = (x.rows(), x.cols());
-        let mut normalized = Matrix::zeros(n, d);
-        let mut inv_std = Vec::with_capacity(n);
-        let mut out = Matrix::zeros(n, d);
-        for r in 0..n {
-            let row = x.row(r);
-            let (mean, istd) = row_stats(row, self.eps);
-            inv_std.push(istd);
-            for c in 0..d {
-                let xh = (row[c] - mean) * istd;
-                normalized[(r, c)] = xh;
-                out[(r, c)] = xh * self.gamma.value[(0, c)] + self.beta.value[(0, c)];
-            }
-        }
-        (
-            out,
-            LayerNormCtx {
-                normalized,
-                inv_std,
-            },
-        )
+        let mut out = Matrix::default();
+        let mut ctx = LayerNormCtx::default();
+        self.forward_ctx(x, &mut out, &mut ctx);
+        (out, ctx)
     }
 
-    /// Forward-only variant of [`LayerNorm::forward`]: writes into a
-    /// caller-owned buffer and skips the saved statistics. Row statistics
-    /// come from the shared [`row_stats`] kernel and the write loop
-    /// evaluates the exact same expressions in the same order, so the
-    /// output is bitwise identical.
+    /// Training forward: normalises each row of `x` into `out` and saves
+    /// x̂ and 1/σ in `ctx` for [`LayerNorm::backward_into`].
+    pub fn forward_ctx(&self, x: &Matrix, out: &mut Matrix, ctx: &mut LayerNormCtx) {
+        self.normalize(x, out, Some(ctx));
+    }
+
+    /// Forward-only variant of [`LayerNorm::forward_ctx`]: writes into a
+    /// caller-owned buffer and skips the saved statistics.
     pub fn forward_into(&self, x: &Matrix, out: &mut Matrix) {
+        self.normalize(x, out, None);
+    }
+
+    /// The one forward kernel: row statistics from the shared
+    /// [`row_stats`], then `x̂ = (x − μ)/σ` and `x̂·γ + β` per element in
+    /// the same expression order whether or not x̂ is saved.
+    fn normalize(&self, x: &Matrix, out: &mut Matrix, mut ctx: Option<&mut LayerNormCtx>) {
         let (n, d) = (x.rows(), x.cols());
         out.reset_for_overwrite(n, d);
+        if let Some(ctx) = ctx.as_deref_mut() {
+            ctx.normalized.reset_for_overwrite(n, d);
+            ctx.inv_std.clear();
+        }
+        let (gamma, beta) = (self.gamma.value.row(0), self.beta.value.row(0));
         for r in 0..n {
             let row = x.row(r);
             let (mean, istd) = row_stats(row, self.eps);
             let out_row = out.row_mut(r);
-            for c in 0..d {
-                let xh = (row[c] - mean) * istd;
-                out_row[c] = xh * self.gamma.value[(0, c)] + self.beta.value[(0, c)];
+            match ctx.as_deref_mut() {
+                Some(ctx) => {
+                    ctx.inv_std.push(istd);
+                    let xh_row = ctx.normalized.row_mut(r);
+                    for c in 0..d {
+                        let xh = (row[c] - mean) * istd;
+                        xh_row[c] = xh;
+                        out_row[c] = xh * gamma[c] + beta[c];
+                    }
+                }
+                None => {
+                    for c in 0..d {
+                        let xh = (row[c] - mean) * istd;
+                        out_row[c] = xh * gamma[c] + beta[c];
+                    }
+                }
             }
         }
     }
 
-    /// Accumulates dγ, dβ and returns dx.
+    /// Accumulates dγ, dβ and returns dx. Wraps
+    /// [`LayerNorm::backward_into`].
     pub fn backward(&mut self, ctx: &LayerNormCtx, dout: &Matrix) -> Matrix {
+        let mut dx = Matrix::default();
+        self.backward_into(ctx, dout, &mut dx);
+        dx
+    }
+
+    /// Accumulates dγ, dβ and writes dx into a caller-owned buffer. Each
+    /// `dx` row first holds dx̂ = dy ⊙ γ, the standard LayerNorm backward
+    /// `dx = (1/σ)(dx̂ − mean(dx̂) − x̂ · mean(dx̂ ⊙ x̂))` then overwrites it
+    /// element by element, so no per-row temporary is needed.
+    pub fn backward_into(&mut self, ctx: &LayerNormCtx, dout: &Matrix, dx: &mut Matrix) {
         let (n, d) = (dout.rows(), dout.cols());
-        let mut dx = Matrix::zeros(n, d);
+        dx.reset_for_overwrite(n, d);
+        let gamma = self.gamma.value.row(0);
+        let dgamma = self.gamma.grad.row_mut(0);
+        let dbeta = self.beta.grad.row_mut(0);
         for r in 0..n {
             let xh = ctx.normalized.row(r);
             let dy = dout.row(r);
-            // dγ, dβ.
             for c in 0..d {
-                self.gamma.grad[(0, c)] += dy[c] * xh[c];
-                self.beta.grad[(0, c)] += dy[c];
+                dgamma[c] += dy[c] * xh[c];
+                dbeta[c] += dy[c];
             }
-            // dx̂ = dy ⊙ γ; standard LayerNorm backward:
-            // dx = (1/σ)(dx̂ - mean(dx̂) - x̂ · mean(dx̂ ⊙ x̂)).
-            let mut dxh = vec![0.0f32; d];
+            let dxh = dx.row_mut(r);
             for c in 0..d {
-                dxh[c] = dy[c] * self.gamma.value[(0, c)];
+                dxh[c] = dy[c] * gamma[c];
             }
             let mean_dxh = dxh.iter().sum::<f32>() / d as f32;
             let mean_dxh_xh = dxh.iter().zip(xh).map(|(&a, &b)| a * b).sum::<f32>() / d as f32;
             let istd = ctx.inv_std[r];
             for c in 0..d {
-                dx[(r, c)] = istd * (dxh[c] - mean_dxh - xh[c] * mean_dxh_xh);
+                dxh[c] = istd * (dxh[c] - mean_dxh - xh[c] * mean_dxh_xh);
             }
         }
-        dx
     }
 }
 

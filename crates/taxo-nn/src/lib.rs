@@ -9,6 +9,10 @@
 //! exposes an explicit `forward(…) -> (output, ctx)` / `backward(ctx, d)`
 //! pair, and every backward pass is verified against central finite
 //! differences in its test module via [`gradcheck::check_gradients`].
+//! Those pairs wrap the training path proper, which writes activations
+//! into caller-owned contexts (`*_ctx`) and takes backward temporaries
+//! from caller-owned scratch (`*_into`, [`scratch`]), so a warm training
+//! step allocates nothing and computes the same bits.
 //!
 //! # Example: train the edge-classifier MLP
 //!
@@ -39,6 +43,7 @@ mod layernorm;
 mod linear;
 pub mod losses;
 mod matrix;
+pub mod mlm;
 mod mlp;
 mod optim;
 pub mod parallel;
@@ -50,17 +55,18 @@ mod serialize;
 
 pub use attention::{AttentionCtx, MultiHeadSelfAttention};
 pub use block::{BlockCtx, TransformerBlock};
-pub use embedding::{Embedding, EmbeddingCtx};
-pub use encoder::{EncoderConfig, EncoderCtx, MlmGrads, TransformerEncoder};
+pub use embedding::Embedding;
+pub use encoder::{EncoderConfig, EncoderCtx, TransformerEncoder};
 pub use ffn::{FeedForward, FeedForwardCtx};
 pub use layernorm::{LayerNorm, LayerNormCtx};
 pub use linear::{Linear, LinearCtx};
 pub use matrix::{softmax_in_place, Matrix};
+pub use mlm::{MlmCtx, MlmWindow};
 pub use mlp::{Mlp, MlpCtx};
 pub use optim::{Adam, Sgd};
 pub use parallel::Parallelism;
 pub use param::{Module, Param};
 pub use quant::{QuantEncoder, QuantLinear, QuantMatrix, QuantMlp};
 pub use schedule::{clip_grad_norm, LrSchedule};
-pub use scratch::{BlockScratch, Scratch};
+pub use scratch::{AttentionGrads, BlockGrads, BlockScratch, EncoderGrads, Scratch};
 pub use serialize::{load_params, save_params, LoadError};

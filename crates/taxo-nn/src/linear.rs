@@ -3,10 +3,14 @@ use rand::rngs::StdRng;
 
 /// A fully connected layer `y = x·Wᵀ + b` with `W: out × in`.
 ///
-/// Layers are *stateless across calls*: `forward` returns a [`LinearCtx`]
-/// capturing what `backward` needs, so one layer can appear several times
-/// in a computation graph (e.g. the four projections of attention applied
-/// to every sequence in a batch) without aliasing issues.
+/// Layers are *stateless across calls*: the saved activations live with
+/// the caller, so one layer can appear several times in a computation
+/// graph (e.g. the four projections of attention applied to every
+/// sequence in a batch) without aliasing issues. The training path
+/// ([`Linear::forward_into`] / [`Linear::backward_into`]) takes its input
+/// and output buffers from the caller and allocates nothing once they are
+/// warm; [`Linear::forward`] / [`Linear::backward`] wrap the same kernels
+/// for callers that want fresh matrices.
 #[derive(Debug, Clone)]
 pub struct Linear {
     pub w: Param,
@@ -28,27 +32,36 @@ impl Linear {
         }
     }
 
-    /// `x: n × in` → `n × out`.
+    /// `x: n × in` → `n × out`, saving a copy of `x` for
+    /// [`Linear::backward`]. Wraps [`Linear::forward_into`].
     pub fn forward(&self, x: &Matrix) -> (Matrix, LinearCtx) {
-        let mut y = x.matmul_nt(&self.w.value);
-        y.add_row_broadcast(&self.b.value);
+        let mut y = Matrix::default();
+        self.forward_into(x, &mut y);
         (y, LinearCtx { input: x.clone() })
     }
 
-    /// Forward-only variant of [`Linear::forward`]: writes into a
-    /// caller-owned buffer, saves no context, allocates nothing once `out`
-    /// is warm. Same kernels, bitwise-identical output.
+    /// `y = x·Wᵀ + b` into a caller-owned buffer; allocates nothing once
+    /// `out` is warm. The one forward kernel of training and inference.
     pub fn forward_into(&self, x: &Matrix, out: &mut Matrix) {
         x.matmul_nt_into(&self.w.value, out);
         out.add_row_broadcast(&self.b.value);
     }
 
-    /// Accumulates `dW`, `db` and returns `dx`.
+    /// Accumulates `dW`, `db` and returns `dx`. Wraps
+    /// [`Linear::backward_into`].
     pub fn backward(&mut self, ctx: &LinearCtx, dy: &Matrix) -> Matrix {
-        // dW = dyᵀ · x  (out × in), db = Σ rows of dy, dx = dy · W.
-        self.w.grad.add_assign(&dy.matmul_tn(&ctx.input));
-        self.b.grad.add_assign(&dy.sum_rows());
-        dy.matmul(&self.w.value)
+        let mut dx = Matrix::default();
+        self.backward_into(&ctx.input, dy, &mut dx);
+        dx
+    }
+
+    /// Backward pass for the forward input `x`: accumulates
+    /// `dW += dyᵀ · x` and `db += Σ rows of dy` without materialising
+    /// either product, and writes `dx = dy · W` into `dx`.
+    pub fn backward_into(&mut self, x: &Matrix, dy: &Matrix, dx: &mut Matrix) {
+        self.w.grad.add_matmul_tn(dy, x);
+        self.b.grad.add_sum_rows(dy);
+        dy.matmul_into(&self.w.value, dx);
     }
 
     /// Input dimension.

@@ -4,19 +4,27 @@ use crate::Matrix;
 /// `targets`. Returns `(loss, dlogits)` where `dlogits` already includes
 /// the `1/n` mean factor.
 pub fn softmax_xent(logits: &Matrix, targets: &[usize]) -> (f32, Matrix) {
+    let mut dlogits = logits.clone();
+    let loss = softmax_xent_in_place(&mut dlogits, targets);
+    (loss, dlogits)
+}
+
+/// [`softmax_xent`] over a caller-owned buffer: `logits` is overwritten
+/// with `dlogits`. Each target probability is read before its own element
+/// takes the `−1`, so the loss and gradient are the allocating form's bits.
+pub fn softmax_xent_in_place(logits: &mut Matrix, targets: &[usize]) -> f32 {
     assert_eq!(logits.rows(), targets.len());
     let n = targets.len().max(1) as f32;
-    let mut probs = logits.clone();
-    probs.softmax_rows();
+    logits.softmax_rows();
     let mut loss = 0.0f64;
-    let mut dlogits = probs.clone();
     for (r, &t) in targets.iter().enumerate() {
-        let p = probs[(r, t)].max(1e-12);
+        let row = logits.row_mut(r);
+        let p = row[t].max(1e-12);
         loss -= (p as f64).ln();
-        dlogits[(r, t)] -= 1.0;
+        row[t] -= 1.0;
     }
-    dlogits.scale(1.0 / n);
-    ((loss / n as f64) as f32, dlogits)
+    logits.scale(1.0 / n);
+    (loss / n as f64) as f32
 }
 
 /// Binary cross-entropy on a probability `p ∈ (0,1)` against `target ∈

@@ -160,10 +160,11 @@ impl Matrix {
         self.cols = cols;
     }
 
-    /// Copies `other` into `self`, reshaping via [`Matrix::reset`] (so the
-    /// buffer is reused; see its warm-up contract).
+    /// Copies `other` into `self`, reshaping via
+    /// [`Matrix::reset_for_overwrite`] (so the buffer is reused; see the
+    /// warm-up contract of [`Matrix::reset`]).
     pub fn copy_from(&mut self, other: &Matrix) {
-        self.reset(other.rows, other.cols);
+        self.reset_for_overwrite(other.rows, other.cols);
         self.data.copy_from_slice(&other.data);
     }
 
@@ -295,6 +296,61 @@ impl Matrix {
             }
         }
         out
+    }
+
+    /// `self += aᵀ · b`, bit for bit `self.add_assign(&a.matmul_tn(b))`
+    /// without the product matrix: the gradient-accumulation kernel of
+    /// every training backward pass (`dW += dyᵀ · x`, and the tied MLM
+    /// head's `dE += dlogitsᵀ · h`).
+    ///
+    /// Each output row is summed in a stack tile, `k` ascending from zero
+    /// with the same `a == 0.0` skip as [`Matrix::matmul_tn`], then added
+    /// to `self` once — the per-element order of the product followed by
+    /// the add. Sequential: training products sit far below the
+    /// parallel threshold, and `matmul_tn`'s parallel path computes the
+    /// same bits anyway.
+    pub fn add_matmul_tn(&mut self, a: &Matrix, b: &Matrix) {
+        const TILE: usize = 64;
+        assert_eq!(
+            a.rows, b.rows,
+            "add_matmul_tn: ({}x{})ᵀ · {}x{}",
+            a.rows, a.cols, b.rows, b.cols
+        );
+        assert_eq!((self.rows, self.cols), (a.cols, b.cols));
+        let mut tile = [0.0f32; TILE];
+        for i in 0..a.cols {
+            let out_row = &mut self.data[i * b.cols..(i + 1) * b.cols];
+            for (j0, out) in (0..b.cols).step_by(TILE).zip(out_row.chunks_mut(TILE)) {
+                let acc = &mut tile[..out.len()];
+                acc.fill(0.0);
+                for k in 0..a.rows {
+                    let x = a.data[k * a.cols + i];
+                    if x == 0.0 {
+                        continue;
+                    }
+                    for (o, &bv) in acc.iter_mut().zip(&b.row(k)[j0..]) {
+                        *o += x * bv;
+                    }
+                }
+                for (o, &t) in out.iter_mut().zip(acc.iter()) {
+                    *o += t;
+                }
+            }
+        }
+    }
+
+    /// `self += m.sum_rows()` for a `1 × cols` `self`, bit for bit, without
+    /// the row-sum vector: each column is summed from zero in ascending
+    /// row order, then added once.
+    pub fn add_sum_rows(&mut self, m: &Matrix) {
+        assert_eq!((self.rows, self.cols), (1, m.cols));
+        for (c, o) in self.data.iter_mut().enumerate() {
+            let mut sum = 0.0f32;
+            for r in 0..m.rows {
+                sum += m.data[r * m.cols + c];
+            }
+            *o += sum;
+        }
     }
 
     /// Explicit transpose, tiled in [`TRANSPOSE_BLOCK`]-square blocks so
@@ -692,6 +748,28 @@ mod tests {
         assert_eq!(mm_seq, mm_par, "matmul");
         assert_eq!(nt_seq, nt_par, "matmul_nt");
         assert_eq!(tn_seq, tn_par, "matmul_tn");
+    }
+
+    /// The fused accumulation kernels must add exactly the bits of the
+    /// product they replace, including across the 64-column stack tile
+    /// and over `a`'s zero-skipped scalars.
+    #[test]
+    fn fused_accumulations_match_product_then_add() {
+        for (rows, a_cols, b_cols) in [(1, 1, 1), (11, 16, 16), (3, 217, 16), (5, 7, 150)] {
+            let a = pseudo_random(rows, a_cols, 3);
+            let b = pseudo_random(rows, b_cols, 4);
+            let mut want = pseudo_random(a_cols, b_cols, 5);
+            let mut got = want.clone();
+            want.add_assign(&a.matmul_tn(&b));
+            got.add_matmul_tn(&a, &b);
+            assert_eq!(got, want, "add_matmul_tn {rows}x{a_cols}x{b_cols}");
+
+            let mut want = pseudo_random(1, b_cols, 6);
+            let mut got = want.clone();
+            want.add_assign(&b.sum_rows());
+            got.add_sum_rows(&b);
+            assert_eq!(got, want, "add_sum_rows {rows}x{b_cols}");
+        }
     }
 
     /// The naive index-by-index transpose the blocked kernel replaced;

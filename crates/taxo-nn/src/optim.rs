@@ -41,19 +41,16 @@ impl Adam {
         let bc2 = 1.0 - self.beta2.powf(t);
         let (lr, b1, b2, eps, wd) = (self.lr, self.beta1, self.beta2, self.eps, self.weight_decay);
         module.visit_params(&mut |p: &mut Param| {
-            let n = p.value.data().len();
-            let value = p.value.data_mut();
-            let grad = p.grad.data_mut();
-            let m = p.m.data_mut();
-            let v = p.v.data_mut();
-            for i in 0..n {
-                let g = grad[i];
-                m[i] = b1 * m[i] + (1.0 - b1) * g;
-                v[i] = b2 * v[i] + (1.0 - b2) * g * g;
-                let m_hat = m[i] / bc1;
-                let v_hat = v[i] / bc2;
-                value[i] -= lr * (m_hat / (v_hat.sqrt() + eps) + wd * value[i]);
-                grad[i] = 0.0;
+            let moments = p.m.data_mut().iter_mut().zip(p.v.data_mut());
+            let params = p.value.data_mut().iter_mut().zip(p.grad.data_mut());
+            for ((value, grad), (m, v)) in params.zip(moments) {
+                let g = *grad;
+                *m = b1 * *m + (1.0 - b1) * g;
+                *v = b2 * *v + (1.0 - b2) * g * g;
+                let m_hat = *m / bc1;
+                let v_hat = *v / bc2;
+                *value -= lr * (m_hat / (v_hat.sqrt() + eps) + wd * *value);
+                *grad = 0.0;
             }
         });
     }

@@ -2,8 +2,9 @@
 //!
 //! Every parallel code path in the workspace — threaded matmul kernels,
 //! data-parallel training batches, candidate-pair scoring — is built on
-//! the two primitives here ([`par_row_chunks_mut`] and [`par_map`]) and
-//! governed by one thread-count knob:
+//! the primitives here ([`par_row_chunks_mut`], and [`par_map`] with its
+//! slot-filling form [`par_map_into`]) and governed by one thread-count
+//! knob:
 //!
 //! * `TAXO_THREADS=<n>` environment variable (checked once, lazily);
 //!   `TAXO_THREADS=1` forces fully sequential execution.
@@ -23,7 +24,8 @@
 //! * [`par_map`] evaluates a pure function at every index and returns
 //!   results in index order; callers reduce the returned `Vec` in that
 //!   fixed order, so floating-point accumulation order never depends on
-//!   scheduling.
+//!   scheduling. [`par_map_into`] does the same into caller-owned slots
+//!   (a training window's reused per-example contexts).
 //!
 //! # The compute pool
 //!
@@ -147,23 +149,41 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
+    let mut out: Vec<Option<T>> = Vec::with_capacity(n);
+    out.resize_with(n, || None);
+    par_map_into(&mut out, |i, slot| *slot = Some(f(i)));
+    out.into_iter()
+        .map(|x| x.expect("par_map: every index filled"))
+        .collect()
+}
+
+/// [`par_map`] into caller-owned slots: runs `f(i, &mut items[i])` for
+/// every index across the configured threads, the slots split into the
+/// same contiguous chunks `par_map` uses, so each slot is written by
+/// exactly one thread. Training keeps one slot (a reused forward context)
+/// per example; when sequential this allocates nothing. Counted as a
+/// `par_map` call.
+pub fn par_map_into<T, F>(items: &mut [T], f: F)
+where
+    T: Send,
+    F: Fn(usize, &mut T) + Sync,
+{
+    let n = items.len();
     taxo_obs::counter!("nn.parallel.par_map_calls").inc();
     taxo_obs::counter!("nn.parallel.par_map_items").add(n as u64);
     let t = threads().min(n.max(1));
     if t <= 1 || n <= 1 {
-        return (0..n).map(f).collect();
+        for (i, item) in items.iter_mut().enumerate() {
+            f(i, item);
+        }
+        return;
     }
-    let mut out: Vec<Option<T>> = Vec::with_capacity(n);
-    out.resize_with(n, || None);
     let chunk = n.div_ceil(t);
-    run_parts(out.chunks_mut(chunk).collect(), |c, block| {
-        for (i, slot) in block.iter_mut().enumerate() {
-            *slot = Some(f(c * chunk + i));
+    run_parts(items.chunks_mut(chunk).collect(), |c, block| {
+        for (i, item) in block.iter_mut().enumerate() {
+            f(c * chunk + i, item);
         }
     });
-    out.into_iter()
-        .map(|x| x.expect("par_map: every index filled"))
-        .collect()
 }
 
 /// Runs `f(c, parts[c])` for every part: part 0 on the calling thread,

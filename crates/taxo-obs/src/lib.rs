@@ -56,7 +56,7 @@ pub use metrics::{
     registry, Counter, CounterSnapshot, Gauge, GaugeSnapshot, Histogram, HistogramSnapshot,
     MetricRegistry, DEFAULT_BOUNDS,
 };
-pub use span::{SpanGuard, SpanSnapshot};
+pub use span::{SpanGuard, SpanSite, SpanSnapshot};
 
 /// A point-in-time copy of every metric and span aggregate, sorted by
 /// name so two snapshots of identical recordings compare equal.

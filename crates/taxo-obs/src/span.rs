@@ -16,30 +16,64 @@
 //!   the innermost span currently open *on this thread*, for ad-hoc
 //!   drill-down without repeating the parent path.
 //!
+//! # Cost
+//!
+//! `span!` with an absolute string literal registers its aggregate once
+//! per call site, in a `static` (as `counter!` does), and records with
+//! three atomics — count, total, and max via `fetch_max` — so a warm
+//! absolute span takes no lock and allocates nothing (the per-thread
+//! stack of open spans stores the literal itself). Relative names, and
+//! names built at run time through [`enter`], resolve their path when
+//! they open and look their aggregate up in the global map when they
+//! close. Aggregates stay registered across [`reset_spans`], which zeroes
+//! them; [`snapshot_spans`] lists only the ones entered since.
+//!
 //! Span wall-times are the one observability output that is *not*
 //! thread-count invariant; determinism comparisons must use
 //! [`crate::MetricsSnapshot::deterministic`], which drops them.
 
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::{Mutex, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
-#[derive(Debug, Clone, Copy, Default)]
+/// The aggregate of one span path.
+#[derive(Debug, Default)]
 struct SpanStat {
-    count: u64,
-    total_ns: u64,
-    max_ns: u64,
+    count: AtomicU64,
+    total_ns: AtomicU64,
+    max_ns: AtomicU64,
 }
 
-fn store() -> &'static Mutex<BTreeMap<String, SpanStat>> {
-    static STORE: OnceLock<Mutex<BTreeMap<String, SpanStat>>> = OnceLock::new();
+impl SpanStat {
+    fn record(&self, ns: u64) {
+        self.count.fetch_add(1, Ordering::Relaxed);
+        self.total_ns.fetch_add(ns, Ordering::Relaxed);
+        self.max_ns.fetch_max(ns, Ordering::Relaxed);
+    }
+}
+
+fn store() -> &'static Mutex<BTreeMap<String, Arc<SpanStat>>> {
+    static STORE: OnceLock<Mutex<BTreeMap<String, Arc<SpanStat>>>> = OnceLock::new();
     STORE.get_or_init(|| Mutex::new(BTreeMap::new()))
+}
+
+/// The aggregate registered for `path`, created on first use.
+fn stat_for(path: &str) -> Arc<SpanStat> {
+    let mut map = store().lock().unwrap_or_else(|e| e.into_inner());
+    if let Some(stat) = map.get(path) {
+        return Arc::clone(stat);
+    }
+    let stat = Arc::new(SpanStat::default());
+    map.insert(path.to_owned(), Arc::clone(&stat));
+    stat
 }
 
 thread_local! {
     /// Paths of the spans currently open on this thread, outermost first.
-    static ACTIVE: RefCell<Vec<String>> = const { RefCell::new(Vec::new()) };
+    static ACTIVE: RefCell<Vec<Cow<'static, str>>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Aggregated timings of one span path.
@@ -64,12 +98,43 @@ impl SpanSnapshot {
 /// RAII timer for one span entry; records on drop.
 #[derive(Debug)]
 pub struct SpanGuard {
-    path: String,
+    path: Cow<'static, str>,
+    /// The call site's registered aggregate; `None` for a path resolved
+    /// at run time, whose aggregate is looked up on drop.
+    stat: Option<&'static SpanStat>,
     start: Instant,
 }
 
+/// One `span!` call site with a literal name: caches its aggregate in a
+/// `static`, registered on first entry. Built by [`crate::span!`].
+#[derive(Debug)]
+pub struct SpanSite {
+    name: &'static str,
+    stat: OnceLock<Arc<SpanStat>>,
+}
+
+impl SpanSite {
+    #[doc(hidden)]
+    pub const fn new(name: &'static str) -> Self {
+        SpanSite {
+            name,
+            stat: OnceLock::new(),
+        }
+    }
+
+    /// Opens a span at this site. Relative names take [`enter`]'s path.
+    pub fn enter(&'static self) -> SpanGuard {
+        if self.name.starts_with('.') {
+            return enter(self.name);
+        }
+        let stat: &'static SpanStat = self.stat.get_or_init(|| stat_for(self.name));
+        open(Cow::Borrowed(self.name), Some(stat))
+    }
+}
+
 /// Opens a span. Prefer the [`crate::span!`] macro, which reads as
-/// instrumentation at the call site.
+/// instrumentation at the call site and, for a literal name, skips the
+/// per-entry path allocation and map lookup.
 pub fn enter(name: &str) -> SpanGuard {
     let path = if let Some(rel) = name.strip_prefix('.') {
         ACTIVE.with(|stack| match stack.borrow().last() {
@@ -79,9 +144,14 @@ pub fn enter(name: &str) -> SpanGuard {
     } else {
         name.to_owned()
     };
+    open(Cow::Owned(path), None)
+}
+
+fn open(path: Cow<'static, str>, stat: Option<&'static SpanStat>) -> SpanGuard {
     ACTIVE.with(|stack| stack.borrow_mut().push(path.clone()));
     SpanGuard {
         path,
+        stat,
         start: Instant::now(),
     }
 }
@@ -97,12 +167,9 @@ impl Drop for SpanGuard {
                 stack.remove(pos);
             }
         });
-        {
-            let mut map = store().lock().unwrap_or_else(|e| e.into_inner());
-            let stat = map.entry(self.path.clone()).or_default();
-            stat.count += 1;
-            stat.total_ns = stat.total_ns.saturating_add(ns);
-            stat.max_ns = stat.max_ns.max(ns);
+        match self.stat {
+            Some(stat) => stat.record(ns),
+            None => stat_for(&self.path).record(ns),
         }
         crate::report::log_span_close(&self.path, ns);
     }
@@ -111,29 +178,43 @@ impl Drop for SpanGuard {
 /// Opens a wall-time span for the enclosing scope:
 /// `let _guard = span!("pipeline.mlm_pretrain");`. Binding the guard to
 /// `_` drops it immediately and times nothing — always name the binding.
+/// A string literal registers its aggregate once per call site; any
+/// other expression goes through [`span::enter`](crate::span::enter).
 #[macro_export]
 macro_rules! span {
+    ($name:literal) => {{
+        static SITE: $crate::span::SpanSite = $crate::span::SpanSite::new($name);
+        SITE.enter()
+    }};
     ($name:expr) => {
         $crate::span::enter($name)
     };
 }
 
-/// Sorted copy of every span aggregate.
+/// Sorted copy of every span aggregate entered since the last reset.
 pub fn snapshot_spans() -> Vec<SpanSnapshot> {
     let map = store().lock().unwrap_or_else(|e| e.into_inner());
     map.iter()
-        .map(|(path, s)| SpanSnapshot {
-            path: path.clone(),
-            count: s.count,
-            total_ns: s.total_ns,
-            max_ns: s.max_ns,
+        .filter_map(|(path, s)| {
+            let count = s.count.load(Ordering::Relaxed);
+            (count > 0).then(|| SpanSnapshot {
+                path: path.clone(),
+                count,
+                total_ns: s.total_ns.load(Ordering::Relaxed),
+                max_ns: s.max_ns.load(Ordering::Relaxed),
+            })
         })
         .collect()
 }
 
-/// Clears every span aggregate (open guards still record on drop).
+/// Zeroes every span aggregate (open guards still record on drop).
 pub fn reset_spans() {
-    store().lock().unwrap_or_else(|e| e.into_inner()).clear();
+    let map = store().lock().unwrap_or_else(|e| e.into_inner());
+    for s in map.values() {
+        s.count.store(0, Ordering::Relaxed);
+        s.total_ns.store(0, Ordering::Relaxed);
+        s.max_ns.store(0, Ordering::Relaxed);
+    }
 }
 
 #[cfg(test)]

@@ -21,6 +21,17 @@
 //! then renders it with [`Service::render`]. The router routes a burst
 //! to its shards and drains them inline, on the reactor thread.
 //!
+//! # Waiting
+//!
+//! An idle reactor sleeps in `epoll_wait` until the nearest deadline
+//! among its connections — a lingering close, an injected output delay,
+//! an idle close — and without bound when it has none: new connections,
+//! completions and shutdown all ring its inbox eventfd. Each wake-up
+//! (a *tick*) drains the inbox, serves ready sockets, then runs the
+//! linger, delay, shutdown and idle sweeps. While a fault plan is armed
+//! it ticks at least every 50 ms instead, so a ring swallowed by
+//! [`FAULT_WAKEUP`] still lands within one tick.
+//!
 //! # Readiness discipline (level-triggered, deliberately)
 //!
 //! Registrations never set `EPOLLET`. Level-triggered readiness means a
@@ -38,14 +49,15 @@
 //! * `EPOLLOUT` is armed **only while the write queue is non-empty**
 //!   (each arming counts `serve.reactor.stalled_writes`), and disarmed
 //!   the moment it drains — otherwise a mostly-idle writable socket
-//!   would wake the reactor on every tick.
+//!   would wake the reactor at once, every time it waits.
 //! * The wake eventfd is read only on a tick where its token fired.
 //!
 //! # Chaos points
 //!
 //! [`FAULT_READ`] is consulted once per read and [`FAULT_WRITE`] once
 //! per response frame, so an `nth` plan counts requests and responses;
-//! [`FAULT_WAKEUP`] once per inbox ring; [`FAULT_ACCEPT`] once per
+//! [`FAULT_WAKEUP`] once per inbox ring made while the reactor sleeps in
+//! a fault tick; [`FAULT_ACCEPT`] once per
 //! accepted connection. They fire on both tiers.
 //!
 //! The module is std-only: the syscalls it needs (`epoll_create1`,
@@ -75,12 +87,15 @@ pub const FAULT_READ: &str = "serve.conn.read";
 /// prefix of the frame first, so the tear is observable).
 ///
 /// A `delay:MS` at either point holds that connection's output back for
-/// MS (to the next 50 ms tick) while the reactor serves every other one.
+/// MS (the wait ends by the release) while the reactor serves every other
+/// one.
 pub const FAULT_WRITE: &str = "serve.conn.write";
-/// Chaos point at each inbox ring: `Fail` swallows the eventfd write (a
-/// lost wakeup). The queued item is *not* lost — every reactor tick
-/// re-drains its inbox, so the only effect is added latency, which is
-/// exactly the hazard a lost wakeup has in production.
+/// Chaos point at each inbox ring made while the reactor sleeps in a
+/// fault tick (a wait of at most 50 ms, which every wait is while a plan
+/// is armed): `Fail` swallows the eventfd write (a lost wakeup). The
+/// queued item is *not* lost — the tick ends and re-drains the inbox, so
+/// the only effect is added latency, which is exactly the hazard a lost
+/// wakeup has in production.
 pub const FAULT_WAKEUP: &str = "reactor.wakeup";
 /// Chaos point consulted once per accepted connection: `fail` drops the
 /// stream before its first byte, the "connection drop" fault.
@@ -89,6 +104,11 @@ pub const FAULT_ACCEPT: &str = "serve.accept";
 /// How long a gracefully closed connection keeps reading (and
 /// discarding) after its write half is shut, waiting for the peer's EOF.
 const LINGER: Duration = Duration::from_millis(250);
+
+/// The longest a reactor waits while a fault plan is armed, so a ring
+/// swallowed by [`FAULT_WAKEUP`] lands within one tick. Unarmed, a
+/// reactor sleeps until its next connection deadline.
+const FAULT_TICK_MS: i32 = 50;
 
 /// Most frames one `writev` gathers.
 const MAX_IOV: usize = 64;
@@ -315,7 +335,8 @@ fn token_gen(token: u64) -> u32 {
 }
 
 /// Begins a listener's shutdown: a flag the reactors read every tick,
-/// plus an eventfd that wakes the acceptor parked on the listener.
+/// plus an eventfd that wakes the acceptor parked on the listener (which
+/// then rings every reactor).
 pub struct ShutdownSignal {
     set: AtomicBool,
     wake: WakeFd,
@@ -394,6 +415,12 @@ struct Inbox<P> {
     conns: Mutex<Vec<TcpStream>>,
     completions: Mutex<Vec<Completion<P>>>,
     wake: WakeFd,
+    /// Set by the owning reactor only while it sleeps in a wait bounded by
+    /// [`FAULT_TICK_MS`] (a fault plan is armed). Only then may
+    /// [`FAULT_WAKEUP`] swallow a ring: a reactor that is working, or
+    /// sleeping until its next deadline, would otherwise miss the lost
+    /// ring for longer than a tick.
+    ticking: AtomicBool,
 }
 
 impl<P> Inbox<P> {
@@ -402,6 +429,7 @@ impl<P> Inbox<P> {
             conns: Mutex::new(Vec::new()),
             completions: Mutex::new(Vec::new()),
             wake: WakeFd::new()?,
+            ticking: AtomicBool::new(false),
         })
     }
 
@@ -422,11 +450,13 @@ impl<P> Inbox<P> {
     }
 
     /// Rings the eventfd. Under an injected [`FAULT_WAKEUP`] the ring is
-    /// swallowed — the queued item still lands on the next tick, so a
-    /// lost wakeup degrades latency, never correctness.
+    /// swallowed — only while the reactor sleeps in a bounded tick, so
+    /// the queued item still lands when the tick ends: a lost wakeup
+    /// degrades latency, never correctness. A reactor that went to sleep
+    /// before a plan was armed is always rung; it ticks from then on.
     fn wake(&self) {
         counter!("serve.reactor.wakeups").inc();
-        if taxo_fault::should_fail(FAULT_WAKEUP) {
+        if self.ticking.load(Ordering::SeqCst) && taxo_fault::should_fail(FAULT_WAKEUP) {
             return;
         }
         self.wake.ring();
@@ -487,8 +517,8 @@ pub fn spawn<S: Service>(
 /// of idle connections is the reactors' job, so the listener backlog and
 /// the fd limit are the only caps. Between connections it sleeps in
 /// `epoll_wait` on the listener and the [`ShutdownSignal`], with no
-/// timeout. Once shutdown begins it rings every reactor, so none sleeps
-/// out its tick, and exits.
+/// timeout. Once shutdown begins it rings every reactor, which may be
+/// sleeping without a deadline, and exits.
 fn accept_loop<S: Service>(
     listener: &TcpListener,
     poller: &Poller,
@@ -854,9 +884,24 @@ fn run<S: Service>(poller: Poller, inbox: &Arc<Inbox<S::Payload>>, service: &S) 
     let mut buf = vec![0u8; 16 * 1024];
     // Reused line list: the complete frames of one read.
     let mut lines = Vec::new();
+    // The clock read of the last tick. The next wait's timeout is counted
+    // from it, so the wait overruns a deadline by at most that tick's
+    // work and never ends early.
+    let mut now = Instant::now();
 
     loop {
-        let _ = poller.wait(&mut events, 50);
+        // `ticking` is set only for a wait bounded by the fault tick and
+        // cleared as soon as it ends, so a ring is never swallowed while
+        // this thread works or sleeps without bound.
+        let armed = taxo_fault::armed();
+        let timeout = wait_timeout_ms(&slab, service.idle_timeout(), armed, now);
+        if armed {
+            inbox.ticking.store(true, Ordering::SeqCst);
+        }
+        let _ = poller.wait(&mut events, timeout);
+        if armed {
+            inbox.ticking.store(false, Ordering::SeqCst);
+        }
         // Reset the eventfd before taking the inbox, so a push racing the
         // take rings it again; and only when it fired, so a tick woken by
         // sockets alone reads nothing extra.
@@ -864,7 +909,7 @@ fn run<S: Service>(poller: Poller, inbox: &Arc<Inbox<S::Payload>>, service: &S) 
             inbox.wake.drain();
         }
         // One clock read per tick stamps activity and drives the sweeps.
-        let now = Instant::now();
+        now = Instant::now();
 
         // Fresh connections from the acceptor. One that arrives after
         // shutdown began is registered anyway: the sweep below closes it
@@ -930,8 +975,9 @@ fn run<S: Service>(poller: Poller, inbox: &Arc<Inbox<S::Payload>>, service: &S) 
             }
         }
 
-        // Shutdown and idle sweeps (each tick; the 50ms wait timeout
-        // bounds how stale they can run).
+        // Shutdown and idle sweeps. Each wait ends by the nearest
+        // deadline they act on (see `wait_timeout_ms`), and shutdown rings
+        // the inbox, so they never run late.
         let shutting_down = service.is_shutdown();
         let idle_timeout = service.idle_timeout();
         for idx in 0..slab.conns.len() {
@@ -968,6 +1014,37 @@ fn run<S: Service>(poller: Poller, inbox: &Arc<Inbox<S::Payload>>, service: &S) 
         if shutting_down && slab.live == 0 {
             return;
         }
+    }
+}
+
+/// How long the next `epoll_wait` may sleep, in milliseconds from `now`:
+/// until the nearest deadline the sweeps act on — a lingering close
+/// giving up, an injected delay releasing held output, a drained
+/// connection going idle — rounded up, or `-1` (no bound) when there is
+/// none. Everything else that needs the reactor rings it: a new
+/// connection, a completion, shutdown (the acceptor rings every
+/// reactor). While `armed`, at most [`FAULT_TICK_MS`].
+fn wait_timeout_ms<T>(slab: &Slab<T>, idle_timeout: Duration, armed: bool, now: Instant) -> i32 {
+    let deadline = slab
+        .conns
+        .iter()
+        .flatten()
+        .filter_map(|conn| {
+            conn.linger_until.or(conn.hold_until).or_else(|| {
+                (!conn.closing && conn.drained())
+                    .then(|| conn.last_activity.checked_add(idle_timeout))
+                    .flatten()
+            })
+        })
+        .min();
+    let ms = deadline.map_or(-1, |d| {
+        let wait = d.saturating_duration_since(now);
+        i32::try_from(wait.as_nanos().div_ceil(1_000_000)).unwrap_or(i32::MAX)
+    });
+    if armed && !(0..=FAULT_TICK_MS).contains(&ms) {
+        FAULT_TICK_MS
+    } else {
+        ms
     }
 }
 
