@@ -179,16 +179,23 @@ pub fn collect_all_pairs(vocab: &Vocabulary, records: &[ClickRecord]) -> Vec<Can
 }
 
 /// Groups candidate pairs by query concept — the per-anchor candidate
-/// lists used by top-down inference.
+/// lists used by top-down inference, each sorted by clicks descending,
+/// then item id ascending.
 pub fn candidates_by_query(pairs: &[CandidatePair]) -> HashMap<ConceptId, Vec<CandidatePair>> {
     let mut map: HashMap<ConceptId, Vec<CandidatePair>> = HashMap::new();
     for &p in pairs {
         map.entry(p.query).or_default().push(p);
     }
     for v in map.values_mut() {
-        v.sort_by(|a, b| b.clicks.cmp(&a.clicks).then(a.item.cmp(&b.item)));
+        v.sort_by(candidate_order);
     }
     map
+}
+
+/// The order of one query's candidate list: most clicks first, then
+/// ascending item id.
+pub(crate) fn candidate_order(a: &CandidatePair, b: &CandidatePair) -> std::cmp::Ordering {
+    b.clicks.cmp(&a.clicks).then(a.item.cmp(&b.item))
 }
 
 #[cfg(test)]

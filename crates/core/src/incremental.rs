@@ -8,11 +8,19 @@
 //! candidates, and expands from the *current* state, so concepts attached
 //! yesterday can receive children today.
 //!
+//! The store is kept the way expansion reads it: one candidate list per
+//! query, in candidate order, updated in place per record and shared by
+//! `Arc` so that a serving layer freezes it without copying. Each ingest
+//! records what it changed ([`IngestChanges`]), so a serving layer can
+//! update what it derives from the state instead of rebuilding it.
+//!
 //! The session also owns its detector's [`PairScores`] table: each ingest
 //! scores only the candidate pairs the table lacks, in one batched pass,
-//! and expansion reads the table. A serving layer shares the same table
-//! (by `Arc`) to answer reads without running the encoder.
+//! and expansion reads the table. A serving layer reads the same table
+//! while it builds a snapshot, to answer reads without running the
+//! encoder.
 
+use crate::graph_construction::candidate_order;
 use crate::inference::expand_scored;
 use crate::pair_scores::{self, PairScores};
 use crate::{candidates_by_query, CandidatePair, ExpansionConfig, HypoDetector, ScratchPool};
@@ -23,17 +31,25 @@ use taxo_obs::{counter, gauge, span};
 use taxo_synth::ClickRecord;
 use taxo_text::ConceptMatcher;
 
+/// Each query's candidates, most clicks first, then ascending item id —
+/// the lists [`candidates_by_query`] returns, one `Arc` per query so that
+/// snapshots share every list an ingest leaves alone.
+pub type CandidateLists = HashMap<ConceptId, Arc<Vec<CandidatePair>>>;
+
 /// A running expansion session over a stream of click-log batches.
 pub struct IncrementalExpander {
     detector: HypoDetector,
     taxonomy: Taxonomy,
     /// Accumulated (query, item) click counts across all ingested batches.
-    pair_counts: HashMap<(ConceptId, ConceptId), u64>,
+    candidates: CandidateLists,
     cfg: ExpansionConfig,
     batches: usize,
     /// Scores of every pair in the scored window under `detector`; never
     /// persisted, and empty again after [`IncrementalExpander::restore`].
-    scores: Arc<PairScores>,
+    scores: PairScores,
+    /// Whether `scores` holds the window of every query. From then on an
+    /// ingest can only bring new pairs into the lists it changed.
+    covered: bool,
     /// Candidates per query the table covers: the expansion cap, widened
     /// by [`IncrementalExpander::cover_window`].
     window: usize,
@@ -43,6 +59,8 @@ pub struct IncrementalExpander {
     /// that vocabulary's length. Concepts are only ever appended, so a
     /// vocabulary of the same length is the same vocabulary.
     matcher: Option<(usize, ConceptMatcher)>,
+    /// What the last ingest changed.
+    changes: IngestChanges,
 }
 
 /// The complete durable state of a session — everything
@@ -75,29 +93,46 @@ pub struct IngestReport {
     pub total_relations: usize,
 }
 
+/// The parts of a session's state one ingest changed — empty before the
+/// first ingest and after a restore.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct IngestChanges {
+    /// Queries whose candidate list changed (a new pair or more clicks),
+    /// ascending.
+    pub queries: Vec<ConceptId>,
+    /// Pairs new to the candidate store, ascending.
+    pub new_pairs: Vec<(ConceptId, ConceptId)>,
+    /// Every edge whose presence in the taxonomy changed: the relations
+    /// the batch attached (pruning removes only edges the same expansion
+    /// added, never one the taxonomy held before).
+    pub edges: Vec<Edge>,
+}
+
 impl IncrementalExpander {
     /// Starts a session from a trained detector and the current taxonomy.
     pub fn new(detector: HypoDetector, initial: Taxonomy, cfg: ExpansionConfig) -> Self {
-        IncrementalExpander::from_parts(detector, initial, HashMap::new(), cfg, 0)
+        IncrementalExpander::from_parts(detector, initial, CandidateLists::new(), cfg, 0)
     }
 
     fn from_parts(
         detector: HypoDetector,
         taxonomy: Taxonomy,
-        pair_counts: HashMap<(ConceptId, ConceptId), u64>,
+        candidates: CandidateLists,
         cfg: ExpansionConfig,
         batches: usize,
     ) -> Self {
         IncrementalExpander {
             detector,
             taxonomy,
-            pair_counts,
+            candidates,
             window: cfg.max_candidates_per_query,
             cfg,
             batches,
-            scores: Arc::default(),
+            scores: PairScores::default(),
+            covered: false,
             pool: ScratchPool::new(),
             matcher: None,
+            changes: IngestChanges::default(),
         }
     }
 
@@ -111,11 +146,7 @@ impl IncrementalExpander {
         pairs: &[CandidatePair],
         cfg: ExpansionConfig,
     ) -> Self {
-        let mut session = IncrementalExpander::new(detector, initial, cfg);
-        for p in pairs {
-            *session.pair_counts.entry((p.query, p.item)).or_insert(0) += p.clicks;
-        }
-        session
+        IncrementalExpander::from_parts(detector, initial, lists_of(pairs), cfg, 0)
     }
 
     /// Merges one batch of click records, scores the pairs of the window
@@ -130,6 +161,8 @@ impl IncrementalExpander {
             self.matcher = Some((vocab.len(), ConceptMatcher::new(vocab)));
         }
         let (_, matcher) = self.matcher.as_ref().expect("matcher built above");
+        let mut queries = Vec::new();
+        let mut new_pairs = Vec::new();
         for r in records {
             let Some(item) = matcher.identify(&r.item_text) else {
                 continue;
@@ -137,20 +170,34 @@ impl IncrementalExpander {
             if item == r.query {
                 continue;
             }
-            *self.pair_counts.entry((r.query, item)).or_insert(0) += r.count;
+            if let Some(is_new) = add_clicks(&mut self.candidates, r.query, item, r.count) {
+                queries.push(r.query);
+                if is_new {
+                    new_pairs.push((r.query, item));
+                }
+            }
         }
-        let pairs = self.candidate_pairs();
-        let by_query = candidates_by_query(&pairs);
-        self.fill_window(vocab, &by_query);
-        let result = expand_scored(&self.scores, &self.taxonomy, &by_query, &self.cfg);
+        queries.sort_unstable();
+        queries.dedup();
+        new_pairs.sort_unstable();
+        // Once the table covers every window, only the lists this batch
+        // changed can hold pairs it lacks.
+        self.fill_window(vocab, self.covered.then_some(queries.as_slice()));
+        let result = expand_scored(&self.scores, &self.taxonomy, &self.candidates, &self.cfg);
         let attached = result.surviving_edges();
         self.taxonomy = result.expanded;
+        let known_pairs = self.candidates.values().map(|list| list.len()).sum();
         counter!("incremental.attached").add(attached.len() as u64);
-        gauge!("incremental.known_pairs").set(pairs.len() as i64);
+        gauge!("incremental.known_pairs").set(known_pairs as i64);
         gauge!("incremental.total_relations").set(self.taxonomy.edge_count() as i64);
+        self.changes = IngestChanges {
+            queries,
+            new_pairs,
+            edges: attached.clone(),
+        };
         IngestReport {
             batch: self.batches,
-            known_pairs: pairs.len(),
+            known_pairs,
             attached,
             total_relations: self.taxonomy.edge_count(),
         }
@@ -162,30 +209,29 @@ impl IncrementalExpander {
     /// ingest keeps the wider window covered.
     pub fn cover_window(&mut self, vocab: &Vocabulary, cap: usize) {
         self.window = self.window.max(cap);
-        let by_query = candidates_by_query(&self.candidate_pairs());
-        self.fill_window(vocab, &by_query);
+        self.fill_window(vocab, None);
     }
 
-    fn fill_window(
-        &mut self,
-        vocab: &Vocabulary,
-        by_query: &HashMap<ConceptId, Vec<CandidatePair>>,
-    ) {
-        let missing = self
-            .scores
-            .missing(pair_scores::window(by_query, self.window));
-        if !missing.is_empty() {
-            // Snapshots sharing the current table keep it; the session
-            // continues on a copy that also holds the new pairs.
-            Arc::make_mut(&mut self.scores).fill(&self.detector, vocab, missing, &self.pool);
-        }
+    /// Scores the pairs the table lacks in the window of `queries`, or of
+    /// every query when `None`.
+    fn fill_window(&mut self, vocab: &Vocabulary, queries: Option<&[ConceptId]>) {
+        let lists = &self.candidates;
+        let missing = match queries {
+            Some(queries) => self.scores.missing(pair_scores::window(
+                queries.iter().filter_map(|q| lists.get_key_value(q)),
+                self.window,
+            )),
+            None => self.scores.missing(pair_scores::window(lists, self.window)),
+        };
+        self.scores.fill(&self.detector, vocab, missing, &self.pool);
+        self.covered = true;
     }
 
     /// The detector's score table. After an ingest or a
     /// [`IncrementalExpander::cover_window`] it holds every pair of the
     /// window (the top candidates of each query, self-pairs removed),
     /// plus pairs that have since dropped out of it.
-    pub fn scores(&self) -> &Arc<PairScores> {
+    pub fn scores(&self) -> &PairScores {
         &self.scores
     }
 
@@ -195,20 +241,28 @@ impl IncrementalExpander {
     }
 
     /// The accumulated candidate store as a deterministically ordered
-    /// pair list (sorted by query then item) — the snapshot-extraction
-    /// surface a serving layer freezes after each ingest.
+    /// pair list (sorted by query then item) — what
+    /// [`IncrementalExpander::state`] persists.
     pub fn candidate_pairs(&self) -> Vec<CandidatePair> {
         let mut pairs: Vec<CandidatePair> = self
-            .pair_counts
-            .iter()
-            .map(|(&(query, item), &clicks)| CandidatePair {
-                query,
-                item,
-                clicks,
-            })
+            .candidates
+            .values()
+            .flat_map(|list| list.iter().copied())
             .collect();
-        pairs.sort_by_key(|p| (p.query, p.item));
+        pairs.sort_unstable_by_key(|p| (p.query, p.item));
         pairs
+    }
+
+    /// The accumulated candidate store as expansion reads it: equal to
+    /// [`candidates_by_query`] of [`IncrementalExpander::candidate_pairs`],
+    /// without the regrouping.
+    pub fn candidates(&self) -> &CandidateLists {
+        &self.candidates
+    }
+
+    /// What the last ingest changed.
+    pub fn changes(&self) -> &IngestChanges {
+        &self.changes
     }
 
     /// The expansion configuration each ingest expands under.
@@ -240,20 +294,76 @@ impl IncrementalExpander {
     ///
     /// A restored session is behaviorally identical to the original:
     /// scoring consults only the detector, and expansion consults the
-    /// taxonomy as an edge set and the pair store as a sorted list, so
-    /// neither depends on the in-memory insertion order lost and
-    /// recreated by the disk round trip.
+    /// taxonomy as an edge set and each query's candidates in candidate
+    /// order, so neither depends on the in-memory insertion order lost
+    /// and recreated by the disk round trip.
     ///
     /// The score table starts empty (with the window back at the
     /// expansion cap): restoring under a promoted detector can never
     /// carry the previous detector's scores.
     pub fn restore(detector: HypoDetector, cfg: ExpansionConfig, state: ExpanderState) -> Self {
-        let mut pair_counts = HashMap::with_capacity(state.pairs.len());
-        for p in &state.pairs {
-            *pair_counts.entry((p.query, p.item)).or_insert(0) += p.clicks;
-        }
-        IncrementalExpander::from_parts(detector, state.taxonomy, pair_counts, cfg, state.batches)
+        let candidates = lists_of(&state.pairs);
+        IncrementalExpander::from_parts(detector, state.taxonomy, candidates, cfg, state.batches)
     }
+}
+
+/// The candidate lists of `pairs`, with the clicks of a repeated pair
+/// summed.
+fn lists_of(pairs: &[CandidatePair]) -> CandidateLists {
+    let mut clicks: HashMap<(ConceptId, ConceptId), u64> = HashMap::with_capacity(pairs.len());
+    for p in pairs {
+        *clicks.entry((p.query, p.item)).or_insert(0) += p.clicks;
+    }
+    let merged: Vec<CandidatePair> = clicks
+        .into_iter()
+        .map(|((query, item), clicks)| CandidatePair {
+            query,
+            item,
+            clicks,
+        })
+        .collect();
+    candidates_by_query(&merged)
+        .into_iter()
+        .map(|(query, list)| (query, Arc::new(list)))
+        .collect()
+}
+
+/// Adds `clicks` to the pair `(query, item)`, keeping the query's list in
+/// candidate order; the list is copied first only while a snapshot
+/// shares it. Returns `None` when the list is unchanged, else whether
+/// the pair is new.
+fn add_clicks(
+    lists: &mut CandidateLists,
+    query: ConceptId,
+    item: ConceptId,
+    clicks: u64,
+) -> Option<bool> {
+    let list = lists.entry(query).or_default();
+    let found = list.iter().position(|p| p.item == item);
+    if found.is_some() && clicks == 0 {
+        return None;
+    }
+    let list = Arc::make_mut(list);
+    let mut at = match found {
+        Some(at) => {
+            list[at].clicks += clicks;
+            at
+        }
+        None => {
+            list.push(CandidatePair {
+                query,
+                item,
+                clicks,
+            });
+            list.len() - 1
+        }
+    };
+    // Clicks only grow, so a pair can only move toward the front.
+    while at > 0 && candidate_order(&list[at], &list[at - 1]).is_lt() {
+        list.swap(at - 1, at);
+        at -= 1;
+    }
+    Some(found.is_none())
 }
 
 #[cfg(test)]

@@ -152,10 +152,12 @@ pub fn expand_taxonomy(
 /// The traversal and pruning of [`expand_taxonomy`], reading every score
 /// from `scores`, which must hold each pair of the expansion window
 /// (`cfg.max_candidates_per_query` per query, self-pairs removed).
-pub(crate) fn expand_scored(
+/// `by_query` holds each query's candidates in
+/// [`crate::graph_construction::candidate_order`].
+pub(crate) fn expand_scored<L: AsRef<Vec<CandidatePair>>>(
     scores: &PairScores,
     existing: &Taxonomy,
-    by_query: &HashMap<ConceptId, Vec<CandidatePair>>,
+    by_query: &HashMap<ConceptId, L>,
     cfg: &ExpansionConfig,
 ) -> ExpansionResult {
     let _run = span!("expand.run");
@@ -177,6 +179,7 @@ pub(crate) fn expand_scored(
         // candidate order, so the expansion is identical at any thread
         // count.
         let eligible: Vec<ConceptId> = candidates
+            .as_ref()
             .iter()
             .take(cfg.max_candidates_per_query)
             .map(|c| c.item)

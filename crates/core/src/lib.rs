@@ -71,7 +71,9 @@ pub use graph_construction::{
     candidates_by_query, collect_all_pairs, construct_graph, CandidatePair, ConstructionResult,
     ConstructionStats,
 };
-pub use incremental::{ExpanderState, IncrementalExpander, IngestReport};
+pub use incremental::{
+    CandidateLists, ExpanderState, IncrementalExpander, IngestChanges, IngestReport,
+};
 pub use inference::{expand_taxonomy, ExpansionConfig, ExpansionConfigBuilder, ExpansionResult};
 pub use pair_scores::PairScores;
 pub use pipeline::{PipelineConfig, PipelineConfigBuilder, TrainedPipeline};

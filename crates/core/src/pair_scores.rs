@@ -67,14 +67,15 @@ impl PairScores {
     }
 }
 
-/// The top `cap` candidates of every query, self-pairs removed — the
-/// pairs a window of `cap` candidates per query can ever score.
-pub(crate) fn window(
-    by_query: &HashMap<ConceptId, Vec<CandidatePair>>,
+/// The top `cap` candidates of each listed query, self-pairs removed —
+/// the pairs a window of `cap` candidates per query can ever score.
+pub(crate) fn window<'a, L: AsRef<Vec<CandidatePair>> + 'a>(
+    lists: impl IntoIterator<Item = (&'a ConceptId, &'a L)> + 'a,
     cap: usize,
-) -> impl Iterator<Item = (ConceptId, ConceptId)> + '_ {
-    by_query.iter().flat_map(move |(&query, list)| {
-        list.iter()
+) -> impl Iterator<Item = (ConceptId, ConceptId)> + 'a {
+    lists.into_iter().flat_map(move |(&query, list)| {
+        list.as_ref()
+            .iter()
             .take(cap)
             .filter(move |p| p.item != query)
             .map(move |p| (query, p.item))

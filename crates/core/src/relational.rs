@@ -191,21 +191,34 @@ impl RelationalModel {
         // parallel and reduces gradients in index order, so results are
         // thread-count invariant (see `MlmWindow::flush`).
         let mut window = MlmWindow::new();
+        // A sentence's tokens and concept mentions depend only on the
+        // sentence: found once per call, not once per epoch.
+        let sentences: Vec<_> = corpus
+            .iter()
+            .map(|sentence| {
+                let body = model.tokens.encode(sentence);
+                let spans = if cfg.concept_level_masking && !body.is_empty() {
+                    matcher.identify_all(sentence)
+                } else {
+                    Vec::new()
+                };
+                (body, spans)
+            })
+            .collect();
         let (mut ids, mut masked, mut targets) = (Vec::new(), Vec::new(), Vec::new());
         for _ in 0..cfg.pretrain_epochs {
             order.shuffle(&mut rng);
             let mut total = 0.0f64;
             let mut counted = 0usize;
             for &si in &order {
-                let sentence = &corpus[si];
-                let body = model.tokens.encode(sentence);
+                let (body, spans) = &sentences[si];
                 if body.is_empty() {
                     continue;
                 }
                 // Sequence: [CLS] body [SEP]; body token t sits at t+1.
                 ids.clear();
                 ids.push(CLS);
-                ids.extend_from_slice(&body);
+                ids.extend_from_slice(body);
                 ids.push(SEP);
 
                 let mask_positions: Vec<usize> = if cfg.concept_level_masking {
@@ -213,7 +226,6 @@ impl RelationalModel {
                     // keeping any other mention visible: the model must
                     // recover a concept from its relational partner, which
                     // is precisely the hyponymy signal UGC carries.
-                    let spans = matcher.identify_all(sentence);
                     let mut pos = Vec::new();
                     if !spans.is_empty() {
                         let (start, len, _) = spans[rng.random_range(0..spans.len())];

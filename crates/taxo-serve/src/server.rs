@@ -25,11 +25,12 @@
 //! A pair's f32 score depends only on the detector, so the
 //! [`IncrementalExpander`] scores each candidate pair once per detector
 //! (at bind for the served window, at ingest for pairs new to it, once
-//! more after a promotion) and every snapshot shares that table by `Arc`.
-//! An f32 response changes only when a snapshot is published, so each
-//! snapshot also ranks and renders every served query once, into its
-//! response index; an ingest's snapshot re-renders only the queries
-//! whose ranked list changed.
+//! more after a promotion), and a snapshot reads that table while it
+//! builds. An f32 response changes only when a snapshot is published, so
+//! the first snapshot ranks and renders every served query once, into
+//! its response index; an ingest's snapshot ranks again only the queries
+//! the ingest changed and re-renders only those whose ranked list
+//! changed.
 //!
 //! Every queue is a [`BoundedQueue`]: when one fills up the server sheds
 //! the request with a `busy` response instead of stalling the socket.
@@ -1364,7 +1365,11 @@ fn ingest_loop(
             })
             .collect();
         if let Some(w) = wal.as_mut() {
-            if let Err(point) = wal_commit_group(w, &jobs, &plans) {
+            let committed = {
+                let _g = span!("serve.wal.commit");
+                wal_commit_group(w, &jobs, &plans)
+            };
+            if let Err(point) = committed {
                 // Simulated crash. Dropping `jobs` (and everything still
                 // queued) drops their reply senders: clients see a dead
                 // channel, the ambiguous no-ack a real crash produces.
@@ -1425,7 +1430,7 @@ fn ingest_loop(
                         drain_orphans(shared);
                         return;
                     }
-                    let _g = span!("serve.promote.apply");
+                    let apply = span!("serve.promote.apply");
                     let detector = promoted;
                     let quant = Arc::new(QuantizedDetector::from_detector(Arc::clone(&detector)));
                     // The expander re-anchors on the promoted detector:
@@ -1447,6 +1452,7 @@ fn ingest_loop(
                         &expander,
                         shared.cfg.max_candidates,
                     ));
+                    drop(apply);
                     last = Arc::clone(&next);
                     counter!("serve.ingest.applied").inc();
                     counter!("serve.promote.applied").inc();
@@ -1482,7 +1488,7 @@ fn ingest_loop(
             // Delay-only chaos point: a slow rebuild stalls the single
             // writer and backs pressure up into the ingest queue.
             let _ = taxo_fault::inject("serve.ingest.apply");
-            let _g = span!("serve.ingest.apply");
+            let apply = span!("serve.ingest.apply");
             let (records, matched, skipped) = durable::match_records(vocab, &batch_records);
             counter!("serve.ingest.records_matched").add(matched);
             counter!("serve.ingest.records_skipped").add(skipped);
@@ -1495,10 +1501,12 @@ fn ingest_loop(
                 Arc::new(last.successor(
                     version,
                     expander.taxonomy().clone(),
-                    &expander.candidate_pairs(),
-                    Arc::clone(expander.scores()),
+                    expander.candidates(),
+                    expander.changes(),
+                    expander.scores(),
                 ))
             };
+            drop(apply);
             last = Arc::clone(&next);
             let summary = IngestSummary {
                 batch: report.batch as u64,
@@ -1534,6 +1542,7 @@ fn ingest_loop(
     // same at-least-prepared outcome a crash would leave behind.
     if let Some(w) = wal.as_mut() {
         if !shared.is_crashed() {
+            let _g = span!("serve.wal.checkpoint");
             if let Err(e) = durable::persist_state(
                 &w.dir,
                 ledger_version,
@@ -1594,6 +1603,7 @@ fn checkpoint_state(
     if !version.is_multiple_of(w.snapshot_every) {
         return;
     }
+    let _g = span!("serve.wal.checkpoint");
     match durable::persist_state(&w.dir, version, vocab, &expander.state(), w.writer.offset()) {
         Ok(()) => {}
         Err(e) => {

@@ -1,9 +1,9 @@
 //! Immutable serving snapshots and the hot-swap store.
 //!
 //! A [`ServeSnapshot`] is everything a `score` request reads — detector,
-//! vocabulary, taxonomy, the mined candidate index, the detector's
-//! score table, and the f32 response index ranked and rendered from it —
-//! frozen at one version. Snapshots are immutable once built: the
+//! vocabulary, taxonomy, the mined candidate index, and the f32 response
+//! index ranked and rendered from the detector's score table — frozen at
+//! one version. Snapshots are immutable once built: the
 //! ingest thread builds a **new** snapshot after every
 //! [`taxo_expand::IncrementalExpander`] batch and publishes it through
 //! [`SnapshotStore`]; requests in flight keep the `Arc` they started
@@ -22,7 +22,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use taxo_core::{ConceptId, Taxonomy, Vocabulary};
 use taxo_expand::{
-    CandidatePair, HypoDetector, IncrementalExpander, PairScores, QuantizedDetector,
+    CandidateLists, CandidatePair, HypoDetector, IncrementalExpander, IngestChanges, PairScores,
+    QuantizedDetector,
 };
 
 /// Candidate pairs sampled per snapshot build to measure the realized
@@ -56,17 +57,14 @@ pub struct ServeSnapshot {
     /// on live data, set on the `serve.quant.max_abs_divergence` gauge
     /// (nano-units) when the snapshot is published.
     pub quant_divergence: f32,
-    /// The candidate pairs `quant_divergence` was measured on.
+    /// The candidate pairs `quant_divergence` was measured on: the first
+    /// in (query, item) order.
     divergence_sample: Vec<(ConceptId, ConceptId)>,
     pub taxonomy: Taxonomy,
-    /// f32 scores of the served candidate window, filled by the
-    /// [`taxo_expand::IncrementalExpander`] that owns `detector` and
-    /// shared by every snapshot built from it. Empty for snapshots from
-    /// [`ServeSnapshot::build`].
-    scores: Arc<PairScores>,
     /// Candidate items per query, sorted by clicks desc then item id —
-    /// the same order `taxo_expand::candidates_by_query` produces.
-    by_query: HashMap<ConceptId, Vec<CandidatePair>>,
+    /// the same order `taxo_expand::candidates_by_query` produces. A
+    /// server's snapshots share each list by `Arc` with the expander.
+    by_query: CandidateLists,
     /// Structural feature rows (Eq. 13) of every mined candidate pair,
     /// computed once at build instead of per request, and shared with
     /// the successors that keep the same rows.
@@ -106,33 +104,60 @@ impl IndexEntry {
     }
 }
 
-/// Structural feature rows of candidate pairs: `index` maps a pair to its
-/// row offset in the flat `data` table. A row depends only on the
-/// detector's structural model and the pair. Empty when the detector has
-/// no structural model.
+/// Structural feature rows of candidate pairs, per query. A row depends
+/// only on the detector's structural model and the pair. Empty when the
+/// detector has no structural model.
 #[derive(Debug, Clone, Default)]
 struct FeatureRows {
-    index: HashMap<(ConceptId, ConceptId), usize>,
-    data: Vec<f32>,
     dim: usize,
+    /// Each query's rows, shared by `Arc` with the successors under
+    /// which the query gains no pair.
+    by_query: HashMap<ConceptId, Arc<QueryRows>>,
+}
+
+/// One query's rows: `offsets` maps an item to its row's offset in the
+/// flat `data` table.
+#[derive(Debug, Clone, Default)]
+struct QueryRows {
+    offsets: HashMap<ConceptId, usize>,
+    data: Vec<f32>,
 }
 
 impl FeatureRows {
+    fn new(detector: &HypoDetector) -> Self {
+        FeatureRows {
+            dim: detector
+                .structural
+                .as_ref()
+                .map_or(0, |st| st.feature_dim()),
+            by_query: HashMap::new(),
+        }
+    }
+
     /// Adds the row of every pair of `pairs` the table lacks.
-    fn extend(&mut self, detector: &HypoDetector, pairs: &[CandidatePair]) {
+    fn extend(
+        &mut self,
+        detector: &HypoDetector,
+        pairs: impl IntoIterator<Item = (ConceptId, ConceptId)>,
+    ) {
         let Some(st) = &detector.structural else {
             return;
         };
-        for p in pairs {
-            if let std::collections::hash_map::Entry::Vacant(e) =
-                self.index.entry((p.query, p.item))
-            {
-                let off = self.data.len();
-                self.data.resize(off + self.dim, 0.0);
-                st.pair_features_into(p.query, p.item, &mut self.data[off..]);
+        for (query, item) in pairs {
+            let rows = Arc::make_mut(self.by_query.entry(query).or_default());
+            if let std::collections::hash_map::Entry::Vacant(e) = rows.offsets.entry(item) {
+                let off = rows.data.len();
+                rows.data.resize(off + self.dim, 0.0);
+                st.pair_features_into(query, item, &mut rows.data[off..]);
                 e.insert(off);
             }
         }
+    }
+
+    fn row(&self, query: ConceptId, item: ConceptId) -> Option<&[f32]> {
+        let rows = self.by_query.get(&query)?;
+        let &off = rows.offsets.get(&item)?;
+        Some(&rows.data[off..off + self.dim])
     }
 }
 
@@ -146,9 +171,9 @@ impl ServeSnapshot {
     /// tokenizations are cached inside the detector itself). Requests
     /// then copy precomputed rows instead of re-deriving them.
     ///
-    /// The snapshot has no score table and no response index:
-    /// [`ServeSnapshot::table_scores`] recomputes every pair. Servers
-    /// build theirs with [`ServeSnapshot::build_scored`].
+    /// The snapshot has no response index: [`ServeSnapshot::score_query`]
+    /// recomputes every pair. Servers build theirs with
+    /// [`ServeSnapshot::build_scored`].
     pub fn build(
         version: u64,
         vocab: Arc<Vocabulary>,
@@ -171,15 +196,31 @@ impl ServeSnapshot {
         taxonomy: Taxonomy,
         pairs: &[CandidatePair],
     ) -> ServeSnapshot {
-        let mut feats = FeatureRows {
-            dim: detector
-                .structural
-                .as_ref()
-                .map_or(0, |st| st.feature_dim()),
-            ..FeatureRows::default()
-        };
-        feats.extend(&detector, pairs);
-        let divergence_sample = divergence_sample(pairs);
+        let by_query = taxo_expand::candidates_by_query(pairs)
+            .into_iter()
+            .map(|(query, list)| (query, Arc::new(list)))
+            .collect();
+        ServeSnapshot::assemble(version, vocab, detector, quant, taxonomy, by_query, pairs)
+    }
+
+    /// A snapshot without a response index over the candidate lists
+    /// `by_query` of the pair set `pairs`, sorted by (query, item).
+    fn assemble(
+        version: u64,
+        vocab: Arc<Vocabulary>,
+        detector: Arc<HypoDetector>,
+        quant: Arc<QuantizedDetector>,
+        taxonomy: Taxonomy,
+        by_query: CandidateLists,
+        pairs: &[CandidatePair],
+    ) -> ServeSnapshot {
+        let mut feats = FeatureRows::new(&detector);
+        feats.extend(&detector, pairs.iter().map(|p| (p.query, p.item)));
+        let divergence_sample: Vec<_> = pairs
+            .iter()
+            .take(DIVERGENCE_SAMPLE)
+            .map(|p| (p.query, p.item))
+            .collect();
         let quant_divergence = measure_divergence(&quant, &vocab, &divergence_sample);
         ServeSnapshot {
             version,
@@ -189,17 +230,17 @@ impl ServeSnapshot {
             quant_divergence,
             divergence_sample,
             taxonomy,
-            scores: Arc::default(),
-            by_query: taxo_expand::candidates_by_query(pairs),
+            by_query,
             feats: Arc::new(feats),
             index: ResponseIndex::default(),
         }
     }
 
-    /// A server's snapshot of `expander`'s current state: f32 scores
-    /// come from its score table, and the response index holds every
-    /// query's ranked, rendered f32 response under the serving cap
-    /// `cap`. `detector` must be the expander's detector.
+    /// A server's snapshot of `expander`'s current state: it shares the
+    /// expander's candidate lists, and its response index holds every
+    /// query's ranked, rendered f32 response under the serving cap `cap`,
+    /// scored from the expander's table. `detector` must be the
+    /// expander's detector.
     pub fn build_scored(
         version: u64,
         vocab: Arc<Vocabulary>,
@@ -208,44 +249,53 @@ impl ServeSnapshot {
         expander: &IncrementalExpander,
         cap: usize,
     ) -> ServeSnapshot {
-        let mut snapshot = ServeSnapshot::build_with_quant(
+        let mut snapshot = ServeSnapshot::assemble(
             version,
             vocab,
             detector,
             quant,
             expander.taxonomy().clone(),
+            expander.candidates().clone(),
             &expander.candidate_pairs(),
         );
-        snapshot.scores = Arc::clone(expander.scores());
-        snapshot.index = snapshot.index_with(cap, &ResponseIndex::default());
+        let empty = ResponseIndex {
+            cap,
+            entries: HashMap::new(),
+        };
+        snapshot.index =
+            snapshot.index_with(&empty, snapshot.by_query.keys().copied(), expander.scores());
         snapshot
     }
 
-    /// The next snapshot under the same detector: `taxonomy` and the
-    /// candidate set `pairs` after an ingest, with the score table
-    /// `scores`. The parts that depend only on the detector carry over
-    /// instead of being recomputed on every ingest: the structural rows
-    /// this snapshot holds, the int8 divergence while its sample of
-    /// candidates is unchanged, and every response-index entry whose
-    /// ranked list is unchanged. `pairs` must hold every candidate pair
-    /// of this snapshot (an expander's candidate set only grows); the
-    /// result then equals [`ServeSnapshot::build_scored`] on the same
-    /// parts and serving cap.
+    /// The next snapshot under the same detector, after an ingest that
+    /// made `changes`: `taxonomy`, `candidates` and `scores` are the
+    /// expander's state after it. What the ingest left alone carries over
+    /// instead of being recomputed: the structural rows (only its new
+    /// pairs gain one), the int8 divergence while its sample of
+    /// candidates is unchanged, and the response entry of every query
+    /// neither in `changes.queries` nor the parent of a changed edge.
+    /// Those queries are ranked again, and keep their entry when the
+    /// ranked list is unchanged. If this snapshot holds the expander's
+    /// state before the ingest, the result equals
+    /// [`ServeSnapshot::build_scored`] on the state after it, at the same
+    /// serving cap.
     pub(crate) fn successor(
         &self,
         version: u64,
         taxonomy: Taxonomy,
-        pairs: &[CandidatePair],
-        scores: Arc<PairScores>,
+        candidates: &CandidateLists,
+        changes: &IngestChanges,
+        scores: &PairScores,
     ) -> ServeSnapshot {
         let mut feats = Arc::clone(&self.feats);
-        if pairs
-            .iter()
-            .any(|p| !feats.index.contains_key(&(p.query, p.item)))
-        {
-            Arc::make_mut(&mut feats).extend(&self.detector, pairs);
+        if !changes.new_pairs.is_empty() {
+            Arc::make_mut(&mut feats).extend(&self.detector, changes.new_pairs.iter().copied());
         }
-        let divergence_sample = divergence_sample(pairs);
+        // The candidate set only grows, so its first pairs are among the
+        // old sample's and the new pairs.
+        let mut divergence_sample = [&self.divergence_sample[..], &changes.new_pairs].concat();
+        divergence_sample.sort_unstable();
+        divergence_sample.truncate(DIVERGENCE_SAMPLE);
         let quant_divergence = if divergence_sample == self.divergence_sample {
             self.quant_divergence
         } else {
@@ -259,46 +309,62 @@ impl ServeSnapshot {
             quant_divergence,
             divergence_sample,
             taxonomy,
-            scores,
-            by_query: taxo_expand::candidates_by_query(pairs),
+            by_query: candidates.clone(),
             feats,
             index: ResponseIndex::default(),
         };
-        next.index = next.index_with(self.index.cap, &self.index);
+        let mut queries: Vec<ConceptId> = changes
+            .queries
+            .iter()
+            .copied()
+            .chain(changes.edges.iter().map(|e| e.parent))
+            .collect();
+        queries.sort_unstable();
+        queries.dedup();
+        next.index = next.index_with(&self.index, queries, scores);
         next
     }
 
-    /// Ranks every query's eligible candidates under `cap` and renders
-    /// the f32 responses, reusing each entry of `prev` whose ranked list
-    /// is unchanged. Rendered entries count in `serve.index.rendered`.
-    fn index_with(&self, cap: usize, prev: &ResponseIndex) -> ResponseIndex {
-        let mut entries = HashMap::new();
+    /// Ranks the eligible candidates of each of `queries` under the cap
+    /// of `prev`, scored from `scores`, and renders the f32 responses.
+    /// Every other entry of `prev` carries over, and so does a ranked
+    /// query's entry when its ranked list is unchanged. Ranked queries
+    /// count in `serve.index.ranked`, rendered entries in
+    /// `serve.index.rendered`.
+    fn index_with(
+        &self,
+        prev: &ResponseIndex,
+        queries: impl IntoIterator<Item = ConceptId>,
+        scores: &PairScores,
+    ) -> ResponseIndex {
+        let cap = prev.cap;
+        let mut entries = prev.entries.clone();
         if cap > 0 {
             let _g = taxo_obs::span!("serve.index.build");
-            let mut rendered = 0u64;
-            for &query in self.by_query.keys() {
+            let (mut ranked, mut rendered) = (0u64, 0u64);
+            for query in queries {
                 let items = self.eligible(query, cap);
                 if items.is_empty() {
+                    entries.remove(&query);
                     continue;
                 }
-                let scores = self.table_scores(query, &items);
-                let ranked = self.rank(query, &items, &scores, usize::MAX);
-                let entry = match prev.entries.get(&query) {
-                    Some(entry) if entry.ranks(&ranked) => Arc::clone(entry),
-                    _ => {
-                        rendered += 1;
-                        Arc::new(IndexEntry {
-                            rendered: RenderedRanking::render(
-                                self.vocab.name(query),
-                                &self.vocab,
-                                &ranked,
-                            ),
-                            ranked,
-                        })
-                    }
-                };
-                entries.insert(query, entry);
+                ranked += 1;
+                let scores = self.table_scores(scores, query, &items);
+                let ranking = self.rank(query, &items, &scores, usize::MAX);
+                if !prev.entries.get(&query).is_some_and(|e| e.ranks(&ranking)) {
+                    rendered += 1;
+                    let entry = IndexEntry {
+                        rendered: RenderedRanking::render(
+                            self.vocab.name(query),
+                            &self.vocab,
+                            &ranking,
+                        ),
+                        ranked: ranking,
+                    };
+                    entries.insert(query, Arc::new(entry));
+                }
             }
+            taxo_obs::counter!("serve.index.ranked").add(ranked);
             taxo_obs::counter!("serve.index.rendered").add(rendered);
         }
         ResponseIndex { cap, entries }
@@ -329,11 +395,7 @@ impl ServeSnapshot {
     /// back to computing those on the fly) — and always `None` without a
     /// structural model, where rows are zero-width anyway.
     pub fn structural_row(&self, query: ConceptId, item: ConceptId) -> Option<&[f32]> {
-        let feats = &*self.feats;
-        feats
-            .index
-            .get(&(query, item))
-            .map(|&off| &feats.data[off..off + feats.dim])
+        self.feats.row(query, item)
     }
 
     /// The scoring workload for `query`: its most-clicked candidate items,
@@ -353,14 +415,14 @@ impl ServeSnapshot {
     }
 
     /// The f32 scores of `items` for `query` (in `items` order), read
-    /// from the score table by the response-index build. A pair the
-    /// table lacks is scored on the calling thread — bit-identical, but
-    /// an encoder pass — and counted in `serve.score.table_misses`.
-    pub fn table_scores(&self, query: ConceptId, items: &[ConceptId]) -> Vec<f32> {
+    /// from `scores` by the response-index build. A pair the table lacks
+    /// is scored on the calling thread — bit-identical, but an encoder
+    /// pass — and counted in `serve.score.table_misses`.
+    fn table_scores(&self, scores: &PairScores, query: ConceptId, items: &[ConceptId]) -> Vec<f32> {
         items
             .iter()
             .map(|&item| {
-                self.scores.get(query, item).unwrap_or_else(|| {
+                scores.get(query, item).unwrap_or_else(|| {
                     taxo_obs::counter!("serve.score.table_misses").inc();
                     self.detector.score(&self.vocab, query, item)
                 })
@@ -424,16 +486,6 @@ impl ServeSnapshot {
     }
 }
 
-/// The deterministic sample of candidates the int8 divergence is measured
-/// on: the first pairs of the candidate set.
-fn divergence_sample(pairs: &[CandidatePair]) -> Vec<(ConceptId, ConceptId)> {
-    pairs
-        .iter()
-        .take(DIVERGENCE_SAMPLE)
-        .map(|p| (p.query, p.item))
-        .collect()
-}
-
 /// The realized int8 divergence on `sample` (published with the
 /// snapshot: serving a lossy tier without a live bound on the loss would
 /// be flying blind).
@@ -472,6 +524,7 @@ impl SnapshotStore {
     /// already hold the previous `Arc` keep serving from it; new requests
     /// observe the version bump and refresh.
     pub fn publish(&self, next: Arc<ServeSnapshot>) {
+        let _g = taxo_obs::span!("serve.snapshot.publish");
         // Delay-only chaos point: widens the window where readers hold
         // the previous snapshot while the new one exists but is not yet
         // visible — responses must stay version-pure throughout.
@@ -558,6 +611,14 @@ mod tests {
             &taxo_expand::DetectorConfig::tiny(1),
         );
         ServeSnapshot::build(version, Arc::new(vocab), Arc::new(detector), tax, pairs)
+    }
+
+    /// The candidate lists of `pairs`, as an expander holds them.
+    fn lists_of(pairs: &[CandidatePair]) -> CandidateLists {
+        taxo_expand::candidates_by_query(pairs)
+            .into_iter()
+            .map(|(query, list)| (query, Arc::new(list)))
+            .collect()
     }
 
     fn pair(query: u32, item: u32, clicks: u64) -> CandidatePair {
@@ -652,10 +713,29 @@ mod tests {
                 taxonomy,
                 pairs,
             );
-            snap.index = snap.index_with(8, &ResponseIndex::default());
+            let empty = ResponseIndex {
+                cap: 8,
+                entries: HashMap::new(),
+            };
+            let no_table = PairScores::default();
+            snap.index = snap.index_with(&empty, snap.by_query.keys().copied(), &no_table);
             snap
         };
         let fresh = |version: u64, pairs: &[CandidatePair]| fresh_with(version, tax.clone(), pairs);
+        // The changes of growing the candidate set from the prefix
+        // `pairs[..old]` to `pairs` (new pairs, and the queries that
+        // gained them) and of attaching `edges`.
+        let grown = |pairs: &[CandidatePair], old: usize, edges: Vec<taxo_core::Edge>| {
+            let new_pairs: Vec<_> = pairs[old..].iter().map(|p| (p.query, p.item)).collect();
+            let mut queries: Vec<_> = new_pairs.iter().map(|&(q, _)| q).collect();
+            queries.dedup();
+            IngestChanges {
+                queries,
+                new_pairs,
+                edges,
+            }
+        };
+        let no_table = PairScores::default();
         let assert_same = |a: &ServeSnapshot, b: &ServeSnapshot, pairs: &[CandidatePair]| {
             assert_eq!(a.quant_divergence.to_bits(), b.quant_divergence.to_bits());
             for p in pairs {
@@ -680,15 +760,31 @@ mod tests {
 
         // Growth inside the divergence sample: measured again.
         let v0 = fresh(0, &all[..40]);
-        let v1 = v0.successor(1, tax.clone(), &all[..100], Arc::default());
+        let v1 = v0.successor(
+            1,
+            tax.clone(),
+            &lists_of(&all[..100]),
+            &grown(&all[..100], 40, vec![]),
+            &no_table,
+        );
         assert_same(&v1, &fresh(1, &all[..100]), &all[..100]);
         assert!(v1.structural_row(all[99].query, all[99].item).is_some());
         // Growth past it: the sample, and so the divergence, carry over.
-        let v2 = v1.successor(2, tax.clone(), &all, Arc::default());
+        let v2 = v1.successor(
+            2,
+            tax.clone(),
+            &lists_of(&all),
+            &grown(&all, 100, vec![]),
+            &no_table,
+        );
         assert_same(&v2, &fresh(2, &all), &all);
-        // No new pair: the rows and every index entry are shared, not
-        // copied.
-        let v3 = v2.successor(3, tax.clone(), &all, Arc::default());
+        // No new pair, every query ranked again: the rows and every index
+        // entry are shared, not copied.
+        let clicked = IngestChanges {
+            queries: ids.clone(),
+            ..IngestChanges::default()
+        };
+        let v3 = v2.successor(3, tax.clone(), &lists_of(&all), &clicked, &no_table);
         assert!(Arc::ptr_eq(&v3.feats, &v2.feats));
         assert_same(&v3, &v2, &all);
         assert!(v3
@@ -706,7 +802,14 @@ mod tests {
         // query's ranking (clicks rank c11 first for every query).
         let mut attached = tax.clone();
         attached.add_edge(ids[2], ids[11]).unwrap();
-        let v4 = v3.successor(4, attached.clone(), &all, Arc::default());
+        let edge = taxo_core::Edge::new(ids[2], ids[11]);
+        let v4 = v3.successor(
+            4,
+            attached.clone(),
+            &lists_of(&all),
+            &grown(&all, all.len(), vec![edge]),
+            &no_table,
+        );
         assert_same(&v4, &fresh_with(4, attached, &all), &all);
         for (q, entry) in &v4.index.entries {
             assert_eq!(Arc::ptr_eq(entry, &v3.index.entries[q]), *q != ids[2]);
@@ -716,8 +819,235 @@ mod tests {
         let pairs = [pair(0, 1, 9), pair(0, 2, 5)];
         let bare = tiny_snapshot(0, &pairs);
         assert!(bare.indexed_response(None, ConceptId(0), 8).is_none());
-        let next = bare.successor(1, bare.taxonomy.clone(), &pairs, Arc::default());
+        let next = bare.successor(
+            1,
+            bare.taxonomy.clone(),
+            &lists_of(&pairs),
+            &grown(&pairs, 0, vec![]),
+            &no_table,
+        );
         assert!(next.index.entries.is_empty());
+    }
+
+    /// A seeded sequence of ingests, each followed by a successor of the
+    /// last snapshot: batches of the unseen click log at random places
+    /// and lengths, batches that move one query's least-clicked candidate
+    /// to the front, and a batch of unknown terms. After every step the
+    /// expander's lists match an independent replay of the click counts
+    /// and [`taxo_expand::candidates_by_query`] of its pairs, its change
+    /// set names exactly what changed, and the successor serves what a
+    /// fresh [`ServeSnapshot::build_scored`] serves.
+    #[test]
+    fn successors_of_seeded_ingests_equal_fresh_builds() {
+        use std::collections::{BTreeMap, BTreeSet};
+        use taxo_expand::{
+            ExpansionConfig, RelationalConfig, RelationalModel, StructuralConfig, StructuralModel,
+        };
+        use taxo_synth::{ClickConfig, ClickLog, ClickRecord, World, WorldConfig};
+
+        const SEED: u64 = 23;
+        const CAP: usize = 16;
+        let world = World::generate(&WorldConfig {
+            target_nodes: 120,
+            ..WorldConfig::tiny(SEED)
+        });
+        let vocab = Arc::new(world.vocab.clone());
+        let log = ClickLog::generate(
+            &world,
+            &ClickConfig {
+                n_events: 4_000,
+                ..ClickConfig::tiny(SEED)
+            },
+        );
+        let half = log.records.len() / 2;
+        let (seen, unseen) = log.records.split_at(half);
+        let built = taxo_expand::construct_graph(
+            &world.existing,
+            &vocab,
+            seen,
+            taxo_graph::WeightScheme::IfIqf,
+        );
+        let relational = RelationalModel::vanilla(&vocab, &[], &RelationalConfig::tiny(SEED));
+        let structural = StructuralModel::build(
+            &world.existing,
+            &vocab,
+            &built.pairs,
+            Some(&relational),
+            &StructuralConfig::tiny(SEED),
+        );
+        let detector = HypoDetector::new(
+            Some(relational),
+            Some(structural),
+            &taxo_expand::DetectorConfig::tiny(SEED),
+        );
+        let cfg = ExpansionConfig::builder().threshold(0.5).build().unwrap();
+        let mut expander = IncrementalExpander::with_pairs(
+            detector.clone(),
+            world.existing.clone(),
+            &built.pairs,
+            cfg,
+        );
+        expander.cover_window(&vocab, CAP);
+        let detector = Arc::new(detector);
+        let quant = Arc::new(QuantizedDetector::from_detector(Arc::clone(&detector)));
+        let fresh = |version: u64, expander: &IncrementalExpander| {
+            ServeSnapshot::build_scored(
+                version,
+                Arc::clone(&vocab),
+                Arc::clone(&detector),
+                Arc::clone(&quant),
+                expander,
+                CAP,
+            )
+        };
+        let mut snap = fresh(0, &expander);
+
+        // The click counts replayed independently of the expander.
+        let matcher = taxo_text::ConceptMatcher::new(&vocab);
+        let mut clicks: BTreeMap<(ConceptId, ConceptId), u64> = BTreeMap::new();
+        for p in &built.pairs {
+            *clicks.entry((p.query, p.item)).or_insert(0) += p.clicks;
+        }
+        let mut rng = SEED;
+        let mut next_rand = |bound: usize| {
+            // xorshift64*
+            rng ^= rng >> 12;
+            rng ^= rng << 25;
+            rng ^= rng >> 27;
+            (rng.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 33) as usize % bound
+        };
+        let (mut reordered, mut attached) = (0, 0);
+        for step in 1..=12u64 {
+            let batch: Vec<ClickRecord> = match step % 4 {
+                2 if step == 2 => vec![ClickRecord {
+                    query: ConceptId(0),
+                    item_text: "zzqx unknown term".into(),
+                    count: 3,
+                }],
+                3 => {
+                    // The least-clicked candidate of a query with several
+                    // overtakes its most-clicked one.
+                    let lists = expander.candidates();
+                    let mut queries: Vec<ConceptId> = lists
+                        .iter()
+                        .filter(|(_, list)| list.len() >= 3)
+                        .map(|(&q, _)| q)
+                        .collect();
+                    queries.sort_unstable();
+                    let query = queries[next_rand(queries.len())];
+                    let list = &lists[&query];
+                    let last = list[list.len() - 1];
+                    vec![ClickRecord {
+                        query,
+                        item_text: vocab.name(last.item).to_owned(),
+                        count: list[0].clicks + 1,
+                    }]
+                }
+                _ => {
+                    let len = 20 + next_rand(60);
+                    let start = next_rand(unseen.len() - len);
+                    unseen[start..start + len].to_vec()
+                }
+            };
+
+            let before: BTreeSet<_> = snap.taxonomy.edges().collect();
+            let old = clicks.clone();
+            for r in &batch {
+                let Some(item) = matcher.identify(&r.item_text) else {
+                    continue;
+                };
+                if item != r.query {
+                    *clicks.entry((r.query, item)).or_insert(0) += r.count;
+                }
+            }
+            expander.ingest(&vocab, &batch);
+
+            // The lists: the replayed counts, in candidate order.
+            let pairs = expander.candidate_pairs();
+            let replayed: Vec<_> = clicks
+                .iter()
+                .map(|(&(query, item), &clicks)| CandidatePair {
+                    query,
+                    item,
+                    clicks,
+                })
+                .collect();
+            assert_eq!(pairs, replayed, "step {step}: pairs");
+            let regrouped = taxo_expand::candidates_by_query(&pairs);
+            assert_eq!(expander.candidates().len(), regrouped.len());
+            for (q, list) in expander.candidates() {
+                assert_eq!(**list, regrouped[q], "step {step}: list of {q:?}");
+            }
+
+            // The change set: what differs from the step before.
+            let changes = expander.changes();
+            let new_pairs: Vec<_> = clicks
+                .keys()
+                .filter(|pair| !old.contains_key(pair))
+                .copied()
+                .collect();
+            let mut queries: Vec<_> = clicks
+                .iter()
+                .filter(|&(pair, n)| old.get(pair) != Some(n))
+                .map(|(&(q, _), _)| q)
+                .collect();
+            queries.dedup();
+            let after: BTreeSet<_> = expander.taxonomy().edges().collect();
+            let edges: BTreeSet<_> = before.symmetric_difference(&after).copied().collect();
+            assert_eq!(changes.new_pairs, new_pairs, "step {step}: new pairs");
+            assert_eq!(changes.queries, queries, "step {step}: changed queries");
+            assert_eq!(
+                changes.edges.iter().copied().collect::<BTreeSet<_>>(),
+                edges,
+                "step {step}: changed edges"
+            );
+            if step == 2 {
+                assert!(queries.is_empty(), "unknown terms change no list");
+            }
+            if step % 4 == 3 {
+                let query = batch[0].query;
+                let item = matcher.identify(&batch[0].item_text);
+                assert_eq!(Some(expander.candidates()[&query][0].item), item);
+                reordered += 1;
+            }
+            attached += usize::from(!edges.is_empty());
+
+            // The successor serves what a fresh build serves.
+            let next = snap.successor(
+                step,
+                expander.taxonomy().clone(),
+                expander.candidates(),
+                changes,
+                expander.scores(),
+            );
+            let reference = fresh(step, &expander);
+            assert_eq!(
+                next.quant_divergence.to_bits(),
+                reference.quant_divergence.to_bits(),
+                "step {step}: divergence"
+            );
+            for p in &pairs {
+                assert_eq!(
+                    next.structural_row(p.query, p.item),
+                    reference.structural_row(p.query, p.item),
+                    "step {step}: row of {p:?}"
+                );
+            }
+            assert_eq!(next.index.entries.len(), reference.index.entries.len());
+            for q in (0..vocab.len()).map(ConceptId::from_index) {
+                assert_eq!(next.eligible(q, CAP), reference.eligible(q, CAP));
+                for k in [1, 3, CAP, CAP + 5] {
+                    assert_eq!(
+                        next.indexed_response(Some(7), q, k),
+                        reference.indexed_response(Some(7), q, k),
+                        "step {step}: query {q:?}, k {k}"
+                    );
+                }
+            }
+            snap = next;
+        }
+        assert_eq!(reordered, 3);
+        assert!(attached >= 2, "{attached} steps attached edges");
     }
 
     /// Serializes the tests that publish: the divergence gauge is

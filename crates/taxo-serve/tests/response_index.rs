@@ -11,11 +11,16 @@
 //!   rendering nothing, any other ingest rendering exactly the queries
 //!   whose ranked list changed, and a promotion or a recovery rendering
 //!   every query again — the same counts at 1 and 8 threads.
+//! * **Ranking.** The `serve.index.ranked` counter shows bind, a
+//!   promotion and a recovery ranking every window query, and an ingest
+//!   ranking only the window queries whose candidate list it changed or
+//!   under which it attached an edge — against a replay of the click
+//!   counts — the same counts at 1 and 8 threads.
 //!
 //! One `#[test]` only: the global thread-count override and the metric
 //! registry must not race with another test in this binary.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::path::Path;
 use std::sync::Arc;
 use taxo_core::{ConceptId, Vocabulary};
@@ -38,6 +43,35 @@ type Rankings = BTreeMap<ConceptId, Vec<(ConceptId, u32, bool)>>;
 
 fn rendered() -> u64 {
     taxo_obs::counter!("serve.index.rendered").get()
+}
+
+fn ranked() -> u64 {
+    taxo_obs::counter!("serve.index.ranked").get()
+}
+
+/// Replays one wire batch into the click counts `clicks` the way the
+/// server matches it; returns the queries whose candidate list changed.
+fn replay(
+    vocab: &Vocabulary,
+    matcher: &taxo_text::ConceptMatcher,
+    clicks: &mut HashMap<(ConceptId, ConceptId), u64>,
+    batch: &[(String, String, u64)],
+) -> BTreeSet<ConceptId> {
+    let mut changed = BTreeSet::new();
+    for (query, item, count) in batch {
+        let (Some(query), Some(item)) = (vocab.get(query), matcher.identify(item)) else {
+            continue;
+        };
+        if query == item {
+            continue;
+        }
+        let known = clicks.contains_key(&(query, item));
+        *clicks.entry((query, item)).or_insert(0) += count;
+        if !known || *count > 0 {
+            changed.insert(query);
+        }
+    }
+    changed
 }
 
 /// Renders a JSON string literal (quotes and escapes included).
@@ -137,8 +171,9 @@ fn durability(dir: &Path) -> DurabilityConfig {
     }
 }
 
-/// Runs the trace; returns the entries rendered by each step.
-fn run_trace(label: &str) -> Vec<u64> {
+/// Runs the trace; returns the entries rendered and the queries ranked
+/// by each step.
+fn run_trace(label: &str) -> (Vec<u64>, Vec<u64>) {
     let world = World::generate(&WorldConfig {
         target_nodes: 120,
         ..WorldConfig::tiny(SEED)
@@ -158,6 +193,12 @@ fn run_trace(label: &str) -> Vec<u64> {
         IncrementalExpander::new(detector(SEED), world.existing.clone(), expansion.clone());
     let half = log.records.len() / 2;
     expander.ingest(&world.vocab, &log.records[..half]);
+    let mut clicks: HashMap<(ConceptId, ConceptId), u64> = expander
+        .candidate_pairs()
+        .into_iter()
+        .map(|p| ((p.query, p.item), p.clicks))
+        .collect();
+    let matcher = taxo_text::ConceptMatcher::new(&world.vocab);
     let vocab = Arc::new(world.vocab);
     let cfg = ServeConfig::default();
     let dir = std::env::temp_dir().join(format!(
@@ -167,15 +208,22 @@ fn run_trace(label: &str) -> Vec<u64> {
     let _ = std::fs::remove_dir_all(&dir);
 
     let mut steps = Vec::new();
-    let before = rendered();
+    let mut ranked_steps = Vec::new();
+    let (before, ranked_before) = (rendered(), ranked());
     let handle = Server::builder(expander, Arc::clone(&vocab))
         .config(cfg.clone())
         .durability(durability(&dir))
         .bind("127.0.0.1:0")
         .unwrap();
     steps.push(rendered() - before);
+    ranked_steps.push(ranked() - ranked_before);
     let mut ranks = check_bytes(&handle, &cfg, 0, "version 0");
     assert_eq!(steps[0], ranks.len() as u64, "bind renders every query");
+    assert_eq!(
+        ranked_steps[0],
+        ranks.len() as u64,
+        "bind ranks every query"
+    );
 
     // First an ingest of an unknown term, which changes nothing, then the
     // unseen half of the click log in four batches.
@@ -192,14 +240,21 @@ fn run_trace(label: &str) -> Vec<u64> {
     let mut version = 0;
     let mut partial = false;
     let mut client = Client::connect(handle.addr()).unwrap();
+    let mut edges: BTreeSet<_> = handle.store().load().taxonomy.edges().collect();
+    let mut narrow = false;
     for (n, batch) in batches.iter().enumerate() {
-        let before = rendered();
+        let (before, ranked_before) = (rendered(), ranked());
         let reply = client.ingest(batch).unwrap();
         assert!(
             matches!(reply, Reply::Ok(_)),
             "ingest {n} failed: {reply:?}"
         );
         steps.push(rendered() - before);
+        ranked_steps.push(ranked() - ranked_before);
+        let mut touched = replay(&vocab, &matcher, &mut clicks, batch);
+        let next_edges: BTreeSet<_> = handle.store().load().taxonomy.edges().collect();
+        touched.extend(edges.symmetric_difference(&next_edges).map(|e| e.parent));
+        edges = next_edges;
         version += 1;
         let step = format!("ingest {n}");
         let next = check_bytes(&handle, &cfg, version, &step);
@@ -209,16 +264,25 @@ fn run_trace(label: &str) -> Vec<u64> {
             Some(&expected),
             "{step}: renders exactly the changed queries"
         );
+        let served = touched.iter().filter(|q| next.contains_key(q)).count() as u64;
+        assert_eq!(
+            ranked_steps.last(),
+            Some(&served),
+            "{step}: ranks exactly the changed and attached-under queries"
+        );
+        narrow |= served < next.len() as u64;
         if n == 0 {
             assert_eq!(expected, 0, "an unknown-term ingest changes no ranking");
+            assert_eq!(served, 0, "an unknown-term ingest ranks nothing");
         }
         partial |= 0 < expected && expected < next.len() as u64;
         ranks = next;
     }
     assert!(partial, "some ingest must reuse entries and render others");
+    assert!(narrow, "some ingest must leave served queries unranked");
 
     // A promotion renders every entry again under the new detector.
-    let before = rendered();
+    let (before, ranked_before) = (rendered(), ranked());
     let outcome = handle
         .controller()
         .promote(Arc::new(detector(SEED + 1)), IngestPhase::Auto)
@@ -226,11 +290,17 @@ fn run_trace(label: &str) -> Vec<u64> {
     version += 1;
     assert_eq!(outcome.version, version);
     steps.push(rendered() - before);
+    ranked_steps.push(ranked() - ranked_before);
     let promoted = check_bytes(&handle, &cfg, version, "promotion");
     assert_eq!(
         steps.last(),
         Some(&(promoted.len() as u64)),
         "a promotion renders every query"
+    );
+    assert_eq!(
+        ranked_steps.last(),
+        Some(&(promoted.len() as u64)),
+        "a promotion ranks every query"
     );
     assert!(
         changed(&ranks, &promoted) > 0,
@@ -242,7 +312,7 @@ fn run_trace(label: &str) -> Vec<u64> {
     let (recovered, report) =
         Server::recover(&dir, detector(SEED + 1), expansion, &vocab).expect("recovery");
     assert_eq!(report.final_version, version);
-    let before = rendered();
+    let (before, ranked_before) = (rendered(), ranked());
     let handle = Server::builder(recovered, Arc::clone(&vocab))
         .config(cfg.clone())
         .durability(durability(&dir))
@@ -250,6 +320,7 @@ fn run_trace(label: &str) -> Vec<u64> {
         .bind("127.0.0.1:0")
         .unwrap();
     steps.push(rendered() - before);
+    ranked_steps.push(ranked() - ranked_before);
     let after = check_bytes(&handle, &cfg, version, "recovery");
     assert_eq!(after, promoted, "recovery serves the pre-stop rankings");
     assert_eq!(
@@ -257,9 +328,14 @@ fn run_trace(label: &str) -> Vec<u64> {
         Some(&(after.len() as u64)),
         "a recovery renders every query"
     );
+    assert_eq!(
+        ranked_steps.last(),
+        Some(&(after.len() as u64)),
+        "a recovery ranks every query"
+    );
     handle.shutdown_and_join();
     let _ = std::fs::remove_dir_all(&dir);
-    steps
+    (steps, ranked_steps)
 }
 
 #[test]
@@ -271,6 +347,6 @@ fn index_responses_are_byte_identical_and_rendered_once_per_change() {
     parallel::set_threads(1);
     assert_eq!(
         sequential, threaded,
-        "entries rendered per step at 1 vs 8 threads"
+        "entries rendered and queries ranked per step at 1 vs 8 threads"
     );
 }
