@@ -288,10 +288,11 @@ impl Client {
     }
 
     /// Sends a request line and parses the response, checking that the
-    /// echoed `id` matches (frame integrity). Single attempt.
+    /// echoed `id` matches (frame integrity). Single attempt; a torn or
+    /// mismatched response drops the connection like a transport error.
     pub fn call(&mut self, line: &str, expect_id: Option<u64>) -> std::io::Result<Reply> {
         let raw = self.call_raw(line)?;
-        parse_reply(&raw, expect_id)
+        parse_reply(&raw, expect_id).inspect_err(|e| self.note_transport_error(e))
     }
 
     /// One idempotent request with the full retry loop (a single attempt
@@ -507,4 +508,36 @@ pub fn expected_key(
         .iter()
         .map(|c| (vocab.name(c.item).to_owned(), c.score.to_bits(), c.attached))
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    /// A listener that answers its first connection with a torn frame
+    /// and closes it, then serves the retried request properly: the
+    /// retry must run on a fresh connection.
+    #[test]
+    fn retry_reconnects_after_a_torn_response() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            for reply in ["{\"id\":", "{\"id\":1,\"ok\":true,\"kind\":\"health\"}\n"] {
+                let (mut stream, _) = listener.accept().unwrap();
+                let mut request = String::new();
+                BufReader::new(&stream).read_line(&mut request).unwrap();
+                stream.write_all(reply.as_bytes()).unwrap();
+            }
+        });
+        let mut client = Client::builder(addr)
+            .retry(RetryPolicy {
+                max_attempts: 2,
+                ..RetryPolicy::default()
+            })
+            .build();
+        let reply = client.health().expect("the retry reconnects");
+        assert!(matches!(reply, Reply::Ok(_)), "{reply:?}");
+        server.join().expect("listener thread");
+    }
 }

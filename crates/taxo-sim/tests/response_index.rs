@@ -17,23 +17,17 @@
 //!   under which it attached an edge — against a replay of the click
 //!   counts — the same counts at 1 and 8 threads.
 //!
-//! One `#[test]` only: the global thread-count override and the metric
-//! registry must not race with another test in this binary.
+//! One `#[test]` only: the global thread-count override must not race
+//! with another test in this binary.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::path::Path;
 use std::sync::Arc;
 use taxo_core::{ConceptId, Vocabulary};
-use taxo_expand::{
-    DetectorConfig, ExpansionConfig, HypoDetector, IncrementalExpander, RelationalConfig,
-    RelationalModel,
-};
 use taxo_nn::parallel;
 use taxo_serve::{
-    protocol, Client, DurabilityConfig, FsyncPolicy, IngestPhase, Reply, ServeConfig,
-    ServeSnapshot, Server, ServerHandle, Tier,
+    protocol, Client, FsyncPolicy, IngestPhase, Reply, ServeConfig, ServeSnapshot, Tier,
 };
-use taxo_synth::{ClickConfig, ClickLog, ClickRecord, World, WorldConfig};
+use taxo_sim::{Fixture, Fleet, Split};
 
 const SEED: u64 = 11;
 
@@ -41,12 +35,12 @@ const SEED: u64 = 11;
 /// attached)`, recomputed through the detector.
 type Rankings = BTreeMap<ConceptId, Vec<(ConceptId, u32, bool)>>;
 
-fn rendered() -> u64 {
-    taxo_obs::counter!("serve.index.rendered").get()
-}
-
-fn ranked() -> u64 {
-    taxo_obs::counter!("serve.index.ranked").get()
+/// The entries rendered and the queries ranked so far.
+fn counts() -> (u64, u64) {
+    (
+        taxo_sim::counter("serve.index.rendered"),
+        taxo_sim::counter("serve.index.ranked"),
+    )
 }
 
 /// Replays one wire batch into the click counts `clicks` the way the
@@ -74,13 +68,6 @@ fn replay(
     changed
 }
 
-/// Renders a JSON string literal (quotes and escapes included).
-fn json_str(s: &str) -> String {
-    let mut out = String::new();
-    taxo_serve::json::encode_str(s, &mut out);
-    out
-}
-
 fn rankings(snapshot: &ServeSnapshot, cap: usize) -> Rankings {
     (0..snapshot.vocab.len())
         .map(ConceptId::from_index)
@@ -105,9 +92,10 @@ fn changed(prev: &Rankings, next: &Rankings) -> u64 {
 
 /// Checks every served response of the current snapshot against the
 /// reference rendering; returns the snapshot's rankings.
-fn check_bytes(handle: &ServerHandle, cfg: &ServeConfig, version: u64, step: &str) -> Rankings {
-    let snapshot = handle.store().load();
+fn check_bytes(fleet: &Fleet, version: u64, step: &str) -> Rankings {
+    let snapshot = fleet.shard(0).store().load();
     assert_eq!(snapshot.version, version, "{step}: served version");
+    let cfg = ServeConfig::default();
     let cap = cfg.max_candidates;
     let ranks = rankings(&snapshot, cap);
     assert!(
@@ -120,22 +108,14 @@ fn check_bytes(handle: &ServerHandle, cfg: &ServeConfig, version: u64, step: &st
         .find(|&q| snapshot.eligible(q, cap).is_empty())
         .expect("some concept has no candidates");
     let ks = [1, 2, cfg.default_k, cap, cap + 3];
-    let mut client = Client::connect(handle.addr()).unwrap();
+    let mut client = Client::connect(fleet.addr()).unwrap();
     for q in ranks.keys().copied().chain([unscored]) {
         let name = snapshot.vocab.name(q);
         for k in ks {
             let reference = snapshot.score_query(q, cap, k);
             for id in [Some(u64::from(q.0) * 10 + k as u64), None] {
-                let line = match id {
-                    Some(id) => format!(
-                        "{{\"kind\":\"score\",\"id\":{id},\"query\":{},\"k\":{k}}}",
-                        json_str(name)
-                    ),
-                    None => format!(
-                        "{{\"kind\":\"score\",\"query\":{},\"k\":{k}}}",
-                        json_str(name)
-                    ),
-                };
+                let mut line = String::new();
+                protocol::push_score_request(&mut line, id, name, Some(k), None, None);
                 let expected = protocol::score_response(
                     id,
                     name,
@@ -155,75 +135,26 @@ fn check_bytes(handle: &ServerHandle, cfg: &ServeConfig, version: u64, step: &st
     ranks
 }
 
-/// Wire form of one batch, exactly as a client would send it.
-fn wire_batch(vocab: &Vocabulary, batch: &[ClickRecord]) -> Vec<(String, String, u64)> {
-    batch
-        .iter()
-        .map(|r| (vocab.name(r.query).to_owned(), r.item_text.clone(), r.count))
-        .collect()
-}
-
-fn durability(dir: &Path) -> DurabilityConfig {
-    DurabilityConfig::Wal {
-        dir: dir.to_path_buf(),
-        fsync: FsyncPolicy::Always,
-        snapshot_every: 1,
-    }
-}
-
 /// Runs the trace; returns the entries rendered and the queries ranked
 /// by each step.
-fn run_trace(label: &str) -> (Vec<u64>, Vec<u64>) {
-    let world = World::generate(&WorldConfig {
-        target_nodes: 120,
-        ..WorldConfig::tiny(SEED)
-    });
-    let log = ClickLog::generate(
-        &world,
-        &ClickConfig {
-            n_events: 4_000,
-            ..ClickConfig::tiny(SEED)
-        },
-    );
-    let relational = RelationalModel::vanilla(&world.vocab, &[], &RelationalConfig::tiny(SEED));
-    let detector =
-        |seed| HypoDetector::new(Some(relational.clone()), None, &DetectorConfig::tiny(seed));
-    let expansion = ExpansionConfig::builder().threshold(0.6).build().unwrap();
-    let mut expander =
-        IncrementalExpander::new(detector(SEED), world.existing.clone(), expansion.clone());
-    let half = log.records.len() / 2;
-    expander.ingest(&world.vocab, &log.records[..half]);
-    let mut clicks: HashMap<(ConceptId, ConceptId), u64> = expander
+fn run_trace(fixture: &Fixture) -> Vec<(u64, u64)> {
+    let mut clicks: HashMap<(ConceptId, ConceptId), u64> = fixture
+        .expander()
         .candidate_pairs()
         .into_iter()
         .map(|p| ((p.query, p.item), p.clicks))
         .collect();
-    let matcher = taxo_text::ConceptMatcher::new(&world.vocab);
-    let vocab = Arc::new(world.vocab);
-    let cfg = ServeConfig::default();
-    let dir = std::env::temp_dir().join(format!(
-        "taxo-serve-response-index-{label}-{}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
+    let matcher = taxo_text::ConceptMatcher::new(&fixture.world.vocab);
+    let vocab = &fixture.vocab;
 
-    let mut steps = Vec::new();
-    let mut ranked_steps = Vec::new();
-    let (before, ranked_before) = (rendered(), ranked());
-    let handle = Server::builder(expander, Arc::clone(&vocab))
-        .config(cfg.clone())
-        .durability(durability(&dir))
-        .bind("127.0.0.1:0")
-        .unwrap();
-    steps.push(rendered() - before);
-    ranked_steps.push(ranked() - ranked_before);
-    let mut ranks = check_bytes(&handle, &cfg, 0, "version 0");
-    assert_eq!(steps[0], ranks.len() as u64, "bind renders every query");
-    assert_eq!(
-        ranked_steps[0],
-        ranks.len() as u64,
-        "bind ranks every query"
-    );
+    // The fleet zeroes the metrics before it binds.
+    let mut fleet = Fleet::standalone(fixture)
+        .wal(FsyncPolicy::Always, 1)
+        .start();
+    let mut steps = vec![counts()];
+    let mut ranks = check_bytes(&fleet, 0, "version 0");
+    let all = ranks.len() as u64;
+    assert_eq!(steps[0], (all, all), "bind renders and ranks every query");
 
     // First an ingest of an unknown term, which changes nothing, then the
     // unseen half of the click log in four batches.
@@ -232,48 +163,47 @@ fn run_trace(label: &str) -> (Vec<u64>, Vec<u64>) {
         "no such item".to_owned(),
         1,
     )]];
-    let tail = &log.records[half..];
     batches.extend(
-        tail.chunks(tail.len().div_ceil(4))
-            .map(|batch| wire_batch(&vocab, batch)),
+        fixture
+            .batches(4, Split::Contiguous)
+            .iter()
+            .map(|batch| taxo_sim::wire(vocab, batch)),
     );
     let mut version = 0;
-    let mut partial = false;
-    let mut client = Client::connect(handle.addr()).unwrap();
-    let mut edges: BTreeSet<_> = handle.store().load().taxonomy.edges().collect();
-    let mut narrow = false;
+    let (mut partial, mut narrow) = (false, false);
+    let mut client = Client::connect(fleet.addr()).unwrap();
+    let mut edges: BTreeSet<_> = fleet.shard(0).store().load().taxonomy.edges().collect();
     for (n, batch) in batches.iter().enumerate() {
-        let (before, ranked_before) = (rendered(), ranked());
+        let before = counts();
         let reply = client.ingest(batch).unwrap();
         assert!(
             matches!(reply, Reply::Ok(_)),
             "ingest {n} failed: {reply:?}"
         );
-        steps.push(rendered() - before);
-        ranked_steps.push(ranked() - ranked_before);
-        let mut touched = replay(&vocab, &matcher, &mut clicks, batch);
-        let next_edges: BTreeSet<_> = handle.store().load().taxonomy.edges().collect();
+        let (rendered, ranked) = counts();
+        steps.push((rendered - before.0, ranked - before.1));
+        let mut touched = replay(vocab, &matcher, &mut clicks, batch);
+        let next_edges: BTreeSet<_> = fleet.shard(0).store().load().taxonomy.edges().collect();
         touched.extend(edges.symmetric_difference(&next_edges).map(|e| e.parent));
         edges = next_edges;
         version += 1;
         let step = format!("ingest {n}");
-        let next = check_bytes(&handle, &cfg, version, &step);
+        let next = check_bytes(&fleet, version, &step);
         let expected = changed(&ranks, &next);
-        assert_eq!(
-            steps.last(),
-            Some(&expected),
-            "{step}: renders exactly the changed queries"
-        );
         let served = touched.iter().filter(|q| next.contains_key(q)).count() as u64;
         assert_eq!(
-            ranked_steps.last(),
-            Some(&served),
-            "{step}: ranks exactly the changed and attached-under queries"
+            steps.last(),
+            Some(&(expected, served)),
+            "{step}: renders exactly the changed queries, ranks exactly the changed and \
+             attached-under queries"
         );
         narrow |= served < next.len() as u64;
         if n == 0 {
-            assert_eq!(expected, 0, "an unknown-term ingest changes no ranking");
-            assert_eq!(served, 0, "an unknown-term ingest ranks nothing");
+            assert_eq!(
+                (expected, served),
+                (0, 0),
+                "an unknown-term ingest changes no ranking and ranks nothing"
+            );
         }
         partial |= 0 < expected && expected < next.len() as u64;
         ranks = next;
@@ -281,69 +211,56 @@ fn run_trace(label: &str) -> (Vec<u64>, Vec<u64>) {
     assert!(partial, "some ingest must reuse entries and render others");
     assert!(narrow, "some ingest must leave served queries unranked");
 
-    // A promotion renders every entry again under the new detector.
-    let (before, ranked_before) = (rendered(), ranked());
-    let outcome = handle
+    // A promotion renders and ranks every entry again under the new
+    // detector.
+    let promoted_detector = fixture.detector_seeded(SEED + 1);
+    let before = counts();
+    let outcome = fleet
+        .shard(0)
         .controller()
-        .promote(Arc::new(detector(SEED + 1)), IngestPhase::Auto)
+        .promote(Arc::new(promoted_detector.clone()), IngestPhase::Auto)
         .unwrap();
     version += 1;
     assert_eq!(outcome.version, version);
-    steps.push(rendered() - before);
-    ranked_steps.push(ranked() - ranked_before);
-    let promoted = check_bytes(&handle, &cfg, version, "promotion");
+    let (rendered, ranked) = counts();
+    steps.push((rendered - before.0, ranked - before.1));
+    let promoted = check_bytes(&fleet, version, "promotion");
+    let all = promoted.len() as u64;
     assert_eq!(
         steps.last(),
-        Some(&(promoted.len() as u64)),
-        "a promotion renders every query"
-    );
-    assert_eq!(
-        ranked_steps.last(),
-        Some(&(promoted.len() as u64)),
-        "a promotion ranks every query"
+        Some(&(all, all)),
+        "a promotion renders and ranks every query"
     );
     assert!(
         changed(&ranks, &promoted) > 0,
         "the promoted detector must change some ranking"
     );
-    handle.shutdown_and_join();
+    drop(client);
 
     // Recovery builds from scratch under the serving detector.
-    let (recovered, report) =
-        Server::recover(&dir, detector(SEED + 1), expansion, &vocab).expect("recovery");
+    let before = counts();
+    let report = fleet.recover(0, &promoted_detector);
     assert_eq!(report.final_version, version);
-    let (before, ranked_before) = (rendered(), ranked());
-    let handle = Server::builder(recovered, Arc::clone(&vocab))
-        .config(cfg.clone())
-        .durability(durability(&dir))
-        .recovered(&report)
-        .bind("127.0.0.1:0")
-        .unwrap();
-    steps.push(rendered() - before);
-    ranked_steps.push(ranked() - ranked_before);
-    let after = check_bytes(&handle, &cfg, version, "recovery");
+    let (rendered, ranked) = counts();
+    steps.push((rendered - before.0, ranked - before.1));
+    let after = check_bytes(&fleet, version, "recovery");
     assert_eq!(after, promoted, "recovery serves the pre-stop rankings");
+    let all = after.len() as u64;
     assert_eq!(
         steps.last(),
-        Some(&(after.len() as u64)),
-        "a recovery renders every query"
+        Some(&(all, all)),
+        "a recovery renders and ranks every query"
     );
-    assert_eq!(
-        ranked_steps.last(),
-        Some(&(after.len() as u64)),
-        "a recovery ranks every query"
-    );
-    handle.shutdown_and_join();
-    let _ = std::fs::remove_dir_all(&dir);
-    (steps, ranked_steps)
+    steps
 }
 
 #[test]
 fn index_responses_are_byte_identical_and_rendered_once_per_change() {
+    let fixture = Fixture::new(SEED);
     parallel::set_threads(1);
-    let sequential = run_trace("1-thread");
+    let sequential = run_trace(&fixture);
     parallel::set_threads(8);
-    let threaded = run_trace("8-thread");
+    let threaded = run_trace(&fixture);
     parallel::set_threads(1);
     assert_eq!(
         sequential, threaded,

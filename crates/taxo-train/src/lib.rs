@@ -31,8 +31,8 @@
 //!
 //! Every decision is a [`Decision`] value (integer evidence only, so
 //! sequences compare with `==` across runs and thread counts); the
-//! deterministic simulation suite in `tests/control_plane_sim.rs` pins
-//! the promote/rollback sequence bit-for-bit.
+//! deterministic simulation suite in `crates/taxo-sim/tests/control_plane.rs`
+//! pins the promote/rollback sequence bit-for-bit.
 //!
 //! Observability: `train.epochs`, `train.promotions`, `train.rollbacks`
 //! counters plus `train.shadow.*` evidence counters and `train.retrain` /
