@@ -32,11 +32,12 @@
 //!
 //! `--data-dir` turns on durability: every ingest batch is appended to a
 //! CRC32-framed WAL and fsynced before it is acknowledged (`--fsync`
-//! picks the group-commit policy), with a durable snapshot checkpoint
-//! every `--snapshot-every` versions. After a crash, `--recover` (with
-//! the same `--data-dir` and `--seed`) loads the latest snapshot,
-//! replays the WAL tail — truncating any torn final record — and
-//! resumes serving the exact pre-crash state.
+//! picks the group-commit policy); the expander state is checkpointed
+//! into one `state.json` whenever a commit group carries the version
+//! across a multiple of `--snapshot-every`. After a crash, `--recover`
+//! (with the same `--data-dir` and `--seed`) loads that state, replays
+//! the WAL after it — truncating any torn final record — and resumes
+//! serving the exact pre-crash state.
 //!
 //! `--retrain-every N` (0 = off, the default) starts the taxo-train
 //! control plane: a background trainer that, every N acknowledged ingest

@@ -396,19 +396,7 @@ impl Client {
     /// batch is applied).
     pub fn ingest(&mut self, records: &[(String, String, u64)]) -> std::io::Result<Reply> {
         let id = self.fresh_id();
-        let mut arr = String::from("[");
-        for (i, (query, item, count)) in records.iter().enumerate() {
-            if i > 0 {
-                arr.push(',');
-            }
-            let mut r = json::ObjWriter::new();
-            r.str("query", query).str("item", item).u64("count", *count);
-            arr.push_str(&r.finish());
-        }
-        arr.push(']');
-        let mut w = json::ObjWriter::new();
-        w.str("kind", "ingest").u64("id", id).raw("records", &arr);
-        let line = w.finish();
+        let line = protocol::ingest_request(id, records);
         let mut retry = 0u32;
         loop {
             match self.call(&line, Some(id)) {

@@ -1,5 +1,5 @@
-//! Durable serving state: on-disk expander snapshots, WAL ingest-op
-//! payloads, and crash recovery.
+//! Durable serving state: the on-disk checkpoint of the expander, WAL
+//! ingest-op payloads, and crash recovery.
 //!
 //! The durability protocol (mechanisms in `taxo-wal`, policy here):
 //!
@@ -8,13 +8,16 @@
 //!   *wire* records — replay resolves terms against the vocabulary
 //!   exactly like the live ingest path, so matched/skipped outcomes are
 //!   identical.
-//! * Periodically (and at startup) the expander's durable state — the
-//!   taxonomy edge set, the accumulated candidate-pair store, and the
-//!   batch counter — is serialized to `<dir>/snapshot-<version>.json`
-//!   and published with an atomic rename; the manifest then points at
-//!   `(snapshot version, WAL offset)`.
-//! * [`recover`] loads the manifest's snapshot, truncates any torn
-//!   final WAL record, replays the WAL tail through a fresh
+//! * At bind, after every commit group that carries the version across
+//!   a multiple of `snapshot_every`, and at graceful shutdown, the
+//!   expander's durable state — the taxonomy edge set, the accumulated
+//!   candidate-pair store, and the batch counter — is written to
+//!   `<dir>/state.json` with one atomic rename, together with its
+//!   version and the WAL offset it covers. The ingest thread checkpoints
+//!   only after applying a whole commit group, so the expander then
+//!   holds every op in the WAL and the WAL's end is the right offset.
+//! * [`recover`] loads the state file, truncates any torn final WAL
+//!   record, replays the WAL from the state's offset through a fresh
 //!   [`IncrementalExpander`], and returns a state bit-identical in
 //!   serving behavior to the pre-crash server (scoring is pure; the
 //!   taxonomy matters only as an edge set; pairs are order-normalized).
@@ -33,20 +36,23 @@ use taxo_expand::{
 };
 use taxo_obs::{counter, gauge, span};
 use taxo_synth::ClickRecord;
-use taxo_wal::{Manifest, WalError};
+use taxo_wal::WalError;
 
 /// WAL file name inside a durability directory.
 pub const WAL_FILE: &str = "wal.log";
+/// State file name inside a durability directory: the latest
+/// checkpoint, replaced in place by each one.
+pub const STATE_FILE: &str = "state.json";
 
 /// Fault point consulted before each WAL frame append (`short:<n>`
 /// produces a physically torn final record).
 pub const FAULT_APPEND: &str = "serve.wal.append";
 /// Fault point consulted before each WAL fsync.
 pub const FAULT_FSYNC: &str = "serve.wal.fsync";
-/// Fault point consulted before each durable snapshot publish.
+/// Fault point consulted before each checkpoint write.
 pub const FAULT_SNAPSHOT: &str = "serve.wal.snapshot";
 
-const STATE_FORMAT: &str = "taxo-serve-state-v1";
+const STATE_FORMAT: &str = "taxo-serve-state-v2";
 const OP_FORMAT: &str = "taxo-serve-ingest-v1";
 
 /// When the WAL fsync that gates ingest acks happens.
@@ -78,19 +84,19 @@ pub enum DurabilityConfig {
     /// every ingested batch.
     #[default]
     Volatile,
-    /// Append-before-ack WAL plus periodic durable snapshots in `dir`.
+    /// Append-before-ack WAL plus a periodic checkpoint in `dir`.
     Wal {
         dir: std::path::PathBuf,
         fsync: FsyncPolicy,
-        /// Persist a durable snapshot (and advance the manifest) every
-        /// N applied batches. `1` snapshots after every batch; higher
-        /// values lean on WAL replay for the tail.
+        /// Checkpoint after each commit group that carries the version
+        /// across a multiple of N. `1` checkpoints after every group;
+        /// higher values lean on WAL replay for the tail.
         snapshot_every: u64,
     },
 }
 
 impl DurabilityConfig {
-    /// A WAL configuration with the default fsync policy and snapshot
+    /// A WAL configuration with the default fsync policy and checkpoint
     /// cadence.
     pub fn wal(dir: impl Into<std::path::PathBuf>) -> Self {
         DurabilityConfig::Wal {
@@ -130,7 +136,7 @@ impl DurabilityConfig {
 /// What [`recover`] found and rebuilt.
 #[derive(Debug, Clone)]
 pub struct RecoveryReport {
-    /// Version of the durable snapshot the manifest pointed at.
+    /// Version of the checkpoint in the state file.
     pub snapshot_version: u64,
     /// WAL operations replayed on top of it.
     pub replayed_ops: u64,
@@ -143,13 +149,8 @@ pub struct RecoveryReport {
     pub final_version: u64,
 }
 
-/// Snapshot file name for a given version.
-pub fn snapshot_file_name(version: u64) -> String {
-    format!("snapshot-{version}.json")
-}
-
 /// FNV-1a fingerprint of the vocabulary (names in interning order).
-/// Recovery refuses to marry a snapshot to a different vocabulary —
+/// Recovery refuses to marry a checkpoint to a different vocabulary —
 /// concept ids are dense indices, so a mismatch would silently remap
 /// every concept.
 pub fn vocab_fingerprint(vocab: &Vocabulary) -> u64 {
@@ -167,8 +168,22 @@ pub fn vocab_fingerprint(vocab: &Vocabulary) -> u64 {
     h
 }
 
-/// Serializes the expander's durable state at `version`.
-pub fn encode_state(version: u64, vocab: &Vocabulary, state: &ExpanderState) -> String {
+/// A decoded state file: the expander state at `version`, covering the
+/// WAL up to byte `wal_offset`.
+#[derive(Debug, Clone)]
+pub(crate) struct Checkpoint {
+    pub(crate) version: u64,
+    pub(crate) wal_offset: u64,
+    pub(crate) state: ExpanderState,
+}
+
+/// Serializes a checkpoint as a state file document.
+pub(crate) fn encode_state(vocab: &Vocabulary, checkpoint: &Checkpoint) -> String {
+    let Checkpoint {
+        version,
+        wal_offset,
+        state,
+    } = checkpoint;
     let mut nodes = String::from("[");
     for (i, id) in state.taxonomy.nodes().enumerate() {
         if i > 0 {
@@ -196,7 +211,8 @@ pub fn encode_state(version: u64, vocab: &Vocabulary, state: &ExpanderState) -> 
 
     let mut w = ObjWriter::new();
     w.str("format", STATE_FORMAT)
-        .u64("version", version)
+        .u64("version", *version)
+        .u64("wal_offset", *wal_offset)
         .u64("batches", state.batches as u64)
         .u64("vocab_len", vocab.len() as u64)
         .u64("vocab_hash", vocab_fingerprint(vocab))
@@ -207,12 +223,12 @@ pub fn encode_state(version: u64, vocab: &Vocabulary, state: &ExpanderState) -> 
 }
 
 fn bad_state(detail: impl Into<String>) -> WalError {
-    WalError::Manifest(format!("snapshot state: {}", detail.into()))
+    WalError::Format(format!("state file: {}", detail.into()))
 }
 
-/// Deserializes a durable state document, checking the vocabulary
-/// fingerprint. Returns `(version, state)`.
-pub fn decode_state(src: &str, vocab: &Vocabulary) -> Result<(u64, ExpanderState), WalError> {
+/// Deserializes a state file document, checking the vocabulary
+/// fingerprint.
+pub(crate) fn decode_state(src: &str, vocab: &Vocabulary) -> Result<Checkpoint, WalError> {
     let v = json::parse(src).map_err(bad_state)?;
     let field = |name: &str| -> Result<&Value, WalError> {
         v.get(name)
@@ -233,13 +249,14 @@ pub fn decode_state(src: &str, vocab: &Vocabulary) -> Result<(u64, ExpanderState
     let vocab_hash = u64_field("vocab_hash")?;
     if vocab_len != vocab.len() as u64 || vocab_hash != vocab_fingerprint(vocab) {
         return Err(bad_state(format!(
-            "vocabulary mismatch: snapshot was written against {vocab_len} concepts \
+            "vocabulary mismatch: state was written against {vocab_len} concepts \
              (hash {vocab_hash}), server has {} (hash {})",
             vocab.len(),
             vocab_fingerprint(vocab)
         )));
     }
     let version = u64_field("version")?;
+    let wal_offset = u64_field("wal_offset")?;
     let batches = u64_field("batches")? as usize;
 
     let concept = |item: &Value, what: &str| -> Result<ConceptId, WalError> {
@@ -290,14 +307,15 @@ pub fn decode_state(src: &str, vocab: &Vocabulary) -> Result<(u64, ExpanderState
                 .ok_or_else(|| bad_state("pair clicks is not a u64"))?,
         });
     }
-    Ok((
+    Ok(Checkpoint {
         version,
-        ExpanderState {
+        wal_offset,
+        state: ExpanderState {
             taxonomy,
             pairs,
             batches,
         },
-    ))
+    })
 }
 
 /// Serializes one ingest operation as a WAL frame payload. `seq` is the
@@ -323,7 +341,7 @@ pub fn encode_ingest_op(seq: u64, records: &[IngestRecord]) -> String {
 }
 
 fn bad_op(detail: impl Into<String>) -> WalError {
-    WalError::Manifest(format!("wal ingest op: {}", detail.into()))
+    WalError::Format(format!("wal ingest op: {}", detail.into()))
 }
 
 /// Deserializes a WAL frame payload back into `(seq, wire records)`.
@@ -367,35 +385,24 @@ pub fn decode_ingest_op(payload: &[u8]) -> Result<(u64, Vec<IngestRecord>), WalE
     Ok((seq, records))
 }
 
-/// Atomically publishes a durable snapshot of `state` at `version` and
-/// advances the manifest to `(version, wal_offset)`.
+/// Atomically replaces the state file in `dir` with `checkpoint`.
 ///
 /// Consults the `serve.wal.snapshot` fault point; an injected failure
-/// leaves the previous snapshot+manifest intact (the WAL still holds
-/// every acked batch, so nothing durable is lost — recovery just
-/// replays a longer tail).
-pub fn persist_state(
+/// leaves the previous state file intact (the WAL still holds every
+/// acked batch, so nothing durable is lost — recovery just replays a
+/// longer tail).
+pub(crate) fn persist_state(
     dir: &Path,
-    version: u64,
     vocab: &Vocabulary,
-    state: &ExpanderState,
-    wal_offset: u64,
+    checkpoint: &Checkpoint,
 ) -> Result<(), WalError> {
     if taxo_fault::should_fail(FAULT_SNAPSHOT) {
         return Err(WalError::Injected(FAULT_SNAPSHOT));
     }
-    let file = snapshot_file_name(version);
     taxo_wal::atomic_write(
-        &dir.join(&file),
-        encode_state(version, vocab, state).as_bytes(),
+        &dir.join(STATE_FILE),
+        encode_state(vocab, checkpoint).as_bytes(),
     )?;
-    Manifest {
-        snapshot_version: version,
-        snapshot_file: file,
-        wal_file: WAL_FILE.to_owned(),
-        wal_offset,
-    }
-    .write(dir)?;
     counter!("serve.wal.snapshots").inc();
     Ok(())
 }
@@ -427,8 +434,9 @@ pub(crate) fn match_records(
 }
 
 /// Rebuilds the expander a crashed (or cleanly stopped) durable server
-/// would have reached: loads the manifest's snapshot, truncates any torn
-/// final WAL record, and replays the WAL tail batch by batch.
+/// would have reached: loads the state file, truncates any torn final
+/// WAL record, and replays the WAL from the state's offset batch by
+/// batch.
 ///
 /// `detector` and `cfg` must be the same frozen artifacts the original
 /// server ran with — they are not persisted (training is upstream of
@@ -440,23 +448,23 @@ pub fn recover(
     vocab: &Vocabulary,
 ) -> Result<(IncrementalExpander, RecoveryReport), WalError> {
     let _g = span!("serve.recovery");
-    let manifest = Manifest::read(dir)?.ok_or_else(|| {
-        WalError::Manifest(format!(
-            "no manifest in {} — nothing to recover (fresh directories are \
-             initialized by the server builder)",
-            dir.display()
-        ))
-    })?;
-    let state_src = std::fs::read_to_string(dir.join(&manifest.snapshot_file))?;
-    let (snapshot_version, state) = decode_state(&state_src, vocab)?;
-    if snapshot_version != manifest.snapshot_version {
-        return Err(bad_state(format!(
-            "snapshot file claims version {snapshot_version}, manifest says {}",
-            manifest.snapshot_version
-        )));
-    }
-
-    let replayed = taxo_wal::recover(&dir.join(&manifest.wal_file), manifest.wal_offset)?;
+    let src = match std::fs::read_to_string(dir.join(STATE_FILE)) {
+        Ok(src) => src,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+            return Err(WalError::Format(format!(
+                "no state file in {} — nothing to recover (fresh directories are \
+                 initialized by the server builder)",
+                dir.display()
+            )));
+        }
+        Err(e) => return Err(e.into()),
+    };
+    let Checkpoint {
+        version: snapshot_version,
+        wal_offset,
+        state,
+    } = decode_state(&src, vocab)?;
+    let replayed = taxo_wal::recover(&dir.join(WAL_FILE), wal_offset)?;
     let mut expander = IncrementalExpander::restore(detector, cfg, state);
     let mut replayed_records = 0u64;
     for (i, payload) in replayed.payloads.iter().enumerate() {
@@ -529,9 +537,15 @@ mod tests {
     #[test]
     fn state_round_trips_exactly() {
         let (vocab, state) = tiny_world();
-        let doc = encode_state(11, &vocab, &state);
-        let (version, back) = decode_state(&doc, &vocab).unwrap();
-        assert_eq!(version, 11);
+        let checkpoint = |state: &ExpanderState| Checkpoint {
+            version: 11,
+            wal_offset: 4_096,
+            state: state.clone(),
+        };
+        let doc = encode_state(&vocab, &checkpoint(&state));
+        let back = decode_state(&doc, &vocab).unwrap();
+        assert_eq!((back.version, back.wal_offset), (11, 4_096));
+        let back = back.state;
         assert_eq!(back.batches, state.batches);
         assert_eq!(back.pairs, state.pairs);
         assert_eq!(back.taxonomy.node_count(), state.taxonomy.node_count());
@@ -546,15 +560,20 @@ mod tests {
         let mut original_sorted = state.clone();
         original_sorted.pairs.sort_by_key(|p| (p.query, p.item));
         assert_eq!(
-            encode_state(11, &vocab, &sorted),
-            encode_state(11, &vocab, &original_sorted)
+            encode_state(&vocab, &checkpoint(&sorted)),
+            encode_state(&vocab, &checkpoint(&original_sorted))
         );
     }
 
     #[test]
     fn state_rejects_a_different_vocabulary() {
         let (vocab, state) = tiny_world();
-        let doc = encode_state(1, &vocab, &state);
+        let checkpoint = Checkpoint {
+            version: 1,
+            wal_offset: 0,
+            state,
+        };
+        let doc = encode_state(&vocab, &checkpoint);
         let mut other = vocab.clone();
         other.intern("an extra concept");
         assert!(decode_state(&doc, &other).is_err());

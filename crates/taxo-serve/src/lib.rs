@@ -36,10 +36,10 @@
 //! * **Durability** ([`durable`], `crates/taxo-wal`): with
 //!   [`DurabilityConfig::Wal`], ingest batches are appended to a
 //!   CRC32-framed write-ahead log *before* they are acknowledged
-//!   (append → fsync window → ack), snapshots of the expander state are
-//!   atomically published to disk, and [`Server::recover`] rebuilds the
-//!   exact pre-crash state — bit-identical scores included — from
-//!   snapshot + WAL tail replay.
+//!   (append → fsync window → ack), the expander state is periodically
+//!   checkpointed into one atomically replaced state file, and
+//!   [`Server::recover`] rebuilds the exact pre-crash state —
+//!   bit-identical scores included — from that state + WAL tail replay.
 //!
 //! # Determinism contract
 //!

@@ -408,6 +408,24 @@ pub fn push_score_request(
     out.push('}');
 }
 
+/// An `ingest` request for `records`, `(query, item, count)` each
+/// (without the frame terminator).
+pub fn ingest_request(id: u64, records: &[(String, String, u64)]) -> String {
+    let mut arr = String::from("[");
+    for (i, (query, item, count)) in records.iter().enumerate() {
+        if i > 0 {
+            arr.push(',');
+        }
+        let mut r = ObjWriter::new();
+        r.str("query", query).str("item", item).u64("count", *count);
+        arr.push_str(&r.finish());
+    }
+    arr.push(']');
+    let mut w = ObjWriter::new();
+    w.str("kind", "ingest").u64("id", id).raw("records", &arr);
+    w.finish()
+}
+
 /// Parses a request line through a [`Value`] tree: every request kind,
 /// any member order, any valid JSON.
 fn parse_tree(line: &str) -> Result<Request, String> {

@@ -103,6 +103,8 @@ pub const FAULT_ACCEPT: &str = "serve.accept";
 
 /// How long a gracefully closed connection keeps reading (and
 /// discarding) after its write half is shut, waiting for the peer's EOF.
+/// At shutdown, a connection that has written nothing for this long
+/// closes at once instead: its peer has already had that long to read.
 const LINGER: Duration = Duration::from_millis(250);
 
 /// The longest a reactor waits while a fault plan is armed, so a ring
@@ -687,6 +689,8 @@ struct Conn<T> {
     /// lingering close gives up waiting for the peer's EOF.
     linger_until: Option<Instant>,
     last_activity: Instant,
+    /// When bytes last went out (or the connection arrived).
+    last_write: Instant,
 }
 
 impl<T> Conn<T> {
@@ -707,6 +711,7 @@ impl<T> Conn<T> {
             hold_until: None,
             linger_until: None,
             last_activity: now,
+            last_write: now,
         }
     }
 
@@ -775,8 +780,8 @@ impl<T> Conn<T> {
     /// up to [`MAX_IOV`] frames per syscall. `Ok(true)` means nothing is
     /// left that the socket could take now (drained, or held by an
     /// injected delay); `Ok(false)` means the socket is full; `Err` means
-    /// the connection must drop.
-    fn flush(&mut self) -> io::Result<bool> {
+    /// the connection must drop. A write stamps `last_write` with `now`.
+    fn flush(&mut self, now: Instant) -> io::Result<bool> {
         if self.hold_until.is_some() {
             return Ok(true);
         }
@@ -794,6 +799,7 @@ impl<T> Conn<T> {
             match written {
                 Ok(0) => return Err(ErrorKind::WriteZero.into()),
                 Ok(mut n) => {
+                    self.last_write = now;
                     while n > 0 {
                         let avail = self.outq[0].len() - self.out_head;
                         if n >= avail {
@@ -942,7 +948,7 @@ fn run<S: Service>(poller: Poller, inbox: &Arc<Inbox<S::Payload>>, service: &S) 
             let response = service.render(pending, completion.payload);
             conn.fill_slot(completion.slot, response);
             let idx = token_idx(completion.token);
-            service_writes(&poller, &mut slab, idx);
+            service_writes(&poller, &mut slab, idx, now);
         }
 
         // Socket readiness.
@@ -962,7 +968,7 @@ fn run<S: Service>(poller: Poller, inbox: &Arc<Inbox<S::Payload>>, service: &S) 
                 discard_reads(&poller, &mut slab, idx, &mut buf);
                 continue;
             }
-            if readiness & EPOLLOUT != 0 && !service_writes(&poller, &mut slab, idx) {
+            if readiness & EPOLLOUT != 0 && !service_writes(&poller, &mut slab, idx, now) {
                 continue;
             }
             if readiness & (EPOLLIN | EPOLLRDHUP | EPOLLHUP) != 0 {
@@ -971,7 +977,7 @@ fn run<S: Service>(poller: Poller, inbox: &Arc<Inbox<S::Payload>>, service: &S) 
                 ) {
                     continue;
                 }
-                service_writes(&poller, &mut slab, idx);
+                service_writes(&poller, &mut slab, idx, now);
             }
         }
 
@@ -992,7 +998,7 @@ fn run<S: Service>(poller: Poller, inbox: &Arc<Inbox<S::Payload>>, service: &S) 
             }
             if conn.hold_until.is_some_and(|until| now >= until) {
                 conn.hold_until = None;
-                if !service_writes(&poller, &mut slab, idx) {
+                if !service_writes(&poller, &mut slab, idx, now) {
                     continue;
                 }
             }
@@ -1001,7 +1007,13 @@ fn run<S: Service>(poller: Poller, inbox: &Arc<Inbox<S::Payload>>, service: &S) 
                 conn.closing = true;
             }
             if conn.closing && conn.drained() {
-                linger_close(&poller, &mut slab, idx);
+                // A connection that wrote nothing for a whole linger has
+                // already given its peer that long to read: no second one.
+                if shutting_down && now.duration_since(conn.last_write) >= LINGER {
+                    close_conn(&poller, &mut slab, idx);
+                } else {
+                    linger_close(&poller, &mut slab, idx);
+                }
             } else if !conn.closing
                 && conn.drained()
                 && now.duration_since(conn.last_activity) >= idle_timeout
@@ -1097,9 +1109,9 @@ fn discard_reads<T>(poller: &Poller, slab: &mut Slab<T>, idx: usize, buf: &mut [
 /// Flushes a connection's write queue and maintains the `EPOLLOUT`
 /// discipline. Returns false when the connection was closed or, owing
 /// nothing more, began its lingering close.
-fn service_writes<T>(poller: &Poller, slab: &mut Slab<T>, idx: usize) -> bool {
+fn service_writes<T>(poller: &Poller, slab: &mut Slab<T>, idx: usize, now: Instant) -> bool {
     let conn = self_conn(slab, idx);
-    match conn.flush() {
+    match conn.flush(now) {
         Ok(true) => {
             if conn.wants_writable {
                 conn.wants_writable = false;

@@ -41,9 +41,11 @@
 //! With [`DurabilityConfig::Wal`], the ingest thread is also the WAL's
 //! single writer: it appends every batch of a commit group, fsyncs once
 //! (the ack barrier), and only then applies, rebuilds, publishes, and
-//! acks. An injected WAL failure is treated as a crash — the server
-//! halts exactly as if the process had died, and [`Server::recover`]
-//! rebuilds the durable state.
+//! acks; once the whole group is applied it checkpoints the state file
+//! when the group crossed a multiple of `snapshot_every`. An injected
+//! WAL failure is treated as a crash — the server halts exactly as if
+//! the process had died, and [`Server::recover`] rebuilds the durable
+//! state.
 
 use crate::batch::{score_batch, BoundedQueue, PushError, ScoreJob, ScoreSink};
 use crate::cache::{ResponseCache, ResponseKey, ScoreCache};
@@ -583,8 +585,8 @@ impl Server {
     }
 
     /// Rebuilds the expander state a durable server had reached before a
-    /// crash (or clean stop): loads the manifest's snapshot, truncates
-    /// any torn final WAL record, and replays the WAL tail. Pass the
+    /// crash (or clean stop): loads the state file, truncates any torn
+    /// final WAL record, and replays the WAL from the state's offset. Pass the
     /// result to [`ServerBuilder::recovered`] to resume serving.
     ///
     /// `detector` and `cfg` are the frozen training-time artifacts the
@@ -625,7 +627,7 @@ impl ServerBuilder {
 
     /// Marks this server as resuming from a [`Server::recover`] run: the
     /// snapshot version ledger continues from the recovered version, and
-    /// an existing manifest in the durability directory is expected
+    /// an existing state file in the durability directory is expected
     /// rather than refused.
     pub fn recovered(mut self, report: &RecoveryReport) -> Self {
         self.initial_version = report.final_version;
@@ -637,10 +639,9 @@ impl ServerBuilder {
     /// for an ephemeral port; read it back from [`ServerHandle::addr`]).
     ///
     /// With [`DurabilityConfig::Wal`], also initializes the durability
-    /// directory: persists the starting state as a durable snapshot,
-    /// opens the WAL for appending, and publishes a manifest — so a
-    /// crash at any later point recovers at least the state served at
-    /// bind time.
+    /// directory: opens the WAL for appending and checkpoints the
+    /// starting state into the state file — so a crash at any later
+    /// point recovers at least the state served at bind time.
     pub fn bind(self, addr: impl ToSocketAddrs) -> Result<ServerHandle, ServeError> {
         let ServerBuilder {
             mut expander,
@@ -753,8 +754,8 @@ struct WalState {
 }
 
 /// Prepares a durability directory at bind time: refuses to silently
-/// shadow an existing manifest (that is what [`Server::recover`] is
-/// for), opens the WAL, and publishes the starting snapshot+manifest.
+/// shadow an existing state file (that is what [`Server::recover`] is
+/// for), opens the WAL, and checkpoints the starting state.
 fn init_durability(
     dir: PathBuf,
     fsync: FsyncPolicy,
@@ -765,22 +766,22 @@ fn init_durability(
     recovered: bool,
 ) -> Result<WalState, ServeError> {
     std::fs::create_dir_all(&dir).map_err(WalError::Io)?;
-    if !recovered && taxo_wal::Manifest::read(&dir)?.is_some() {
+    let state_file = dir.join(durable::STATE_FILE);
+    if !recovered && state_file.try_exists().map_err(WalError::Io)? {
         return Err(ServeError::Config(TaxoError::invalid_config(
             "durability.dir",
-            "already contains a manifest; recover with Server::recover(...) and \
+            "already contains a state file; recover with Server::recover(...) and \
              resume via ServerBuilder::recovered(...), or point at a fresh directory",
         )));
     }
     let writer = WalWriter::open(&dir.join(durable::WAL_FILE))?
         .with_fault_points(durable::FAULT_APPEND, durable::FAULT_FSYNC);
-    durable::persist_state(
-        &dir,
-        initial_version,
-        vocab,
-        &expander.state(),
-        writer.offset(),
-    )?;
+    let checkpoint = durable::Checkpoint {
+        version: initial_version,
+        wal_offset: writer.offset(),
+        state: expander.state(),
+    };
+    durable::persist_state(&dir, vocab, &checkpoint)?;
     gauge!("serve.wal.offset").set(writer.offset() as i64);
     Ok(WalState {
         writer,
@@ -1188,15 +1189,12 @@ pub const FAULT_PROMOTE: &str = "train.promote";
 /// WAL's version sequence dense for recovery.
 #[derive(Clone, Copy)]
 enum JobPlan {
-    /// Apply `records` and publish at this version (single-phase).
-    Apply(u64),
-    /// Apply `records` and hold the snapshot at this version.
-    Prepare(u64),
+    /// Build the snapshot at `version` — a batch by ingesting its
+    /// records, a promotion by re-anchoring on its detector — then
+    /// publish it now or hold it for a commit.
+    Apply { version: u64, publish: bool },
     /// Publish the held snapshot at this version.
     Commit(u64),
-    /// Swap in a promoted detector at this version; publish now or hold
-    /// like a prepare.
-    Promote { version: u64, publish: bool },
     /// Reply with the expander state; no version, nothing logged.
     Export,
     /// Refuse without side effects.
@@ -1206,8 +1204,52 @@ enum JobPlan {
     },
 }
 
+/// Plans every job of a commit group: assigns versions after
+/// `ledger_version` and decides phase legality against the snapshot
+/// held for commit (`pending`), so rejected jobs never consume a version
+/// or a log record.
+fn plan_group(jobs: &[IngestJob], ledger_version: u64, pending: Option<u64>) -> Vec<JobPlan> {
+    let mut next_version = ledger_version;
+    let mut pending = pending;
+    jobs.iter()
+        .map(|job| {
+            let phase = match job {
+                IngestJob::Batch { phase, .. } | IngestJob::Promote { phase, .. } => *phase,
+                IngestJob::Export { .. } => return JobPlan::Export,
+            };
+            match phase {
+                // Publishing or preparing here would expose the prepared
+                // (not yet committed) state and regress the version order
+                // at commit time.
+                IngestPhase::Auto | IngestPhase::Prepare if pending.is_some() => JobPlan::Reject {
+                    code: "prepare_pending",
+                    detail: "a prepared snapshot awaits commit",
+                },
+                IngestPhase::Auto | IngestPhase::Prepare => {
+                    next_version += 1;
+                    let publish = phase == IngestPhase::Auto;
+                    if !publish {
+                        pending = Some(next_version);
+                    }
+                    JobPlan::Apply {
+                        version: next_version,
+                        publish,
+                    }
+                }
+                IngestPhase::Commit => match pending.take() {
+                    Some(v) => JobPlan::Commit(v),
+                    None => JobPlan::Reject {
+                        code: "no_prepared",
+                        detail: "commit without a prepared snapshot",
+                    },
+                },
+            }
+        })
+        .collect()
+}
+
 /// Appends and fsyncs one commit group (only the jobs whose plan applies
-/// records). Returns the fault point name on an injected failure (the
+/// them). Returns the fault point name on an injected failure (the
 /// caller crashes the server), with all successfully appended frames
 /// possibly durable — recovery semantics, not rollback semantics.
 fn wal_commit_group(
@@ -1217,10 +1259,8 @@ fn wal_commit_group(
 ) -> Result<(), &'static str> {
     let mut logged = 0u64;
     for (job, plan) in jobs.iter().zip(plans) {
-        let version = match plan {
-            JobPlan::Apply(v) | JobPlan::Prepare(v) => *v,
-            JobPlan::Promote { version, .. } => *version,
-            JobPlan::Commit(_) | JobPlan::Export | JobPlan::Reject { .. } => continue,
+        let JobPlan::Apply { version, .. } = *plan else {
+            continue;
         };
         let records: &[IngestRecord] = match job {
             IngestJob::Batch { records, .. } => records,
@@ -1272,13 +1312,20 @@ struct PendingPublish {
 }
 
 /// The single writer: appends+fsyncs each commit group to the WAL (when
-/// durable), applies the batches to the owned [`IncrementalExpander`],
-/// rebuilds an immutable snapshot, and publishes it. Readers keep
-/// serving the previous snapshot throughout.
+/// durable), applies its jobs to the owned [`IncrementalExpander`],
+/// builds an immutable snapshot per versioned job, and publishes it (or
+/// holds it for a commit). Readers keep serving the previous snapshot
+/// throughout.
 ///
 /// The version ledger is thread-local (`ledger_version`), not re-read
 /// from the store: a prepared snapshot advances the expander past the
 /// published version, and the next version must follow the expander.
+///
+/// A durable server checkpoints once per commit group, after applying
+/// all of it, when the group carried the ledger across a multiple of
+/// `snapshot_every` — and once more at graceful shutdown. Between
+/// groups the expander holds every op in the WAL, so the state it
+/// writes covers the WAL to its end.
 fn ingest_loop(
     mut expander: IncrementalExpander,
     vocab: &Arc<Vocabulary>,
@@ -1289,6 +1336,7 @@ fn ingest_loop(
         Some(FsyncPolicy::Batch { max_ops, .. }) => max_ops.max(1),
         _ => 1,
     };
+    let cap = shared.cfg.max_candidates;
     let mut ledger_version = shared.store.version();
     let mut pending: Option<PendingPublish> = None;
     // The snapshot built last (published or prepared): the next ingest's
@@ -1300,70 +1348,7 @@ fn ingest_loop(
         if let Some(w) = wal.as_mut() {
             fill_commit_group(&mut jobs, &shared.ingest_queue, w.fsync);
         }
-        // Plan the whole group before touching the WAL: version
-        // assignment and phase legality are decided here, so rejected
-        // jobs never consume a version or a log record.
-        let mut next_version = ledger_version;
-        let mut planned_pending = pending.as_ref().map(|p| p.version);
-        let plans: Vec<JobPlan> = jobs
-            .iter()
-            .map(|job| {
-                let phase = match job {
-                    IngestJob::Batch { phase, .. } | IngestJob::Promote { phase, .. } => *phase,
-                    IngestJob::Export { .. } => return JobPlan::Export,
-                };
-                let promote = matches!(job, IngestJob::Promote { .. });
-                match phase {
-                    IngestPhase::Auto => {
-                        if planned_pending.is_some() {
-                            // Publishing here would expose the prepared (not
-                            // yet committed) state and regress the version
-                            // order at commit time.
-                            JobPlan::Reject {
-                                code: "prepare_pending",
-                                detail: "a prepared snapshot awaits commit",
-                            }
-                        } else {
-                            next_version += 1;
-                            if promote {
-                                JobPlan::Promote {
-                                    version: next_version,
-                                    publish: true,
-                                }
-                            } else {
-                                JobPlan::Apply(next_version)
-                            }
-                        }
-                    }
-                    IngestPhase::Prepare => {
-                        if planned_pending.is_some() {
-                            JobPlan::Reject {
-                                code: "prepare_pending",
-                                detail: "a prepared snapshot awaits commit",
-                            }
-                        } else {
-                            next_version += 1;
-                            planned_pending = Some(next_version);
-                            if promote {
-                                JobPlan::Promote {
-                                    version: next_version,
-                                    publish: false,
-                                }
-                            } else {
-                                JobPlan::Prepare(next_version)
-                            }
-                        }
-                    }
-                    IngestPhase::Commit => match planned_pending.take() {
-                        Some(v) => JobPlan::Commit(v),
-                        None => JobPlan::Reject {
-                            code: "no_prepared",
-                            detail: "commit without a prepared snapshot",
-                        },
-                    },
-                }
-            })
-            .collect();
+        let plans = plan_group(&jobs, ledger_version, pending.as_ref().map(|p| p.version));
         if let Some(w) = wal.as_mut() {
             let committed = {
                 let _g = span!("serve.wal.commit");
@@ -1379,8 +1364,9 @@ fn ingest_loop(
                 return;
             }
         }
+        let group_start = ledger_version;
         for (job, plan) in jobs.into_iter().zip(plans) {
-            let (batch_records, reply, version, publish_now) = match (job, plan) {
+            let (job, version, publish) = match (job, plan) {
                 (IngestJob::Export { reply }, _) => {
                     counter!("serve.control.exports").inc();
                     let _ = reply.send((ledger_version, expander.state()));
@@ -1405,17 +1391,48 @@ fn ingest_loop(
                     counter!("serve.ingest.applied").inc();
                     counter!("serve.ingest.committed").inc();
                     reply.send(IngestReply::Committed { version: v });
-                    checkpoint_state(wal.as_mut(), v, vocab, &expander);
                     continue;
                 }
-                (
-                    IngestJob::Promote {
-                        detector: promoted,
-                        reply,
-                        ..
-                    },
-                    JobPlan::Promote { version, publish },
-                ) => {
+                (job, JobPlan::Apply { version, publish }) => (job, version, publish),
+                (_, JobPlan::Export) => unreachable!("only export jobs are planned as exports"),
+            };
+            // Build the next snapshot: `summary` is a batch's report, `None`
+            // for a promotion.
+            let (next, summary, reply) = match job {
+                IngestJob::Batch { records, reply, .. } => {
+                    // Delay-only chaos point: a slow rebuild stalls the
+                    // single writer and backs pressure up into the ingest
+                    // queue.
+                    let _ = taxo_fault::inject("serve.ingest.apply");
+                    let _g = span!("serve.ingest.apply");
+                    let (records, matched, skipped) = durable::match_records(vocab, &records);
+                    counter!("serve.ingest.records_matched").add(matched);
+                    counter!("serve.ingest.records_skipped").add(skipped);
+                    let report = expander.ingest(vocab, &records);
+                    let next = {
+                        let _g = span!("serve.ingest.rebuild");
+                        last.successor(
+                            version,
+                            expander.taxonomy().clone(),
+                            expander.candidates(),
+                            expander.changes(),
+                            expander.scores(),
+                        )
+                    };
+                    let summary = IngestSummary {
+                        batch: report.batch as u64,
+                        matched,
+                        skipped,
+                        attached: report.attached.len() as u64,
+                        known_pairs: report.known_pairs as u64,
+                        total_relations: report.total_relations as u64,
+                        version,
+                    };
+                    (next, Some(summary), reply)
+                }
+                IngestJob::Promote {
+                    detector, reply, ..
+                } => {
                     if !matches!(
                         taxo_fault::inject(FAULT_PROMOTE),
                         taxo_fault::Injection::Pass
@@ -1430,9 +1447,7 @@ fn ingest_loop(
                         drain_orphans(shared);
                         return;
                     }
-                    let apply = span!("serve.promote.apply");
-                    let detector = promoted;
-                    let quant = Arc::new(QuantizedDetector::from_detector(Arc::clone(&detector)));
+                    let _g = span!("serve.promote.apply");
                     // The expander re-anchors on the promoted detector:
                     // future ingest attachment decisions are made by the
                     // model that is actually serving. Its score table
@@ -1442,95 +1457,43 @@ fn ingest_loop(
                         expander.expansion_config().clone(),
                         expander.state(),
                     );
-                    expander.cover_window(vocab, shared.cfg.max_candidates);
-                    ledger_version = version;
-                    let next = Arc::new(build_snapshot(
-                        version,
-                        vocab,
-                        &detector,
-                        &quant,
-                        &expander,
-                        shared.cfg.max_candidates,
-                    ));
-                    drop(apply);
-                    last = Arc::clone(&next);
-                    counter!("serve.ingest.applied").inc();
+                    expander.cover_window(vocab, cap);
+                    let quant = Arc::new(QuantizedDetector::from_detector(Arc::clone(&detector)));
+                    let next = build_snapshot(version, vocab, &detector, &quant, &expander, cap);
                     counter!("serve.promote.applied").inc();
-                    if publish {
-                        shared.store.publish(next);
-                        shared
-                            .batches
-                            .store(expander.batches() as u64, Ordering::Relaxed);
-                        reply.send(IngestReply::Promoted { version });
-                        checkpoint_state(wal.as_mut(), version, vocab, &expander);
-                    } else {
-                        pending = Some(PendingPublish {
-                            version,
-                            snapshot: next,
-                            batch: expander.batches() as u64,
-                        });
-                        counter!("serve.ingest.prepared").inc();
-                        reply.send(IngestReply::PromotePrepared { version });
-                    }
-                    continue;
+                    (next, None, reply)
                 }
-                (IngestJob::Batch { records, reply, .. }, JobPlan::Apply(v)) => {
-                    (records, reply, v, true)
-                }
-                (IngestJob::Batch { records, reply, .. }, JobPlan::Prepare(v)) => {
-                    (records, reply, v, false)
-                }
-                (IngestJob::Promote { .. }, _)
-                | (IngestJob::Batch { .. }, JobPlan::Export | JobPlan::Promote { .. }) => {
-                    unreachable!("job/plan pairing is decided by the planner")
-                }
+                IngestJob::Export { .. } => unreachable!("exports are never planned to apply"),
             };
-            // Delay-only chaos point: a slow rebuild stalls the single
-            // writer and backs pressure up into the ingest queue.
-            let _ = taxo_fault::inject("serve.ingest.apply");
-            let apply = span!("serve.ingest.apply");
-            let (records, matched, skipped) = durable::match_records(vocab, &batch_records);
-            counter!("serve.ingest.records_matched").add(matched);
-            counter!("serve.ingest.records_skipped").add(skipped);
-
-            let report = expander.ingest(vocab, &records);
+            // Publish or hold: the one tail of every versioned job.
+            let next = Arc::new(next);
+            let batch = expander.batches() as u64;
             ledger_version = version;
-
-            let next = {
-                let _g = span!("serve.ingest.rebuild");
-                Arc::new(last.successor(
-                    version,
-                    expander.taxonomy().clone(),
-                    expander.candidates(),
-                    expander.changes(),
-                    expander.scores(),
-                ))
-            };
-            drop(apply);
             last = Arc::clone(&next);
-            let summary = IngestSummary {
-                batch: report.batch as u64,
-                matched,
-                skipped,
-                attached: report.attached.len() as u64,
-                known_pairs: report.known_pairs as u64,
-                total_relations: report.total_relations as u64,
-                version,
-            };
             counter!("serve.ingest.applied").inc();
-            if publish_now {
+            if publish {
                 shared.store.publish(next);
-                shared.batches.store(report.batch as u64, Ordering::Relaxed);
-                reply.send(IngestReply::Applied(summary));
-                checkpoint_state(wal.as_mut(), version, vocab, &expander);
+                shared.batches.store(batch, Ordering::Relaxed);
             } else {
                 pending = Some(PendingPublish {
                     version,
                     snapshot: next,
-                    batch: report.batch as u64,
+                    batch,
                 });
                 counter!("serve.ingest.prepared").inc();
-                reply.send(IngestReply::Prepared(summary));
+            }
+            reply.send(match (summary, publish) {
+                (Some(summary), true) => IngestReply::Applied(summary),
+                (Some(summary), false) => IngestReply::Prepared(summary),
+                (None, true) => IngestReply::Promoted { version },
+                (None, false) => IngestReply::PromotePrepared { version },
+            });
+        }
+        // Only here, with the whole group applied, does the WAL's end
+        // mark what the expander holds.
+        if let Some(w) = wal.as_ref() {
+            if ledger_version / w.snapshot_every > group_start / w.snapshot_every {
+                checkpoint(w, ledger_version, vocab, &expander);
             }
         }
     }
@@ -1540,19 +1503,9 @@ fn ingest_loop(
     // not the published version: an uncommitted prepare is already in
     // the expander (and the WAL), so a restart resumes past it — the
     // same at-least-prepared outcome a crash would leave behind.
-    if let Some(w) = wal.as_mut() {
+    if let Some(w) = wal.as_ref() {
         if !shared.is_crashed() {
-            let _g = span!("serve.wal.checkpoint");
-            if let Err(e) = durable::persist_state(
-                &w.dir,
-                ledger_version,
-                vocab,
-                &expander.state(),
-                w.writer.offset(),
-            ) {
-                counter!("serve.wal.snapshot_errors").inc();
-                eprintln!("# taxo-serve: final snapshot publish skipped: {e}");
-            }
+            checkpoint(w, ledger_version, vocab, &expander);
         }
     }
 }
@@ -1589,27 +1542,21 @@ fn drain_orphans(shared: &Shared) {
     }
 }
 
-/// Periodic durable checkpoint after a publish (every
-/// `snapshot_every`th version). A failed (or injected) snapshot publish
-/// is tolerable: the WAL still holds every acked batch, so recovery just
+/// Replaces the state file with the expander at `version`, covering the
+/// WAL to its end — so it runs only between commit groups, when the
+/// expander holds every op the WAL does. A failed (or injected) write is
+/// tolerable: the WAL still holds every acked batch, so recovery just
 /// replays a longer tail.
-fn checkpoint_state(
-    wal: Option<&mut WalState>,
-    version: u64,
-    vocab: &Vocabulary,
-    expander: &IncrementalExpander,
-) {
-    let Some(w) = wal else { return };
-    if !version.is_multiple_of(w.snapshot_every) {
-        return;
-    }
+fn checkpoint(w: &WalState, version: u64, vocab: &Vocabulary, expander: &IncrementalExpander) {
     let _g = span!("serve.wal.checkpoint");
-    match durable::persist_state(&w.dir, version, vocab, &expander.state(), w.writer.offset()) {
-        Ok(()) => {}
-        Err(e) => {
-            counter!("serve.wal.snapshot_errors").inc();
-            eprintln!("# taxo-serve: snapshot publish skipped: {e}");
-        }
+    let checkpoint = durable::Checkpoint {
+        version,
+        wal_offset: w.writer.offset(),
+        state: expander.state(),
+    };
+    if let Err(e) = durable::persist_state(&w.dir, vocab, &checkpoint) {
+        counter!("serve.wal.snapshot_errors").inc();
+        eprintln!("# taxo-serve: checkpoint skipped: {e}");
     }
 }
 

@@ -25,7 +25,8 @@
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::net::SocketAddr;
+use std::io::{BufRead, BufReader, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -38,8 +39,8 @@ use taxo_expand::{
 };
 use taxo_router::{HashRing, Router, RouterConfig, RouterHandle};
 use taxo_serve::{
-    candidate_key, expected_key, Client, DurabilityConfig, FsyncPolicy, RecoveryReport, Reply,
-    ServeConfig, ServeError, ServeSnapshot, Server, ServerHandle, Tier,
+    candidate_key, expected_key, protocol, Client, DurabilityConfig, FsyncPolicy, RecoveryReport,
+    Reply, ServeConfig, ServeError, ServeSnapshot, Server, ServerHandle, Tier,
 };
 use taxo_synth::{ClickConfig, ClickLog, ClickRecord, World, WorldConfig};
 
@@ -277,6 +278,26 @@ pub enum Ack {
     NotApplied,
 }
 
+impl Ack {
+    fn of(reply: std::io::Result<Reply>) -> Ack {
+        match reply {
+            Ok(Reply::Ok(v)) => {
+                let versions = match v.get("versions").and_then(Value::items) {
+                    Some(items) => items.iter().filter_map(Value::as_u64).collect(),
+                    None => v
+                        .get("version")
+                        .and_then(Value::as_u64)
+                        .into_iter()
+                        .collect(),
+                };
+                Ack::Ok(versions)
+            }
+            Ok(reply) => Ack::Lost(format!("{reply:?}")),
+            Err(e) => Ack::Lost(e.to_string()),
+        }
+    }
+}
+
 struct Score {
     query: ConceptId,
     tier: Tier,
@@ -439,26 +460,55 @@ impl History {
     /// Sends one `ingest` of `batch` (never resent: a lost reply is
     /// ambiguous).
     pub fn ingest(&self, client: &mut Client, batch: &[ClickRecord]) -> Ack {
-        let ack = match client.ingest(&wire(&self.vocab, batch)) {
-            Ok(Reply::Ok(v)) => {
-                let versions = match v.get("versions").and_then(Value::items) {
-                    Some(items) => items.iter().filter_map(Value::as_u64).collect(),
-                    None => v
-                        .get("version")
-                        .and_then(Value::as_u64)
-                        .into_iter()
-                        .collect(),
-                };
-                Ack::Ok(versions)
-            }
-            Ok(reply) => Ack::Lost(format!("{reply:?}")),
-            Err(e) => Ack::Lost(e.to_string()),
-        };
+        let ack = Ack::of(client.ingest(&wire(&self.vocab, batch)));
         self.push(Event::Ingest {
             batch: batch.to_vec(),
             ack: ack.clone(),
         });
         ack
+    }
+
+    /// Sends one `ingest` per batch in a single write on a fresh
+    /// connection to `addr`, so that they reach the server together and
+    /// share a WAL commit group, then reads one reply per batch.
+    pub fn ingest_pipelined(&self, addr: SocketAddr, batches: &[Vec<ClickRecord>]) -> Vec<Ack> {
+        let mut lines = String::new();
+        for (id, batch) in batches.iter().enumerate() {
+            lines.push_str(&protocol::ingest_request(
+                id as u64,
+                &wire(&self.vocab, batch),
+            ));
+            lines.push('\n');
+        }
+        let mut stream = TcpStream::connect(addr).expect("connect for a pipelined ingest");
+        stream
+            .write_all(lines.as_bytes())
+            .expect("write the ingests");
+        let mut replies = BufReader::new(stream).lines();
+        batches
+            .iter()
+            .enumerate()
+            .map(|(id, batch)| {
+                let ack = match replies.next() {
+                    Some(Ok(line)) => match taxo_core::json::parse(&line) {
+                        Ok(v)
+                            if v.get("id").and_then(Value::as_u64) == Some(id as u64)
+                                && v.get("ok") == Some(&Value::Bool(true)) =>
+                        {
+                            Ack::of(Ok(Reply::Ok(v)))
+                        }
+                        _ => Ack::Lost(line),
+                    },
+                    Some(Err(e)) => Ack::Lost(e.to_string()),
+                    None => Ack::Lost("connection closed".into()),
+                };
+                self.push(Event::Ingest {
+                    batch: batch.clone(),
+                    ack: ack.clone(),
+                });
+                ack
+            })
+            .collect()
     }
 
     /// Resolves the last lost ingest: `Some(vector)` when a `health`

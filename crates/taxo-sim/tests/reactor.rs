@@ -1,7 +1,8 @@
 //! End-to-end coverage of the epoll reactor data plane: bit-identity vs.
 //! the model, pipelined response ordering, a pipelined burst followed by
 //! a half-close, write-interest (EPOLLOUT) discipline under a
-//! non-reading client, idle-connection reaping, shutdown drain, and the
+//! non-reading client, idle-connection reaping, shutdown drain, a
+//! graceful stop that does not linger on a quiet client, and the
 //! exactly-once score ledger under connection chaos.
 
 use std::io::{BufRead, BufReader, Read, Write};
@@ -272,6 +273,40 @@ fn reactor_shutdown_drains_accepted_work_and_joins() {
     // Reaching EOF above proves the server closed the connection; join
     // must not hang.
     fleet.stop();
+}
+
+#[test]
+fn graceful_stop_closes_a_quiet_client_without_lingering() {
+    let fixture = Fixture::new(19);
+    let mut fleet = Fleet::standalone(&fixture).start();
+
+    // A client that was answered and then stayed quiet for longer than
+    // the reactor's 250-ms linger: it has had that long to read, so a
+    // graceful stop closes its connection at once instead of waiting out
+    // another linger.
+    let idle = TcpStream::connect(fleet.addr()).unwrap();
+    (&idle)
+        .write_all(b"{\"kind\":\"health\",\"id\":1}\n")
+        .unwrap();
+    let mut reader = BufReader::new(&idle);
+    let mut line = String::new();
+    reader.read_line(&mut line).unwrap();
+    assert_eq!(ok_id(&line), 1);
+    std::thread::sleep(Duration::from_millis(300));
+
+    let start = Instant::now();
+    fleet.stop();
+    let took = start.elapsed();
+    assert!(
+        took < Duration::from_millis(100),
+        "a graceful stop with one quiet client took {took:?}"
+    );
+    idle.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    assert_eq!(
+        reader.read_line(&mut line).unwrap(),
+        0,
+        "the server closed the quiet connection"
+    );
 }
 
 #[test]

@@ -2,17 +2,19 @@
 //!
 //! Each scenario runs a WAL-enabled server, kills it mid-ingest with a
 //! seeded taxo-fault plan (append failure, torn append, fsync failure —
-//! plus a tolerated snapshot-publish failure), recovers the durability
+//! plus a tolerated checkpoint-write failure), recovers the durability
 //! directory onto the same address, and checks the history: the
 //! recovered state must be **bit-identical** to the uncrashed model that
 //! applied the same committed batches — same batch count, same candidate
 //! pairs, same taxonomy edges — and every score served afterwards
 //! bit-identical too. The acked-version ledger must be a dense prefix of
-//! the recovered version: acks never outrun durability.
+//! the recovered version: acks never outrun durability — also when one
+//! WAL commit group carries several ingests across a checkpoint.
 
 use std::sync::Arc;
 use std::time::Duration;
 use taxo_core::TaxoError;
+use taxo_serve::durable::{STATE_FILE, WAL_FILE};
 use taxo_serve::{
     Client, DurabilityConfig, FsyncPolicy, RetryPolicy, ServeConfig, ServeError, Server,
     ServerHandle,
@@ -126,7 +128,7 @@ fn crash_on_torn_append_truncates_and_recovers_bit_identically() {
 
 #[test]
 fn crash_on_fsync_failure_recovers_bit_identically() {
-    // The snapshot-publish fault at version 3 is *tolerated* (the WAL
+    // The checkpoint-write fault at version 3 is *tolerated* (the WAL
     // retains everything); the fsync fault at commit 5 is the crash.
     crash_twin_scenario(
         23,
@@ -134,6 +136,113 @@ fn crash_on_fsync_failure_recovers_bit_identically() {
         FsyncPolicy::default(),
         false,
     );
+}
+
+/// Three ingests pipelined into one commit group carry the version
+/// across the checkpoint at 2; then the fourth ingest crashes the server
+/// through `plan`. Every acked version must survive recovery: the
+/// checkpoint covers the whole group, so it is written at version 3.
+/// Returns the recovery report.
+fn crash_after_a_group_across_a_checkpoint(plan: &str) -> taxo_serve::RecoveryReport {
+    let fixture = Fixture::new(31);
+    let batches = fixture.batches(4, Split::Contiguous);
+    let fsync = FsyncPolicy::Batch {
+        max_ops: 8,
+        max_delay: Duration::from_millis(300),
+    };
+    let mut fleet = Fleet::standalone(&fixture).wal(fsync, 2).start();
+    let history = fleet.history();
+    let acks = history.ingest_pipelined(fleet.addr(), &batches[..3]);
+    assert_eq!(acks, [1, 2, 3].map(|v| Ack::Ok(vec![v])));
+    assert_eq!(
+        taxo_sim::counter("serve.wal.fsyncs"),
+        1,
+        "the three ingests share one commit group"
+    );
+
+    taxo_fault::arm(taxo_fault::FaultPlan::parse(plan).expect("valid plan"));
+    let mut client = Client::connect(fleet.addr()).unwrap();
+    let ack = history.ingest(&mut client, &batches[3]);
+    assert!(
+        matches!(ack, Ack::Lost(_)),
+        "the fourth ingest crashes: {ack:?}"
+    );
+    assert!(
+        fleet.await_crash().is_some(),
+        "{plan} must crash the server"
+    );
+    taxo_fault::disarm();
+    drop(client);
+
+    let report = fleet.recover(0, &fixture.detector);
+    fleet.check();
+    report
+}
+
+#[test]
+fn acks_of_a_commit_group_survive_a_crash_on_the_next_append() {
+    let report = crash_after_a_group_across_a_checkpoint("seed=31;serve.wal.append=once:1:fail");
+    assert_eq!(
+        (report.snapshot_version, report.final_version),
+        (3, 3),
+        "{report:?}"
+    );
+}
+
+#[test]
+fn acks_of_a_commit_group_survive_a_crash_on_the_next_fsync() {
+    // The fourth op reached the log before its fsync failed, so recovery
+    // replays it on top of the checkpoint.
+    let report = crash_after_a_group_across_a_checkpoint("seed=31;serve.wal.fsync=once:1:fail");
+    assert_eq!(
+        (report.snapshot_version, report.final_version),
+        (3, 4),
+        "{report:?}"
+    );
+}
+
+/// Every checkpoint replaces one state file: after the checkpoints at
+/// bind and at versions 8, 16 and 24, and one more at a graceful stop,
+/// the directory holds the WAL and that file.
+#[test]
+fn checkpoints_keep_one_state_file_beside_the_wal() {
+    let fixture = Fixture::new(31);
+    let batches = fixture.batches(24, Split::Contiguous);
+    let mut fleet = Fleet::standalone(&fixture)
+        .wal(FsyncPolicy::default(), 8)
+        .start();
+    let history = fleet.history();
+    let mut client = Client::connect(fleet.addr()).unwrap();
+    for batch in &batches {
+        let ack = history.ingest(&mut client, batch);
+        assert!(matches!(ack, Ack::Ok(_)), "ingest rejected: {ack:?}");
+    }
+    // An ack does not wait for its group's checkpoint; an export rides
+    // the ingest queue behind it, so it returns once the checkpoint is
+    // written.
+    let (version, _) = fleet.shard(0).controller().export_state().unwrap();
+    assert_eq!(version, 24);
+    assert_eq!(
+        taxo_sim::counter("serve.wal.snapshots"),
+        4,
+        "checkpoints at bind and at versions 8, 16 and 24"
+    );
+    let files = |fleet: &Fleet| {
+        let mut names: Vec<String> = std::fs::read_dir(fleet.dir(0))
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        names
+    };
+    assert_eq!(files(&fleet), [STATE_FILE, WAL_FILE]);
+    drop(client);
+    fleet.stop();
+    assert_eq!(taxo_sim::counter("serve.wal.snapshots"), 5);
+    assert_eq!(files(&fleet), [STATE_FILE, WAL_FILE]);
+    let report = fleet.recover(0, &fixture.detector);
+    assert_eq!((report.final_version, report.replayed_ops), (24, 0));
+    fleet.check();
 }
 
 /// Group commit under concurrent ingest writers: every acked batch
@@ -236,14 +345,14 @@ fn recovering_nothing_and_shadowing_a_manifest_both_fail_loudly() {
         &fixture.vocab,
     ) {
         Err(err) => assert!(
-            err.to_string().contains("no manifest"),
+            err.to_string().contains("no state file"),
             "unexpected error: {err}"
         ),
         Ok(_) => panic!("recovering an unused directory must fail"),
     }
 
-    // A fresh bind into a directory that already has a manifest must be
-    // refused — silently shadowing durable state loses it.
+    // A fresh bind into a directory that already has a state file must
+    // be refused — silently shadowing durable state loses it.
     let mut fleet = Fleet::standalone(&fixture)
         .wal(FsyncPolicy::default(), 8)
         .start();

@@ -15,7 +15,9 @@
 //!   promotion and a recovery ranking every window query, and an ingest
 //!   ranking only the window queries whose candidate list it changed or
 //!   under which it attached an edge — against a replay of the click
-//!   counts — the same counts at 1 and 8 threads.
+//!   counts — the same counts at 1 and 8 threads. One step attaches an
+//!   edge under a query whose candidate list it did not change, so an
+//!   index that skipped the parents of attached edges would fail.
 //!
 //! One `#[test]` only: the global thread-count override must not race
 //! with another test in this binary.
@@ -81,6 +83,38 @@ fn rankings(snapshot: &ServeSnapshot, cap: usize) -> Rankings {
             (q, key)
         })
         .collect()
+}
+
+/// Two wire batches, the second of which attaches an edge under a query
+/// whose candidate list it does not change. The first clicks `y` under
+/// a concept `x` outside the taxonomy: nothing attaches under `x`, which
+/// the expansion does not visit. The second clicks `x` under a taxonomy
+/// node, which attaches `x` and so, in the same expansion, `y` under
+/// `x`.
+fn cascade(fixture: &Fixture) -> [Vec<(String, String, u64)>; 2] {
+    let taxonomy = fixture.expander().taxonomy().clone();
+    let (vocab, detector) = (&fixture.vocab, &fixture.detector);
+    let attaches =
+        |parent, child| detector.score(vocab, parent, child) > fixture.expansion.threshold;
+    let outside: Vec<ConceptId> = vocab
+        .ids()
+        .filter(|&c| !taxonomy.contains_node(c))
+        .collect();
+    let click = |query, item| {
+        vec![(
+            vocab.name(query).to_owned(),
+            vocab.name(item).to_owned(),
+            1000,
+        )]
+    };
+    for &x in &outside {
+        let parent = taxonomy.nodes().find(|&g| attaches(g, x));
+        let child = outside.iter().find(|&&y| y != x && attaches(x, y));
+        if let (Some(g), Some(&y)) = (parent, child) {
+            return [click(x, y), click(g, x)];
+        }
+    }
+    panic!("no concept outside the taxonomy both attaches and takes a child");
 }
 
 /// Queries whose ranked list `next` does not share with `prev`.
@@ -156,13 +190,14 @@ fn run_trace(fixture: &Fixture) -> Vec<(u64, u64)> {
     let all = ranks.len() as u64;
     assert_eq!(steps[0], (all, all), "bind renders and ranks every query");
 
-    // First an ingest of an unknown term, which changes nothing, then the
-    // unseen half of the click log in four batches.
+    // First an ingest of an unknown term, which changes nothing, then a
+    // cascade, then the unseen half of the click log in four batches.
     let mut batches = vec![vec![(
         "no such query".to_owned(),
         "no such item".to_owned(),
         1,
     )]];
+    batches.extend(cascade(fixture));
     batches.extend(
         fixture
             .batches(4, Split::Contiguous)
@@ -170,7 +205,7 @@ fn run_trace(fixture: &Fixture) -> Vec<(u64, u64)> {
             .map(|batch| taxo_sim::wire(vocab, batch)),
     );
     let mut version = 0;
-    let (mut partial, mut narrow) = (false, false);
+    let (mut partial, mut narrow, mut unchanged_parent) = (false, false, false);
     let mut client = Client::connect(fleet.addr()).unwrap();
     let mut edges: BTreeSet<_> = fleet.shard(0).store().load().taxonomy.edges().collect();
     for (n, batch) in batches.iter().enumerate() {
@@ -184,11 +219,18 @@ fn run_trace(fixture: &Fixture) -> Vec<(u64, u64)> {
         steps.push((rendered - before.0, ranked - before.1));
         let mut touched = replay(vocab, &matcher, &mut clicks, batch);
         let next_edges: BTreeSet<_> = fleet.shard(0).store().load().taxonomy.edges().collect();
-        touched.extend(edges.symmetric_difference(&next_edges).map(|e| e.parent));
+        let parents: BTreeSet<_> = edges
+            .symmetric_difference(&next_edges)
+            .map(|e| e.parent)
+            .collect();
         edges = next_edges;
         version += 1;
         let step = format!("ingest {n}");
         let next = check_bytes(&fleet, version, &step);
+        unchanged_parent |= parents
+            .iter()
+            .any(|p| !touched.contains(p) && next.contains_key(p));
+        touched.extend(parents);
         let expected = changed(&ranks, &next);
         let served = touched.iter().filter(|q| next.contains_key(q)).count() as u64;
         assert_eq!(
@@ -210,6 +252,11 @@ fn run_trace(fixture: &Fixture) -> Vec<(u64, u64)> {
     }
     assert!(partial, "some ingest must reuse entries and render others");
     assert!(narrow, "some ingest must leave served queries unranked");
+    assert!(
+        unchanged_parent,
+        "some ingest must attach an edge under a served query whose candidate list it did not \
+         change"
+    );
 
     // A promotion renders and ranks every entry again under the new
     // detector.

@@ -42,14 +42,12 @@
 
 mod config;
 mod plane;
-mod replay;
 mod trainer;
 
 pub use config::{GateConfig, TrainConfig};
 pub use plane::{
     ControlPlane, Decision, LatencyProbe, Oracle, PanelOracle, RejectReason, ShadowReport, Verdict,
 };
-pub use replay::{matched_clicks, WalTail};
 pub use trainer::Trainer;
 
 /// Fault point: fails a retrain cycle (the epoch records a

@@ -2,27 +2,27 @@
 //!
 //! The paper's system absorbs user-behavior evidence continuously; a
 //! serving process that forgets every ingested click on restart cannot
-//! play that role. This crate provides the three mechanisms taxo-serve
+//! play that role. This crate provides the two mechanisms taxo-serve
 //! composes into append-before-ack durability:
 //!
 //! * **Write-ahead log** ([`WalWriter`], [`recover`]): ingest operations
 //!   are appended as CRC32-framed, length-prefixed records
 //!   (`[len: u32 LE][crc32(payload): u32 LE][payload]`) and fsynced —
 //!   either per append or in group-commit batches — *before* the client
-//!   sees an ack. Recovery replays frames from a manifest offset and
-//!   physically truncates a torn tail (an incomplete or CRC-corrupt
-//!   final record left by a crash mid-write).
-//! * **Atomic publish** ([`atomic_write`]): snapshots and manifests are
-//!   written to a temp file, fsynced, renamed into place, and the parent
-//!   directory fsynced — readers observe either the old complete file or
-//!   the new complete file, never a half-written one.
-//! * **Manifest** ([`Manifest`]): a tiny JSON file naming the latest
-//!   durable snapshot and the WAL byte offset it covers, so recovery is
-//!   always `load snapshot + replay WAL[offset..]`.
+//!   sees an ack. Recovery replays frames from a checkpoint's byte
+//!   offset and physically truncates a torn tail (an incomplete or
+//!   CRC-corrupt final record left by a crash mid-write).
+//! * **Atomic publish** ([`atomic_write`]): a checkpoint is written to a
+//!   temp file, fsynced, renamed into place, and the parent directory
+//!   fsynced — readers observe either the old complete file or the new
+//!   complete file, never a half-written one.
 //!
+//! What a checkpoint holds, and so where replay starts, is the caller's
+//! business: taxo-serve keeps one state file naming its version and WAL
+//! offset, so recovery is always `load state + replay WAL[offset..]`.
 //! Payload contents are opaque bytes here; taxo-serve encodes them with
-//! the workspace JSON codec ([`taxo_core::json`]), whose raw-token
-//! numbers keep `f32` scores bit-identical across the disk round trip.
+//! the workspace JSON codec, whose raw-token numbers keep `f32` scores
+//! bit-identical across the disk round trip.
 //!
 //! Fault injection: [`WalWriter`] accepts taxo-fault point names for its
 //! append and fsync operations, so chaos tests can tear the final frame
@@ -34,12 +34,12 @@ mod log;
 mod store;
 
 pub use frame::{crc32, decode_frame, encode_frame, FrameError, FRAME_HEADER, MAX_FRAME};
-pub use log::{recover, replay, Replay, WalCursor, WalWriter};
-pub use store::{atomic_write, Manifest, MANIFEST_FILE};
+pub use log::{recover, replay, Replay, WalWriter};
+pub use store::atomic_write;
 
 use std::fmt;
 
-/// Errors from WAL, snapshot, and manifest operations.
+/// Errors from WAL and checkpoint operations.
 #[derive(Debug)]
 pub enum WalError {
     /// An OS-level I/O failure.
@@ -47,8 +47,8 @@ pub enum WalError {
     /// The log is corrupt in a way truncation cannot repair (reserved
     /// for callers that treat a torn tail as fatal).
     Corrupt { offset: u64, detail: String },
-    /// The manifest file exists but does not parse as one.
-    Manifest(String),
+    /// A checkpoint or log record exists but does not decode.
+    Format(String),
     /// A taxo-fault injection failed the operation at this point; the
     /// server treats it exactly like a crash.
     Injected(&'static str),
@@ -61,7 +61,7 @@ impl fmt::Display for WalError {
             WalError::Corrupt { offset, detail } => {
                 write!(f, "wal corrupt at byte {offset}: {detail}")
             }
-            WalError::Manifest(detail) => write!(f, "bad manifest: {detail}"),
+            WalError::Format(detail) => write!(f, "undecodable durable state: {detail}"),
             WalError::Injected(point) => write!(f, "injected fault at {point}"),
         }
     }

@@ -2,7 +2,7 @@
 //! faults, and offset-based replay with torn-tail truncation.
 
 use std::fs::{File, OpenOptions};
-use std::io::Read;
+use std::io::{Read, Seek, SeekFrom};
 use std::path::Path;
 
 use crate::frame::{decode_frame, encode_frame, FrameError};
@@ -12,7 +12,8 @@ use crate::WalError;
 ///
 /// The writer tracks the durable byte offset itself (appends are the
 /// only mutation), so `offset()` after a successful [`WalWriter::sync`]
-/// is exactly the replay start the next manifest should record.
+/// is exactly the replay start a checkpoint of everything appended so
+/// far should record.
 #[derive(Debug)]
 pub struct WalWriter {
     file: File,
@@ -86,7 +87,7 @@ impl WalWriter {
     }
 }
 
-/// The outcome of scanning a log from a manifest offset.
+/// The outcome of scanning a log from a checkpoint's offset.
 #[derive(Debug)]
 pub struct Replay {
     /// Every valid payload at or after the start offset, in log order.
@@ -99,14 +100,12 @@ pub struct Replay {
 }
 
 /// Reads every valid frame of `path` starting at byte `from`, stopping
-/// at the first invalid one. Does not modify the file; a missing file
-/// replays as empty (a fresh log that was never appended to).
+/// at the first invalid one. Reads nothing before `from` and does not
+/// modify the file; a missing file replays as empty (a fresh log that
+/// was never appended to).
 pub fn replay(path: &Path, from: u64) -> Result<Replay, WalError> {
-    let mut bytes = Vec::new();
-    match File::open(path) {
-        Ok(mut f) => {
-            f.read_to_end(&mut bytes)?;
-        }
+    let mut file = match File::open(path) {
+        Ok(f) => f,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
             return Ok(Replay {
                 payloads: Vec::new(),
@@ -115,15 +114,18 @@ pub fn replay(path: &Path, from: u64) -> Result<Replay, WalError> {
             });
         }
         Err(e) => return Err(e.into()),
-    }
-    let total = bytes.len() as u64;
+    };
+    let total = file.metadata()?.len();
     if from > total {
         return Err(WalError::Corrupt {
             offset: from,
-            detail: format!("manifest offset {from} beyond log length {total}"),
+            detail: format!("replay offset {from} beyond log length {total}"),
         });
     }
-    let mut pos = from as usize;
+    file.seek(SeekFrom::Start(from))?;
+    let mut bytes = Vec::new();
+    file.read_to_end(&mut bytes)?;
+    let mut pos = 0;
     let mut payloads = Vec::new();
     while pos < bytes.len() {
         match decode_frame(&bytes[pos..]) {
@@ -143,70 +145,9 @@ pub fn replay(path: &Path, from: u64) -> Result<Replay, WalError> {
     }
     Ok(Replay {
         payloads,
-        valid_len: pos as u64,
-        torn_bytes: total - pos as u64,
+        valid_len: from + pos as u64,
+        torn_bytes: (bytes.len() - pos) as u64,
     })
-}
-
-/// An incremental read-side cursor over a live log: each [`WalCursor::poll`]
-/// returns the frames appended (and made whole) since the last poll.
-///
-/// This is the *tailing* counterpart of [`replay`]: a background
-/// consumer — the continuous-learning trainer turning acked ingest ops
-/// into training batches — holds one cursor and polls it between
-/// retrain epochs, paying only for the new tail instead of re-scanning
-/// the whole log. An incomplete frame at the tail (an append racing the
-/// poll, or a torn record after a crash) is *not* an error: the cursor
-/// stops before it and retries from the same offset next poll, so a
-/// frame is returned exactly once and only once it is whole.
-#[derive(Debug, Clone)]
-pub struct WalCursor {
-    path: std::path::PathBuf,
-    offset: u64,
-}
-
-impl WalCursor {
-    /// A cursor over `path` starting at byte `from` (use a manifest's
-    /// WAL offset to skip everything already folded into a snapshot).
-    pub fn new(path: &Path, from: u64) -> Self {
-        WalCursor {
-            path: path.to_path_buf(),
-            offset: from,
-        }
-    }
-
-    /// The byte offset the next poll resumes from. Persist it alongside
-    /// derived artifacts to resume tailing across restarts.
-    pub fn offset(&self) -> u64 {
-        self.offset
-    }
-
-    /// Reads up to `max` whole frames appended since the last poll and
-    /// advances the cursor past them. Returns an empty vec when the log
-    /// has no new complete frames (including when the file does not
-    /// exist yet). A cursor positioned beyond the current log length is
-    /// corrupt — the log was truncated behind the reader's back.
-    pub fn poll(&mut self, max: usize) -> Result<Vec<Vec<u8>>, WalError> {
-        let mut r = replay(&self.path, self.offset)?;
-        if r.payloads.len() > max {
-            // Re-walk the frames we keep to find the mid-log offset;
-            // replay() only reports the offset after the *last* valid
-            // frame, and frames are variable-length.
-            r.payloads.truncate(max);
-            let mut bytes = Vec::new();
-            File::open(&self.path)?.read_to_end(&mut bytes)?;
-            let mut pos = self.offset as usize;
-            for _ in 0..max {
-                let (_, used) =
-                    decode_frame(&bytes[pos..]).expect("frames already validated by replay()");
-                pos += used;
-            }
-            self.offset = pos as u64;
-        } else {
-            self.offset = r.valid_len;
-        }
-        Ok(r.payloads)
-    }
 }
 
 /// [`replay`], plus physical truncation of any torn tail so the next
@@ -256,6 +197,8 @@ mod tests {
         // Replay from a mid-log offset sees only the tail.
         let tail = replay(&path, offsets[2]).unwrap();
         assert_eq!(tail.payloads, payloads[2..]);
+        assert_eq!(tail.valid_len, *offsets.last().unwrap());
+        assert_eq!(tail.torn_bytes, 0);
         std::fs::remove_dir_all(dir).unwrap();
     }
 
@@ -275,6 +218,12 @@ mod tests {
         f.write_all(&frame[..frame.len() / 2]).unwrap();
         drop(f);
 
+        // A replay from past the surviving frame sees only the tear.
+        let tail = replay(&path, good).unwrap();
+        assert!(tail.payloads.is_empty());
+        assert_eq!(tail.valid_len, good);
+        assert_eq!(tail.torn_bytes, (frame.len() / 2) as u64);
+
         let r = recover(&path, 0).unwrap();
         assert_eq!(r.payloads, vec![b"keep-me".to_vec()]);
         assert_eq!(r.valid_len, good);
@@ -292,47 +241,6 @@ mod tests {
             vec![b"keep-me".to_vec(), b"after-recovery".to_vec()]
         );
         assert_eq!(r2.torn_bytes, 0);
-        std::fs::remove_dir_all(dir).unwrap();
-    }
-
-    #[test]
-    fn cursor_tails_incrementally_and_survives_torn_tails() {
-        let dir = scratch("cursor");
-        let path = dir.join("wal.log");
-        let mut cursor = WalCursor::new(&path, 0);
-        // Polling a log that does not exist yet is not an error.
-        assert!(cursor.poll(16).unwrap().is_empty());
-
-        let mut w = WalWriter::open(&path).unwrap();
-        for i in 0..3 {
-            w.append(format!("op-{i}").as_bytes()).unwrap();
-        }
-        w.sync().unwrap();
-        // max below the backlog: frames arrive in order, exactly once.
-        assert_eq!(
-            cursor.poll(2).unwrap(),
-            vec![b"op-0".to_vec(), b"op-1".to_vec()]
-        );
-        assert_eq!(cursor.poll(2).unwrap(), vec![b"op-2".to_vec()]);
-        assert!(cursor.poll(2).unwrap().is_empty());
-
-        // A torn append is invisible until the frame is whole: the
-        // cursor stops before it and re-reads nothing.
-        let frame = encode_frame(b"op-3");
-        use std::io::Write as _;
-        let mut f = OpenOptions::new().append(true).open(&path).unwrap();
-        f.write_all(&frame[..frame.len() / 2]).unwrap();
-        f.sync_data().unwrap();
-        assert!(cursor.poll(16).unwrap().is_empty());
-        f.write_all(&frame[frame.len() / 2..]).unwrap();
-        f.sync_data().unwrap();
-        drop(f);
-        assert_eq!(cursor.poll(16).unwrap(), vec![b"op-3".to_vec()]);
-
-        // The saved offset resumes a fresh cursor exactly where the old
-        // one stopped.
-        let mut resumed = WalCursor::new(&path, cursor.offset());
-        assert!(resumed.poll(16).unwrap().is_empty());
         std::fs::remove_dir_all(dir).unwrap();
     }
 

@@ -1,17 +1,10 @@
-//! Atomic file publish and the recovery manifest.
+//! Atomic file publish.
 
 use std::fs::File;
 use std::io::Write as _;
 use std::path::Path;
 
-use taxo_core::json::{self, ObjWriter, Value};
-
 use crate::WalError;
-
-/// File name of the manifest inside a durability directory.
-pub const MANIFEST_FILE: &str = "MANIFEST.json";
-
-const MANIFEST_FORMAT: &str = "taxo-wal-manifest-v1";
 
 /// Writes `bytes` to `path` atomically: temp file → fsync → rename →
 /// fsync of the parent directory. A reader (or a recovery after a crash
@@ -41,143 +34,23 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> Result<(), WalError> {
     Ok(())
 }
 
-/// Points recovery at the durable state: which snapshot file holds the
-/// expander state for `snapshot_version`, and the WAL byte offset that
-/// snapshot already covers (replay starts there).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Manifest {
-    pub snapshot_version: u64,
-    pub snapshot_file: String,
-    pub wal_file: String,
-    pub wal_offset: u64,
-}
-
-impl Manifest {
-    /// Renders the manifest as JSON.
-    pub fn encode(&self) -> String {
-        let mut w = ObjWriter::new();
-        w.str("format", MANIFEST_FORMAT)
-            .u64("snapshot_version", self.snapshot_version)
-            .str("snapshot_file", &self.snapshot_file)
-            .str("wal_file", &self.wal_file)
-            .u64("wal_offset", self.wal_offset);
-        w.finish()
-    }
-
-    /// Parses a manifest document.
-    pub fn decode(src: &str) -> Result<Manifest, WalError> {
-        let v = json::parse(src).map_err(WalError::Manifest)?;
-        let field = |name: &str| -> Result<&Value, WalError> {
-            v.get(name)
-                .ok_or_else(|| WalError::Manifest(format!("missing field {name:?}")))
-        };
-        let format = field("format")?.as_str().unwrap_or_default();
-        if format != MANIFEST_FORMAT {
-            return Err(WalError::Manifest(format!(
-                "unsupported format {format:?} (want {MANIFEST_FORMAT:?})"
-            )));
-        }
-        let u64_field = |name: &str| -> Result<u64, WalError> {
-            field(name)?
-                .as_u64()
-                .ok_or_else(|| WalError::Manifest(format!("field {name:?} is not a u64")))
-        };
-        let str_field = |name: &str| -> Result<String, WalError> {
-            Ok(field(name)?
-                .as_str()
-                .ok_or_else(|| WalError::Manifest(format!("field {name:?} is not a string")))?
-                .to_owned())
-        };
-        Ok(Manifest {
-            snapshot_version: u64_field("snapshot_version")?,
-            snapshot_file: str_field("snapshot_file")?,
-            wal_file: str_field("wal_file")?,
-            wal_offset: u64_field("wal_offset")?,
-        })
-    }
-
-    /// Atomically publishes this manifest into `dir`.
-    pub fn write(&self, dir: &Path) -> Result<(), WalError> {
-        atomic_write(&dir.join(MANIFEST_FILE), self.encode().as_bytes())
-    }
-
-    /// Reads the manifest from `dir`; `Ok(None)` if none exists yet (a
-    /// fresh durability directory).
-    pub fn read(dir: &Path) -> Result<Option<Manifest>, WalError> {
-        let src = match std::fs::read_to_string(dir.join(MANIFEST_FILE)) {
-            Ok(s) => s,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(e.into()),
-        };
-        Manifest::decode(&src).map(Some)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::path::PathBuf;
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    fn scratch(name: &str) -> PathBuf {
-        static N: AtomicU64 = AtomicU64::new(0);
-        let dir = std::env::temp_dir().join(format!(
-            "taxo-wal-store-{}-{}-{name}",
-            std::process::id(),
-            N.fetch_add(1, Ordering::Relaxed)
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
-    }
-
-    #[test]
-    fn manifest_round_trips_through_a_directory() {
-        let dir = scratch("manifest");
-        assert_eq!(Manifest::read(&dir).unwrap(), None);
-        let m = Manifest {
-            snapshot_version: 7,
-            snapshot_file: "snapshot-7.json".into(),
-            wal_file: "wal.log".into(),
-            wal_offset: 12_345,
-        };
-        m.write(&dir).unwrap();
-        assert_eq!(Manifest::read(&dir).unwrap(), Some(m.clone()));
-        // Re-publish overwrites atomically.
-        let m2 = Manifest {
-            snapshot_version: 9,
-            wal_offset: 99_999,
-            ..m
-        };
-        m2.write(&dir).unwrap();
-        assert_eq!(Manifest::read(&dir).unwrap(), Some(m2));
-        assert!(
-            !dir.join("MANIFEST.json.tmp").exists(),
-            "temp file must not survive a publish"
-        );
-        std::fs::remove_dir_all(dir).unwrap();
-    }
-
-    #[test]
-    fn manifest_rejects_garbage() {
-        for bad in [
-            "",
-            "{}",
-            r#"{"format":"other-v1","snapshot_version":1,"snapshot_file":"s","wal_file":"w","wal_offset":0}"#,
-            r#"{"format":"taxo-wal-manifest-v1","snapshot_version":"x","snapshot_file":"s","wal_file":"w","wal_offset":0}"#,
-            r#"{"format":"taxo-wal-manifest-v1","snapshot_version":1,"wal_file":"w","wal_offset":0}"#,
-        ] {
-            assert!(Manifest::decode(bad).is_err(), "{bad:?} should not decode");
-        }
-    }
 
     #[test]
     fn atomic_write_replaces_content() {
-        let dir = scratch("atomic");
+        let dir = std::env::temp_dir().join(format!("taxo-wal-store-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("artifact.json");
         atomic_write(&path, b"one").unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), b"one");
         atomic_write(&path, b"two").unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), b"two");
+        assert!(
+            !dir.join("artifact.json.tmp").exists(),
+            "temp file must not survive a publish"
+        );
         std::fs::remove_dir_all(dir).unwrap();
     }
 }
