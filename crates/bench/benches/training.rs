@@ -1,6 +1,7 @@
 //! Benchmarks of the model-side pipeline behind Tables V–IX: MLM
 //! pretraining steps, contrastive pretraining, and edge-classifier
-//! training/scoring.
+//! training/scoring; and the two training loops `serve` runs at every
+//! start, one step each at the serving configuration.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -53,9 +54,102 @@ fn bench_detector(c: &mut Criterion) {
     });
 }
 
+/// One step of each training loop of the serving pipeline
+/// ([`taxo_bench::serving_world`] at seed 42 under
+/// `PipelineConfig::tiny`): an MLM accumulation window (`accum`
+/// examples recorded in parallel, replayed in order, one Adam step), and
+/// the encoder work of one detector batch (`batch` pair forwards and
+/// backward records in the compute pool, the replays in order, the
+/// encoder's Adam step). Run under `TAXO_THREADS=1` and the default to
+/// see what the pool buys per step.
+fn bench_serving_training(c: &mut Criterion) {
+    use taxo_expand::relational::{PairCtx, PairGrads};
+    use taxo_expand::{construct_graph, generate_dataset, PipelineConfig, RelationalModel};
+    use taxo_nn::{parallel, Adam, MlmWindow};
+    use taxo_text::{CLS, MASK, SEP};
+
+    let (world, log, ugc) = taxo_bench::serving_world(42);
+    let cfg = PipelineConfig::tiny(42);
+    let mut rel = RelationalModel::vanilla(&world.vocab, &ugc.sentences, &cfg.relational);
+
+    // Corpus sentences as `[CLS] body [SEP]` with the middle body token
+    // masked, cycled window by window.
+    type Example = (Vec<u32>, Vec<(usize, u32)>);
+    let examples: Vec<Example> = ugc
+        .sentences
+        .iter()
+        .map(|s| rel.tokens.encode(s))
+        .filter(|body| !body.is_empty())
+        .map(|body| {
+            let mut ids = vec![CLS];
+            ids.extend_from_slice(&body);
+            ids.push(SEP);
+            let p = 1 + body.len() / 2;
+            let targets = vec![(p, ids[p])];
+            ids[p] = MASK;
+            (ids, targets)
+        })
+        .collect();
+    let accum = cfg.relational.accum;
+    let mut window = MlmWindow::new();
+    let mut adam = Adam::new(cfg.relational.lr);
+    let mut next = 0;
+    c.bench_function("training/mlm_window_flush", |bench| {
+        bench.iter(|| {
+            for _ in 0..accum {
+                let (masked, targets) = &examples[next % examples.len()];
+                window.push(masked, targets);
+                next += 1;
+            }
+            black_box(window.flush(&mut rel.encoder, &mut adam))
+        })
+    });
+
+    let built = construct_graph(
+        &world.existing,
+        &world.vocab,
+        &log.records,
+        taxo_graph::WeightScheme::IfIqf,
+    );
+    let dataset = generate_dataset(&world.existing, &world.vocab, &built.pairs, &cfg.dataset);
+    let batch = cfg.detector.batch;
+    let mut pairs = vec![PairCtx::default(); batch];
+    let mut grads = vec![PairGrads::default(); batch];
+    let d_r: Vec<f32> = (0..rel.dim()).map(|c| 0.01 * (c as f32 - 3.0)).collect();
+    let mut adam_enc = Adam::new(cfg.detector.encoder_lr);
+    let mut start = 0;
+    c.bench_function("training/detector_batch", |bench| {
+        bench.iter(|| {
+            let chunk: Vec<_> = (0..batch)
+                .map(|j| dataset.train[(start + j) % dataset.train.len()])
+                .collect();
+            start += batch;
+            {
+                let rel = &rel;
+                parallel::par_map_into(&mut pairs, |j, pair| {
+                    rel.forward_pair_into(&world.vocab, chunk[j].parent, chunk[j].child, pair);
+                });
+                let pairs = &pairs;
+                parallel::par_map_into(&mut grads, |j, g| {
+                    rel.backward_pair_into(&pairs[j], &d_r, g);
+                });
+            }
+            for (pair, g) in pairs.iter().zip(&grads) {
+                rel.replay_pair(pair, g);
+            }
+            adam_enc.step(&mut rel);
+        })
+    });
+}
+
 criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(10);
     targets = bench_contrastive, bench_detector
 );
-criterion_main!(benches);
+criterion_group!(
+    name = serving;
+    config = Criterion::default().sample_size(200);
+    targets = bench_serving_training
+);
+criterion_main!(benches, serving);

@@ -218,13 +218,14 @@ impl HypoDetector {
         let mut order: Vec<usize> = (0..train.len()).collect();
         let mut epoch_losses = Vec::with_capacity(cfg.epochs);
         let rel_dim = self.relational.as_ref().map_or(0, |r| r.dim());
-        // Reused for the whole call: one encoder context per batch slot,
-        // the backward temporaries, and the batch's feature rows, dropout
-        // mask and labels.
+        // Reused for the whole call: one encoder context and one backward
+        // record per batch slot, the batch's feature rows, dropout mask
+        // and labels, and the validation scorers.
         let mut pairs: Vec<PairCtx> = vec![PairCtx::default(); cfg.batch];
-        let mut grads = PairGrads::default();
+        let mut grads: Vec<PairGrads> = vec![PairGrads::default(); cfg.batch];
         let (mut x, mut mask) = (Matrix::default(), Matrix::default());
         let mut labels: Vec<usize> = Vec::with_capacity(cfg.batch);
+        let scorers = crate::ScratchPool::new();
 
         for _ in 0..cfg.epochs {
             counter!("train.detector.epochs").inc();
@@ -285,14 +286,27 @@ impl HypoDetector {
                 batches += 1;
                 counter!("train.detector.batches").inc();
 
-                // Route gradients into the representation modules.
-                for (row, pair) in pairs.iter().enumerate() {
-                    let d_row = dx.row(row);
-                    if let (Some(rel), true) = (self.relational.as_mut(), self.finetune_encoder) {
-                        rel.backward_pair_into(pair, &d_row[..rel_dim], &mut grads);
+                // Route gradients into the representation modules. The
+                // encoder backwards are data passes like the forwards, one
+                // record per slot; replaying the records in slot order
+                // adds to each gradient what backpropagating the pairs one
+                // by one would, in the same order.
+                if let (Some(rel), true) = (self.relational.as_mut(), self.finetune_encoder) {
+                    let grads = &mut grads[..chunk.len()];
+                    {
+                        let (rel, pairs, dx) = (&*rel, &*pairs, &dx);
+                        taxo_nn::parallel::par_map_into(grads, |j, g| {
+                            rel.backward_pair_into(&pairs[j], &dx.row(j)[..rel_dim], g);
+                        });
                     }
-                    if let Some(st) = self.structural.as_mut() {
-                        st.backward_pair(&Matrix::row_vector(d_row[rel_dim..].to_vec()));
+                    for (pair, g) in pairs.iter().zip(grads.iter()) {
+                        rel.replay_pair(pair, g);
+                    }
+                }
+                if let Some(st) = self.structural.as_mut() {
+                    for row in 0..chunk.len() {
+                        let d_row = &dx.row(row)[rel_dim..];
+                        st.backward_pair(&Matrix::row_vector(d_row.to_vec()));
                     }
                 }
                 adam_mlp.step(&mut self.mlp);
@@ -307,7 +321,7 @@ impl HypoDetector {
             }
             epoch_losses.push((total / batches.max(1) as f64) as f32);
             if !val.is_empty() {
-                let acc = self.accuracy(vocab, val);
+                let acc = self.accuracy_with(vocab, val, &scorers);
                 // `>=`, not `>`: validation sets are small enough that many
                 // epochs tie on accuracy, and among tied snapshots the one
                 // with more optimiser steps generalises better (it has the
@@ -325,18 +339,29 @@ impl HypoDetector {
 
     /// Accuracy over a labeled set.
     pub fn accuracy(&self, vocab: &Vocabulary, pairs: &[LabeledPair]) -> f64 {
+        self.accuracy_with(vocab, pairs, &crate::ScratchPool::new())
+    }
+
+    /// [`HypoDetector::accuracy`] on warm scorers from `scorers`: every
+    /// pair through [`HypoDetector::score_batch`] (inline up to 64 pairs,
+    /// one bucketed encoder pass per template length), whose scores equal
+    /// [`HypoDetector::predict`]'s bit for bit.
+    fn accuracy_with(
+        &self,
+        vocab: &Vocabulary,
+        pairs: &[LabeledPair],
+        scorers: &crate::ScratchPool,
+    ) -> f64 {
         if pairs.is_empty() {
             return 0.0;
         }
-        // Each prediction is independent; evaluate them in parallel and
-        // count matches from the index-ordered results.
-        let correct = taxo_nn::parallel::par_map(pairs.len(), |i| {
-            let p = &pairs[i];
-            self.predict(vocab, p.parent, p.child) == p.label
-        })
-        .into_iter()
-        .filter(|&ok| ok)
-        .count();
+        let queries: Vec<_> = pairs.iter().map(|p| (p.parent, p.child)).collect();
+        let scores = self.score_batch(vocab, &queries, scorers);
+        let correct = pairs
+            .iter()
+            .zip(scores)
+            .filter(|(p, score)| (*score > 0.5) == p.label)
+            .count();
         correct as f64 / pairs.len() as f64
     }
 }

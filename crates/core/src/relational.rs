@@ -90,8 +90,10 @@ impl PairCtx {
     }
 }
 
-/// Backward temporaries of [`RelationalModel::backward_pair_into`]; one
-/// serves a whole training call.
+/// Backward temporaries and recorded gradient updates of
+/// [`RelationalModel::backward_pair_into`], replayed by
+/// [`RelationalModel::replay_pair`]. Detector training keeps one per
+/// batch slot for a whole training call.
 #[derive(Debug, Clone, Default)]
 pub struct PairGrads {
     /// Gradient w.r.t. the encoder output.
@@ -187,9 +189,10 @@ impl RelationalModel {
         let mut epoch_losses = Vec::with_capacity(cfg.pretrain_epochs);
         // One gradient-accumulation window, reused for the whole run.
         // Masks are sampled sequentially (keeping the rng stream identical
-        // to the fused loop); each full window runs its forwards in
-        // parallel and reduces gradients in index order, so results are
-        // thread-count invariant (see `MlmWindow::flush`).
+        // to the fused loop); each full window records its examples'
+        // forwards and backwards in parallel and replays them in index
+        // order, so results are thread-count invariant (see
+        // `MlmWindow::flush`).
         let mut window = MlmWindow::new();
         // A sentence's tokens and concept mentions depend only on the
         // sentence: found once per call, not once per epoch.
@@ -388,15 +391,22 @@ impl RelationalModel {
         }));
     }
 
-    /// Routes the gradient w.r.t. `r` back through the encoder; see
-    /// [`RelationalModel::backward_pair_into`].
+    /// Routes the gradient w.r.t. `r` back through the encoder,
+    /// accumulating its parameter gradients. Wraps
+    /// [`RelationalModel::backward_pair_into`] and
+    /// [`RelationalModel::replay_pair`].
     pub fn backward_pair(&mut self, ctx: &PairCtx, d_r: &Matrix) {
-        self.backward_pair_into(ctx, d_r.row(0), &mut PairGrads::default());
+        let mut g = PairGrads::default();
+        self.backward_pair_into(ctx, d_r.row(0), &mut g);
+        self.replay_pair(ctx, &g);
     }
 
-    /// Routes the gradient w.r.t. `r` (`d_model` long) back through the
-    /// encoder, taking every temporary from `g`.
-    pub fn backward_pair_into(&mut self, ctx: &PairCtx, d_r: &[f32], g: &mut PairGrads) {
+    /// The backward data pass of one pair: routes the gradient w.r.t.
+    /// `r` (`d_model` long) back through the encoder, recording every
+    /// parameter-gradient update in `g` and taking every temporary from
+    /// it. Reads only parameter values, so a batch's pairs can run
+    /// concurrently, each into its own `g`.
+    pub fn backward_pair_into(&self, ctx: &PairCtx, d_r: &[f32], g: &mut PairGrads) {
         let hidden = ctx.enc.hidden();
         let (len, d) = (hidden.rows(), hidden.cols());
         let n = len as f32;
@@ -411,6 +421,12 @@ impl RelationalModel {
         }
         self.encoder
             .backward_into(&ctx.enc, &g.d_hidden, &mut g.enc);
+    }
+
+    /// Replays the updates [`RelationalModel::backward_pair_into`]
+    /// recorded in `g` for the pair in `ctx` into the encoder gradients.
+    pub fn replay_pair(&mut self, ctx: &PairCtx, g: &PairGrads) {
+        self.encoder.replay(&ctx.enc, &g.enc);
     }
 
     /// The `[CLS]` embedding of a single concept (Eq. 8), used to

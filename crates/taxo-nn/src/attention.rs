@@ -5,12 +5,13 @@ use rand::rngs::StdRng;
 /// Multi-head scaled-dot-product self-attention over one sequence.
 ///
 /// One head kernel (`attend_head`) serves training and inference.
-/// Training (`forward_ctx` /
-/// [`MultiHeadSelfAttention::backward_into`]) keeps its activations in a
-/// caller-owned [`AttentionCtx`] and its backward temporaries in
-/// [`AttentionGrads`], so a warm step allocates nothing; the allocating
-/// [`MultiHeadSelfAttention::forward`] / [`MultiHeadSelfAttention::backward`]
-/// wrap the same code.
+/// Training (`forward_ctx`, the pure
+/// [`MultiHeadSelfAttention::backward_into`] and
+/// [`MultiHeadSelfAttention::replay`]) keeps its activations in a
+/// caller-owned [`AttentionCtx`] and its backward temporaries and
+/// recorded projection gradients in [`AttentionGrads`], so a warm step
+/// allocates nothing; the allocating [`MultiHeadSelfAttention::forward`]
+/// / [`MultiHeadSelfAttention::backward`] wrap the same code.
 #[derive(Debug, Clone)]
 pub struct MultiHeadSelfAttention {
     pub wq: Linear,
@@ -183,21 +184,24 @@ impl MultiHeadSelfAttention {
     }
 
     /// Accumulates all projection gradients and returns dx. Wraps
-    /// [`MultiHeadSelfAttention::backward_into`].
+    /// [`MultiHeadSelfAttention::backward_into`] and
+    /// [`MultiHeadSelfAttention::replay`].
     pub fn backward(&mut self, ctx: &AttentionCtx, dy: &Matrix) -> Matrix {
-        let mut dx = Matrix::default();
-        self.backward_into(ctx, dy, &mut dx, &mut AttentionGrads::default());
+        let (mut dx, mut g) = (Matrix::default(), AttentionGrads::default());
+        self.backward_into(ctx, dy, &mut dx, &mut g);
+        self.replay(&g);
         dx
     }
 
-    /// Accumulates all projection gradients and writes dx into a
-    /// caller-owned buffer, taking every temporary from `g`. The head
-    /// loops walk row slices; each gradient element accumulates in the
-    /// order of the textbook loops (`dV`, `dK` over query rows `i`
-    /// ascending, `dQ` over key rows `j` ascending, every dot over the
-    /// head's columns ascending).
+    /// Backward data pass: records the four projections' gradient
+    /// updates in `g` and writes dx into a caller-owned buffer, taking
+    /// every temporary from `g`. The head loops walk row slices; each
+    /// activation-gradient element accumulates in the order of the
+    /// textbook loops (`dV`, `dK` over query rows `i` ascending, `dQ`
+    /// over key rows `j` ascending, every dot over the head's columns
+    /// ascending).
     pub fn backward_into(
-        &mut self,
+        &self,
         ctx: &AttentionCtx,
         dy: &Matrix,
         dx: &mut Matrix,
@@ -209,7 +213,8 @@ impl MultiHeadSelfAttention {
         let scale = 1.0 / (dh as f32).sqrt();
 
         // Back through the output projection.
-        self.wo.backward_into(&ctx.concat, dy, &mut g.dconcat);
+        self.wo
+            .backward_into(&ctx.concat, dy, &mut g.dconcat, &mut g.wo);
 
         g.dq.reset(n, d);
         g.dk.reset(n, d);
@@ -264,11 +269,22 @@ impl MultiHeadSelfAttention {
             }
         }
 
-        self.wq.backward_into(&ctx.input, &g.dq, dx);
-        self.wk.backward_into(&ctx.input, &g.dk, &mut g.dx_part);
+        self.wq.backward_into(&ctx.input, &g.dq, dx, &mut g.wq);
+        self.wk
+            .backward_into(&ctx.input, &g.dk, &mut g.dx_part, &mut g.wk);
         dx.add_assign(&g.dx_part);
-        self.wv.backward_into(&ctx.input, &g.dv, &mut g.dx_part);
+        self.wv
+            .backward_into(&ctx.input, &g.dv, &mut g.dx_part, &mut g.wv);
         dx.add_assign(&g.dx_part);
+    }
+
+    /// Replays a recorded backward into the four projections'
+    /// gradients.
+    pub fn replay(&mut self, g: &AttentionGrads) {
+        self.wq.replay(&g.wq);
+        self.wk.replay(&g.wk);
+        self.wv.replay(&g.wv);
+        self.wo.replay(&g.wo);
     }
 }
 

@@ -12,11 +12,12 @@ use rand::rngs::StdRng;
 /// for a from-scratch substrate trained with plain Adam.
 ///
 /// Training runs in place on the residual stream
-/// ([`TransformerBlock::forward_ctx`] / [`TransformerBlock::backward_in_place`])
-/// with activations in a caller-owned [`BlockCtx`] and backward
-/// temporaries in [`BlockGrads`]; the allocating
-/// [`TransformerBlock::forward`] / [`TransformerBlock::backward`] wrap the
-/// same code.
+/// ([`TransformerBlock::forward_ctx`], the pure
+/// [`TransformerBlock::backward_in_place`] and
+/// [`TransformerBlock::replay`]) with activations in a caller-owned
+/// [`BlockCtx`] and backward temporaries and records in [`BlockGrads`];
+/// the allocating [`TransformerBlock::forward`] /
+/// [`TransformerBlock::backward`] wrap the same code.
 #[derive(Debug, Clone)]
 pub struct TransformerBlock {
     pub ln1: LayerNorm,
@@ -101,28 +102,41 @@ impl TransformerBlock {
         h.add_assign(&s.ffn_out);
     }
 
-    /// Wraps [`TransformerBlock::backward_in_place`].
+    /// Wraps [`TransformerBlock::backward_in_place`] and
+    /// [`TransformerBlock::replay`].
     pub fn backward(&mut self, ctx: &BlockCtx, dy: &Matrix) -> Matrix {
-        let mut d = dy.clone();
-        self.backward_in_place(ctx, &mut d, &mut BlockGrads::default());
+        let (mut d, mut g) = (dy.clone(), BlockGrads::default());
+        self.backward_in_place(ctx, &mut d, &mut g);
+        self.replay(&g);
         d
     }
 
-    /// Backward pass turning `d` (dL/dy) into dL/dx in place. Each
-    /// residual add `d += sub-layer dx` adds the same two values the
+    /// Backward data pass turning `d` (dL/dy) into dL/dx in place and
+    /// recording every sub-layer's parameter-gradient updates in `g`.
+    /// Each residual add `d += sub-layer dx` adds the same two values the
     /// allocating form's `dx += d` did; IEEE addition commutes bit for bit.
-    pub fn backward_in_place(&mut self, ctx: &BlockCtx, d: &mut Matrix, g: &mut BlockGrads) {
+    pub fn backward_in_place(&self, ctx: &BlockCtx, d: &mut Matrix, g: &mut BlockGrads) {
         // y = a + ffn(ln2(a)).
         self.ffn
-            .backward_into(&ctx.ffn_ctx, d, &mut g.d_sub, &mut g.d_act);
-        self.ln2.backward_into(&ctx.ln2_ctx, &g.d_sub, &mut g.d_ln);
+            .backward_into(&ctx.ffn_ctx, d, &mut g.d_sub, &mut g.ffn);
+        self.ln2
+            .backward_into(&ctx.ln2_ctx, &g.d_sub, &mut g.d_ln, &mut g.ln2);
         d.add_assign(&g.d_ln); // residual
 
         // a = x + attn(ln1(x)).
         self.attn
             .backward_into(&ctx.attn_ctx, d, &mut g.d_sub, &mut g.attn);
-        self.ln1.backward_into(&ctx.ln1_ctx, &g.d_sub, &mut g.d_ln);
+        self.ln1
+            .backward_into(&ctx.ln1_ctx, &g.d_sub, &mut g.d_ln, &mut g.ln1);
         d.add_assign(&g.d_ln); // residual
+    }
+
+    /// Replays a recorded backward into every sub-layer's gradients.
+    pub fn replay(&mut self, g: &BlockGrads) {
+        self.ln1.replay(&g.ln1);
+        self.attn.replay(&g.attn);
+        self.ln2.replay(&g.ln2);
+        self.ffn.replay(&g.ffn);
     }
 }
 

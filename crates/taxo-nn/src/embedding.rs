@@ -29,7 +29,9 @@ impl Embedding {
     }
 
     /// Scatters `dout` row `r` into the gradient row of the `r`-th id,
-    /// in id order.
+    /// in id order. The whole backward is this replay: an embedding's
+    /// recorded update is the gradient rows themselves, kept by the
+    /// caller (see [`crate::TransformerEncoder::replay`]).
     pub fn backward(&mut self, ids: impl IntoIterator<Item = u32>, dout: &Matrix) {
         for (r, id) in ids.into_iter().enumerate() {
             let grad_row = self.table.grad.row_mut(id as usize);

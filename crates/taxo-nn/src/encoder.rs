@@ -48,10 +48,12 @@ impl EncoderConfig {
 /// masking on user-generated content (Section III-B1).
 ///
 /// Training runs on reused buffers: [`TransformerEncoder::forward_ctx`]
-/// writes one sequence's activations into a caller-owned [`EncoderCtx`]
-/// and [`TransformerEncoder::backward_into`] takes its temporaries from an
-/// [`EncoderGrads`], so a warm training step allocates nothing. The
-/// allocating [`TransformerEncoder::forward`] wraps the same code;
+/// writes one sequence's activations into a caller-owned [`EncoderCtx`],
+/// the pure [`TransformerEncoder::backward_into`] records the sequence's
+/// parameter-gradient updates in an [`EncoderGrads`] and
+/// [`TransformerEncoder::replay`] adds them, so a warm training step
+/// allocates nothing. The allocating [`TransformerEncoder::forward`]
+/// wraps the same code;
 /// inference runs the same kernels batched through
 /// [`TransformerEncoder::forward_batch_into`].
 /// The MLM head lives in [`crate::mlm`].
@@ -211,15 +213,30 @@ impl TransformerEncoder {
         self.final_ln.forward_into(&scratch.h, &mut scratch.enc_out);
     }
 
-    /// Backpropagates `d_hidden` (gradient w.r.t. the forward output)
-    /// through the whole encoder, accumulating parameter gradients, with
-    /// every temporary taken from `g`: final LayerNorm, blocks last to
-    /// first, then the token, position and segment scatters.
-    pub fn backward_into(&mut self, ctx: &EncoderCtx, d_hidden: &Matrix, g: &mut EncoderGrads) {
+    /// Backward data pass: backpropagates `d_hidden` (gradient w.r.t.
+    /// the forward output) through the final LayerNorm and the blocks,
+    /// last to first, recording every parameter-gradient update in `g`
+    /// with every temporary taken from `g`; the embedding gradient rows
+    /// end in `g` too. Reads only parameter values, so several sequences
+    /// can run concurrently, each with its own context and `g`.
+    pub fn backward_into(&self, ctx: &EncoderCtx, d_hidden: &Matrix, g: &mut EncoderGrads) {
         self.final_ln
-            .backward_into(&ctx.final_ln_ctx, d_hidden, &mut g.d);
-        for (block, bctx) in self.blocks.iter_mut().zip(&ctx.block_ctxs).rev() {
-            block.backward_in_place(bctx, &mut g.d, &mut g.block);
+            .backward_into(&ctx.final_ln_ctx, d_hidden, &mut g.d, &mut g.final_ln);
+        g.blocks.resize_with(self.blocks.len(), Default::default);
+        let blocks = self.blocks.iter().zip(&ctx.block_ctxs).zip(&mut g.blocks);
+        for ((block, bctx), bg) in blocks.rev() {
+            block.backward_in_place(bctx, &mut g.d, bg);
+        }
+    }
+
+    /// Replays the backward `g` recorded for the sequence in `ctx`: the
+    /// final LayerNorm's and every block's updates, then the token,
+    /// position and segment scatters of the embedding gradient rows, one
+    /// row per token in token order.
+    pub fn replay(&mut self, ctx: &EncoderCtx, g: &EncoderGrads) {
+        self.final_ln.replay(&g.final_ln);
+        for (block, bg) in self.blocks.iter_mut().zip(&g.blocks) {
+            block.replay(bg);
         }
         self.tok.backward(ctx.ids.iter().copied(), &g.d);
         self.pos.backward(0..ctx.ids.len() as u32, &g.d);

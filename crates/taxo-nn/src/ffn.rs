@@ -1,13 +1,15 @@
 use crate::activations::{gelu_backward_in_place, gelu_in_place};
+use crate::scratch::FeedForwardGrads;
 use crate::{Linear, Matrix, Module, Param};
 use rand::rngs::StdRng;
 
 /// The position-wise feed-forward block: `Linear → GELU → Linear`.
 ///
 /// Training keeps its activations in a caller-owned [`FeedForwardCtx`]
-/// (`forward_ctx` / [`FeedForward::backward_into`]); the
-/// allocating [`FeedForward::forward`] / [`FeedForward::backward`] wrap
-/// the same code.
+/// and its backward temporaries and records in a [`FeedForwardGrads`]
+/// (`forward_ctx`, the pure [`FeedForward::backward_into`] and
+/// [`FeedForward::replay`]); the allocating [`FeedForward::forward`] /
+/// [`FeedForward::backward`] wrap the same code.
 #[derive(Debug, Clone)]
 pub struct FeedForward {
     pub lin1: Linear,
@@ -64,26 +66,35 @@ impl FeedForward {
         self.lin2.forward_into(hidden, out);
     }
 
-    /// Wraps [`FeedForward::backward_into`].
+    /// Wraps [`FeedForward::backward_into`] and [`FeedForward::replay`].
     pub fn backward(&mut self, ctx: &FeedForwardCtx, dy: &Matrix) -> Matrix {
-        let mut dx = Matrix::default();
-        self.backward_into(ctx, dy, &mut dx, &mut Matrix::default());
+        let (mut dx, mut g) = (Matrix::default(), FeedForwardGrads::default());
+        self.backward_into(ctx, dy, &mut dx, &mut g);
+        self.replay(&g);
         dx
     }
 
-    /// Accumulates both layers' gradients and writes dx; `d_act` is
-    /// caller-owned scratch for the hidden-layer gradient, scaled by
-    /// GELU′ in place.
+    /// Backward data pass: records both layers' gradient updates in `g`
+    /// and writes dx; the hidden-layer gradient lives in `g` too, scaled
+    /// by GELU′ in place.
     pub fn backward_into(
-        &mut self,
+        &self,
         ctx: &FeedForwardCtx,
         dy: &Matrix,
         dx: &mut Matrix,
-        d_act: &mut Matrix,
+        g: &mut FeedForwardGrads,
     ) {
-        self.lin2.backward_into(&ctx.act, dy, d_act);
-        gelu_backward_in_place(&ctx.pre_act, d_act);
-        self.lin1.backward_into(&ctx.input, d_act, dx);
+        self.lin2
+            .backward_into(&ctx.act, dy, &mut g.d_act, &mut g.lin2);
+        gelu_backward_in_place(&ctx.pre_act, &mut g.d_act);
+        self.lin1
+            .backward_into(&ctx.input, &g.d_act, dx, &mut g.lin1);
+    }
+
+    /// Replays a recorded backward into both layers' gradients.
+    pub fn replay(&mut self, g: &FeedForwardGrads) {
+        self.lin1.replay(&g.lin1);
+        self.lin2.replay(&g.lin2);
     }
 }
 

@@ -1,3 +1,4 @@
+use crate::scratch::LayerNormGrads;
 use crate::{Matrix, Module, Param};
 
 /// Layer normalisation over the last dimension with learnable scale γ and
@@ -97,29 +98,37 @@ impl LayerNorm {
     }
 
     /// Accumulates dγ, dβ and returns dx. Wraps
-    /// [`LayerNorm::backward_into`].
+    /// [`LayerNorm::backward_into`] and [`LayerNorm::replay`].
     pub fn backward(&mut self, ctx: &LayerNormCtx, dout: &Matrix) -> Matrix {
-        let mut dx = Matrix::default();
-        self.backward_into(ctx, dout, &mut dx);
+        let (mut dx, mut g) = (Matrix::default(), LayerNormGrads::default());
+        self.backward_into(ctx, dout, &mut dx, &mut g);
+        self.replay(&g);
         dx
     }
 
-    /// Accumulates dγ, dβ and writes dx into a caller-owned buffer. Each
-    /// `dx` row first holds dx̂ = dy ⊙ γ, the standard LayerNorm backward
-    /// `dx = (1/σ)(dx̂ − mean(dx̂) − x̂ · mean(dx̂ ⊙ x̂))` then overwrites it
-    /// element by element, so no per-row temporary is needed.
-    pub fn backward_into(&mut self, ctx: &LayerNormCtx, dout: &Matrix, dx: &mut Matrix) {
+    /// Backward data pass: records each row's dγ (`dy ⊙ x̂`) and dβ
+    /// (`dy`) update in `g` and writes dx into a caller-owned buffer.
+    /// Each `dx` row first holds dx̂ = dy ⊙ γ, the standard LayerNorm
+    /// backward `dx = (1/σ)(dx̂ − mean(dx̂) − x̂ · mean(dx̂ ⊙ x̂))` then
+    /// overwrites it element by element, so no per-row temporary is
+    /// needed.
+    pub fn backward_into(
+        &self,
+        ctx: &LayerNormCtx,
+        dout: &Matrix,
+        dx: &mut Matrix,
+        g: &mut LayerNormGrads,
+    ) {
         let (n, d) = (dout.rows(), dout.cols());
         dx.reset_for_overwrite(n, d);
+        g.dgamma.reset_for_overwrite(n, d);
+        g.dbeta.copy_from(dout);
         let gamma = self.gamma.value.row(0);
-        let dgamma = self.gamma.grad.row_mut(0);
-        let dbeta = self.beta.grad.row_mut(0);
         for r in 0..n {
             let xh = ctx.normalized.row(r);
             let dy = dout.row(r);
-            for c in 0..d {
-                dgamma[c] += dy[c] * xh[c];
-                dbeta[c] += dy[c];
+            for ((dg, &d), &x) in g.dgamma.row_mut(r).iter_mut().zip(dy).zip(xh) {
+                *dg = d * x;
             }
             let dxh = dx.row_mut(r);
             for c in 0..d {
@@ -130,6 +139,21 @@ impl LayerNorm {
             let istd = ctx.inv_std[r];
             for c in 0..d {
                 dxh[c] = istd * (dxh[c] - mean_dxh - xh[c] * mean_dxh_xh);
+            }
+        }
+    }
+
+    /// Replays a recorded backward: adds the recorded dγ and dβ rows to
+    /// the gradients one row at a time, in row order.
+    pub fn replay(&mut self, g: &LayerNormGrads) {
+        let dgamma = self.gamma.grad.row_mut(0);
+        let dbeta = self.beta.grad.row_mut(0);
+        for r in 0..g.dgamma.rows() {
+            for (o, &v) in dgamma.iter_mut().zip(g.dgamma.row(r)) {
+                *o += v;
+            }
+            for (o, &v) in dbeta.iter_mut().zip(g.dbeta.row(r)) {
+                *o += v;
             }
         }
     }

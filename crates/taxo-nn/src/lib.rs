@@ -10,9 +10,10 @@
 //! pair, and every backward pass is verified against central finite
 //! differences in its test module via [`gradcheck::check_gradients`].
 //! Those pairs wrap the training path proper, which writes activations
-//! into caller-owned contexts (`*_ctx`) and takes backward temporaries
-//! from caller-owned scratch (`*_into`, [`scratch`]), so a warm training
-//! step allocates nothing and computes the same bits.
+//! into caller-owned contexts (`*_ctx`), runs each backward as a pure
+//! data pass that records the parameter-gradient updates in caller-owned
+//! scratch (`*_into`, [`scratch`]) and then replays them in order, so a
+//! warm training step allocates nothing and computes the same bits.
 //!
 //! # Example: train the edge-classifier MLP
 //!
@@ -68,5 +69,8 @@ pub use parallel::Parallelism;
 pub use param::{Module, Param};
 pub use quant::{QuantEncoder, QuantLinear, QuantMatrix, QuantMlp};
 pub use schedule::{clip_grad_norm, LrSchedule};
-pub use scratch::{AttentionGrads, BlockGrads, BlockScratch, EncoderGrads, Scratch};
+pub use scratch::{
+    AttentionGrads, BlockGrads, BlockScratch, EncoderGrads, FeedForwardGrads, LayerNormGrads,
+    LinearGrads, Scratch,
+};
 pub use serialize::{load_params, save_params, LoadError};

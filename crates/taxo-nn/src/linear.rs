@@ -1,3 +1,4 @@
+use crate::scratch::LinearGrads;
 use crate::{Matrix, Module, Param};
 use rand::rngs::StdRng;
 
@@ -7,10 +8,11 @@ use rand::rngs::StdRng;
 /// the caller, so one layer can appear several times in a computation
 /// graph (e.g. the four projections of attention applied to every
 /// sequence in a batch) without aliasing issues. The training path
-/// ([`Linear::forward_into`] / [`Linear::backward_into`]) takes its input
-/// and output buffers from the caller and allocates nothing once they are
-/// warm; [`Linear::forward`] / [`Linear::backward`] wrap the same kernels
-/// for callers that want fresh matrices.
+/// ([`Linear::forward_into`], the pure [`Linear::backward_into`] that
+/// records the parameter-gradient updates, and [`Linear::replay`] that
+/// adds them) takes its buffers from the caller and allocates nothing
+/// once they are warm; [`Linear::forward`] / [`Linear::backward`] wrap
+/// the same kernels for callers that want fresh matrices.
 #[derive(Debug, Clone)]
 pub struct Linear {
     pub w: Param,
@@ -48,20 +50,29 @@ impl Linear {
     }
 
     /// Accumulates `dW`, `db` and returns `dx`. Wraps
-    /// [`Linear::backward_into`].
+    /// [`Linear::backward_into`] and [`Linear::replay`].
     pub fn backward(&mut self, ctx: &LinearCtx, dy: &Matrix) -> Matrix {
-        let mut dx = Matrix::default();
-        self.backward_into(&ctx.input, dy, &mut dx);
+        let (mut dx, mut g) = (Matrix::default(), LinearGrads::default());
+        self.backward_into(&ctx.input, dy, &mut dx, &mut g);
+        self.replay(&g);
         dx
     }
 
-    /// Backward pass for the forward input `x`: accumulates
-    /// `dW += dyᵀ · x` and `db += Σ rows of dy` without materialising
-    /// either product, and writes `dx = dy · W` into `dx`.
-    pub fn backward_into(&mut self, x: &Matrix, dy: &Matrix, dx: &mut Matrix) {
-        self.w.grad.add_matmul_tn(dy, x);
-        self.b.grad.add_sum_rows(dy);
+    /// Backward data pass for the forward input `x`: records
+    /// `dW = dyᵀ · x` and `db = Σ rows of dy` in `g` and writes
+    /// `dx = dy · W` into `dx`. Reads only parameter values, so several
+    /// examples can run concurrently, each into its own `g`.
+    pub fn backward_into(&self, x: &Matrix, dy: &Matrix, dx: &mut Matrix, g: &mut LinearGrads) {
+        g.dw.matmul_tn_into(dy, x);
+        g.db.sum_rows_into(dy);
         dy.matmul_into(&self.w.value, dx);
+    }
+
+    /// Replays a recorded backward: adds each weight's and each bias's
+    /// recorded value to its gradient once.
+    pub fn replay(&mut self, g: &LinearGrads) {
+        self.w.grad.add_assign(&g.dw);
+        self.b.grad.add_assign(&g.db);
     }
 
     /// Input dimension.

@@ -18,12 +18,31 @@ const TRANSPOSE_BLOCK: usize = 32;
 /// accumulated in ascending `k` — the shared inner kernel of the
 /// sequential and row-parallel `matmul` paths, so both produce bitwise
 /// identical rows. Dense: no zero-skip branch, the inner loop
-/// auto-vectorises instead of branching per scalar.
+/// auto-vectorises instead of branching per scalar. Four `k` at a time:
+/// each output element takes its four adds in `k` order while it sits in
+/// a register, instead of one load and store per `k`.
 #[inline]
 fn matmul_row(a_row: &[f32], b: &Matrix, out_row: &mut [f32]) {
-    for (k, &a) in a_row.iter().enumerate() {
-        let b_row = b.row(k);
-        for (o, &bv) in out_row.iter_mut().zip(b_row) {
+    let n = out_row.len();
+    let quads = a_row.chunks_exact(4);
+    let rest = quads.remainder();
+    for (q, a) in quads.enumerate() {
+        let k = 4 * q;
+        let (b0, b1) = (&b.row(k)[..n], &b.row(k + 1)[..n]);
+        let (b2, b3) = (&b.row(k + 2)[..n], &b.row(k + 3)[..n]);
+        let cols = out_row.iter_mut().zip(b0).zip(b1).zip(b2).zip(b3);
+        for ((((o, &v0), &v1), &v2), &v3) in cols {
+            let mut acc = *o;
+            acc += a[0] * v0;
+            acc += a[1] * v1;
+            acc += a[2] * v2;
+            acc += a[3] * v3;
+            *o = acc;
+        }
+    }
+    let k0 = a_row.len() - rest.len();
+    for (k, &a) in (k0..).zip(rest) {
+        for (o, &bv) in out_row.iter_mut().zip(b.row(k)) {
             *o += a * bv;
         }
     }
@@ -247,109 +266,77 @@ impl Matrix {
         }
     }
 
-    /// `selfᵀ · other` without materialising the transpose.
-    ///
-    /// Keeps the `a == 0.0` skip: this kernel's main caller is the
-    /// embedding/MLM-head backward pass, where `self` is a one-hot-ish
-    /// gather matrix and skipping zero scalars elides whole row updates.
-    /// Parallel path: each thread owns a contiguous block of *output*
-    /// rows and scans `k` ascending within it, matching the sequential
-    /// per-row accumulation order exactly (bitwise identical).
+    /// `selfᵀ · other` without materialising the transpose. Wraps
+    /// [`Matrix::matmul_tn_into`].
     pub fn matmul_tn(&self, other: &Matrix) -> Matrix {
+        let mut out = Matrix::default();
+        out.matmul_tn_into(self, other);
+        out
+    }
+
+    /// `aᵀ · b` into `self` (reshaped via [`Matrix::reset`]): the
+    /// weight-gradient kernel of every training backward pass
+    /// (`dW = dyᵀ · x`, and the tied MLM head's `dE = dlogitsᵀ · h`),
+    /// whose values a replay later adds to the gradients (see
+    /// [`crate::scratch`]).
+    ///
+    /// Each output element is summed from zero over `k` ascending,
+    /// skipping `a`'s zero scalars: `a` is often a one-hot-ish gather
+    /// matrix, and a skipped scalar elides a whole row update.
+    /// Row-parallel above [`PAR_MIN_MACS`] multiply-accumulates: each
+    /// thread owns a contiguous block of output rows and scans `k`
+    /// ascending within it, matching the sequential per-element order
+    /// exactly (bitwise identical).
+    pub fn matmul_tn_into(&mut self, a: &Matrix, b: &Matrix) {
         assert_eq!(
-            self.rows, other.rows,
+            a.rows, b.rows,
             "matmul_tn: ({}x{})ᵀ · {}x{}",
-            self.rows, self.cols, other.rows, other.cols
+            a.rows, a.cols, b.rows, b.cols
         );
-        let mut out = Matrix::zeros(self.cols, other.cols);
-        let cols = other.cols;
-        let macs = self.cols * cols * self.rows;
-        if parallel::threads() > 1 && macs >= PAR_MIN_MACS && self.cols > 1 {
-            parallel::par_row_chunks_mut(&mut out.data, cols, |first_row, chunk| {
-                for k in 0..self.rows {
-                    let a_row = self.row(k);
-                    let b_row = other.row(k);
+        self.reset(a.cols, b.cols);
+        let cols = b.cols;
+        let macs = a.cols * cols * a.rows;
+        if parallel::threads() > 1 && macs >= PAR_MIN_MACS && a.cols > 1 {
+            parallel::par_row_chunks_mut(&mut self.data, cols, |first_row, chunk| {
+                for k in 0..a.rows {
+                    let a_row = a.row(k);
+                    let b_row = b.row(k);
                     for (r, out_row) in chunk.chunks_mut(cols).enumerate() {
-                        let a = a_row[first_row + r];
-                        if a == 0.0 {
+                        let x = a_row[first_row + r];
+                        if x == 0.0 {
                             continue;
                         }
                         for (o, &bv) in out_row.iter_mut().zip(b_row) {
-                            *o += a * bv;
+                            *o += x * bv;
                         }
                     }
                 }
             });
         } else {
-            for k in 0..self.rows {
-                let a_row = self.row(k);
-                let b_row = other.row(k);
-                for (i, &a) in a_row.iter().enumerate() {
-                    if a == 0.0 {
-                        continue;
-                    }
-                    let out_row = &mut out.data[i * cols..(i + 1) * cols];
-                    for (o, &b) in out_row.iter_mut().zip(b_row) {
-                        *o += a * b;
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// `self += aᵀ · b`, bit for bit `self.add_assign(&a.matmul_tn(b))`
-    /// without the product matrix: the gradient-accumulation kernel of
-    /// every training backward pass (`dW += dyᵀ · x`, and the tied MLM
-    /// head's `dE += dlogitsᵀ · h`).
-    ///
-    /// Each output row is summed in a stack tile, `k` ascending from zero
-    /// with the same `a == 0.0` skip as [`Matrix::matmul_tn`], then added
-    /// to `self` once — the per-element order of the product followed by
-    /// the add. Sequential: training products sit far below the
-    /// parallel threshold, and `matmul_tn`'s parallel path computes the
-    /// same bits anyway.
-    pub fn add_matmul_tn(&mut self, a: &Matrix, b: &Matrix) {
-        const TILE: usize = 64;
-        assert_eq!(
-            a.rows, b.rows,
-            "add_matmul_tn: ({}x{})ᵀ · {}x{}",
-            a.rows, a.cols, b.rows, b.cols
-        );
-        assert_eq!((self.rows, self.cols), (a.cols, b.cols));
-        let mut tile = [0.0f32; TILE];
-        for i in 0..a.cols {
-            let out_row = &mut self.data[i * b.cols..(i + 1) * b.cols];
-            for (j0, out) in (0..b.cols).step_by(TILE).zip(out_row.chunks_mut(TILE)) {
-                let acc = &mut tile[..out.len()];
-                acc.fill(0.0);
-                for k in 0..a.rows {
-                    let x = a.data[k * a.cols + i];
+            for k in 0..a.rows {
+                let a_row = a.row(k);
+                let b_row = b.row(k);
+                for (i, &x) in a_row.iter().enumerate() {
                     if x == 0.0 {
                         continue;
                     }
-                    for (o, &bv) in acc.iter_mut().zip(&b.row(k)[j0..]) {
+                    let out_row = &mut self.data[i * cols..(i + 1) * cols];
+                    for (o, &bv) in out_row.iter_mut().zip(b_row) {
                         *o += x * bv;
                     }
-                }
-                for (o, &t) in out.iter_mut().zip(acc.iter()) {
-                    *o += t;
                 }
             }
         }
     }
 
-    /// `self += m.sum_rows()` for a `1 × cols` `self`, bit for bit, without
-    /// the row-sum vector: each column is summed from zero in ascending
-    /// row order, then added once.
-    pub fn add_sum_rows(&mut self, m: &Matrix) {
-        assert_eq!((self.rows, self.cols), (1, m.cols));
-        for (c, o) in self.data.iter_mut().enumerate() {
-            let mut sum = 0.0f32;
-            for r in 0..m.rows {
-                sum += m.data[r * m.cols + c];
+    /// `m.sum_rows()` into a `1 × cols` `self`, bit for bit, without
+    /// allocating: each column is summed from zero in ascending row order.
+    pub fn sum_rows_into(&mut self, m: &Matrix) {
+        self.reset(1, m.cols);
+        for r in 0..m.rows {
+            for (o, &a) in self.data.iter_mut().zip(m.row(r)) {
+                *o += a;
             }
-            *o += sum;
         }
     }
 
@@ -450,12 +437,8 @@ impl Matrix {
 
     /// Sums rows into a 1×cols vector (gradient of a row broadcast).
     pub fn sum_rows(&self) -> Matrix {
-        let mut out = Matrix::zeros(1, self.cols);
-        for r in 0..self.rows {
-            for (o, &a) in out.data.iter_mut().zip(self.row(r)) {
-                *o += a;
-            }
-        }
+        let mut out = Matrix::default();
+        out.sum_rows_into(self);
         out
     }
 
@@ -750,25 +733,43 @@ mod tests {
         assert_eq!(tn_seq, tn_par, "matmul_tn");
     }
 
-    /// The fused accumulation kernels must add exactly the bits of the
-    /// product they replace, including across the 64-column stack tile
-    /// and over `a`'s zero-skipped scalars.
+    /// The gradient kernels must compute exactly the naive per-element
+    /// folds — `k` ascending from zero, `matmul_tn` skipping `a`'s zero
+    /// scalars — at shapes on both sides of the four-`k` blocks, whatever
+    /// the output buffer held before.
     #[test]
-    fn fused_accumulations_match_product_then_add() {
+    fn gradient_kernels_match_naive_folds() {
+        let mut tn = pseudo_random(9, 9, 7);
+        let mut mm = pseudo_random(2, 3, 8);
+        let mut sums = pseudo_random(2, 3, 9);
         for (rows, a_cols, b_cols) in [(1, 1, 1), (11, 16, 16), (3, 217, 16), (5, 7, 150)] {
             let a = pseudo_random(rows, a_cols, 3);
             let b = pseudo_random(rows, b_cols, 4);
-            let mut want = pseudo_random(a_cols, b_cols, 5);
-            let mut got = want.clone();
-            want.add_assign(&a.matmul_tn(&b));
-            got.add_matmul_tn(&a, &b);
-            assert_eq!(got, want, "add_matmul_tn {rows}x{a_cols}x{b_cols}");
+            tn.matmul_tn_into(&a, &b);
+            let want = Matrix::from_fn(a_cols, b_cols, |i, j| {
+                (0..rows).fold(0.0f32, |s, k| {
+                    let x = a[(k, i)];
+                    if x == 0.0 {
+                        s
+                    } else {
+                        s + x * b[(k, j)]
+                    }
+                })
+            });
+            assert_eq!(tn, want, "matmul_tn_into {rows}x{a_cols}x{b_cols}");
 
-            let mut want = pseudo_random(1, b_cols, 6);
-            let mut got = want.clone();
-            want.add_assign(&b.sum_rows());
-            got.add_sum_rows(&b);
-            assert_eq!(got, want, "add_sum_rows {rows}x{b_cols}");
+            let w = pseudo_random(b_cols, a_cols, 5);
+            b.matmul_into(&w, &mut mm);
+            let want = Matrix::from_fn(rows, a_cols, |i, j| {
+                (0..b_cols).fold(0.0f32, |s, k| s + b[(i, k)] * w[(k, j)])
+            });
+            assert_eq!(mm, want, "matmul_into {rows}x{b_cols}x{a_cols}");
+
+            sums.sum_rows_into(&b);
+            let want = Matrix::from_fn(1, b_cols, |_, c| {
+                (0..rows).fold(0.0f32, |s, r| s + b[(r, c)])
+            });
+            assert_eq!(sums, want, "sum_rows_into {rows}x{b_cols}");
         }
     }
 

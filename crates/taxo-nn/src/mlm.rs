@@ -2,14 +2,23 @@
 //! gradient-accumulation window.
 //!
 //! The head's weight is tied to the token embedding table (logits are
-//! `h · Eᵀ + b`). One example's step splits in two: the pure (`&self`)
-//! [`TransformerEncoder::mlm_forward`] runs the encoder and the head
-//! forward into a reused [`MlmCtx`] and computes the head-side gradients,
-//! and the mutating [`TransformerEncoder::mlm_apply`] folds them into the
-//! parameter gradients and runs the encoder backward. An [`MlmWindow`]
-//! runs a window's forwards in parallel against frozen parameters, then
-//! applies them in example order and steps the optimiser, so pretraining
-//! is bit-identical at any thread count and, once warm, allocates nothing.
+//! `h · Eᵀ + b`). One example's step splits in two along the
+//! record-and-replay contract of [`crate::scratch`]. The pure (`&self`)
+//! [`TransformerEncoder::mlm_record`] runs the encoder and head forward,
+//! the loss and the whole backward into a reused [`MlmCtx`], recording
+//! every parameter-gradient update as computed: the head's
+//! `dlogitsᵀ · h` product for the tied table, its bias sums, then the
+//! encoder's updates. The mutating [`TransformerEncoder::mlm_replay`]
+//! performs exactly those `+=` updates, the head product before the token
+//! scatter into the same table: the order in which backpropagating the
+//! example in one pass accumulates them.
+//!
+//! An [`MlmWindow`] records a window's examples in one
+//! [`parallel::par_map_into`] against frozen parameters (each slot owns
+//! its context and record), replays the slots in example order and steps
+//! the optimiser. Every gradient therefore receives the same adds in the
+//! same order at any thread count — pretraining is bit-identical from
+//! `TAXO_THREADS=1` up — and, once warm, a window allocates nothing.
 
 use crate::scratch::EncoderGrads;
 use crate::{losses, parallel, Adam, EncoderCtx, Matrix, TransformerEncoder};
@@ -30,6 +39,12 @@ pub struct MlmCtx {
     d_gathered: Matrix,
     /// Gradient w.r.t. the encoder output (`len × d_model`).
     d_hidden: Matrix,
+    /// Recorded tied-head product `dlogitsᵀ · h` (`vocab × d_model`).
+    head: Matrix,
+    /// Recorded output-bias sums of `dlogits` (`1 × vocab`).
+    bias: Matrix,
+    /// The encoder backward's temporaries and recorded updates.
+    grads: EncoderGrads,
 }
 
 impl TransformerEncoder {
@@ -45,22 +60,23 @@ impl TransformerEncoder {
     /// `(position, original_id)` for every masked slot. Accumulates
     /// gradients for all parameters (including the MLM head) and returns
     /// the mean cross-entropy over the masked slots. Wraps
-    /// [`TransformerEncoder::mlm_forward`] and
-    /// [`TransformerEncoder::mlm_apply`].
+    /// [`TransformerEncoder::mlm_record`] and
+    /// [`TransformerEncoder::mlm_replay`].
     pub fn mlm_step(&mut self, masked_ids: &[u32], targets: &[(usize, u32)]) -> f32 {
         let mut ctx = MlmCtx::default();
-        let loss = self.mlm_forward(masked_ids, targets, &mut ctx);
-        self.mlm_apply(&ctx, &mut EncoderGrads::default());
+        let loss = self.mlm_record(masked_ids, targets, &mut ctx);
+        self.mlm_replay(&ctx);
         loss
     }
 
     /// The pure (`&self`) half of [`TransformerEncoder::mlm_step`]:
-    /// encoder and head forward plus the head-side gradients, written into
-    /// `ctx`, with **no** parameter mutation. Returns the loss, 0 when no
-    /// target position survives truncation (then
-    /// [`TransformerEncoder::mlm_apply`] does nothing). Several examples
-    /// can run concurrently, each into its own context.
-    pub fn mlm_forward(
+    /// encoder and head forward, the loss, and the whole backward,
+    /// recording every parameter-gradient update in `ctx` with **no**
+    /// parameter mutation. Returns the loss, 0 when no target position
+    /// survives truncation (then [`TransformerEncoder::mlm_replay`] does
+    /// nothing). Several examples can run concurrently, each into its
+    /// own context.
+    pub fn mlm_record(
         &self,
         masked_ids: &[u32],
         targets: &[(usize, u32)],
@@ -87,9 +103,12 @@ impl TransformerEncoder {
         }
         self.mlm_logits_into(&ctx.gathered, &mut ctx.dlogits);
         let loss = losses::softmax_xent_in_place(&mut ctx.dlogits, &ctx.target_ids);
-        // Tied-head backward, input side: d_gathered = dlogits · E,
-        // scattered back into a full d_hidden. The weight side
-        // (dE = dlogitsᵀ · h) waits for `mlm_apply`.
+        // Tied-head backward. Weight side: the vocab × d product
+        // `dE = dlogitsᵀ · h` and the bias sums, recorded for the replay.
+        // Input side: d_gathered = dlogits · E, scattered back into a full
+        // d_hidden.
+        ctx.head.matmul_tn_into(&ctx.dlogits, &ctx.gathered);
+        ctx.bias.sum_rows_into(&ctx.dlogits);
         ctx.dlogits
             .matmul_into(&self.tok.table.value, &mut ctx.d_gathered);
         ctx.d_hidden.reset(n, d);
@@ -103,24 +122,22 @@ impl TransformerEncoder {
                 *o += g;
             }
         }
+        self.backward_into(&ctx.enc, &ctx.d_hidden, &mut ctx.grads);
         loss
     }
 
-    /// The mutating half of [`TransformerEncoder::mlm_step`]: folds one
-    /// example's head gradients into the tied embedding table and the
-    /// output bias (`dE += dlogitsᵀ · h`, `db += Σ dlogits`, without the
-    /// dense vocab × d product), then runs the encoder backward with
-    /// temporaries from `g` — the accumulation order of the fused step.
-    pub fn mlm_apply(&mut self, ctx: &MlmCtx, g: &mut EncoderGrads) {
+    /// The mutating half of [`TransformerEncoder::mlm_step`]: replays one
+    /// example's recorded updates — the head product into the tied
+    /// embedding table and the output bias, then the encoder's, whose
+    /// token scatter lands in the same table after the product — the
+    /// accumulation order of backpropagating the example in one pass.
+    pub fn mlm_replay(&mut self, ctx: &MlmCtx) {
         if ctx.positions.is_empty() {
             return;
         }
-        self.tok
-            .table
-            .grad
-            .add_matmul_tn(&ctx.dlogits, &ctx.gathered);
-        self.mlm_bias.grad.add_sum_rows(&ctx.dlogits);
-        self.backward_into(&ctx.enc, &ctx.d_hidden, g);
+        self.tok.table.grad.add_assign(&ctx.head);
+        self.mlm_bias.grad.add_assign(&ctx.bias);
+        self.replay(&ctx.enc, &ctx.grads);
     }
 
     /// Predicted distribution over the vocabulary at `position` of the
@@ -145,15 +162,14 @@ struct MlmSlot {
 }
 
 /// A gradient-accumulation window of MLM pretraining: one reused slot
-/// (example buffers plus [`MlmCtx`]) per example and one shared
-/// [`EncoderGrads`]. Keep one for a whole pretraining run; once every
-/// slot has seen its longest example, [`MlmWindow::flush`] allocates
-/// nothing at `TAXO_THREADS=1`.
+/// (example buffers plus an [`MlmCtx`] with its record) per example.
+/// Keep one for a whole pretraining run; once every slot has seen its
+/// longest example, [`MlmWindow::flush`] allocates nothing at
+/// `TAXO_THREADS=1`.
 #[derive(Debug, Default)]
 pub struct MlmWindow {
     slots: Vec<MlmSlot>,
     len: usize,
-    grads: EncoderGrads,
 }
 
 impl MlmWindow {
@@ -186,13 +202,14 @@ impl MlmWindow {
         self.len += 1;
     }
 
-    /// Drains the window: every example's forward through
+    /// Drains the window: every example's forward and backward in one
     /// [`parallel::par_map_into`] (pure, against the frozen parameter
-    /// values), then the gradients applied in example order and one
-    /// optimiser step. Returns the summed loss; a no-op on an empty
-    /// window. Within a window only `adam.step` mutates values, so the
-    /// parallel forwards equal the sequential ones and the reduction
-    /// order is fixed: results are thread-count invariant.
+    /// values, each into its slot's record), then the records replayed in
+    /// example order and one optimiser step. Returns the summed loss; a
+    /// no-op on an empty window. Within a window only the replays touch
+    /// gradients and only `adam.step` touches values, so the records
+    /// equal the sequential ones and every gradient receives the same
+    /// adds in the same order: results are thread-count invariant.
     pub fn flush(&mut self, encoder: &mut TransformerEncoder, adam: &mut Adam) -> f64 {
         if self.len == 0 {
             return 0.0;
@@ -201,13 +218,13 @@ impl MlmWindow {
         {
             let enc: &TransformerEncoder = encoder;
             parallel::par_map_into(slots, |_, slot| {
-                slot.loss = enc.mlm_forward(&slot.masked, &slot.targets, &mut slot.ctx);
+                slot.loss = enc.mlm_record(&slot.masked, &slot.targets, &mut slot.ctx);
             });
         }
         let mut total = 0.0f64;
         for slot in slots.iter() {
             total += f64::from(slot.loss);
-            encoder.mlm_apply(&slot.ctx, &mut self.grads);
+            encoder.mlm_replay(&slot.ctx);
         }
         adam.step(encoder);
         self.len = 0;

@@ -27,6 +27,16 @@
 //!   scheduling. [`par_map_into`] does the same into caller-owned slots
 //!   (a training window's reused per-example contexts).
 //!
+//! Training builds on the second rule with *record and replay* (see
+//! [`crate::scratch`]): an MLM window or a detector batch runs each
+//! example's forward and backward in one [`par_map_into`] as a pure data
+//! pass against frozen parameters, writing the example's parameter-
+//! gradient updates into its slot's record, and the caller then replays
+//! the records in example order — the `+=` updates, each value as
+//! computed, that the sequential loop would have made — before the
+//! optimiser steps. How the slots were split into chunks never reaches a
+//! gradient, so training is bit-identical at any thread count.
+//!
 //! # The compute pool
 //!
 //! Chunks run on one process-wide pool of `threads() − 1` workers,

@@ -744,13 +744,18 @@ impl ServerBuilder {
     }
 }
 
-/// The ingest thread's durability state: the open WAL writer plus the
-/// policy knobs.
+/// The ingest thread's durability state: the open WAL writer, the
+/// policy knobs, and the version of the last state file written.
 struct WalState {
     writer: WalWriter,
     dir: PathBuf,
     fsync: FsyncPolicy,
     snapshot_every: u64,
+    /// Version of the state file on disk: written at bind (fresh or
+    /// recovered) and by every successful checkpoint. Every WAL append
+    /// takes a new version, so while the ledger still stands here the
+    /// file covers the whole log.
+    checkpointed: u64,
 }
 
 /// Prepares a durability directory at bind time: refuses to silently
@@ -788,6 +793,7 @@ fn init_durability(
         dir,
         fsync,
         snapshot_every,
+        checkpointed: initial_version,
     })
 }
 
@@ -1323,9 +1329,10 @@ struct PendingPublish {
 ///
 /// A durable server checkpoints once per commit group, after applying
 /// all of it, when the group carried the ledger across a multiple of
-/// `snapshot_every` — and once more at graceful shutdown. Between
-/// groups the expander holds every op in the WAL, so the state it
-/// writes covers the WAL to its end.
+/// `snapshot_every` — and once more at graceful shutdown, unless the
+/// state file already stands at the final version. Between groups the
+/// expander holds every op in the WAL, so the state it writes covers the
+/// WAL to its end.
 fn ingest_loop(
     mut expander: IncrementalExpander,
     vocab: &Arc<Vocabulary>,
@@ -1491,20 +1498,22 @@ fn ingest_loop(
         }
         // Only here, with the whole group applied, does the WAL's end
         // mark what the expander holds.
-        if let Some(w) = wal.as_ref() {
+        if let Some(w) = wal.as_mut() {
             if ledger_version / w.snapshot_every > group_start / w.snapshot_every {
                 checkpoint(w, ledger_version, vocab, &expander);
             }
         }
     }
     // Graceful shutdown: checkpoint the final state so a restart
-    // replays nothing. Skipped after a simulated crash — that is the
-    // whole point of the crash. The checkpoint is at `ledger_version`,
-    // not the published version: an uncommitted prepare is already in
-    // the expander (and the WAL), so a restart resumes past it — the
-    // same at-least-prepared outcome a crash would leave behind.
-    if let Some(w) = wal.as_ref() {
-        if !shared.is_crashed() {
+    // replays nothing, unless the state file already stands at the
+    // final version (and so covers the whole log). Skipped after a
+    // simulated crash — that is the whole point of the crash. The
+    // checkpoint is at `ledger_version`, not the published version: an
+    // uncommitted prepare is already in the expander (and the WAL), so a
+    // restart resumes past it — the same at-least-prepared outcome a
+    // crash would leave behind.
+    if let Some(w) = wal.as_mut() {
+        if !shared.is_crashed() && w.checkpointed != ledger_version {
             checkpoint(w, ledger_version, vocab, &expander);
         }
     }
@@ -1544,19 +1553,22 @@ fn drain_orphans(shared: &Shared) {
 
 /// Replaces the state file with the expander at `version`, covering the
 /// WAL to its end — so it runs only between commit groups, when the
-/// expander holds every op the WAL does. A failed (or injected) write is
-/// tolerable: the WAL still holds every acked batch, so recovery just
-/// replays a longer tail.
-fn checkpoint(w: &WalState, version: u64, vocab: &Vocabulary, expander: &IncrementalExpander) {
+/// expander holds every op the WAL does — and records `version` as the
+/// file's. A failed (or injected) write is tolerable: the WAL still
+/// holds every acked batch, so recovery just replays a longer tail.
+fn checkpoint(w: &mut WalState, version: u64, vocab: &Vocabulary, expander: &IncrementalExpander) {
     let _g = span!("serve.wal.checkpoint");
     let checkpoint = durable::Checkpoint {
         version,
         wal_offset: w.writer.offset(),
         state: expander.state(),
     };
-    if let Err(e) = durable::persist_state(&w.dir, vocab, &checkpoint) {
-        counter!("serve.wal.snapshot_errors").inc();
-        eprintln!("# taxo-serve: checkpoint skipped: {e}");
+    match durable::persist_state(&w.dir, vocab, &checkpoint) {
+        Ok(()) => w.checkpointed = version,
+        Err(e) => {
+            counter!("serve.wal.snapshot_errors").inc();
+            eprintln!("# taxo-serve: checkpoint skipped: {e}");
+        }
     }
 }
 

@@ -202,8 +202,9 @@ fn acks_of_a_commit_group_survive_a_crash_on_the_next_fsync() {
 }
 
 /// Every checkpoint replaces one state file: after the checkpoints at
-/// bind and at versions 8, 16 and 24, and one more at a graceful stop,
-/// the directory holds the WAL and that file.
+/// bind and at versions 8, 16 and 24, the directory holds the WAL and
+/// that file. A graceful stop at version 24 writes nothing more: the
+/// file already covers the whole log.
 #[test]
 fn checkpoints_keep_one_state_file_beside_the_wal() {
     let fixture = Fixture::new(31);
@@ -238,10 +239,49 @@ fn checkpoints_keep_one_state_file_beside_the_wal() {
     assert_eq!(files(&fleet), [STATE_FILE, WAL_FILE]);
     drop(client);
     fleet.stop();
-    assert_eq!(taxo_sim::counter("serve.wal.snapshots"), 5);
+    assert_eq!(
+        taxo_sim::counter("serve.wal.snapshots"),
+        4,
+        "the stop at version 24 rewrote a state file already at 24"
+    );
     assert_eq!(files(&fleet), [STATE_FILE, WAL_FILE]);
     let report = fleet.recover(0, &fixture.detector);
     assert_eq!((report.final_version, report.replayed_ops), (24, 0));
+    fleet.check();
+}
+
+/// A graceful stop between checkpoints still writes the state file:
+/// after 20 ingests at `snapshot_every` 8 the file stands at 16, the stop
+/// checkpoints version 20, and recovery replays nothing.
+#[test]
+fn a_graceful_stop_between_checkpoints_writes_the_state_file() {
+    let fixture = Fixture::new(31);
+    let batches = fixture.batches(20, Split::Contiguous);
+    let mut fleet = Fleet::standalone(&fixture)
+        .wal(FsyncPolicy::default(), 8)
+        .start();
+    let history = fleet.history();
+    let mut client = Client::connect(fleet.addr()).unwrap();
+    for batch in &batches {
+        let ack = history.ingest(&mut client, batch);
+        assert!(matches!(ack, Ack::Ok(_)), "ingest rejected: {ack:?}");
+    }
+    let (version, _) = fleet.shard(0).controller().export_state().unwrap();
+    assert_eq!(version, 20);
+    assert_eq!(
+        taxo_sim::counter("serve.wal.snapshots"),
+        3,
+        "checkpoints at bind and at versions 8 and 16"
+    );
+    drop(client);
+    fleet.stop();
+    assert_eq!(
+        taxo_sim::counter("serve.wal.snapshots"),
+        4,
+        "the stop at version 20 checkpoints"
+    );
+    let report = fleet.recover(0, &fixture.detector);
+    assert_eq!((report.final_version, report.replayed_ops), (20, 0));
     fleet.check();
 }
 
