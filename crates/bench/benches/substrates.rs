@@ -8,7 +8,7 @@ use rand::SeedableRng;
 use std::hint::black_box;
 use taxo_core::{ConceptId, Taxonomy};
 use taxo_graph::{GnnKind, GnnStack, HeteroGraphBuilder, WeightScheme};
-use taxo_nn::{EncoderConfig, Matrix, TransformerEncoder};
+use taxo_nn::{EncoderConfig, EncoderCtx, Matrix, TransformerEncoder};
 
 fn bench_matrix(c: &mut Criterion) {
     let a = Matrix::from_fn(64, 64, |r, q| ((r * 7 + q) % 13) as f32 * 0.1);
@@ -32,8 +32,12 @@ fn bench_encoder(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(0);
     let enc = TransformerEncoder::new(EncoderConfig::small(2000), &mut rng);
     let ids: Vec<u32> = (0..16).map(|i| (i * 37 % 1900 + 5) as u32).collect();
+    let mut ctx = EncoderCtx::default();
     c.bench_function("encoder/forward_seq16_d32_l2", |bench| {
-        bench.iter(|| black_box(enc.forward(&ids)))
+        bench.iter(|| {
+            enc.forward_ctx(&ids, None, &mut ctx);
+            black_box(ctx.hidden());
+        })
     });
     let mut enc2 = enc.clone();
     c.bench_function("encoder/mlm_step_seq16", |bench| {

@@ -233,7 +233,7 @@ impl BatchScorer {
             det.encode_batch(flat_ids, flat_segs, seq_len, scratch);
 
             // Assemble edge features: relational readout (Eq. 7 variant —
-            // the exact expression of `forward_pair`) then the structural
+            // the exact expression of `forward_pair_into`) then the structural
             // slice (Eq. 13).
             scratch.features.reset(bucket.len(), edge_dim);
             for (r, &p) in bucket.iter().enumerate() {

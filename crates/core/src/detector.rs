@@ -4,7 +4,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{RngExt, SeedableRng};
 use taxo_core::{ConceptId, Vocabulary};
-use taxo_nn::{losses, Adam, Matrix, Mlp};
+use taxo_nn::{losses, Adam, Matrix, Mlp, MlpCtx, MlpGrads};
 use taxo_obs::counter;
 
 /// Configuration of the edge-classification head and its training loop
@@ -220,11 +220,14 @@ impl HypoDetector {
         let rel_dim = self.relational.as_ref().map_or(0, |r| r.dim());
         // Reused for the whole call: one encoder context and one backward
         // record per batch slot, the batch's feature rows, dropout mask
-        // and labels, and the validation scorers.
+        // and labels, the head's context, record and input gradient, and
+        // the validation scorers.
         let mut pairs: Vec<PairCtx> = vec![PairCtx::default(); cfg.batch];
         let mut grads: Vec<PairGrads> = vec![PairGrads::default(); cfg.batch];
         let (mut x, mut mask) = (Matrix::default(), Matrix::default());
         let mut labels: Vec<usize> = Vec::with_capacity(cfg.batch);
+        let (mut head, mut head_grads) = (MlpCtx::default(), MlpGrads::default());
+        let mut dx = Matrix::default();
         let scorers = crate::ScratchPool::new();
 
         for _ in 0..cfg.epochs {
@@ -276,9 +279,11 @@ impl HypoDetector {
                     }
                     x.hadamard_assign(&mask);
                 }
-                let (logits, mlp_ctx) = self.mlp.forward(&x);
-                let (loss, dlogits) = losses::softmax_xent(&logits, &labels);
-                let mut dx = self.mlp.backward(&mlp_ctx, &dlogits);
+                self.mlp.forward_ctx(&x, &mut head);
+                let loss = losses::softmax_xent_in_place(head.logits_mut(), &labels);
+                self.mlp
+                    .backward_into(&x, &head, head.logits(), &mut dx, &mut head_grads);
+                self.mlp.replay(&head_grads);
                 if dropout {
                     dx.hadamard_assign(&mask);
                 }
@@ -305,8 +310,7 @@ impl HypoDetector {
                 }
                 if let Some(st) = self.structural.as_mut() {
                     for row in 0..chunk.len() {
-                        let d_row = &dx.row(row)[rel_dim..];
-                        st.backward_pair(&Matrix::row_vector(d_row.to_vec()));
+                        st.backward_pair(&dx.row(row)[rel_dim..]);
                     }
                 }
                 adam_mlp.step(&mut self.mlp);

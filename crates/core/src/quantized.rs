@@ -51,11 +51,6 @@ impl QuantizedDetector {
         &self.base
     }
 
-    /// Shared handle to the full-precision detector.
-    pub fn base_arc(&self) -> &Arc<HypoDetector> {
-        &self.base
-    }
-
     /// Probability that `<parent, child>` is a hyponymy relation under
     /// the quantized weights. Same fast path as
     /// [`HypoDetector::score`], different tier.

@@ -347,20 +347,15 @@ impl RelationalModel {
         len
     }
 
-    /// Encodes a pair into its relational representation `r` (1 × d) and
-    /// a backward context; see [`RelationalModel::forward_pair_into`].
-    pub fn forward_pair(&self, query_name: &str, item_name: &str) -> (Matrix, PairCtx) {
-        let mut ctx = PairCtx::default();
-        (ctx.ids, ctx.segments) = self.pair_ids(query_name, item_name);
-        self.encode_pair(&mut ctx);
-        (Matrix::row_vector(ctx.r.clone()), ctx)
-    }
-
     /// The training forward of one pair into a reused context: stages the
-    /// cached pair template ([`RelationalModel::append_pair_ids`], the
-    /// tokens [`RelationalModel::pair_ids`] gives for the two names, so
-    /// the same bits), encodes it and reads `r` out into
+    /// cached pair template ([`RelationalModel::append_pair_ids`]),
+    /// encodes it and reads the relational representation `r` out into
     /// [`PairCtx::r`]. Allocates nothing once `ctx` is warm.
+    ///
+    /// The readout averages the `[CLS]` vector with the mean of all token
+    /// states: a small from-scratch encoder carries most pair information
+    /// in the token states themselves, whereas the paper's full-size BERT
+    /// can afford a pure-`[CLS]` readout (Eq. 7).
     pub fn forward_pair_into(
         &self,
         vocab: &Vocabulary,
@@ -371,15 +366,6 @@ impl RelationalModel {
         ctx.ids.clear();
         ctx.segments.clear();
         self.append_pair_ids(vocab, query, item, &mut ctx.ids, &mut ctx.segments);
-        self.encode_pair(ctx);
-    }
-
-    /// Encodes `ctx.ids` and computes the readout, which averages the
-    /// `[CLS]` vector with the mean of all token states: a small
-    /// from-scratch encoder carries most pair information in the token
-    /// states themselves, whereas the paper's full-size BERT can afford a
-    /// pure-`[CLS]` readout (Eq. 7).
-    fn encode_pair(&self, ctx: &mut PairCtx) {
         self.encoder
             .forward_ctx(&ctx.ids, Some(&ctx.segments), &mut ctx.enc);
         let hidden = ctx.enc.hidden();
@@ -389,16 +375,6 @@ impl RelationalModel {
             let mean: f32 = (0..n).map(|t| hidden.row(t)[c]).sum::<f32>() / n as f32;
             0.5 * hidden.row(0)[c] + 0.5 * mean
         }));
-    }
-
-    /// Routes the gradient w.r.t. `r` back through the encoder,
-    /// accumulating its parameter gradients. Wraps
-    /// [`RelationalModel::backward_pair_into`] and
-    /// [`RelationalModel::replay_pair`].
-    pub fn backward_pair(&mut self, ctx: &PairCtx, d_r: &Matrix) {
-        let mut g = PairGrads::default();
-        self.backward_pair_into(ctx, d_r.row(0), &mut g);
-        self.replay_pair(ctx, &g);
     }
 
     /// The backward data pass of one pair: routes the gradient w.r.t.
@@ -504,20 +480,48 @@ mod tests {
         assert!(!ids.contains(&model.is_id) || world.name(world.roots[0]).contains("is"));
     }
 
+    /// The cached id-based template is the name-based one, truncated the
+    /// way the encoder truncates, appended after what the buffers hold.
+    #[test]
+    fn append_pair_ids_matches_pair_ids() {
+        let (world, corpus) = setup();
+        let root = world.roots[0];
+        let child = world.truth.children(root)[0];
+        for use_template in [true, false] {
+            for max_len in [6, 40] {
+                let cfg = RelationalConfig {
+                    use_template,
+                    max_len,
+                    ..RelationalConfig::tiny(2)
+                };
+                let model = RelationalModel::vanilla(&world.vocab, &corpus.sentences, &cfg);
+                let (mut want_ids, mut want_segments) =
+                    model.pair_ids(world.name(root), world.name(child));
+                want_ids.truncate(max_len);
+                want_segments.truncate(max_len);
+                let (mut ids, mut segments) = (vec![7], vec![0]);
+                let len = model.append_pair_ids(&world.vocab, root, child, &mut ids, &mut segments);
+                assert_eq!(len, want_ids.len());
+                assert_eq!(ids[1..], want_ids[..]);
+                assert_eq!(segments[1..], want_segments[..]);
+            }
+        }
+    }
+
     #[test]
     fn pair_representation_is_direction_sensitive() {
         let (world, corpus) = setup();
         let (model, _) =
             RelationalModel::pretrain(&world.vocab, &corpus.sentences, &RelationalConfig::tiny(3));
-        let root = world.name(world.roots[0]);
-        let child_id = world.truth.children(world.roots[0])[0];
-        let child = world.name(child_id);
-        let (r1, _) = model.forward_pair(root, child);
-        let (r2, _) = model.forward_pair(child, root);
+        let root = world.roots[0];
+        let child = world.truth.children(root)[0];
+        let (mut r1, mut r2) = (PairCtx::default(), PairCtx::default());
+        model.forward_pair_into(&world.vocab, root, child, &mut r1);
+        model.forward_pair_into(&world.vocab, child, root, &mut r2);
         let diff: f32 = r1
-            .data()
+            .r()
             .iter()
-            .zip(r2.data())
+            .zip(r2.r())
             .map(|(&a, &b)| (a - b).abs())
             .sum();
         assert!(diff > 1e-3, "representations must encode direction");
@@ -528,10 +532,12 @@ mod tests {
         let (world, corpus) = setup();
         let mut model =
             RelationalModel::vanilla(&world.vocab, &corpus.sentences, &RelationalConfig::tiny(4));
-        let q = world.name(world.roots[0]);
-        let (r, ctx) = model.forward_pair(q, q);
-        let d_r = Matrix::from_fn(1, r.cols(), |_, c| 0.1 * (c as f32 + 1.0));
-        model.backward_pair(&ctx, &d_r);
+        let q = world.roots[0];
+        let (mut ctx, mut g) = (PairCtx::default(), PairGrads::default());
+        model.forward_pair_into(&world.vocab, q, q, &mut ctx);
+        let d_r: Vec<f32> = (0..model.dim()).map(|c| 0.1 * (c as f32 + 1.0)).collect();
+        model.backward_pair_into(&ctx, &d_r, &mut g);
+        model.replay_pair(&ctx, &g);
         let mut grad_norm = 0.0f32;
         model.visit_params(&mut |p| grad_norm += p.grad.norm());
         assert!(grad_norm > 0.0);

@@ -168,21 +168,12 @@ impl StructuralModel {
         }
     }
 
-    /// The structural pair feature of Eq. 13:
+    /// The structural pair feature of Eq. 13,
     /// `s = [h_q ⊕ p_parent ⊕ h_i ⊕ p_child]` (position parts dropped
-    /// under the ablation).
-    pub fn pair_features(&self, query: ConceptId, item: ConceptId) -> Matrix {
-        let mut out = vec![0.0; self.feature_dim()];
-        self.pair_features_into(query, item, &mut out);
-        Matrix::row_vector(out)
-    }
-
-    /// Allocation-free [`StructuralModel::pair_features`]: writes the
-    /// Eq. 13 layout `[h_q ⊕ p_parent ⊕ h_i ⊕ p_child]` into `out`, which
-    /// must be zeroed and exactly [`StructuralModel::feature_dim`] long
-    /// (unknown concepts keep their zero slice, as [`StructuralModel::node_vector`]
-    /// gives them). Detector training and scoring both build the feature
-    /// here.
+    /// under the ablation), written into `out`, which must be zeroed and
+    /// exactly [`StructuralModel::feature_dim`] long (unknown concepts
+    /// keep their zero slice, as [`StructuralModel::node_vector`] gives
+    /// them). Detector training and scoring both build the feature here.
     pub fn pair_features_into(&self, query: ConceptId, item: ConceptId, out: &mut [f32]) {
         assert_eq!(out.len(), self.feature_dim());
         let d = self.h.cols();
@@ -199,7 +190,7 @@ impl StructuralModel {
         }
     }
 
-    /// Dimension of [`StructuralModel::pair_features`].
+    /// Dimension of [`StructuralModel::pair_features_into`].
     pub fn feature_dim(&self) -> usize {
         2 * self.h.cols()
             + if self.use_position {
@@ -209,18 +200,18 @@ impl StructuralModel {
             }
     }
 
-    /// Accumulates the gradient of a pair feature into the position
-    /// embeddings (the node representations are treated as fixed features
-    /// learned by contrastive pretraining).
-    pub fn backward_pair(&mut self, d_s: &Matrix) {
+    /// Accumulates the gradient of a pair feature (`feature_dim` long)
+    /// into the position embeddings (the node representations are
+    /// treated as fixed features learned by contrastive pretraining).
+    pub fn backward_pair(&mut self, d_s: &[f32]) {
         if !self.use_position {
             return;
         }
         let d = self.h.cols();
         let p = self.pos.dim();
         for c in 0..p {
-            self.pos.parent.grad[(0, c)] += d_s[(0, d + c)];
-            self.pos.child.grad[(0, c)] += d_s[(0, 2 * d + p + c)];
+            self.pos.parent.grad[(0, c)] += d_s[d + c];
+            self.pos.child.grad[(0, c)] += d_s[2 * d + p + c];
         }
     }
 }
@@ -276,16 +267,18 @@ mod tests {
         let (world, model) = setup(&cfg);
         let q = world.roots[0];
         let i = world.truth.children(q)[0];
-        let s = model.pair_features(q, i);
-        assert_eq!(s.cols(), model.feature_dim());
+        let mut s = vec![0.0; model.feature_dim()];
+        model.pair_features_into(q, i, &mut s);
         let d = cfg.dim;
         let p = cfg.pos_dim;
         // h_q slice matches node_vector(q).
-        assert_eq!(&s.data()[..d], model.node_vector(q).as_slice());
+        assert_eq!(&s[..d], model.node_vector(q).as_slice());
         // p_parent slice matches the embedding.
-        assert_eq!(&s.data()[d..d + p], model.pos.parent.value.row(0));
+        assert_eq!(&s[d..d + p], model.pos.parent.value.row(0));
         // h_i slice.
-        assert_eq!(&s.data()[d + p..2 * d + p], model.node_vector(i).as_slice());
+        assert_eq!(&s[d + p..2 * d + p], model.node_vector(i).as_slice());
+        // p_child slice.
+        assert_eq!(&s[2 * d + p..], model.pos.child.value.row(0));
     }
 
     #[test]
@@ -327,11 +320,8 @@ mod tests {
     #[test]
     fn backward_pair_fills_position_grads() {
         let cfg = StructuralConfig::tiny(6);
-        let (world, mut model) = setup(&cfg);
-        let q = world.roots[0];
-        let i = world.truth.children(q)[0];
-        let s = model.pair_features(q, i);
-        let d_s = Matrix::from_fn(1, s.cols(), |_, c| c as f32 * 0.01);
+        let (_, mut model) = setup(&cfg);
+        let d_s: Vec<f32> = (0..model.feature_dim()).map(|c| c as f32 * 0.01).collect();
         model.backward_pair(&d_s);
         assert!(model.pos.parent.grad.norm() > 0.0);
         assert!(model.pos.child.grad.norm() > 0.0);

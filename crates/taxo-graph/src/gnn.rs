@@ -420,7 +420,10 @@ mod tests {
     use crate::{HeteroGraphBuilder, WeightScheme};
     use rand::SeedableRng;
     use taxo_core::ConceptId;
-    use taxo_nn::gradcheck::loss_weights;
+    use taxo_nn::gradcheck::check_gradients;
+
+    /// Tolerance of the graph layers' finite-difference checks.
+    const TOL: f64 = 6e-2;
 
     fn toy_graph() -> HeteroGraph {
         let mut b = HeteroGraphBuilder::new();
@@ -435,69 +438,6 @@ mod tests {
         Matrix::from_fn(n, d, |r, c| 0.3 * ((r * d + c) as f32).sin() + 0.1)
     }
 
-    /// Finite-difference check specialised for graph layers (the generic
-    /// checker in taxo-nn has no graph argument).
-    fn graph_gradcheck<L: Module + Clone>(
-        graph: &HeteroGraph,
-        layer: L,
-        x: Matrix,
-        forward: impl Fn(&L, &HeteroGraph, &Matrix) -> Matrix,
-        backward: impl Fn(&mut L, &HeteroGraph, &Matrix, &Matrix) -> Matrix,
-    ) {
-        let y = forward(&layer, graph, &x);
-        let w = loss_weights(y.rows(), y.cols());
-        let loss = |m: &Matrix| -> f64 {
-            m.data()
-                .iter()
-                .zip(w.data())
-                .map(|(&a, &b)| a as f64 * b as f64)
-                .sum()
-        };
-        let mut l = layer.clone();
-        let dx = backward(&mut l, graph, &x, &w);
-        let h = 1e-2f32;
-        // Input gradient.
-        for i in 0..x.data().len() {
-            let mut xp = x.clone();
-            xp.data_mut()[i] += h;
-            let mut xm = x.clone();
-            xm.data_mut()[i] -= h;
-            let numeric = (loss(&forward(&layer, graph, &xp)) - loss(&forward(&layer, graph, &xm)))
-                / (2.0 * h as f64);
-            let analytic = dx.data()[i] as f64;
-            let denom = analytic.abs().max(numeric.abs()).max(5e-2);
-            assert!(
-                (analytic - numeric).abs() / denom < 6e-2,
-                "input[{i}]: {analytic} vs {numeric}"
-            );
-        }
-        // Parameter gradients.
-        let mut grads: Vec<Vec<f32>> = Vec::new();
-        l.visit_params(&mut |p| grads.push(p.grad.data().to_vec()));
-        for (pi, g) in grads.iter().enumerate() {
-            for (i, &analytic_g) in g.iter().enumerate() {
-                let perturbed = |delta: f32| {
-                    let mut lp = layer.clone();
-                    let mut seen = 0;
-                    lp.visit_params(&mut |p| {
-                        if seen == pi {
-                            p.value.data_mut()[i] += delta;
-                        }
-                        seen += 1;
-                    });
-                    loss(&forward(&lp, graph, &x))
-                };
-                let numeric = (perturbed(h) - perturbed(-h)) / (2.0 * h as f64);
-                let analytic = analytic_g as f64;
-                let denom = analytic.abs().max(numeric.abs()).max(5e-2);
-                assert!(
-                    (analytic - numeric).abs() / denom < 6e-2,
-                    "param {pi}[{i}]: {analytic} vs {numeric}"
-                );
-            }
-        }
-    }
-
     #[test]
     fn gcn_shapes_and_gradients() {
         let g = toy_graph();
@@ -506,15 +446,12 @@ mod tests {
         let x = features(g.node_count(), 3);
         let (y, _) = layer.forward(&g, &x);
         assert_eq!((y.rows(), y.cols()), (4, 4));
-        graph_gradcheck(
-            &g,
+        check_gradients(
             layer,
             x,
-            |l, g, x| l.forward(g, x).0,
-            |l, g, x, dy| {
-                let (_, ctx) = l.forward(g, x);
-                l.backward(g, &ctx, dy)
-            },
+            |l, x| l.forward(&g, x),
+            |l, ctx, dy| l.backward(&g, ctx, dy),
+            TOL,
         );
     }
 
@@ -524,15 +461,12 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let layer = GatLayer::new(3, 3, &mut rng);
         let x = features(g.node_count(), 3);
-        graph_gradcheck(
-            &g,
+        check_gradients(
             layer,
             x,
-            |l, g, x| l.forward(g, x).0,
-            |l, g, x, dy| {
-                let (_, ctx) = l.forward(g, x);
-                l.backward(g, &ctx, dy)
-            },
+            |l, x| l.forward(&g, x),
+            |l, ctx, dy| l.backward(&g, ctx, dy),
+            TOL,
         );
     }
 
@@ -542,15 +476,12 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(9);
         let layer = SageLayer::new(3, 4, &mut rng);
         let x = features(g.node_count(), 3);
-        graph_gradcheck(
-            &g,
+        check_gradients(
             layer,
             x,
-            |l, g, x| l.forward(g, x).0,
-            |l, g, x, dy| {
-                let (_, ctx) = l.forward(g, x);
-                l.backward(g, &ctx, dy)
-            },
+            |l, x| l.forward(&g, x),
+            |l, ctx, dy| l.backward(&g, ctx, dy),
+            TOL,
         );
     }
 
@@ -572,15 +503,12 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let stack = GnnStack::new(GnnKind::Gcn, &[3, 4, 3], &mut rng);
         let x = features(g.node_count(), 3);
-        graph_gradcheck(
-            &g,
+        check_gradients(
             stack,
             x,
-            |l, g, x| l.forward(g, x).0,
-            |l, g, x, dy| {
-                let (_, ctx) = l.forward(g, x);
-                l.backward(g, &ctx, dy)
-            },
+            |l, x| l.forward(&g, x),
+            |l, ctx, dy| l.backward(&g, ctx, dy),
+            TOL,
         );
     }
 

@@ -147,22 +147,6 @@ pub fn sigmoid_grad_from_output(s: f32) -> f32 {
     s * (1.0 - s)
 }
 
-/// ReLU.
-#[inline]
-pub fn relu(x: f32) -> f32 {
-    x.max(0.0)
-}
-
-/// d ReLU / dx (0 at the kink).
-#[inline]
-pub fn relu_grad(x: f32) -> f32 {
-    if x > 0.0 {
-        1.0
-    } else {
-        0.0
-    }
-}
-
 /// GELU's backward pass: turns dL/dy into dL/dx in place: `d[i] *= gelu_grad(x[i])`, where
 /// `x` is the forward input.
 pub fn gelu_backward_in_place(x: &Matrix, d: &mut Matrix) {
@@ -207,14 +191,6 @@ mod tests {
         let s = sigmoid(0.3);
         let n = numeric_grad(sigmoid, 0.3);
         assert!((sigmoid_grad_from_output(s) - n).abs() < 1e-3);
-    }
-
-    #[test]
-    fn relu_and_grad() {
-        assert_eq!(relu(-2.0), 0.0);
-        assert_eq!(relu(2.0), 2.0);
-        assert_eq!(relu_grad(-1.0), 0.0);
-        assert_eq!(relu_grad(1.0), 1.0);
     }
 
     #[test]

@@ -10,8 +10,7 @@ use rand::rngs::StdRng;
 /// [`MultiHeadSelfAttention::replay`]) keeps its activations in a
 /// caller-owned [`AttentionCtx`] and its backward temporaries and
 /// recorded projection gradients in [`AttentionGrads`], so a warm step
-/// allocates nothing; the allocating [`MultiHeadSelfAttention::forward`]
-/// / [`MultiHeadSelfAttention::backward`] wrap the same code.
+/// allocates nothing.
 #[derive(Debug, Clone)]
 pub struct MultiHeadSelfAttention {
     pub wq: Linear,
@@ -103,19 +102,10 @@ impl MultiHeadSelfAttention {
         self.wq.output_dim() / self.n_heads
     }
 
-    /// `x: n × d_model` → `n × d_model`. Wraps
-    /// `forward_ctx`.
-    pub fn forward(&self, x: &Matrix) -> (Matrix, AttentionCtx) {
-        let mut ctx = AttentionCtx::default();
-        ctx.input.copy_from(x);
-        let mut y = Matrix::default();
-        self.forward_ctx(&mut ctx, &mut y);
-        (y, ctx)
-    }
-
-    /// Training forward over the sequence in `ctx.input`: saves the
-    /// projections, per-head probabilities and head outputs in `ctx` and
-    /// writes the attention output into `out`.
+    /// Training forward over the sequence in `ctx.input` (`n ×
+    /// d_model`): saves the projections, per-head probabilities and head
+    /// outputs in `ctx` and writes the attention output (`n × d_model`)
+    /// into `out`.
     pub(crate) fn forward_ctx(&self, ctx: &mut AttentionCtx, out: &mut Matrix) {
         let n = ctx.input.rows();
         let dh = self.head_dim();
@@ -181,16 +171,6 @@ impl MultiHeadSelfAttention {
             }
         }
         self.wo.forward_into(concat, out);
-    }
-
-    /// Accumulates all projection gradients and returns dx. Wraps
-    /// [`MultiHeadSelfAttention::backward_into`] and
-    /// [`MultiHeadSelfAttention::replay`].
-    pub fn backward(&mut self, ctx: &AttentionCtx, dy: &Matrix) -> Matrix {
-        let (mut dx, mut g) = (Matrix::default(), AttentionGrads::default());
-        self.backward_into(ctx, dy, &mut dx, &mut g);
-        self.replay(&g);
-        dx
     }
 
     /// Backward data pass: records the four projections' gradient
@@ -303,12 +283,27 @@ mod tests {
     use crate::gradcheck::check_gradients;
     use rand::SeedableRng;
 
+    fn forward(attn: &MultiHeadSelfAttention, x: &Matrix) -> (Matrix, AttentionCtx) {
+        let (mut y, mut ctx) = (Matrix::default(), AttentionCtx::default());
+        ctx.input.copy_from(x);
+        attn.forward_ctx(&mut ctx, &mut y);
+        (y, ctx)
+    }
+
+    /// Records and replays one backward; returns dx.
+    fn backward(attn: &mut MultiHeadSelfAttention, ctx: &AttentionCtx, dy: &Matrix) -> Matrix {
+        let (mut dx, mut g) = (Matrix::default(), AttentionGrads::default());
+        attn.backward_into(ctx, dy, &mut dx, &mut g);
+        attn.replay(&g);
+        dx
+    }
+
     #[test]
     fn output_shape_matches_input() {
         let mut rng = StdRng::seed_from_u64(0);
         let attn = MultiHeadSelfAttention::new(8, 2, &mut rng);
         let x = Matrix::from_fn(5, 8, |r, c| ((r * 8 + c) as f32).sin() * 0.3);
-        let (y, ctx) = attn.forward(&x);
+        let (y, ctx) = forward(&attn, &x);
         assert_eq!((y.rows(), y.cols()), (5, 8));
         // Attention rows are distributions.
         for p in &ctx.probs {
@@ -331,13 +326,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(11);
         let attn = MultiHeadSelfAttention::new(6, 2, &mut rng);
         let x = Matrix::from_fn(3, 6, |r, c| 0.2 * ((r + 2 * c) as f32).cos());
-        check_gradients(
-            attn,
-            x,
-            |layer, input| layer.forward(input),
-            |layer, ctx, dy| layer.backward(ctx, dy),
-            3e-2,
-        );
+        check_gradients(attn, x, forward, backward, 3e-2);
     }
 
     #[test]
@@ -345,7 +334,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let attn = MultiHeadSelfAttention::new(4, 1, &mut rng);
         let x = Matrix::from_vec(1, 4, vec![0.1, -0.2, 0.3, 0.4]);
-        let (_, ctx) = attn.forward(&x);
+        let (_, ctx) = forward(&attn, &x);
         assert_eq!(ctx.probs[0][(0, 0)], 1.0);
     }
 }

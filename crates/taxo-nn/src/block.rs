@@ -15,9 +15,7 @@ use rand::rngs::StdRng;
 /// ([`TransformerBlock::forward_ctx`], the pure
 /// [`TransformerBlock::backward_in_place`] and
 /// [`TransformerBlock::replay`]) with activations in a caller-owned
-/// [`BlockCtx`] and backward temporaries and records in [`BlockGrads`];
-/// the allocating [`TransformerBlock::forward`] /
-/// [`TransformerBlock::backward`] wrap the same code.
+/// [`BlockCtx`] and backward temporaries and records in [`BlockGrads`].
 #[derive(Debug, Clone)]
 pub struct TransformerBlock {
     pub ln1: LayerNorm,
@@ -46,14 +44,6 @@ impl TransformerBlock {
             ln2: LayerNorm::new(d_model),
             ffn: FeedForward::new(d_model, ff_hidden, rng),
         }
-    }
-
-    /// Wraps [`TransformerBlock::forward_ctx`].
-    pub fn forward(&self, x: &Matrix) -> (Matrix, BlockCtx) {
-        let mut y = x.clone();
-        let mut ctx = BlockCtx::default();
-        self.forward_ctx(&mut y, &mut ctx, &mut Matrix::default());
-        (y, ctx)
     }
 
     /// Training forward, mutating the residual stream `h` in place and
@@ -102,19 +92,9 @@ impl TransformerBlock {
         h.add_assign(&s.ffn_out);
     }
 
-    /// Wraps [`TransformerBlock::backward_in_place`] and
-    /// [`TransformerBlock::replay`].
-    pub fn backward(&mut self, ctx: &BlockCtx, dy: &Matrix) -> Matrix {
-        let (mut d, mut g) = (dy.clone(), BlockGrads::default());
-        self.backward_in_place(ctx, &mut d, &mut g);
-        self.replay(&g);
-        d
-    }
-
     /// Backward data pass turning `d` (dL/dy) into dL/dx in place and
     /// recording every sub-layer's parameter-gradient updates in `g`.
-    /// Each residual add `d += sub-layer dx` adds the same two values the
-    /// allocating form's `dx += d` did; IEEE addition commutes bit for bit.
+    /// Each residual add is `d += sub-layer dx`.
     pub fn backward_in_place(&self, ctx: &BlockCtx, d: &mut Matrix, g: &mut BlockGrads) {
         // y = a + ffn(ln2(a)).
         self.ffn
@@ -155,12 +135,26 @@ mod tests {
     use crate::gradcheck::check_gradients;
     use rand::SeedableRng;
 
+    fn forward(block: &TransformerBlock, x: &Matrix) -> (Matrix, BlockCtx) {
+        let (mut y, mut ctx) = (x.clone(), BlockCtx::default());
+        block.forward_ctx(&mut y, &mut ctx, &mut Matrix::default());
+        (y, ctx)
+    }
+
+    /// Records and replays one backward; returns dx.
+    fn backward(block: &mut TransformerBlock, ctx: &BlockCtx, dy: &Matrix) -> Matrix {
+        let (mut d, mut g) = (dy.clone(), BlockGrads::default());
+        block.backward_in_place(ctx, &mut d, &mut g);
+        block.replay(&g);
+        d
+    }
+
     #[test]
     fn shapes_preserved() {
         let mut rng = StdRng::seed_from_u64(0);
         let block = TransformerBlock::new(8, 2, 16, &mut rng);
         let x = Matrix::from_fn(4, 8, |r, c| ((r + c) as f32 * 0.37).sin());
-        let (y, _) = block.forward(&x);
+        let (y, _) = forward(&block, &x);
         assert_eq!((y.rows(), y.cols()), (4, 8));
     }
 
@@ -169,12 +163,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(21);
         let block = TransformerBlock::new(4, 2, 6, &mut rng);
         let x = Matrix::from_fn(3, 4, |r, c| 0.3 * ((2 * r + c) as f32).cos());
-        check_gradients(
-            block,
-            x,
-            |layer, input| layer.forward(input),
-            |layer, ctx, dy| layer.backward(ctx, dy),
-            4e-2,
-        );
+        check_gradients(block, x, forward, backward, 4e-2);
     }
 }

@@ -52,9 +52,7 @@ impl EncoderConfig {
 /// the pure [`TransformerEncoder::backward_into`] records the sequence's
 /// parameter-gradient updates in an [`EncoderGrads`] and
 /// [`TransformerEncoder::replay`] adds them, so a warm training step
-/// allocates nothing. The allocating [`TransformerEncoder::forward`]
-/// wraps the same code;
-/// inference runs the same kernels batched through
+/// allocates nothing. Inference runs the same kernels batched through
 /// [`TransformerEncoder::forward_batch_into`].
 /// The MLM head lives in [`crate::mlm`].
 #[derive(Debug, Clone)]
@@ -117,25 +115,9 @@ impl TransformerEncoder {
         }
     }
 
-    /// Encodes a token-id sequence into per-token hidden states
-    /// (`len × d_model`), all tokens in segment 0.
-    pub fn forward(&self, ids: &[u32]) -> (Matrix, EncoderCtx) {
-        let mut ctx = EncoderCtx::default();
-        self.forward_ctx(ids, None, &mut ctx);
-        (std::mem::take(&mut ctx.hidden), ctx)
-    }
-
-    /// Encodes with explicit per-token segment ids (0 or 1). Sequences
-    /// longer than `max_len` are truncated. Wraps
-    /// [`TransformerEncoder::forward_ctx`].
-    pub fn forward_with_segments(&self, ids: &[u32], segments: &[u32]) -> (Matrix, EncoderCtx) {
-        let mut ctx = EncoderCtx::default();
-        self.forward_ctx(ids, Some(segments), &mut ctx);
-        (std::mem::take(&mut ctx.hidden), ctx)
-    }
-
     /// Training forward of one sequence into a reused context: the
-    /// hidden states land in [`EncoderCtx::hidden`]. `segments` gives one
+    /// per-token hidden states (`len × d_model`) land in
+    /// [`EncoderCtx::hidden`]. `segments` gives one
     /// segment id (0 or 1) per token; `None` puts every token in segment
     /// 0. Sequences longer than `max_len` are truncated.
     pub fn forward_ctx(&self, ids: &[u32], segments: Option<&[u32]>, ctx: &mut EncoderCtx) {
@@ -190,7 +172,7 @@ impl TransformerEncoder {
     /// The embedding sum is the shared one, blocks and the final LayerNorm
     /// are the `*_into` twins of the training kernels, so each sequence's
     /// rows are bitwise identical to encoding it alone with
-    /// [`TransformerEncoder::forward_with_segments`].
+    /// [`TransformerEncoder::forward_ctx`].
     pub fn forward_batch_into(
         &self,
         ids: &[u32],
@@ -247,8 +229,9 @@ impl TransformerEncoder {
     /// the representation the paper uses for both relational encoding
     /// (Eq. 7) and node initialisation (Eq. 8).
     pub fn cls_vector(&self, ids: &[u32]) -> Vec<f32> {
-        let (h, _) = self.forward(ids);
-        h.row(0).to_vec()
+        let mut ctx = EncoderCtx::default();
+        self.forward_ctx(ids, None, &mut ctx);
+        ctx.hidden.row(0).to_vec()
     }
 }
 
@@ -275,8 +258,9 @@ mod tests {
     fn forward_shapes() {
         let mut rng = StdRng::seed_from_u64(0);
         let enc = TransformerEncoder::new(EncoderConfig::tiny(20), &mut rng);
-        let (h, _) = enc.forward(&[1, 5, 6, 2]);
-        assert_eq!((h.rows(), h.cols()), (4, 8));
+        let mut ctx = EncoderCtx::default();
+        enc.forward_ctx(&[1, 5, 6, 2], None, &mut ctx);
+        assert_eq!((ctx.hidden().rows(), ctx.hidden().cols()), (4, 8));
         assert_eq!(enc.cls_vector(&[1, 5, 2]).len(), 8);
     }
 
@@ -285,8 +269,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(0);
         let enc = TransformerEncoder::new(EncoderConfig::tiny(20), &mut rng);
         let ids: Vec<u32> = (0..40).map(|i| (i % 18) as u32).collect();
-        let (h, _) = enc.forward(&ids);
-        assert_eq!(h.rows(), 16); // max_len of tiny config
+        let mut ctx = EncoderCtx::default();
+        enc.forward_ctx(&ids, None, &mut ctx);
+        assert_eq!(ctx.hidden().rows(), 16); // max_len of tiny config
     }
 
     #[test]
@@ -294,7 +279,7 @@ mod tests {
     fn empty_sequence_panics() {
         let mut rng = StdRng::seed_from_u64(0);
         let enc = TransformerEncoder::new(EncoderConfig::tiny(20), &mut rng);
-        let _ = enc.forward(&[]);
+        enc.forward_ctx(&[], None, &mut EncoderCtx::default());
     }
 
     /// MLM training on a tiny deterministic corpus must drive the loss
@@ -329,11 +314,11 @@ mod tests {
         assert_eq!(argmax, 11);
     }
 
-    /// The batched allocation-free fast path must reproduce the
-    /// allocating forward bit for bit, per sequence, including on reuse of
-    /// a warm scratch with different shapes in between.
+    /// The batched allocation-free fast path must reproduce the training
+    /// forward bit for bit, per sequence, including on reuse of a warm
+    /// scratch with different shapes in between.
     #[test]
-    fn batched_fast_path_matches_allocating_forward() {
+    fn batched_fast_path_matches_training_forward() {
         let mut rng = StdRng::seed_from_u64(9);
         let enc = TransformerEncoder::new(EncoderConfig::tiny(24), &mut rng);
         let seqs: [&[u32]; 3] = [&[1, 7, 9, 2], &[1, 12, 13, 2], &[1, 20, 5, 2]];
@@ -348,11 +333,12 @@ mod tests {
         let flat_segs: Vec<u32> = segs.concat();
         enc.forward_batch_into(&flat_ids, &flat_segs, 4, &mut scratch);
 
+        let mut ctx = EncoderCtx::default();
         for (s, (ids, segments)) in seqs.iter().zip(&segs).enumerate() {
-            let (h, _) = enc.forward_with_segments(ids, segments);
+            enc.forward_ctx(ids, Some(segments), &mut ctx);
             for t in 0..4 {
                 let fast = scratch.enc_out.row(s * 4 + t);
-                let slow = h.row(t);
+                let slow = ctx.hidden().row(t);
                 for (a, b) in fast.iter().zip(slow) {
                     assert_eq!(a.to_bits(), b.to_bits(), "seq {s} token {t}");
                 }

@@ -8,8 +8,7 @@ use rand::rngs::StdRng;
 /// Training keeps its activations in a caller-owned [`FeedForwardCtx`]
 /// and its backward temporaries and records in a [`FeedForwardGrads`]
 /// (`forward_ctx`, the pure [`FeedForward::backward_into`] and
-/// [`FeedForward::replay`]); the allocating [`FeedForward::forward`] /
-/// [`FeedForward::backward`] wrap the same code.
+/// [`FeedForward::replay`]).
 #[derive(Debug, Clone)]
 pub struct FeedForward {
     pub lin1: Linear,
@@ -38,15 +37,6 @@ impl FeedForward {
         }
     }
 
-    /// Wraps `forward_ctx`.
-    pub fn forward(&self, x: &Matrix) -> (Matrix, FeedForwardCtx) {
-        let mut ctx = FeedForwardCtx::default();
-        ctx.input.copy_from(x);
-        let mut y = Matrix::default();
-        self.forward_ctx(&mut ctx, &mut y);
-        (y, ctx)
-    }
-
     /// Training forward over `ctx.input`, saving the pre-activation and
     /// the GELU output in `ctx`.
     pub(crate) fn forward_ctx(&self, ctx: &mut FeedForwardCtx, out: &mut Matrix) {
@@ -64,14 +54,6 @@ impl FeedForward {
         self.lin1.forward_into(x, hidden);
         gelu_in_place(hidden.data_mut());
         self.lin2.forward_into(hidden, out);
-    }
-
-    /// Wraps [`FeedForward::backward_into`] and [`FeedForward::replay`].
-    pub fn backward(&mut self, ctx: &FeedForwardCtx, dy: &Matrix) -> Matrix {
-        let (mut dx, mut g) = (Matrix::default(), FeedForwardGrads::default());
-        self.backward_into(ctx, dy, &mut dx, &mut g);
-        self.replay(&g);
-        dx
     }
 
     /// Backward data pass: records both layers' gradient updates in `g`
@@ -111,12 +93,27 @@ mod tests {
     use crate::gradcheck::check_gradients;
     use rand::SeedableRng;
 
+    fn forward(ffn: &FeedForward, x: &Matrix) -> (Matrix, FeedForwardCtx) {
+        let (mut y, mut ctx) = (Matrix::default(), FeedForwardCtx::default());
+        ctx.input.copy_from(x);
+        ffn.forward_ctx(&mut ctx, &mut y);
+        (y, ctx)
+    }
+
+    /// Records and replays one backward; returns dx.
+    fn backward(ffn: &mut FeedForward, ctx: &FeedForwardCtx, dy: &Matrix) -> Matrix {
+        let (mut dx, mut g) = (Matrix::default(), FeedForwardGrads::default());
+        ffn.backward_into(ctx, dy, &mut dx, &mut g);
+        ffn.replay(&g);
+        dx
+    }
+
     #[test]
     fn shapes() {
         let mut rng = StdRng::seed_from_u64(0);
         let ffn = FeedForward::new(4, 16, &mut rng);
         let x = Matrix::zeros(3, 4);
-        let (y, _) = ffn.forward(&x);
+        let (y, _) = forward(&ffn, &x);
         assert_eq!((y.rows(), y.cols()), (3, 4));
     }
 
@@ -125,12 +122,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let ffn = FeedForward::new(4, 8, &mut rng);
         let x = Matrix::from_fn(2, 4, |r, c| 0.25 * (r as f32) - 0.15 * (c as f32) + 0.05);
-        check_gradients(
-            ffn,
-            x,
-            |layer, input| layer.forward(input),
-            |layer, ctx, dy| layer.backward(ctx, dy),
-            3e-2,
-        );
+        check_gradients(ffn, x, forward, backward, 3e-2);
     }
 }

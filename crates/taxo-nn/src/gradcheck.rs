@@ -7,7 +7,7 @@ use crate::{Matrix, Module, Param};
 /// A deterministic pseudo-random weighting matrix defining the scalar test
 /// loss `L(y) = Σ w_ij · y_ij`; using varied weights ensures the check
 /// exercises off-diagonal gradient terms.
-pub fn loss_weights(rows: usize, cols: usize) -> Matrix {
+fn loss_weights(rows: usize, cols: usize) -> Matrix {
     Matrix::from_fn(rows, cols, |r, c| {
         (((r * 31 + c * 17 + 7) % 13) as f32) / 13.0 - 0.5
     })
@@ -116,7 +116,7 @@ fn sample_indices(len: usize) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Linear;
+    use crate::{Linear, LinearGrads};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -138,9 +138,15 @@ mod tests {
         check_gradients(
             lin,
             x,
-            |l, input| l.forward(input),
-            |l, ctx, dy| {
-                let mut dx = l.backward(ctx, dy);
+            |l, input| {
+                let mut y = Matrix::default();
+                l.forward_into(input, &mut y);
+                (y, input.clone())
+            },
+            |l, input, dy| {
+                let (mut dx, mut g) = (Matrix::default(), LinearGrads::default());
+                l.backward_into(input, dy, &mut dx, &mut g);
+                l.replay(&g);
                 dx.scale(3.0); // wrong on purpose
                 dx
             },

@@ -42,14 +42,6 @@ impl LayerNorm {
         }
     }
 
-    /// Normalises each row of `x`. Wraps [`LayerNorm::forward_ctx`].
-    pub fn forward(&self, x: &Matrix) -> (Matrix, LayerNormCtx) {
-        let mut out = Matrix::default();
-        let mut ctx = LayerNormCtx::default();
-        self.forward_ctx(x, &mut out, &mut ctx);
-        (out, ctx)
-    }
-
     /// Training forward: normalises each row of `x` into `out` and saves
     /// x̂ and 1/σ in `ctx` for [`LayerNorm::backward_into`].
     pub fn forward_ctx(&self, x: &Matrix, out: &mut Matrix, ctx: &mut LayerNormCtx) {
@@ -95,15 +87,6 @@ impl LayerNorm {
                 }
             }
         }
-    }
-
-    /// Accumulates dγ, dβ and returns dx. Wraps
-    /// [`LayerNorm::backward_into`] and [`LayerNorm::replay`].
-    pub fn backward(&mut self, ctx: &LayerNormCtx, dout: &Matrix) -> Matrix {
-        let (mut dx, mut g) = (Matrix::default(), LayerNormGrads::default());
-        self.backward_into(ctx, dout, &mut dx, &mut g);
-        self.replay(&g);
-        dx
     }
 
     /// Backward data pass: records each row's dγ (`dy ⊙ x̂`) and dβ
@@ -171,11 +154,25 @@ mod tests {
     use super::*;
     use crate::gradcheck::check_gradients;
 
+    fn forward(ln: &LayerNorm, x: &Matrix) -> (Matrix, LayerNormCtx) {
+        let (mut y, mut ctx) = (Matrix::default(), LayerNormCtx::default());
+        ln.forward_ctx(x, &mut y, &mut ctx);
+        (y, ctx)
+    }
+
+    /// Records and replays one backward; returns dx.
+    fn backward(ln: &mut LayerNorm, ctx: &LayerNormCtx, dy: &Matrix) -> Matrix {
+        let (mut dx, mut g) = (Matrix::default(), LayerNormGrads::default());
+        ln.backward_into(ctx, dy, &mut dx, &mut g);
+        ln.replay(&g);
+        dx
+    }
+
     #[test]
     fn rows_are_standardised() {
         let ln = LayerNorm::new(4);
         let x = Matrix::from_vec(2, 4, vec![1., 2., 3., 4., -1., 0., 1., 2.]);
-        let (y, _) = ln.forward(&x);
+        let (y, _) = forward(&ln, &x);
         for r in 0..2 {
             let mean: f32 = y.row(r).iter().sum::<f32>() / 4.0;
             let var: f32 = y.row(r).iter().map(|&v| (v - mean).powi(2)).sum::<f32>() / 4.0;
@@ -190,7 +187,7 @@ mod tests {
         ln.gamma.value = Matrix::from_vec(1, 2, vec![2.0, 2.0]);
         ln.beta.value = Matrix::from_vec(1, 2, vec![1.0, 1.0]);
         let x = Matrix::from_vec(1, 2, vec![0.0, 2.0]);
-        let (y, _) = ln.forward(&x);
+        let (y, _) = forward(&ln, &x);
         // normalised = [-1, 1] (up to eps), scaled to [-2,2], shifted to [-1,3].
         assert!((y[(0, 0)] + 1.0).abs() < 1e-2);
         assert!((y[(0, 1)] - 3.0).abs() < 1e-2);
@@ -200,12 +197,6 @@ mod tests {
     fn gradients_match_finite_differences() {
         let ln = LayerNorm::new(5);
         let x = Matrix::from_fn(3, 5, |r, c| (r as f32) * 0.7 - (c as f32) * 0.3 + 0.05);
-        check_gradients(
-            ln,
-            x,
-            |layer, input| layer.forward(input),
-            |layer, ctx, dy| layer.backward(ctx, dy),
-            2e-2,
-        );
+        check_gradients(ln, x, forward, backward, 2e-2);
     }
 }

@@ -11,18 +11,11 @@ use rand::rngs::StdRng;
 /// ([`Linear::forward_into`], the pure [`Linear::backward_into`] that
 /// records the parameter-gradient updates, and [`Linear::replay`] that
 /// adds them) takes its buffers from the caller and allocates nothing
-/// once they are warm; [`Linear::forward`] / [`Linear::backward`] wrap
-/// the same kernels for callers that want fresh matrices.
+/// once they are warm.
 #[derive(Debug, Clone)]
 pub struct Linear {
     pub w: Param,
     pub b: Param,
-}
-
-/// Saved activations for one [`Linear::forward`] call.
-#[derive(Debug, Clone)]
-pub struct LinearCtx {
-    input: Matrix,
 }
 
 impl Linear {
@@ -34,28 +27,11 @@ impl Linear {
         }
     }
 
-    /// `x: n × in` → `n × out`, saving a copy of `x` for
-    /// [`Linear::backward`]. Wraps [`Linear::forward_into`].
-    pub fn forward(&self, x: &Matrix) -> (Matrix, LinearCtx) {
-        let mut y = Matrix::default();
-        self.forward_into(x, &mut y);
-        (y, LinearCtx { input: x.clone() })
-    }
-
     /// `y = x·Wᵀ + b` into a caller-owned buffer; allocates nothing once
     /// `out` is warm. The one forward kernel of training and inference.
     pub fn forward_into(&self, x: &Matrix, out: &mut Matrix) {
         x.matmul_nt_into(&self.w.value, out);
         out.add_row_broadcast(&self.b.value);
-    }
-
-    /// Accumulates `dW`, `db` and returns `dx`. Wraps
-    /// [`Linear::backward_into`] and [`Linear::replay`].
-    pub fn backward(&mut self, ctx: &LinearCtx, dy: &Matrix) -> Matrix {
-        let (mut dx, mut g) = (Matrix::default(), LinearGrads::default());
-        self.backward_into(&ctx.input, dy, &mut dx, &mut g);
-        self.replay(&g);
-        dx
     }
 
     /// Backward data pass for the forward input `x`: records
@@ -99,13 +75,28 @@ mod tests {
     use crate::gradcheck::check_gradients;
     use rand::SeedableRng;
 
+    /// The forward output and, as its context, a copy of the input.
+    fn forward(lin: &Linear, x: &Matrix) -> (Matrix, Matrix) {
+        let mut y = Matrix::default();
+        lin.forward_into(x, &mut y);
+        (y, x.clone())
+    }
+
+    /// Records and replays one backward; returns dx.
+    fn backward(lin: &mut Linear, x: &Matrix, dy: &Matrix) -> Matrix {
+        let (mut dx, mut g) = (Matrix::default(), LinearGrads::default());
+        lin.backward_into(x, dy, &mut dx, &mut g);
+        lin.replay(&g);
+        dx
+    }
+
     #[test]
     fn forward_shape_and_bias() {
         let mut rng = StdRng::seed_from_u64(0);
         let mut lin = Linear::new(3, 2, &mut rng);
         lin.b.value = Matrix::from_vec(1, 2, vec![1.0, -1.0]);
         let x = Matrix::zeros(4, 3);
-        let (y, _) = lin.forward(&x);
+        let (y, _) = forward(&lin, &x);
         assert_eq!((y.rows(), y.cols()), (4, 2));
         // Zero input -> bias only.
         for r in 0..4 {
@@ -118,13 +109,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         let lin = Linear::new(4, 3, &mut rng);
         let x = Matrix::from_fn(2, 4, |r, c| 0.3 * (r as f32) - 0.2 * (c as f32) + 0.1);
-        check_gradients(
-            lin,
-            x,
-            |layer, input| layer.forward(input),
-            |layer, ctx, dy| layer.backward(ctx, dy),
-            2e-2,
-        );
+        check_gradients(lin, x, forward, backward, 2e-2);
     }
 
     #[test]
@@ -132,11 +117,10 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let mut lin = Linear::new(2, 2, &mut rng);
         let x = Matrix::from_vec(1, 2, vec![1.0, 2.0]);
-        let (_, ctx) = lin.forward(&x);
         let dy = Matrix::from_vec(1, 2, vec![1.0, 1.0]);
-        lin.backward(&ctx, &dy);
+        backward(&mut lin, &x, &dy);
         let g1 = lin.w.grad.clone();
-        lin.backward(&ctx, &dy);
+        backward(&mut lin, &x, &dy);
         let mut doubled = g1.clone();
         doubled.scale(2.0);
         assert_eq!(lin.w.grad, doubled);

@@ -1,17 +1,9 @@
 use crate::Matrix;
 
 /// Mean softmax cross-entropy over rows of `logits` against integer
-/// `targets`. Returns `(loss, dlogits)` where `dlogits` already includes
-/// the `1/n` mean factor.
-pub fn softmax_xent(logits: &Matrix, targets: &[usize]) -> (f32, Matrix) {
-    let mut dlogits = logits.clone();
-    let loss = softmax_xent_in_place(&mut dlogits, targets);
-    (loss, dlogits)
-}
-
-/// [`softmax_xent`] over a caller-owned buffer: `logits` is overwritten
-/// with `dlogits`. Each target probability is read before its own element
-/// takes the `−1`, so the loss and gradient are the allocating form's bits.
+/// `targets`. Returns the loss and overwrites `logits` with `dlogits`,
+/// which already includes the `1/n` mean factor. Each target probability
+/// is read before its own element takes the `−1`.
 pub fn softmax_xent_in_place(logits: &mut Matrix, targets: &[usize]) -> f32 {
     assert_eq!(logits.rows(), targets.len());
     let n = targets.len().max(1) as f32;
@@ -25,29 +17,6 @@ pub fn softmax_xent_in_place(logits: &mut Matrix, targets: &[usize]) -> f32 {
     }
     logits.scale(1.0 / n);
     (loss / n as f64) as f32
-}
-
-/// Binary cross-entropy on a probability `p ∈ (0,1)` against `target ∈
-/// {0,1}`. Returns `(loss, dL/dp)`.
-pub fn bce(p: f32, target: f32) -> (f32, f32) {
-    let p = p.clamp(1e-7, 1.0 - 1e-7);
-    let loss = -(target * p.ln() + (1.0 - target) * (1.0 - p).ln());
-    let grad = (p - target) / (p * (1.0 - p));
-    (loss, grad)
-}
-
-/// Numerically stable binary cross-entropy on a *logit*. Returns
-/// `(loss, dL/dlogit)`; the gradient is simply `sigmoid(logit) - target`.
-pub fn bce_with_logits(logit: f32, target: f32) -> (f32, f32) {
-    // log(1 + e^x) computed stably.
-    let log1p_exp = if logit > 0.0 {
-        logit + (-logit).exp().ln_1p()
-    } else {
-        logit.exp().ln_1p()
-    };
-    let loss = log1p_exp - target * logit;
-    let s = crate::activations::sigmoid(logit);
-    (loss, s - target)
 }
 
 /// InfoNCE over a similarity matrix (Eq. 10 of the paper): for each anchor
@@ -88,6 +57,13 @@ pub fn info_nce(sim: &Matrix, positives: &[Vec<usize>]) -> (f32, Matrix) {
 mod tests {
     use super::*;
 
+    /// The allocating form of [`softmax_xent_in_place`]: `(loss, dlogits)`.
+    fn softmax_xent(logits: &Matrix, targets: &[usize]) -> (f32, Matrix) {
+        let mut dlogits = logits.clone();
+        let loss = softmax_xent_in_place(&mut dlogits, targets);
+        (loss, dlogits)
+    }
+
     #[test]
     fn xent_uniform_logits() {
         let logits = Matrix::zeros(2, 4);
@@ -114,27 +90,6 @@ mod tests {
             lm[(0, j)] -= h;
             let n = (softmax_xent(&lp, &[2]).0 - softmax_xent(&lm, &[2]).0) / (2.0 * h);
             assert!((d[(0, j)] - n).abs() < 1e-3, "j={j}");
-        }
-    }
-
-    #[test]
-    fn bce_known_values() {
-        let (loss, _) = bce(0.5, 1.0);
-        assert!((loss - std::f32::consts::LN_2).abs() < 1e-3);
-        let (loss_good, _) = bce(0.99, 1.0);
-        assert!(loss_good < 0.02);
-        let (loss_bad, _) = bce(0.01, 1.0);
-        assert!(loss_bad > 4.0);
-    }
-
-    #[test]
-    fn bce_with_logits_matches_bce() {
-        for &(logit, t) in &[(0.7f32, 1.0f32), (-1.2, 0.0), (2.5, 0.0), (0.0, 1.0)] {
-            let p = crate::activations::sigmoid(logit);
-            let (l1, _) = bce(p, t);
-            let (l2, g2) = bce_with_logits(logit, t);
-            assert!((l1 - l2).abs() < 1e-4);
-            assert!((g2 - (p - t)).abs() < 1e-6);
         }
     }
 

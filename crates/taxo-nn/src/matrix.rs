@@ -189,7 +189,7 @@ impl Matrix {
 
     /// Matrix product `self · other`.
     ///
-    /// Row-parallel above [`PAR_MIN_MACS`] multiply-accumulates: each
+    /// Row-parallel above `PAR_MIN_MACS` multiply-accumulates: each
     /// thread owns a contiguous block of output rows and runs the same
     /// i-k-j row kernel as the sequential path, so the result is bitwise
     /// identical at any thread count.
@@ -232,7 +232,7 @@ impl Matrix {
 
     /// `self · otherᵀ` without materialising the transpose.
     ///
-    /// Row-parallel above [`PAR_MIN_MACS`] multiply-accumulates; each
+    /// Row-parallel above `PAR_MIN_MACS` multiply-accumulates; each
     /// output row is a set of dot products owned by one thread, bitwise
     /// identical to the sequential path.
     pub fn matmul_nt(&self, other: &Matrix) -> Matrix {
@@ -283,7 +283,7 @@ impl Matrix {
     /// Each output element is summed from zero over `k` ascending,
     /// skipping `a`'s zero scalars: `a` is often a one-hot-ish gather
     /// matrix, and a skipped scalar elides a whole row update.
-    /// Row-parallel above [`PAR_MIN_MACS`] multiply-accumulates: each
+    /// Row-parallel above `PAR_MIN_MACS` multiply-accumulates: each
     /// thread owns a contiguous block of output rows and scans `k`
     /// ascending within it, matching the sequential per-element order
     /// exactly (bitwise identical).
@@ -340,7 +340,7 @@ impl Matrix {
         }
     }
 
-    /// Explicit transpose, tiled in [`TRANSPOSE_BLOCK`]-square blocks so
+    /// Explicit transpose, tiled in `TRANSPOSE_BLOCK`-square blocks so
     /// both the strided reads and the contiguous writes stay within one
     /// cache-resident tile at a time.
     pub fn transpose(&self) -> Matrix {
@@ -364,14 +364,6 @@ impl Matrix {
         assert_eq!((self.rows, self.cols), (other.rows, other.cols));
         for (a, &b) in self.data.iter_mut().zip(&other.data) {
             *a += b;
-        }
-    }
-
-    /// Element-wise `self += scale * other`.
-    pub fn add_scaled(&mut self, other: &Matrix, scale: f32) {
-        assert_eq!((self.rows, self.cols), (other.rows, other.cols));
-        for (a, &b) in self.data.iter_mut().zip(&other.data) {
-            *a += scale * b;
         }
     }
 
@@ -666,15 +658,6 @@ mod tests {
     }
 
     #[test]
-    fn add_scaled_accumulates() {
-        let mut a = Matrix::zeros(1, 2);
-        let g = m(1, 2, &[1., 2.]);
-        a.add_scaled(&g, 0.5);
-        a.add_scaled(&g, 0.5);
-        assert_eq!(a.data(), &[1., 2.]);
-    }
-
-    #[test]
     fn map_in_place_matches_map() {
         let a = m(2, 3, &[1., -2., 3., 0., 5., -6.]);
         let mut b = a.clone();
@@ -705,7 +688,7 @@ mod tests {
         })
     }
 
-    /// Above [`PAR_MIN_MACS`], all three kernels must produce bitwise
+    /// Above `PAR_MIN_MACS`, all three kernels must produce bitwise
     /// identical output at 1 and many threads (each output row is owned
     /// by one thread with sequential accumulation order).
     #[test]

@@ -143,8 +143,9 @@ impl TransformerEncoder {
     /// Predicted distribution over the vocabulary at `position` of the
     /// encoded `ids` (used to inspect what MLM pretraining learned).
     pub fn mlm_predict(&self, ids: &[u32], position: usize) -> Vec<f32> {
-        let (hidden, _) = self.forward(ids);
-        let row = Matrix::row_vector(hidden.row(position).to_vec());
+        let mut ctx = EncoderCtx::default();
+        self.forward_ctx(ids, None, &mut ctx);
+        let row = Matrix::row_vector(ctx.hidden().row(position).to_vec());
         let mut logits = Matrix::default();
         self.mlm_logits_into(&row, &mut logits);
         logits.softmax_rows();

@@ -1,22 +1,44 @@
 use crate::activations::{sigmoid, sigmoid_grad_from_output};
-use crate::{losses, Linear, LinearCtx, Matrix, Module, Param};
+use crate::scratch::MlpGrads;
+use crate::{losses, Linear, Matrix, Module, Param};
 use rand::rngs::StdRng;
 
 /// The edge classifier of Eq. 15:
 /// `f(e) = softmax(W2 · σ(W1 · e + B1) + B2)` with σ the logistic sigmoid
 /// and two output classes (class 1 = "is a hyponymy relation").
+///
+/// Training runs [`Mlp::forward_ctx`] into a reused [`MlpCtx`], the pure
+/// [`Mlp::backward_into`] that records both layers' updates in an
+/// [`MlpGrads`], and [`Mlp::replay`] that adds them; the caller owns the
+/// input, so a warm step allocates nothing. Inference runs the same
+/// kernels through [`Mlp::forward_into`].
 #[derive(Debug, Clone)]
 pub struct Mlp {
     pub lin1: Linear,
     pub lin2: Linear,
 }
 
-/// Saved activations for one [`Mlp::forward`] call.
-#[derive(Debug, Clone)]
+/// Saved activations of one [`Mlp`] training forward pass, reused from
+/// one batch to the next.
+#[derive(Debug, Clone, Default)]
 pub struct MlpCtx {
-    ctx1: LinearCtx,
-    ctx2: LinearCtx,
-    hidden_act: Matrix,
+    /// Sigmoid hidden activations, `lin2`'s input.
+    hidden: Matrix,
+    /// Class logits (`n × 2`).
+    logits: Matrix,
+}
+
+impl MlpCtx {
+    /// The logits of the last [`Mlp::forward_ctx`].
+    pub fn logits(&self) -> &Matrix {
+        &self.logits
+    }
+
+    /// The logits, for a loss that overwrites them with its gradient
+    /// ([`losses::softmax_xent_in_place`]).
+    pub fn logits_mut(&mut self) -> &mut Matrix {
+        &mut self.logits
+    }
 }
 
 impl Mlp {
@@ -28,28 +50,16 @@ impl Mlp {
         }
     }
 
-    /// Produces class *logits* (`n × 2`); apply softmax for probabilities.
-    pub fn forward(&self, x: &Matrix) -> (Matrix, MlpCtx) {
-        let (pre, ctx1) = self.lin1.forward(x);
-        // Fused in-place activation: `pre` is not needed past this point,
-        // so reuse its buffer instead of allocating a mapped copy.
-        let mut hidden_act = pre;
-        hidden_act.map_in_place(sigmoid);
-        let (logits, ctx2) = self.lin2.forward(&hidden_act);
-        (
-            logits,
-            MlpCtx {
-                ctx1,
-                ctx2,
-                hidden_act,
-            },
-        )
+    /// Training forward of `x` (`n × input_dim`): class *logits*
+    /// (`n × 2`, apply softmax for probabilities) and the hidden
+    /// activations land in `ctx`.
+    pub fn forward_ctx(&self, x: &Matrix, ctx: &mut MlpCtx) {
+        self.forward_into(x, &mut ctx.hidden, &mut ctx.logits);
     }
 
-    /// Forward-only variant of [`Mlp::forward`] with caller-owned scratch:
-    /// one GEMM per layer over the whole batch, sigmoid fused in place —
-    /// the exact operations of the allocating path, bitwise identical
-    /// per row.
+    /// Forward-only variant of [`Mlp::forward_ctx`] with caller-owned
+    /// scratch: one GEMM per layer over the whole batch, sigmoid fused in
+    /// place.
     pub fn forward_into(&self, x: &Matrix, hidden: &mut Matrix, logits: &mut Matrix) {
         self.lin1.forward_into(x, hidden);
         hidden.map_in_place(sigmoid);
@@ -74,31 +84,49 @@ impl Mlp {
         }
     }
 
-    /// Backpropagates `dlogits`, accumulating gradients; returns dx.
-    pub fn backward(&mut self, ctx: &MlpCtx, dlogits: &Matrix) -> Matrix {
-        // Fused: scale the owned d_hidden buffer by σ′ in place rather
-        // than building a second matrix element-by-element.
-        let mut d_pre = self.lin2.backward(&ctx.ctx2, dlogits);
-        for (d, &h) in d_pre.data_mut().iter_mut().zip(ctx.hidden_act.data()) {
+    /// Backward data pass for the forward input `x` and its `ctx`:
+    /// records both layers' gradient updates in `g` and writes dx into a
+    /// caller-owned buffer; the hidden-layer gradient lives in `g` too,
+    /// scaled by σ′ in place.
+    pub fn backward_into(
+        &self,
+        x: &Matrix,
+        ctx: &MlpCtx,
+        dlogits: &Matrix,
+        dx: &mut Matrix,
+        g: &mut MlpGrads,
+    ) {
+        self.lin2
+            .backward_into(&ctx.hidden, dlogits, &mut g.d_hidden, &mut g.lin2);
+        for (d, &h) in g.d_hidden.data_mut().iter_mut().zip(ctx.hidden.data()) {
             *d *= sigmoid_grad_from_output(h);
         }
-        self.lin1.backward(&ctx.ctx1, &d_pre)
+        self.lin1.backward_into(x, &g.d_hidden, dx, &mut g.lin1);
+    }
+
+    /// Replays a recorded backward into both layers' gradients.
+    pub fn replay(&mut self, g: &MlpGrads) {
+        self.lin1.replay(&g.lin1);
+        self.lin2.replay(&g.lin2);
     }
 
     /// Probability of the positive class for a single edge representation.
     pub fn predict_positive(&self, x: &Matrix) -> f32 {
-        let (mut logits, _) = self.forward(x);
-        logits.softmax_rows();
-        logits[(0, 1)]
+        let mut ctx = MlpCtx::default();
+        self.forward_ctx(x, &mut ctx);
+        ctx.logits.softmax_rows();
+        ctx.logits[(0, 1)]
     }
 
     /// One supervised step on a batch: `x` is `n × input_dim`, `labels`
-    /// are 0/1. Accumulates gradients and returns `(loss, dx)`.
-    pub fn train_batch(&mut self, x: &Matrix, labels: &[usize]) -> (f32, Matrix) {
-        let (logits, ctx) = self.forward(x);
-        let (loss, dlogits) = losses::softmax_xent(&logits, labels);
-        let dx = self.backward(&ctx, &dlogits);
-        (loss, dx)
+    /// are 0/1. Accumulates gradients and returns the mean loss.
+    pub fn train_batch(&mut self, x: &Matrix, labels: &[usize]) -> f32 {
+        let (mut ctx, mut g, mut dx) = (MlpCtx::default(), MlpGrads::default(), Matrix::default());
+        self.forward_ctx(x, &mut ctx);
+        let loss = losses::softmax_xent_in_place(&mut ctx.logits, labels);
+        self.backward_into(x, &ctx, &ctx.logits, &mut dx, &mut g);
+        self.replay(&g);
+        loss
     }
 }
 
@@ -134,8 +162,17 @@ mod tests {
         check_gradients(
             mlp,
             x,
-            |layer, input| layer.forward(input),
-            |layer, ctx, dy| layer.backward(ctx, dy),
+            |mlp, x| {
+                let mut ctx = MlpCtx::default();
+                mlp.forward_ctx(x, &mut ctx);
+                (ctx.logits.clone(), (x.clone(), ctx))
+            },
+            |mlp, (x, ctx), dy| {
+                let (mut dx, mut g) = (Matrix::default(), MlpGrads::default());
+                mlp.backward_into(x, ctx, dy, &mut dx, &mut g);
+                mlp.replay(&g);
+                dx
+            },
             3e-2,
         );
     }

@@ -98,24 +98,6 @@ pub fn set_threads(n: usize) {
     THREADS.store(n.max(1), Ordering::Relaxed);
 }
 
-/// Snapshot of the parallelism configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Parallelism {
-    pub threads: usize,
-}
-
-impl Parallelism {
-    /// The configuration parallel sections will run under right now.
-    pub fn current() -> Self {
-        Parallelism { threads: threads() }
-    }
-
-    /// True when every parallel section degenerates to a plain loop.
-    pub fn is_sequential(&self) -> bool {
-        self.threads <= 1
-    }
-}
-
 /// Splits `data` into per-thread contiguous blocks of whole rows
 /// (`row_len` elements each) and runs `f(first_row, block)` on each block
 /// concurrently. The first block runs on the calling thread.
@@ -442,17 +424,6 @@ mod tests {
                 assert_eq!(buf[r * cols + c], r as f32, "row {r} col {c}");
             }
         }
-    }
-
-    #[test]
-    fn parallelism_snapshot_reflects_override() {
-        let _guard = test_lock();
-        set_threads(3);
-        let p = Parallelism::current();
-        assert_eq!(p.threads, 3);
-        assert!(!p.is_sequential());
-        set_threads(1);
-        assert!(Parallelism::current().is_sequential());
     }
 
     /// A value per index that no chunking could produce by accident.

@@ -41,10 +41,10 @@
 //! examples in example order therefore reproduces the sequential
 //! gradients bit for bit, however the data passes were scheduled.
 //!
-//! Bitwise contract: every buffer-reusing variant runs the *same kernels
-//! in the same accumulation order* (ascending index) as its allocating
-//! twin — the allocating forms are thin wrappers over them — so results
-//! are bit-identical at any thread count.
+//! Bitwise contract: every forward-only `*_into` variant runs the *same
+//! kernels in the same accumulation order* (ascending index) as its
+//! training twin (`*_ctx`), so inference reproduces the training
+//! forward bit for bit at any thread count.
 
 use crate::Matrix;
 
@@ -122,6 +122,15 @@ pub struct LayerNormGrads {
 pub struct FeedForwardGrads {
     /// Hidden-layer gradient.
     pub(crate) d_act: Matrix,
+    pub(crate) lin1: LinearGrads,
+    pub(crate) lin2: LinearGrads,
+}
+
+/// Temporaries and records of one [`crate::Mlp::backward_into`].
+#[derive(Debug, Clone, Default)]
+pub struct MlpGrads {
+    /// Hidden-layer gradient, scaled by σ′ in place.
+    pub(crate) d_hidden: Matrix,
     pub(crate) lin1: LinearGrads,
     pub(crate) lin2: LinearGrads,
 }

@@ -17,7 +17,10 @@
 //! let mut b = Linear::new(4, 2, &mut rng); // different init
 //! load_params(&mut b, &bytes).unwrap();
 //! let x = Matrix::zeros(1, 4);
-//! assert_eq!(a.forward(&x).0, b.forward(&x).0);
+//! let (mut ya, mut yb) = (Matrix::default(), Matrix::default());
+//! a.forward_into(&x, &mut ya);
+//! b.forward_into(&x, &mut yb);
+//! assert_eq!(ya, yb);
 //! ```
 
 use crate::{Matrix, Module, Param};
@@ -164,7 +167,7 @@ pub fn load_params(module: &mut dyn Module, bytes: &[u8]) -> Result<(), LoadErro
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{EncoderConfig, Mlp, TransformerEncoder};
+    use crate::{EncoderConfig, EncoderCtx, Mlp, TransformerEncoder};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -177,9 +180,14 @@ mod tests {
         let mut rng2 = StdRng::seed_from_u64(99);
         let mut enc2 = TransformerEncoder::new(EncoderConfig::tiny(30), &mut rng2);
         let ids = [1u32, 7, 9, 2];
-        assert_ne!(enc.forward(&ids).0, enc2.forward(&ids).0);
+        let hidden = |enc: &TransformerEncoder| {
+            let mut ctx = EncoderCtx::default();
+            enc.forward_ctx(&ids, None, &mut ctx);
+            ctx.hidden().clone()
+        };
+        assert_ne!(hidden(&enc), hidden(&enc2));
         load_params(&mut enc2, &bytes).unwrap();
-        assert_eq!(enc.forward(&ids).0, enc2.forward(&ids).0);
+        assert_eq!(hidden(&enc), hidden(&enc2));
     }
 
     #[test]

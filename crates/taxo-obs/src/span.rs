@@ -6,34 +6,26 @@
 //! so a span opened inside a `taxo_nn::parallel` worker contributes to
 //! the same aggregate as one opened on the main thread.
 //!
-//! Hierarchy has two forms:
-//!
-//! * **Absolute** paths carry their hierarchy in the name
-//!   (`"pipeline.mlm_pretrain"` is a child of `"pipeline"` by naming
-//!   convention) — this is what all workspace instrumentation uses, and
-//!   it is deterministic no matter which thread the span runs on.
-//! * **Relative** names (leading `.`, e.g. `span!(".score")`) append to
-//!   the innermost span currently open *on this thread*, for ad-hoc
-//!   drill-down without repeating the parent path.
+//! A path carries its hierarchy in the name: `"pipeline.mlm_pretrain"`
+//! is a child of `"pipeline"` by naming convention, so the hierarchy is
+//! deterministic no matter which thread the span runs on.
 //!
 //! # Cost
 //!
-//! `span!` with an absolute string literal registers its aggregate once
-//! per call site, in a `static` (as `counter!` does), and records with
-//! three atomics — count, total, and max via `fetch_max` — so a warm
-//! absolute span takes no lock and allocates nothing (the per-thread
-//! stack of open spans stores the literal itself). Relative names, and
-//! names built at run time through [`enter`], resolve their path when
-//! they open and look their aggregate up in the global map when they
-//! close. Aggregates stay registered across [`reset_spans`], which zeroes
-//! them; [`snapshot_spans`] lists only the ones entered since.
+//! `span!` with a string literal registers its aggregate once per call
+//! site, in a `static` (as `counter!` does), and records with three
+//! atomics — count, total, and max via `fetch_max` — so a warm literal
+//! span takes no lock and allocates nothing. A name built at run time
+//! through [`enter`] is copied when it opens and looks its aggregate up
+//! in the global map when it closes. Aggregates stay registered across
+//! [`reset_spans`], which zeroes them; [`snapshot_spans`] lists only the
+//! ones entered since.
 //!
 //! Span wall-times are the one observability output that is *not*
 //! thread-count invariant; determinism comparisons must use
 //! [`crate::MetricsSnapshot::deterministic`], which drops them.
 
 use std::borrow::Cow;
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -71,11 +63,6 @@ fn stat_for(path: &str) -> Arc<SpanStat> {
     stat
 }
 
-thread_local! {
-    /// Paths of the spans currently open on this thread, outermost first.
-    static ACTIVE: RefCell<Vec<Cow<'static, str>>> = const { RefCell::new(Vec::new()) };
-}
-
 /// Aggregated timings of one span path.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanSnapshot {
@@ -99,8 +86,8 @@ impl SpanSnapshot {
 #[derive(Debug)]
 pub struct SpanGuard {
     path: Cow<'static, str>,
-    /// The call site's registered aggregate; `None` for a path resolved
-    /// at run time, whose aggregate is looked up on drop.
+    /// The call site's registered aggregate; `None` for a name built at
+    /// run time, whose aggregate is looked up on drop.
     stat: Option<&'static SpanStat>,
     start: Instant,
 }
@@ -122,13 +109,14 @@ impl SpanSite {
         }
     }
 
-    /// Opens a span at this site. Relative names take [`enter`]'s path.
+    /// Opens a span at this site.
     pub fn enter(&'static self) -> SpanGuard {
-        if self.name.starts_with('.') {
-            return enter(self.name);
-        }
         let stat: &'static SpanStat = self.stat.get_or_init(|| stat_for(self.name));
-        open(Cow::Borrowed(self.name), Some(stat))
+        SpanGuard {
+            path: Cow::Borrowed(self.name),
+            stat: Some(stat),
+            start: Instant::now(),
+        }
     }
 }
 
@@ -136,22 +124,9 @@ impl SpanSite {
 /// instrumentation at the call site and, for a literal name, skips the
 /// per-entry path allocation and map lookup.
 pub fn enter(name: &str) -> SpanGuard {
-    let path = if let Some(rel) = name.strip_prefix('.') {
-        ACTIVE.with(|stack| match stack.borrow().last() {
-            Some(parent) => format!("{parent}.{rel}"),
-            None => rel.to_owned(),
-        })
-    } else {
-        name.to_owned()
-    };
-    open(Cow::Owned(path), None)
-}
-
-fn open(path: Cow<'static, str>, stat: Option<&'static SpanStat>) -> SpanGuard {
-    ACTIVE.with(|stack| stack.borrow_mut().push(path.clone()));
     SpanGuard {
-        path,
-        stat,
+        path: Cow::Owned(name.to_owned()),
+        stat: None,
         start: Instant::now(),
     }
 }
@@ -159,14 +134,6 @@ fn open(path: Cow<'static, str>, stat: Option<&'static SpanStat>) -> SpanGuard {
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         let ns = u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        ACTIVE.with(|stack| {
-            let mut stack = stack.borrow_mut();
-            // Guards normally drop LIFO; tolerate out-of-order drops by
-            // removing the last matching entry.
-            if let Some(pos) = stack.iter().rposition(|p| *p == self.path) {
-                stack.remove(pos);
-            }
-        });
         match self.stat {
             Some(stat) => stat.record(ns),
             None => stat_for(&self.path).record(ns),
@@ -236,26 +203,6 @@ mod tests {
         let s = stat("test.span.timed").expect("recorded");
         assert_eq!(s.count, 2);
         assert!(s.max_ns <= s.total_ns);
-    }
-
-    #[test]
-    fn relative_spans_nest_under_the_active_path() {
-        {
-            let _outer = enter("test.span.outer");
-            let _inner = enter(".inner");
-            let _leaf = enter(".leaf");
-        }
-        assert!(stat("test.span.outer").is_some());
-        assert!(stat("test.span.outer.inner").is_some());
-        assert!(stat("test.span.outer.inner.leaf").is_some());
-    }
-
-    #[test]
-    fn relative_span_without_parent_is_absolute() {
-        {
-            let _g = enter(".test_span_orphan");
-        }
-        assert!(stat("test_span_orphan").is_some());
     }
 
     #[test]

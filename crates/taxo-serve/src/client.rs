@@ -193,25 +193,6 @@ impl Client {
         })
     }
 
-    /// Connects eagerly, retrying for up to `timeout` — for racing a
-    /// server that is still binding (CI smoke jobs).
-    pub fn connect_retry(
-        addr: impl ToSocketAddrs + Copy,
-        timeout: Duration,
-    ) -> std::io::Result<Client> {
-        let deadline = Instant::now() + timeout;
-        loop {
-            match Client::connect(addr) {
-                Ok(c) => return Ok(c),
-                Err(e) if Instant::now() < deadline => {
-                    let _ = e;
-                    std::thread::sleep(Duration::from_millis(50));
-                }
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
     /// Sets the per-read socket timeout (both halves share one socket);
     /// applies to the current connection and every reconnect. `None`
     /// blocks forever.

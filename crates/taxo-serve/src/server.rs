@@ -67,6 +67,13 @@ use taxo_expand::{
 use taxo_obs::{counter, gauge, histogram, span};
 use taxo_wal::{WalError, WalWriter};
 
+/// `ingest` queue capacity.
+const INGEST_QUEUE_CAP: usize = 16;
+
+/// Shadow-tap queue capacity: mirrored score samples awaiting the
+/// trainer. A full queue sheds samples (never live requests).
+const SHADOW_QUEUE_CAP: usize = 1024;
+
 /// Server sizing knobs. The defaults suit the tiny demo pipeline; every
 /// field must be at least 1.
 #[derive(Debug, Clone)]
@@ -76,8 +83,6 @@ pub struct ServeConfig {
     pub batch_max: usize,
     /// int8 `score` queue capacity; beyond it requests shed with `busy`.
     pub score_queue_cap: usize,
-    /// `ingest` queue capacity.
-    pub ingest_queue_cap: usize,
     /// Candidate items scored per query (most-clicked first).
     pub max_candidates: usize,
     /// Default `k` (returned candidates) when a request names none.
@@ -95,9 +100,6 @@ pub struct ServeConfig {
     pub resp_cache_cap: usize,
     /// Tier answering `score` requests that name none.
     pub default_tier: Tier,
-    /// Shadow-tap queue capacity: mirrored score samples awaiting the
-    /// trainer. A full queue sheds samples (never live requests).
-    pub shadow_queue_cap: usize,
     /// Reactor threads serving client connections (each owns one epoll
     /// instance; the acceptor deals connections out round-robin).
     pub reactor_threads: usize,
@@ -112,13 +114,11 @@ impl Default for ServeConfig {
         ServeConfig {
             batch_max: 64,
             score_queue_cap: 256,
-            ingest_queue_cap: 16,
             max_candidates: 16,
             default_k: 8,
             score_cache_cap: 65_536,
             resp_cache_cap: 16_384,
             default_tier: Tier::F32,
-            shadow_queue_cap: 1024,
             reactor_threads: 2,
             idle_timeout: Duration::from_secs(30),
         }
@@ -133,12 +133,10 @@ impl ServeConfig {
         for (name, v) in [
             ("serve.batch_max", self.batch_max),
             ("serve.score_queue_cap", self.score_queue_cap),
-            ("serve.ingest_queue_cap", self.ingest_queue_cap),
             ("serve.max_candidates", self.max_candidates),
             ("serve.default_k", self.default_k),
             ("serve.score_cache_cap", self.score_cache_cap),
             ("serve.resp_cache_cap", self.resp_cache_cap),
-            ("serve.shadow_queue_cap", self.shadow_queue_cap),
             ("serve.reactor_threads", self.reactor_threads),
         ] {
             if v == 0 {
@@ -499,7 +497,7 @@ impl ServeController {
     ) -> Result<PromoteOutcome, ControlError> {
         debug_assert!(
             phase != IngestPhase::Commit,
-            "commit a prepared promotion with promote_commit()"
+            "a prepared promotion is committed by a wire `ingest` commit"
         );
         counter!("serve.promote.requests").inc();
         let (tx, rx) = mpsc::channel();
@@ -509,28 +507,6 @@ impl ServeController {
             reply: IngestSink::Channel(tx),
         })?;
         counter!("serve.ingest.accepted").inc();
-        self.promote_reply(rx)
-    }
-
-    /// Publishes the snapshot held by a [`IngestPhase::Prepare`]
-    /// promotion (the second half of a coordinated multi-shard swap).
-    /// Shares the plan machinery — and the pending slot — with wire
-    /// `ingest` commits.
-    pub fn promote_commit(&self) -> Result<PromoteOutcome, ControlError> {
-        let (tx, rx) = mpsc::channel();
-        self.push_job(IngestJob::Batch {
-            records: Vec::new(),
-            phase: IngestPhase::Commit,
-            reply: IngestSink::Channel(tx),
-        })?;
-        counter!("serve.ingest.accepted").inc();
-        self.promote_reply(rx)
-    }
-
-    fn promote_reply(
-        &self,
-        rx: mpsc::Receiver<IngestReply>,
-    ) -> Result<PromoteOutcome, ControlError> {
         match rx.recv() {
             Ok(IngestReply::Promoted { version }) => Ok(PromoteOutcome {
                 version,
@@ -703,7 +679,7 @@ impl ServerBuilder {
                 "serve.queue.score.pop",
             ),
             ingest_queue: BoundedQueue::with_fault_points(
-                cfg.ingest_queue_cap,
+                INGEST_QUEUE_CAP,
                 "serve.queue.ingest.push",
                 "serve.queue.ingest.pop",
             ),
@@ -713,7 +689,7 @@ impl ServerBuilder {
             shutdown: ShutdownSignal::new()?,
             crashed: AtomicBool::new(false),
             batches: AtomicU64::new(expander.batches() as u64),
-            tap: Arc::new(ShadowTap::new(cfg.shadow_queue_cap)),
+            tap: Arc::new(ShadowTap::new(SHADOW_QUEUE_CAP)),
             cfg,
         });
 

@@ -153,6 +153,7 @@ fn collect_all_pairs_supersets_construction_pairs() {
 
 #[test]
 fn trained_encoder_weights_round_trip_through_serialization() {
+    use product_taxonomy_expansion::expand::relational::PairCtx;
     use product_taxonomy_expansion::expand::{RelationalConfig, RelationalModel};
     use product_taxonomy_expansion::nn::{load_params, save_params};
 
@@ -170,12 +171,17 @@ fn trained_encoder_weights_round_trip_through_serialization() {
             ..RelationalConfig::tiny(13)
         },
     );
-    let root = world.name(world.roots[0]);
-    let child = world.name(world.truth.children(world.roots[0])[0]);
-    let before = fresh.forward_pair(root, child).0;
+    let root = world.roots[0];
+    let child = world.truth.children(root)[0];
+    let r = |model: &RelationalModel| {
+        let mut ctx = PairCtx::default();
+        model.forward_pair_into(&world.vocab, root, child, &mut ctx);
+        ctx.r().to_vec()
+    };
+    let before = r(&fresh);
     load_params(&mut fresh, &bytes).unwrap();
-    let after = fresh.forward_pair(root, child).0;
-    let original = trained.forward_pair(root, child).0;
+    let after = r(&fresh);
+    let original = r(&trained);
     assert_ne!(before, original, "different init differs");
     assert_eq!(after, original, "loaded weights reproduce the encoder");
 }
