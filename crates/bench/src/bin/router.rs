@@ -24,8 +24,9 @@
 //!
 //! Continuous learning runs inside each shard process (`serve
 //! --retrain-every`): the taxo-train control plane retrains and gates
-//! there, and the serving two-phase publish keeps every promotion atomic
-//! per shard.
+//! there, and a promotion publishes in one step on its own shard. The
+//! router does not coordinate promotions: each shard's trainer promotes
+//! on its own schedule, and the router's version vector follows.
 
 use std::net::SocketAddr;
 use taxo_router::{Router, RouterConfig};

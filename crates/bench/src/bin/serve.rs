@@ -2,7 +2,7 @@
 //! taxo-serve line protocol.
 //!
 //! ```text
-//! serve [--addr 127.0.0.1:7878] [--seed 42] [--threads N]
+//! serve [--addr 127.0.0.1:7878] [--seed 42]
 //!       [--batch-max N] [--queue-cap N]
 //!       [--max-candidates N] [--tier f32|int8]
 //!       [--reactor-threads N] [--idle-timeout-ms N]
@@ -15,8 +15,8 @@
 //! Prints `taxo-serve listening on <addr>` once ready, then serves until
 //! a `shutdown` request arrives. `--metrics-json PATH` writes the final
 //! taxo-obs snapshot (request counters, queue gauges, batch-size
-//! histograms, per-kind latency spans) after shutdown. `--threads` sets
-//! the compute thread count unless `TAXO_THREADS` is set (env wins).
+//! histograms, per-kind latency spans) after shutdown. `TAXO_THREADS`
+//! sets the compute thread count.
 //!
 //! Client connections are multiplexed over `--reactor-threads` epoll
 //! reactors (Linux only; default 2), each connection dealt to one of them
@@ -63,7 +63,6 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut addr = String::from("127.0.0.1:7878");
     let mut seed = 42u64;
-    let mut threads: Option<usize> = None;
     let mut cfg = ServeConfig::default();
     let mut metrics_json: Option<std::path::PathBuf> = None;
     let mut data_dir: Option<std::path::PathBuf> = None;
@@ -78,7 +77,6 @@ fn main() {
         match args[i].as_str() {
             "--addr" => addr = take(&args, &mut i, "--addr"),
             "--seed" => seed = parse(&take(&args, &mut i, "--seed")),
-            "--threads" => threads = Some(parse(&take(&args, &mut i, "--threads"))),
             "--batch-max" => cfg.batch_max = parse(&take(&args, &mut i, "--batch-max")),
             "--queue-cap" => cfg.score_queue_cap = parse(&take(&args, &mut i, "--queue-cap")),
             "--max-candidates" => {
@@ -116,7 +114,7 @@ fn main() {
             "--help" | "-h" => {
                 let d = ServeConfig::default();
                 println!(
-                    "serve [--addr HOST:PORT] [--seed N] [--threads N] \
+                    "serve [--addr HOST:PORT] [--seed N] \
                      [--batch-max N] [--queue-cap N] [--max-candidates N] [--tier f32|int8] \
                      [--reactor-threads N] [--idle-timeout-ms N] \
                      [--score-cache N] [--resp-cache N] [--metrics-json PATH] \
@@ -129,7 +127,8 @@ fn main() {
                      --batch-max N    int8 score jobs coalesced into one scoring pass ({})\n  \
                      --queue-cap N    int8 score queue capacity; beyond it, busy ({})\n  \
                      --score-cache N  int8 served-score LRU capacity in entries ({})\n  \
-                     --resp-cache N   int8 rendered-response LRU capacity in entries ({})",
+                     --resp-cache N   int8 rendered-response LRU capacity in entries ({})\n\n\
+                     TAXO_THREADS sets the compute thread count.",
                     d.batch_max, d.score_queue_cap, d.score_cache_cap, d.resp_cache_cap
                 );
                 return;
@@ -138,13 +137,6 @@ fn main() {
         }
         i += 1;
     }
-    // The env knob wins when set, as everywhere else in the workspace.
-    if let Some(n) = threads {
-        if std::env::var_os("TAXO_THREADS").is_none() {
-            taxo_nn::parallel::set_threads(n);
-        }
-    }
-
     if recover && data_dir.is_none() {
         die("--recover requires --data-dir");
     }

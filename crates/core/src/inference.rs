@@ -5,16 +5,15 @@ use taxo_core::{ConceptId, Edge, LevelOrder, TaxoError, Taxonomy, Vocabulary};
 use taxo_obs::{counter, histogram, span};
 
 /// Configuration of top-down expansion (Section III-C3, Fig. 2).
+///
+/// Expansion attaches only concepts *outside* the existing taxonomy, as
+/// in Problem 1 ("attach the appropriate concept c ∈ C to the existing
+/// taxonomy"): clicked pairs of two existing concepts are dominated by
+/// intention drift.
 #[derive(Debug, Clone)]
 pub struct ExpansionConfig {
     /// Classifier probability above which an edge is attached.
     pub threshold: f32,
-    /// Attach only concepts *outside* the existing taxonomy, as in
-    /// Problem 1 ("attach the appropriate concept c ∈ C to the existing
-    /// taxonomy"). Disabling this also lets the expander add new edges
-    /// between existing concepts, at a precision cost: clicked pairs of
-    /// two existing concepts are dominated by intention drift.
-    pub only_new_concepts: bool,
     /// Cap on candidates scored per query node, keeping only the
     /// most-clicked items (the head of the click distribution carries
     /// the signal; Section IV-A4).
@@ -68,11 +67,6 @@ impl ExpansionConfigBuilder {
         self
     }
 
-    pub fn only_new_concepts(mut self, on: bool) -> Self {
-        self.cfg.only_new_concepts = on;
-        self
-    }
-
     pub fn max_candidates_per_query(mut self, cap: usize) -> Self {
         self.cfg.max_candidates_per_query = cap;
         self
@@ -94,7 +88,6 @@ impl Default for ExpansionConfig {
         // threshold / raise the cap to trade precision for volume.
         ExpansionConfig {
             threshold: 0.8,
-            only_new_concepts: true,
             max_candidates_per_query: 8,
         }
     }
@@ -143,7 +136,7 @@ pub fn expand_taxonomy(
     let by_query = candidates_by_query(pairs);
     let mut scores = PairScores::default();
     let window = pair_scores::window(&by_query, cfg.max_candidates_per_query)
-        .filter(|&(_, item)| !(cfg.only_new_concepts && existing.contains_node(item)));
+        .filter(|&(_, item)| !existing.contains_node(item));
     let missing = scores.missing(window);
     scores.fill(detector, vocab, missing, &ScratchPool::new());
     expand_scored(&scores, existing, &by_query, cfg)
@@ -183,9 +176,7 @@ pub(crate) fn expand_scored<L: AsRef<Vec<CandidatePair>>>(
             .iter()
             .take(cfg.max_candidates_per_query)
             .map(|c| c.item)
-            .filter(|&item| {
-                item != query && !(cfg.only_new_concepts && existing.contains_node(item))
-            })
+            .filter(|&item| item != query && !existing.contains_node(item))
             .collect();
         counter!("expand.candidates_scored").add(eligible.len() as u64);
         histogram!("expand.candidates_per_query").observe(eligible.len() as u64);
@@ -305,12 +296,11 @@ mod tests {
     fn expansion_builder_validates() {
         let cfg = ExpansionConfig::builder()
             .threshold(0.55)
-            .only_new_concepts(false)
             .max_candidates_per_query(4)
             .build()
             .unwrap();
         assert_eq!(cfg.threshold, 0.55);
-        assert!(!cfg.only_new_concepts);
+        assert_eq!(cfg.max_candidates_per_query, 4);
         assert!(ExpansionConfig::builder().threshold(-0.1).build().is_err());
         assert!(ExpansionConfig::builder()
             .threshold(f32::NAN)

@@ -96,6 +96,68 @@ impl MetricsSnapshot {
             && self.histograms.is_empty()
             && self.spans.is_empty()
     }
+
+    /// Folds `other` into `self` by name, keeping every family sorted:
+    /// counters, gauges, histogram counts and sums, and span counts and
+    /// totals add; a span's maximum is the larger one. Histogram buckets
+    /// add when both sides share their bounds; otherwise the merged
+    /// bucket layout is unknown and both are cleared.
+    pub fn merge(&mut self, other: &MetricsSnapshot) {
+        merge_by(
+            &mut self.counters,
+            &other.counters,
+            |c| &c.name,
+            |a, b| a.value += b.value,
+        );
+        merge_by(
+            &mut self.gauges,
+            &other.gauges,
+            |g| &g.name,
+            |a, b| a.value += b.value,
+        );
+        merge_by(
+            &mut self.histograms,
+            &other.histograms,
+            |h| &h.name,
+            |a, b| {
+                (a.count, a.sum) = (a.count + b.count, a.sum + b.sum);
+                if a.bounds == b.bounds {
+                    a.buckets
+                        .iter_mut()
+                        .zip(&b.buckets)
+                        .for_each(|(x, y)| *x += y);
+                } else {
+                    (a.bounds, a.buckets) = (Vec::new(), Vec::new());
+                }
+            },
+        );
+        merge_by(
+            &mut self.spans,
+            &other.spans,
+            |s| &s.path,
+            |a, b| {
+                (a.count, a.total_ns) = (a.count + b.count, a.total_ns + b.total_ns);
+                a.max_ns = a.max_ns.max(b.max_ns);
+            },
+        );
+    }
+}
+
+/// Merges the name-sorted `from` into the name-sorted `into`: an entry
+/// whose name `into` holds is folded in with `add`, any other inserted in
+/// order.
+fn merge_by<T: Clone>(
+    into: &mut Vec<T>,
+    from: &[T],
+    name: impl Fn(&T) -> &String,
+    add: impl Fn(&mut T, &T),
+) {
+    for item in from {
+        match into.binary_search_by(|x| name(x).cmp(name(item))) {
+            Ok(i) => add(&mut into[i], item),
+            Err(i) => into.insert(i, item.clone()),
+        }
+    }
 }
 
 /// Snapshots the global registry *and* the span store.
@@ -149,6 +211,33 @@ mod tests {
         let snap = snapshot();
         assert!(snap.spans.iter().any(|s| s.path == "test.lib.span"));
         assert!(snap.deterministic().spans.is_empty());
+    }
+
+    /// `taxo_serve::protocol` tests the merge of every family through
+    /// parsed `stats` replies, which carry no histogram buckets.
+    #[test]
+    fn merge_adds_buckets_only_over_shared_bounds() {
+        let hist = |bounds: Vec<u64>, buckets: Vec<u64>| MetricsSnapshot {
+            histograms: vec![HistogramSnapshot {
+                name: "h".into(),
+                count: buckets.iter().sum(),
+                sum: 7,
+                bounds,
+                buckets,
+            }],
+            ..MetricsSnapshot::default()
+        };
+        let mut merged = hist(vec![4], vec![1, 2]);
+        merged.merge(&hist(vec![4], vec![0, 1]));
+        let h = &merged.histograms[0];
+        assert_eq!((h.count, h.sum, &h.buckets[..]), (4, 14, &[1, 3][..]));
+        merged.merge(&hist(Vec::new(), Vec::new()));
+        let h = &merged.histograms[0];
+        assert_eq!((h.count, h.sum), (4, 21));
+        assert!(h.bounds.is_empty() && h.buckets.is_empty());
+        let mut copy = MetricsSnapshot::default();
+        copy.merge(&merged);
+        assert_eq!(copy, merged, "merging into nothing copies");
     }
 
     #[test]

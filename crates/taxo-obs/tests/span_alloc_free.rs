@@ -1,6 +1,6 @@
 //! A warm `span!` with an absolute literal name allocates nothing: its
 //! aggregate is registered once per call site and recorded with atomics,
-//! and the thread's stack of open spans stores the literal itself.
+//! and its guard borrows the literal instead of copying it.
 //!
 //! One test only, so the counting `#[global_allocator]` observes nothing
 //! but this test's thread.
@@ -43,7 +43,7 @@ fn nested_spans() {
 
 #[test]
 fn warm_absolute_span_allocates_nothing() {
-    // Warm-up registers both call sites and sizes the open-span stack.
+    // Warm-up registers both call sites.
     nested_spans();
 
     ARMED.store(true, Ordering::SeqCst);

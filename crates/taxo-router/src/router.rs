@@ -417,6 +417,13 @@ fn write_id(w: &mut ObjWriter, id: Option<u64>) {
     };
 }
 
+/// A JSON array of versions.
+fn version_array(versions: impl Iterator<Item = u64>) -> String {
+    json::encode(&Value::Arr(
+        versions.map(|v| Value::Num(v.to_string())).collect(),
+    ))
+}
+
 /// Parses a line into its JSON value if it is an `ok:true` response.
 fn parse_ok(line: &str) -> Option<Value> {
     json::parse(line)
@@ -581,7 +588,7 @@ fn route_other(req: &Request, shared: &RouterShared, ups: &mut [Upstream]) -> (S
             (route_ingest(*id, records, shared, ups), false)
         }
         Request::Health { id } => (fanout_health(*id, shared, ups), false),
-        Request::Stats { id } => (fanout_stats(*id, shared, ups), false),
+        Request::Stats { id } => (fanout_stats(*id, ups), false),
         Request::Shutdown { id } => {
             if shared.cfg.forward_shutdown {
                 for up in ups.iter_mut() {
@@ -595,31 +602,12 @@ fn route_other(req: &Request, shared: &RouterShared, ups: &mut [Upstream]) -> (S
     }
 }
 
-fn render_ingest_line(
-    id: Option<u64>,
-    records: &[&IngestRecord],
-    phase: Option<&'static str>,
-) -> String {
-    let mut arr = String::from("[");
-    for (i, r) in records.iter().enumerate() {
-        if i > 0 {
-            arr.push(',');
-        }
-        let mut item = ObjWriter::new();
-        item.str("query", &r.query)
-            .str("item", &r.item)
-            .u64("count", r.count);
-        arr.push_str(&item.finish());
-    }
-    arr.push(']');
-    let mut w = ObjWriter::new();
-    w.str("kind", "ingest");
-    write_id(&mut w, id);
-    if let Some(p) = phase {
-        w.str("phase", p);
-    }
-    w.raw("records", &arr);
-    w.finish()
+/// One shard's partition of an ingest, as its `phase` line.
+fn partition_line(id: Option<u64>, phase: IngestPhase, records: &[&IngestRecord]) -> String {
+    let records = records
+        .iter()
+        .map(|r| (r.query.as_str(), r.item.as_str(), r.count));
+    protocol::ingest_request(id, phase, records)
 }
 
 /// Routes one ingest. Records partition by owning shard; a single-shard
@@ -646,7 +634,7 @@ fn route_ingest(
         // the version bump it asked for.
         let (shard, recs) = parts.into_iter().next().unwrap_or_else(|| (0, Vec::new()));
         counter!("serve.router.routed").inc();
-        let line = render_ingest_line(id, &recs, None);
+        let line = partition_line(id, IngestPhase::Auto, &recs);
         // Pre-flight: a failed health ping resets a stale connection (a
         // restarted shard, an idle drop) so the non-retryable ingest
         // below starts on a fresh one instead of dying on the reset.
@@ -684,7 +672,7 @@ fn route_ingest(
     let mut committed: Vec<(usize, u64)> = Vec::new();
     let mut failed: Option<String> = None;
     for (&shard, recs) in &parts {
-        let line = render_ingest_line(id, recs, Some("prepare"));
+        let line = partition_line(id, IngestPhase::Prepare, recs);
         match prepare_shard(
             &mut ups[shard as usize],
             id,
@@ -755,14 +743,7 @@ fn route_ingest(
             .max()
             .unwrap_or(0)
     };
-    let mut versions = String::from("[");
-    for (i, &(_, version)) in committed.iter().enumerate() {
-        if i > 0 {
-            versions.push(',');
-        }
-        versions.push_str(&version.to_string());
-    }
-    versions.push(']');
+    let versions = version_array(committed.iter().map(|&(_, version)| version));
     let mut w = ObjWriter::new();
     write_id(&mut w, id);
     w.bool("ok", true)
@@ -808,13 +789,7 @@ fn prepare_shard(
     line: &str,
     retries: usize,
 ) -> Result<(u64, Value), PrepareFailure> {
-    let commit = {
-        let mut w = ObjWriter::new();
-        w.str("kind", "ingest");
-        write_id(&mut w, id);
-        w.str("phase", "commit");
-        w.finish()
-    };
+    let commit = protocol::ingest_request(id, IngestPhase::Commit, []);
     for _ in 0..=retries {
         match up.call(line) {
             Ok(reply) => {
@@ -876,13 +851,7 @@ fn prepare_shard(
 /// landed are indistinguishable on the wire, but the shard's published
 /// version answers which one happened.
 fn commit_shard(up: &mut Upstream, id: Option<u64>, version: u64, retries: usize) -> bool {
-    let commit = {
-        let mut w = ObjWriter::new();
-        w.str("kind", "ingest");
-        write_id(&mut w, id);
-        w.str("phase", "commit");
-        w.finish()
-    };
+    let commit = protocol::ingest_request(id, IngestPhase::Commit, []);
     for attempt in 0..=retries {
         let outcome = up.call(&commit);
         match outcome {
@@ -961,14 +930,6 @@ fn fanout_health(id: Option<u64>, shared: &RouterShared, ups: &mut [Upstream]) -
         shared.vector.publish(&observed);
     }
     let vector = shared.vector.read();
-    let mut vec_arr = String::from("[");
-    for (i, v) in vector.iter().enumerate() {
-        if i > 0 {
-            vec_arr.push(',');
-        }
-        vec_arr.push_str(&v.to_string());
-    }
-    vec_arr.push(']');
     let status = if degraded {
         "degraded"
     } else if draining || shared.is_shutdown() {
@@ -987,137 +948,27 @@ fn fanout_health(id: Option<u64>, shared: &RouterShared, ups: &mut [Upstream]) -
         .u64("edges", edges)
         .u64("batches", batches)
         .u64("shards", shared.shards.len() as u64)
-        .raw("vector", &vec_arr);
+        .raw("vector", &version_array(vector.iter().copied()));
     w.finish()
 }
 
-/// Fans `stats` out to every shard and merges the metric families with
-/// the router's own registry: counters, histogram counts/sums, and span
-/// counts/totals sum; span maxima take the max; gauges sum (depths and
-/// offsets add meaningfully across shards).
-fn fanout_stats(id: Option<u64>, _shared: &RouterShared, ups: &mut [Upstream]) -> String {
+/// Fans `stats` out to every shard and merges each reply into the
+/// router's own snapshot ([`taxo_obs::MetricsSnapshot::merge`]): gauges
+/// sum too, since depths and offsets add meaningfully across shards.
+/// `shards` counts the shards that answered.
+fn fanout_stats(id: Option<u64>, ups: &mut [Upstream]) -> String {
     counter!("serve.router.fanout").inc();
-    let mut counters: BTreeMap<String, u64> = BTreeMap::new();
-    let mut gauges: BTreeMap<String, i64> = BTreeMap::new();
-    let mut hists: BTreeMap<String, (u64, u64)> = BTreeMap::new();
-    let mut spans: BTreeMap<String, (u64, f64, f64)> = BTreeMap::new();
-
-    let own = taxo_obs::snapshot();
-    for c in &own.counters {
-        *counters.entry(c.name.clone()).or_default() += c.value;
-    }
-    for g in &own.gauges {
-        *gauges.entry(g.name.clone()).or_default() += g.value;
-    }
-    for h in &own.histograms {
-        let e = hists.entry(h.name.clone()).or_default();
-        e.0 += h.count;
-        e.1 += h.sum;
-    }
-    for s in &own.spans {
-        let e = spans.entry(s.path.clone()).or_default();
-        e.0 += s.count;
-        e.1 += s.total_ms();
-        e.2 = e.2.max(s.max_ns as f64 / 1e6);
-    }
-
+    let mut merged = taxo_obs::snapshot();
     let mut reporting = 0u64;
     for up in ups.iter_mut() {
-        let Some(v) = up
-            .call(&plain_line("stats"))
-            .ok()
-            .and_then(|l| parse_ok(&l))
-        else {
-            continue;
-        };
-        reporting += 1;
-        if let Some(Value::Obj(map)) = v.get("counters") {
-            for (name, val) in map {
-                *counters.entry(name.clone()).or_default() += val.as_u64().unwrap_or(0);
-            }
-        }
-        if let Some(Value::Obj(map)) = v.get("gauges") {
-            for (name, val) in map {
-                let parsed = match val {
-                    Value::Num(tok) => tok.parse::<i64>().unwrap_or(0),
-                    _ => 0,
-                };
-                *gauges.entry(name.clone()).or_default() += parsed;
-            }
-        }
-        if let Some(Value::Obj(map)) = v.get("histograms") {
-            for (name, val) in map {
-                let e = hists.entry(name.clone()).or_default();
-                e.0 += val.get("count").and_then(Value::as_u64).unwrap_or(0);
-                e.1 += val.get("sum").and_then(Value::as_u64).unwrap_or(0);
-            }
-        }
-        if let Some(Value::Obj(map)) = v.get("spans") {
-            for (name, val) in map {
-                let num = |field: &str| -> f64 {
-                    match val.get(field) {
-                        Some(Value::Num(tok)) => tok.parse().unwrap_or(0.0),
-                        _ => 0.0,
-                    }
-                };
-                let e = spans.entry(name.clone()).or_default();
-                e.0 += val.get("count").and_then(Value::as_u64).unwrap_or(0);
-                e.1 += num("total_ms");
-                e.2 = e.2.max(num("max_ms"));
-            }
+        let reply = up.call(&plain_line("stats")).ok();
+        if let Some(shard) = reply.as_deref().and_then(protocol::parse_stats) {
+            merged.merge(&shard);
+            reporting += 1;
         }
     }
-
-    let mut counters_obj = String::from("{");
-    for (i, (name, value)) in counters.iter().enumerate() {
-        if i > 0 {
-            counters_obj.push(',');
-        }
-        json::encode_str(name, &mut counters_obj);
-        counters_obj.push_str(&format!(":{value}"));
-    }
-    counters_obj.push('}');
-    let mut gauges_obj = String::from("{");
-    for (i, (name, value)) in gauges.iter().enumerate() {
-        if i > 0 {
-            gauges_obj.push(',');
-        }
-        json::encode_str(name, &mut gauges_obj);
-        gauges_obj.push_str(&format!(":{value}"));
-    }
-    gauges_obj.push('}');
-    let mut hists_obj = String::from("{");
-    for (i, (name, (count, sum))) in hists.iter().enumerate() {
-        if i > 0 {
-            hists_obj.push(',');
-        }
-        json::encode_str(name, &mut hists_obj);
-        hists_obj.push_str(&format!(":{{\"count\":{count},\"sum\":{sum}}}"));
-    }
-    hists_obj.push('}');
-    let mut spans_obj = String::from("{");
-    for (i, (name, (count, total_ms, max_ms))) in spans.iter().enumerate() {
-        if i > 0 {
-            spans_obj.push(',');
-        }
-        json::encode_str(name, &mut spans_obj);
-        spans_obj.push_str(&format!(
-            ":{{\"count\":{count},\"total_ms\":{total_ms:.3},\"max_ms\":{max_ms:.3}}}"
-        ));
-    }
-    spans_obj.push('}');
-
     counter!("serve.router.merged").inc();
-    let mut w = ObjWriter::new();
-    write_id(&mut w, id);
-    w.bool("ok", true)
-        .str("kind", "stats")
-        .u64("shards", reporting)
-        .raw("counters", &counters_obj)
-        .raw("gauges", &gauges_obj)
-        .raw("histograms", &hists_obj)
-        .raw("spans", &spans_obj);
-    w.finish()
+    protocol::stats_response(id, Some(reporting), &merged)
 }
 
 #[cfg(test)]

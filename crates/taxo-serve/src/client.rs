@@ -21,7 +21,7 @@
 //! process's registry, not the server's).
 
 use crate::json::{self, Value};
-use crate::protocol::{self, Tier};
+use crate::protocol::{self, IngestPhase, Tier};
 use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
@@ -377,7 +377,8 @@ impl Client {
     /// batch is applied).
     pub fn ingest(&mut self, records: &[(String, String, u64)]) -> std::io::Result<Reply> {
         let id = self.fresh_id();
-        let line = protocol::ingest_request(id, records);
+        let records = records.iter().map(|(q, i, c)| (q.as_str(), i.as_str(), *c));
+        let line = protocol::ingest_request(Some(id), IngestPhase::Auto, records);
         let mut retry = 0u32;
         loop {
             match self.call(&line, Some(id)) {

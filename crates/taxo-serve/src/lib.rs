@@ -90,8 +90,8 @@ pub use protocol::{
     FrameDecoder, FrameTooLong, IngestPhase, IngestRecord, IngestSummary, Request, Tier, MAX_FRAME,
 };
 pub use server::{
-    ControlError, PromoteOutcome, ServeConfig, ServeController, ServeError, Server, ServerBuilder,
-    ServerHandle, FAULT_PROMOTE,
+    ControlError, ServeConfig, ServeController, ServeError, Server, ServerBuilder, ServerHandle,
+    FAULT_PROMOTE,
 };
 pub use shadow::{ShadowSample, ShadowTap};
 pub use snapshot::{ScoredCandidate, ServeSnapshot, SnapshotReader, SnapshotStore};

@@ -25,7 +25,7 @@ use crate::json::{self, ObjWriter, Value};
 use crate::snapshot::ScoredCandidate;
 use std::fmt::Write as _;
 use taxo_core::Vocabulary;
-use taxo_obs::MetricsSnapshot;
+use taxo_obs::{CounterSnapshot, GaugeSnapshot, HistogramSnapshot, MetricsSnapshot, SpanSnapshot};
 
 /// Default [`FrameDecoder`] frame-size cap: no legitimate request line
 /// comes close, and an unterminated megabyte is either a broken client
@@ -408,21 +408,35 @@ pub fn push_score_request(
     out.push('}');
 }
 
-/// An `ingest` request for `records`, `(query, item, count)` each
-/// (without the frame terminator).
-pub fn ingest_request(id: u64, records: &[(String, String, u64)]) -> String {
+/// An `ingest` request driving `phase` for `records`, `(query, item,
+/// count)` each (without the frame terminator): members `kind`, `id`,
+/// `phase`, `records` in that order, with no `phase` member for
+/// [`IngestPhase::Auto`]. A `commit` sends its (empty) records too.
+pub fn ingest_request<'a>(
+    id: Option<u64>,
+    phase: IngestPhase,
+    records: impl IntoIterator<Item = (&'a str, &'a str, u64)>,
+) -> String {
     let mut arr = String::from("[");
-    for (i, (query, item, count)) in records.iter().enumerate() {
+    for (i, (query, item, count)) in records.into_iter().enumerate() {
         if i > 0 {
             arr.push(',');
         }
         let mut r = ObjWriter::new();
-        r.str("query", query).str("item", item).u64("count", *count);
+        r.str("query", query).str("item", item).u64("count", count);
         arr.push_str(&r.finish());
     }
     arr.push(']');
     let mut w = ObjWriter::new();
-    w.str("kind", "ingest").u64("id", id).raw("records", &arr);
+    w.str("kind", "ingest");
+    match id {
+        Some(id) => w.u64("id", id),
+        None => w.raw("id", "null"),
+    };
+    if let Some(phase) = phase.as_str() {
+        w.str("phase", phase);
+    }
+    w.raw("records", &arr);
     w.finish()
 }
 
@@ -711,29 +725,17 @@ pub struct IngestSummary {
     pub version: u64,
 }
 
-/// Renders an `ingest` response.
-pub fn ingest_response(id: Option<u64>, s: &IngestSummary) -> String {
+/// Renders an `ingest` response: the summary of what was applied. A
+/// `prepare`-phase ingest is marked `"phase":"prepared"`, and its
+/// `version` names a snapshot that is built and durable but **not yet
+/// published** — it becomes visible only at the matching commit.
+pub fn ingest_response(id: Option<u64>, s: &IngestSummary, prepared: bool) -> String {
     let mut w = base(id, true);
-    w.str("kind", "ingest")
-        .u64("batch", s.batch)
-        .u64("matched", s.matched)
-        .u64("skipped", s.skipped)
-        .u64("attached", s.attached)
-        .u64("known_pairs", s.known_pairs)
-        .u64("total_relations", s.total_relations)
-        .u64("version", s.version);
-    w.finish()
-}
-
-/// Renders the acknowledgement of a `prepare`-phase ingest: the full
-/// summary of what was applied, with `version` naming the snapshot that
-/// is built and durable but **not yet published** — it becomes visible
-/// only at the matching commit.
-pub fn ingest_prepared_response(id: Option<u64>, s: &IngestSummary) -> String {
-    let mut w = base(id, true);
-    w.str("kind", "ingest")
-        .str("phase", "prepared")
-        .u64("batch", s.batch)
+    w.str("kind", "ingest");
+    if prepared {
+        w.str("phase", "prepared");
+    }
+    w.u64("batch", s.batch)
         .u64("matched", s.matched)
         .u64("skipped", s.skipped)
         .u64("attached", s.attached)
@@ -774,60 +776,107 @@ pub fn health_response(
 
 /// Renders a `stats` response embedding the full taxo-obs snapshot:
 /// counters and gauges as name→value objects, histograms as
-/// name→`{count,sum}`, spans as name→`{count,total_ms,max_ms}`.
-pub fn stats_response(id: Option<u64>, snap: &MetricsSnapshot) -> String {
-    let mut counters = String::from("{");
-    for (i, c) in snap.counters.iter().enumerate() {
-        if i > 0 {
-            counters.push(',');
-        }
-        json::encode_str(&c.name, &mut counters);
-        counters.push_str(&format!(":{}", c.value));
-    }
-    counters.push('}');
-
-    let mut gauges = String::from("{");
-    for (i, g) in snap.gauges.iter().enumerate() {
-        if i > 0 {
-            gauges.push(',');
-        }
-        json::encode_str(&g.name, &mut gauges);
-        gauges.push_str(&format!(":{}", g.value));
-    }
-    gauges.push('}');
-
-    let mut hists = String::from("{");
-    for (i, h) in snap.histograms.iter().enumerate() {
-        if i > 0 {
-            hists.push(',');
-        }
-        json::encode_str(&h.name, &mut hists);
-        hists.push_str(&format!(":{{\"count\":{},\"sum\":{}}}", h.count, h.sum));
-    }
-    hists.push('}');
-
-    let mut spans = String::from("{");
-    for (i, s) in snap.spans.iter().enumerate() {
-        if i > 0 {
-            spans.push(',');
-        }
-        json::encode_str(&s.path, &mut spans);
-        spans.push_str(&format!(
-            ":{{\"count\":{},\"total_ms\":{:.3},\"max_ms\":{:.3}}}",
-            s.count,
-            s.total_ms(),
-            s.max_ns as f64 / 1e6
-        ));
-    }
-    spans.push('}');
-
+/// name→`{count,sum}`, spans as name→`{count,total_ms,max_ms}` (to the
+/// microsecond). A router's merged reply also names the `shards` that
+/// answered.
+pub fn stats_response(id: Option<u64>, shards: Option<u64>, snap: &MetricsSnapshot) -> String {
+    let counters = family(snap.counters.iter().map(|c| (&c.name, c.value.to_string())));
+    let gauges = family(snap.gauges.iter().map(|g| (&g.name, g.value.to_string())));
+    let hists = family(snap.histograms.iter().map(|h| {
+        let value = format!("{{\"count\":{},\"sum\":{}}}", h.count, h.sum);
+        (&h.name, value)
+    }));
+    let spans = family(snap.spans.iter().map(|s| {
+        let (count, total, max) = (s.count, s.total_ms(), s.max_ns as f64 / 1e6);
+        let value = format!("{{\"count\":{count},\"total_ms\":{total:.3},\"max_ms\":{max:.3}}}");
+        (&s.path, value)
+    }));
     let mut w = base(id, true);
-    w.str("kind", "stats")
-        .raw("counters", &counters)
+    w.str("kind", "stats");
+    if let Some(shards) = shards {
+        w.u64("shards", shards);
+    }
+    w.raw("counters", &counters)
         .raw("gauges", &gauges)
         .raw("histograms", &hists)
         .raw("spans", &spans);
     w.finish()
+}
+
+/// One metric family as a JSON object of already rendered values.
+fn family<'a>(members: impl Iterator<Item = (&'a String, String)>) -> String {
+    let mut out = String::from("{");
+    for (i, (name, value)) in members.enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        json::encode_str(name, &mut out);
+        out.push(':');
+        out.push_str(&value);
+    }
+    out.push('}');
+    out
+}
+
+/// Reads a `stats` reply back into a snapshot, the inverse of
+/// [`stats_response`] up to what the wire carries: histograms keep their
+/// count and sum but no buckets, and span times come back to the
+/// microsecond. `None` unless `line` is an `ok` reply.
+pub fn parse_stats(line: &str) -> Option<MetricsSnapshot> {
+    let v = json::parse(line).ok()?;
+    if v.get("ok") != Some(&Value::Bool(true)) {
+        return None;
+    }
+    let ns = |ms: f64| (ms * 1e6).round() as u64;
+    Some(MetricsSnapshot {
+        counters: members(&v, "counters")
+            .map(|(name, v)| CounterSnapshot {
+                name: name.clone(),
+                value: num(Some(v)),
+            })
+            .collect(),
+        gauges: members(&v, "gauges")
+            .map(|(name, v)| GaugeSnapshot {
+                name: name.clone(),
+                value: num(Some(v)),
+            })
+            .collect(),
+        histograms: members(&v, "histograms")
+            .map(|(name, v)| HistogramSnapshot {
+                name: name.clone(),
+                bounds: Vec::new(),
+                buckets: Vec::new(),
+                count: num(v.get("count")),
+                sum: num(v.get("sum")),
+            })
+            .collect(),
+        spans: members(&v, "spans")
+            .map(|(path, v)| SpanSnapshot {
+                path: path.clone(),
+                count: num(v.get("count")),
+                total_ns: ns(num(v.get("total_ms"))),
+                max_ns: ns(num(v.get("max_ms"))),
+            })
+            .collect(),
+    })
+}
+
+/// The name-sorted members of one metric family of a `stats` reply.
+fn members<'v>(v: &'v Value, family: &str) -> impl Iterator<Item = (&'v String, &'v Value)> {
+    match v.get(family) {
+        Some(Value::Obj(map)) => Some(map.iter()),
+        _ => None,
+    }
+    .into_iter()
+    .flatten()
+}
+
+/// A number member read as `T`; 0 when absent or out of range.
+fn num<T: std::str::FromStr + Default>(v: Option<&Value>) -> T {
+    match v {
+        Some(Value::Num(tok)) => tok.parse().unwrap_or_default(),
+        _ => T::default(),
+    }
 }
 
 /// Renders a `shutdown` acknowledgement.
@@ -1001,16 +1050,29 @@ mod tests {
 
     #[test]
     fn two_phase_ingest_parses_and_renders() {
-        match parse_request(
-            r#"{"kind":"ingest","id":4,"phase":"prepare","records":[{"query":"a","item":"b"}]}"#,
-        )
-        .unwrap()
-        {
-            Request::Ingest { phase, records, .. } => {
-                assert_eq!(phase, IngestPhase::Prepare);
-                assert_eq!(records.len(), 1);
-            }
-            other => panic!("{other:?}"),
+        // One encoder for every ingest line: an `Auto` request has no
+        // `phase` member, and a `commit` carries empty records.
+        let records = [("snack", "banana chips", 4), ("x", "say \"hi\"", 1)];
+        assert_eq!(
+            ingest_request(Some(2), IngestPhase::Auto, records),
+            r#"{"kind":"ingest","id":2,"records":[{"query":"snack","item":"banana chips","count":4},{"query":"x","item":"say \"hi\"","count":1}]}"#
+        );
+        assert_eq!(
+            ingest_request(None, IngestPhase::Commit, []),
+            r#"{"kind":"ingest","id":null,"phase":"commit","records":[]}"#
+        );
+        for phase in [IngestPhase::Auto, IngestPhase::Prepare, IngestPhase::Commit] {
+            let line = ingest_request(Some(7), phase, records);
+            let Ok(Request::Ingest {
+                id,
+                records,
+                phase: p,
+            }) = parse_request(&line)
+            else {
+                panic!("{line}");
+            };
+            let read = (id, p, records.len(), records[1].count);
+            assert_eq!(read, (Some(7), phase, 2, 1), "{line}");
         }
         match parse_request(r#"{"kind":"ingest","id":5,"phase":"commit"}"#).unwrap() {
             Request::Ingest { phase, records, .. } => {
@@ -1028,7 +1090,7 @@ mod tests {
             total_relations: 9,
             version: 6,
         };
-        let prepared = ingest_prepared_response(Some(4), &s);
+        let prepared = ingest_response(Some(4), &s, true);
         let v = json::parse(&prepared).unwrap();
         assert_eq!(v.get("phase").unwrap().as_str(), Some("prepared"));
         assert_eq!(v.get("version").unwrap().as_u64(), Some(6));
@@ -1041,6 +1103,44 @@ mod tests {
         assert_eq!(v.get("ok"), Some(&Value::Bool(false)));
         assert_eq!(v.get("error").unwrap().as_str(), Some("stale_epoch"));
         assert_eq!(v.get("version").unwrap().as_u64(), Some(3));
+    }
+
+    /// `parse_stats` and `stats_response` invert each other, up to what
+    /// the wire carries: no histogram buckets, span times to the
+    /// microsecond.
+    #[test]
+    fn stats_replies_parse_back_into_the_snapshot() {
+        let line = concat!(
+            r#"{"id":4,"ok":true,"kind":"stats","shards":2,"counters":{"a":18446744073709551615,"#,
+            r#""b":0},"gauges":{"g \"odd\"":-9223372036854775808},"histograms":{"h":{"count":3,"#,
+            r#""sum":9}},"spans":{"s":{"count":12,"total_ms":86400000.000,"max_ms":0.001}}}"#
+        );
+        let snap = parse_stats(line).expect("an ok stats reply");
+        assert_eq!(stats_response(Some(4), Some(2), &snap), line);
+        assert_eq!(snap.counters[0].value, u64::MAX);
+        assert_eq!(snap.gauges[0].value, i64::MIN);
+        assert_eq!(snap.spans[0].total_ns, 86_400_000_000_000);
+        let mut fine = snap.clone();
+        fine.histograms[0].bounds = vec![4];
+        fine.histograms[0].buckets = vec![2, 1];
+        fine.spans[0].max_ns = 1_499;
+        assert_eq!(parse_stats(&stats_response(None, None, &fine)), Some(snap));
+        assert_eq!(parse_stats(&error_response(Some(4), "busy", None)), None);
+    }
+
+    /// Fleet `stats` folds shard replies by name: counters, gauges,
+    /// histogram counts and sums, span counts and totals add, and span
+    /// maxima take the larger.
+    #[test]
+    fn parsed_stats_replies_merge_by_name() {
+        let a = r#"{"ok":true,"counters":{"a":1,"c":3},"gauges":{"g":-2},"histograms":{"h":{"count":1,"sum":4}},"spans":{"s":{"count":2,"total_ms":0.500,"max_ms":0.300}}}"#;
+        let b = r#"{"ok":true,"counters":{"b":2,"c":4},"gauges":{"g":5},"histograms":{"h":{"count":2,"sum":6}},"spans":{"r":{"count":1,"total_ms":0.007,"max_ms":0.007},"s":{"count":1,"total_ms":0.900,"max_ms":0.900}}}"#;
+        let mut merged = parse_stats(a).unwrap();
+        merged.merge(&parse_stats(b).unwrap());
+        assert_eq!(
+            stats_response(None, Some(2), &merged),
+            r#"{"id":null,"ok":true,"kind":"stats","shards":2,"counters":{"a":1,"b":2,"c":7},"gauges":{"g":3},"histograms":{"h":{"count":3,"sum":10}},"spans":{"r":{"count":1,"total_ms":0.007,"max_ms":0.007},"s":{"count":3,"total_ms":1.400,"max_ms":0.900}}}"#
+        );
     }
 
     #[test]
@@ -1057,7 +1157,7 @@ mod tests {
             error_response(None, "busy", None),
             error_response(Some(2), "bad_request", Some("nope")),
             health_response(Some(3), 1, 10, 9, 0, false),
-            stats_response(Some(4), &taxo_obs::snapshot()),
+            stats_response(Some(4), None, &taxo_obs::snapshot()),
             shutdown_response(Some(5)),
         ] {
             assert!(!line.contains('\n'), "{line}");

@@ -215,12 +215,11 @@ pub(crate) enum IngestJob {
         phase: IngestPhase,
         reply: IngestSink,
     },
-    /// Swap in a retrained detector and publish (or prepare) a snapshot
-    /// scored by it. Consumes a version like a batch does; an empty
-    /// ingest op is logged so the WAL's version sequence stays dense.
+    /// Swap in a retrained detector and publish a snapshot scored by it.
+    /// Consumes a version like a batch does; an empty ingest op is logged
+    /// so the WAL's version sequence stays dense.
     Promote {
         detector: Arc<HypoDetector>,
-        phase: IngestPhase,
         reply: IngestSink,
     },
     /// Consistent read of the expander state (the trainer's live
@@ -275,8 +274,6 @@ pub enum IngestReply {
     Committed { version: u64 },
     /// A promotion was applied and published at this version.
     Promoted { version: u64 },
-    /// A promotion was applied and its snapshot held for commit.
-    PromotePrepared { version: u64 },
     /// The phase was illegal in the current state (e.g. a commit with
     /// nothing prepared). Nothing was applied or logged.
     Rejected {
@@ -394,9 +391,9 @@ impl ServerHandle {
     }
 
     /// A cloneable control-plane handle: everything a background trainer
-    /// needs (shadow tap, state export, promotion) without owning the
-    /// server threads. Valid for the server's whole lifetime; calls
-    /// after shutdown fail with [`ControlError::ShuttingDown`].
+    /// needs (shadow tap, serving cap, state export, promotion) without
+    /// owning the server threads. Valid for the server's whole lifetime;
+    /// calls after shutdown fail with [`ControlError::ShuttingDown`].
     pub fn controller(&self) -> ServeController {
         ServeController {
             shared: Arc::clone(&self.shared),
@@ -412,8 +409,8 @@ pub enum ControlError {
     /// The server is shutting down (or crashed); no more control calls
     /// will succeed.
     ShuttingDown,
-    /// The ingest thread refused the request (e.g. a promotion commit
-    /// with nothing prepared).
+    /// The ingest thread refused the request (e.g. a promotion while a
+    /// wire `prepare` awaits its commit).
     Rejected {
         code: &'static str,
         detail: &'static str,
@@ -431,17 +428,6 @@ impl std::fmt::Display for ControlError {
 }
 
 impl std::error::Error for ControlError {}
-
-/// Outcome of a [`ServeController::promote`] call.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PromoteOutcome {
-    /// The version the promotion consumed.
-    pub version: u64,
-    /// Whether the promoted snapshot is already the served one (`true`
-    /// for [`IngestPhase::Auto`] and [`IngestPhase::Commit`]; `false`
-    /// after a [`IngestPhase::Prepare`], which holds it for commit).
-    pub published: bool,
-}
 
 /// The control-plane face of a running server, handed to the background
 /// trainer (`crates/taxo-train`). All mutations route through the ingest
@@ -468,6 +454,12 @@ impl ServeController {
         Arc::clone(&self.shared.tap)
     }
 
+    /// The serving candidate cap ([`ServeConfig::max_candidates`]): a
+    /// candidate snapshot is judged over the ranking this server serves.
+    pub fn max_candidates(&self) -> usize {
+        self.shared.cfg.max_candidates
+    }
+
     /// Whether the server has begun shutting down or crashed.
     pub fn is_shutdown(&self) -> bool {
         self.shared.is_shutdown()
@@ -485,41 +477,22 @@ impl ServeController {
 
     /// Swaps a retrained detector into the serving path: the ingest
     /// thread refills the score table under the new detector, rebuilds
-    /// the snapshot (and its int8 twin), and publishes it —
-    /// immediately for [`IngestPhase::Auto`], or held/released across
-    /// [`IngestPhase::Prepare`]/[`IngestPhase::Commit`] for coordinated
-    /// multi-shard promotion. Counts into the exactly-once ingest
-    /// ledger (`serve.ingest.accepted` / `serve.ingest.applied`).
-    pub fn promote(
-        &self,
-        detector: Arc<HypoDetector>,
-        phase: IngestPhase,
-    ) -> Result<PromoteOutcome, ControlError> {
-        debug_assert!(
-            phase != IngestPhase::Commit,
-            "a prepared promotion is committed by a wire `ingest` commit"
-        );
+    /// the snapshot (and its int8 twin), and publishes it in one step.
+    /// Returns the version the promotion consumed. While a wire
+    /// `prepare` awaits its commit the promotion is refused with
+    /// `prepare_pending`, as an `Auto` ingest is. Counts into the
+    /// exactly-once ingest ledger (`serve.ingest.accepted` /
+    /// `serve.ingest.applied`).
+    pub fn promote(&self, detector: Arc<HypoDetector>) -> Result<u64, ControlError> {
         counter!("serve.promote.requests").inc();
         let (tx, rx) = mpsc::channel();
         self.push_job(IngestJob::Promote {
             detector,
-            phase,
             reply: IngestSink::Channel(tx),
         })?;
         counter!("serve.ingest.accepted").inc();
         match rx.recv() {
-            Ok(IngestReply::Promoted { version }) => Ok(PromoteOutcome {
-                version,
-                published: true,
-            }),
-            Ok(IngestReply::PromotePrepared { version }) => Ok(PromoteOutcome {
-                version,
-                published: false,
-            }),
-            Ok(IngestReply::Committed { version }) => Ok(PromoteOutcome {
-                version,
-                published: true,
-            }),
+            Ok(IngestReply::Promoted { version }) => Ok(version),
             Ok(IngestReply::Rejected { code, detail }) => {
                 Err(ControlError::Rejected { code, detail })
             }
@@ -896,7 +869,7 @@ fn process_line(
             counter!("serve.requests.stats").inc();
             let response = {
                 let _g = span!("serve.request.stats");
-                protocol::stats_response(id, &taxo_obs::snapshot())
+                protocol::stats_response(id, None, &taxo_obs::snapshot())
             };
             burst.ready(response);
         }
@@ -955,10 +928,8 @@ fn prepare_score(
     // snapshot, and its results never reach these caches.
     if shared.tap.sampled(query_id) {
         shared.tap.offer(ShadowSample {
-            version: snapshot.version,
             tier,
             query: query_id,
-            items: snapshot.eligible(query_id, shared.cfg.max_candidates),
         });
     }
 
@@ -1121,10 +1092,10 @@ fn prepare_ingest(
 /// Renders one ingest completion.
 fn render_ingest_reply(id: Option<u64>, reply: IngestReply) -> String {
     match reply {
-        IngestReply::Applied(summary) => protocol::ingest_response(id, &summary),
-        IngestReply::Prepared(summary) => protocol::ingest_prepared_response(id, &summary),
+        IngestReply::Applied(summary) => protocol::ingest_response(id, &summary, false),
+        IngestReply::Prepared(summary) => protocol::ingest_response(id, &summary, true),
         IngestReply::Committed { version } => protocol::ingest_committed_response(id, version),
-        IngestReply::Promoted { .. } | IngestReply::PromotePrepared { .. } => {
+        IngestReply::Promoted { .. } => {
             unreachable!("wire ingest jobs never produce promote replies")
         }
         IngestReply::Rejected { code, detail } => protocol::error_response(id, code, Some(detail)),
@@ -1173,7 +1144,7 @@ pub const FAULT_PROMOTE: &str = "train.promote";
 enum JobPlan {
     /// Build the snapshot at `version` — a batch by ingesting its
     /// records, a promotion by re-anchoring on its detector — then
-    /// publish it now or hold it for a commit.
+    /// publish it now or, for a `prepare`, hold it for a commit.
     Apply { version: u64, publish: bool },
     /// Publish the held snapshot at this version.
     Commit(u64),
@@ -1196,7 +1167,9 @@ fn plan_group(jobs: &[IngestJob], ledger_version: u64, pending: Option<u64>) -> 
     jobs.iter()
         .map(|job| {
             let phase = match job {
-                IngestJob::Batch { phase, .. } | IngestJob::Promote { phase, .. } => *phase,
+                IngestJob::Batch { phase, .. } => *phase,
+                // A promotion publishes in one step, like an `Auto` batch.
+                IngestJob::Promote { .. } => IngestPhase::Auto,
                 IngestJob::Export { .. } => return JobPlan::Export,
             };
             match phase {
@@ -1413,9 +1386,7 @@ fn ingest_loop(
                     };
                     (next, Some(summary), reply)
                 }
-                IngestJob::Promote {
-                    detector, reply, ..
-                } => {
+                IngestJob::Promote { detector, reply } => {
                     if !matches!(
                         taxo_fault::inject(FAULT_PROMOTE),
                         taxo_fault::Injection::Pass
@@ -1465,11 +1436,10 @@ fn ingest_loop(
                 });
                 counter!("serve.ingest.prepared").inc();
             }
-            reply.send(match (summary, publish) {
-                (Some(summary), true) => IngestReply::Applied(summary),
-                (Some(summary), false) => IngestReply::Prepared(summary),
-                (None, true) => IngestReply::Promoted { version },
-                (None, false) => IngestReply::PromotePrepared { version },
+            reply.send(match summary {
+                Some(summary) if publish => IngestReply::Applied(summary),
+                Some(summary) => IngestReply::Prepared(summary),
+                None => IngestReply::Promoted { version },
             });
         }
         // Only here, with the whole group applied, does the WAL's end

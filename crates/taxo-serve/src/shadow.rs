@@ -2,13 +2,13 @@
 //! for offline evaluation of a *candidate* snapshot while the published
 //! snapshot keeps answering.
 //!
-//! The tap sits on the worker path ([`crate::server`]'s `score_request`)
-//! *after* the live response is fully determined: a sampled request is
-//! copied into a bounded queue and the live bytes go out unchanged, so
-//! shadow scoring can never contaminate a served response. The trainer
-//! (`crates/taxo-train`) drains the queue and scores the samples against
-//! its candidate; those scores feed only the promotion gate — they never
-//! touch the serve-side score or response caches.
+//! The tap sits on the score path ([`crate::server`]'s `prepare_score`)
+//! beside the live response, never in it: a sampled request's query and
+//! tier are copied into a bounded queue and the live bytes go out
+//! unchanged, so shadow scoring can never contaminate a served response.
+//! The trainer (`crates/taxo-train`) drains the queue and scores the
+//! samples against its candidate; those scores feed only the promotion
+//! gate — they never touch the serve-side score or response caches.
 //!
 //! Sampling is a pure function of the query id and the armed seed, not
 //! of wall clock or thread interleaving: the *set* of sampled queries in
@@ -22,18 +22,13 @@ use taxo_core::ConceptId;
 use taxo_obs::counter;
 
 /// One mirrored score request: everything the trainer needs to replay
-/// the request against a candidate snapshot.
+/// the request against a candidate snapshot, which derives its own
+/// candidate set.
 #[derive(Debug, Clone)]
 pub struct ShadowSample {
-    /// Version of the live snapshot that answered the request.
-    pub version: u64,
     /// Tier the live request was served at.
     pub tier: Tier,
     pub query: ConceptId,
-    /// Candidate items the live snapshot considered (most-clicked
-    /// first) — the candidate snapshot re-derives its own set; this one
-    /// is kept for live/candidate overlap diagnostics.
-    pub items: Vec<ConceptId>,
 }
 
 /// The tap itself: an arm/disarm switch plus the bounded sample queue.
@@ -118,10 +113,8 @@ mod tests {
 
     fn sample(i: u32) -> ShadowSample {
         ShadowSample {
-            version: 1,
             tier: Tier::F32,
             query: ConceptId::from_index(i as usize),
-            items: Vec::new(),
         }
     }
 

@@ -21,7 +21,8 @@
 //!   version and rebuilds the model's state exactly; ack versions are
 //!   dense and unique per shard; each shard the fleet stopped published
 //!   the model's last version; and, when nothing crashed, the score and
-//!   ingest ledgers balance (accepted = completed).
+//!   ingest ledgers balance (accepted = completed, where an ingest or
+//!   promotion completes applied or refused).
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -39,8 +40,8 @@ use taxo_expand::{
 };
 use taxo_router::{HashRing, Router, RouterConfig, RouterHandle};
 use taxo_serve::{
-    candidate_key, expected_key, protocol, Client, DurabilityConfig, FsyncPolicy, RecoveryReport,
-    Reply, ServeConfig, ServeError, ServeSnapshot, Server, ServerHandle, Tier,
+    candidate_key, expected_key, protocol, Client, DurabilityConfig, FsyncPolicy, IngestPhase,
+    RecoveryReport, Reply, ServeConfig, ServeError, ServeSnapshot, Server, ServerHandle, Tier,
 };
 use taxo_synth::{ClickConfig, ClickLog, ClickRecord, World, WorldConfig};
 
@@ -352,17 +353,21 @@ pub struct History {
 #[derive(Default)]
 struct Drained {
     /// The `score`/`ingest` ledger counters.
-    ledger: Option<[u64; 4]>,
+    ledger: Option<[u64; 5]>,
     /// The published version of each shard stopped uncrashed and not
     /// recovered since.
     versions: BTreeMap<usize, u64>,
 }
 
-const LEDGER: [&str; 4] = [
+/// Accepted work and how it completed: a score is computed; an ingest
+/// or promotion is applied, or refused by the ingest thread (a
+/// `prepare_pending` or `no_prepared` reply).
+const LEDGER: [&str; 5] = [
     "serve.score.accepted",
     "serve.score.completed",
     "serve.ingest.accepted",
     "serve.ingest.applied",
+    "serve.ingest.rejected",
 ];
 
 fn locked<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -460,7 +465,13 @@ impl History {
     /// Sends one `ingest` of `batch` (never resent: a lost reply is
     /// ambiguous).
     pub fn ingest(&self, client: &mut Client, batch: &[ClickRecord]) -> Ack {
-        let ack = Ack::of(client.ingest(&wire(&self.vocab, batch)));
+        self.ingest_acked(batch, client.ingest(&wire(&self.vocab, batch)))
+    }
+
+    /// Records an ingest of `batch` that `reply` acknowledged — for a
+    /// batch sent in two phases, the reply to its wire `commit`.
+    pub fn ingest_acked(&self, batch: &[ClickRecord], reply: std::io::Result<Reply>) -> Ack {
+        let ack = Ack::of(reply);
         self.push(Event::Ingest {
             batch: batch.to_vec(),
             ack: ack.clone(),
@@ -474,10 +485,10 @@ impl History {
     pub fn ingest_pipelined(&self, addr: SocketAddr, batches: &[Vec<ClickRecord>]) -> Vec<Ack> {
         let mut lines = String::new();
         for (id, batch) in batches.iter().enumerate() {
-            lines.push_str(&protocol::ingest_request(
-                id as u64,
-                &wire(&self.vocab, batch),
-            ));
+            let records = wire(&self.vocab, batch);
+            let records = records.iter().map(|(q, i, c)| (q.as_str(), i.as_str(), *c));
+            let id = Some(id as u64);
+            lines.push_str(&protocol::ingest_request(id, IngestPhase::Auto, records));
             lines.push('\n');
         }
         let mut stream = TcpStream::connect(addr).expect("connect for a pipelined ingest");
@@ -489,24 +500,20 @@ impl History {
             .iter()
             .enumerate()
             .map(|(id, batch)| {
-                let ack = match replies.next() {
+                let reply = match replies.next() {
                     Some(Ok(line)) => match taxo_core::json::parse(&line) {
                         Ok(v)
                             if v.get("id").and_then(Value::as_u64) == Some(id as u64)
                                 && v.get("ok") == Some(&Value::Bool(true)) =>
                         {
-                            Ack::of(Ok(Reply::Ok(v)))
+                            Ok(Reply::Ok(v))
                         }
-                        _ => Ack::Lost(line),
+                        _ => Err(std::io::Error::other(line)),
                     },
-                    Some(Err(e)) => Ack::Lost(e.to_string()),
-                    None => Ack::Lost("connection closed".into()),
+                    Some(Err(e)) => Err(e),
+                    None => Err(std::io::Error::other("connection closed")),
                 };
-                self.push(Event::Ingest {
-                    batch: batch.clone(),
-                    ack: ack.clone(),
-                });
-                ack
+                self.ingest_acked(batch, reply)
             })
             .collect()
     }
@@ -1234,16 +1241,9 @@ pub fn check(history: &History, model: &Model) -> Summary {
     // accepted work on purpose.
     let crashed = events.iter().any(|e| matches!(e, Event::Recover { .. }));
     if let (false, Some(ledger)) = (crashed, drained.ledger) {
-        for pair in [0, 2] {
-            if ledger[pair] != ledger[pair + 1] {
-                violations.push(format!(
-                    "{}={} but {}={}",
-                    LEDGER[pair],
-                    ledger[pair],
-                    LEDGER[pair + 1],
-                    ledger[pair + 1]
-                ));
-            }
+        let [scores, scored, ingests, applied, rejected] = ledger;
+        if scores != scored || ingests != applied + rejected {
+            violations.push(format!("unbalanced ledger: {LEDGER:?} = {ledger:?}"));
         }
     }
     assert!(

@@ -15,23 +15,19 @@
 //!   below an ack, nothing applied twice) and every served score —
 //!   during the chaos and after the recovery — bit-identical to the
 //!   model replaying the same applied partitions.
-//! * **Promotion under chaos** — the taxo-train control plane drives a
-//!   two-phase multi-shard promotion of a retrained detector and
-//!   `train.promote` kills one shard mid-commit (after its promotion op
-//!   is durable, before the swap publishes). The router's commit-probe
-//!   must resolve the survivor's wedged prepare, the crashed shard's
-//!   WAL replay must converge on the promoted version, and no burst —
-//!   score or ingest — may ever be accepted with mixed versions.
+//! * **Wedged prepare** — a lost commit frame leaves one durable shard
+//!   holding a prepared ingest unpublished. The held snapshot must not
+//!   leak, the router's commit probe must clear the wedge on the next
+//!   routed ingest, and no burst — score or ingest — may ever be
+//!   accepted with mixed versions.
 
 use std::collections::BTreeSet;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 use taxo_core::json::Value;
-use taxo_expand::DetectorConfig;
-use taxo_serve::{Client, FsyncPolicy, IngestPhase, Reply, RetryPolicy};
+use taxo_serve::{Client, FsyncPolicy, Reply, RetryPolicy};
 use taxo_sim::{Ack, Fixture, Fleet, Served, Split, StopOnDrop};
 use taxo_synth::ClickRecord;
 
@@ -254,172 +250,96 @@ fn shard_crash_mid_burst_recovers_exactly_once_and_bit_identical() {
     assert_eq!(summary.versions, [report.final_version + 6, 9]);
 }
 
-/// Promotion under chaos. The trainer retrains a candidate from shard
-/// 0's exported state and drives a coordinated two-phase promotion:
-/// prepare on shard 0 (holds the promoted snapshot unpublished), prepare
-/// on shard 1 — where `train.promote=once:2:fail` crashes the shard
-/// *after* its promotion op is durable but *before* anything publishes.
+/// A wedged ingest prepare, cleared by the next routed ingest. Two
+/// clean swaps commit at `[1,1]` and `[2,2]`. In the third, the commit
+/// frame to shard 1 is lost (write hit 4: the two prepares and shard
+/// 0's commit pass) and every reconnect is refused, so the router gives
+/// up with `partial_ingest`: shard 0 published version 3, and shard 1
+/// holds its prepared version 3 unpublished. The history records that
+/// ingest as lost.
 ///
-/// Convergence is probe-resolved, using only machinery that already
-/// exists: shard 1's WAL replay lands exactly on the promoted version
-/// (the empty promotion op is past the ack barrier), and shard 0's
-/// wedged prepare is cleared by the router's commit-probe when the next
-/// multi-shard ingest arrives — `prepare_pending` → probe-commit (which
-/// finally publishes the promoted snapshot) → retried prepare.
-///
-/// Version-mix assertions along the way (the checker holds each served
-/// pair to the model, bit for bit):
-/// * the prepared promotion never leaks: shard 0 serves version 3 with
-///   pre-promotion bits until the probe commits it;
-/// * every score burst returns a coherent fleet state — `(3,3)` before,
-///   `(3,4)` between recovery and the healing swap, `(5,5)` after —
-///   never a torn mid-swap pair;
-/// * every accepted multi-shard ingest acks one uniform version across
-///   shards (`[n,n]`), including the healing swap (`[5,5]`).
+/// * The held prepare does not leak: shard 1 keeps serving version 2.
+/// * The next routed ingest clears the wedge through the router's
+///   commit probe — shard 1 answers `prepare_pending`, the probe
+///   publishes its version 3, the retried prepare lands — and commits
+///   one uniform version, `[4,4]`.
+/// * Bursts before the wedge and after the heal carry one version per
+///   shard, and once the lost ingest is settled as applied at `[3,3]`
+///   the checker holds every response to the model.
 #[test]
-fn trainer_promotion_under_chaos_probe_resolves_without_version_mixing() {
+fn wedged_ingest_prepare_is_cleared_by_the_next_routed_ingest() {
     let fixture = Fixture::new(SEED);
-    let mut fleet = durable_fleet(&fixture);
+    let fleet = durable_fleet(&fixture);
     let batches = spanning_batches(&fleet, 4);
     let (q0, q1) = (fleet.query_on(0), fleet.query_on(1));
     let history = fleet.history();
     let (ctl0, ctl1) = (fleet.shard(0).controller(), fleet.shard(1).controller());
 
-    // Base: three coordinated ingests; every accepted burst must ack one
-    // uniform version across shards. The fourth is the healing swap.
+    // Every ingest goes through one client connection, so its router
+    // thread keeps both shard connections open: until a write fails, no
+    // swap below reconnects.
     let mut ingester = Client::connect(fleet.addr()).unwrap();
-    for (j, batch) in batches.iter().take(3).enumerate() {
+    for (j, batch) in batches.iter().take(2).enumerate() {
         assert_eq!(
             history.ingest(&mut ingester, batch),
             Ack::Ok(vec![j as u64 + 1; 2]),
             "ingest burst {j} must commit one uniform version"
         );
     }
-
-    // One score burst through the router: the version each shard
-    // answered at, `None` for an error.
     let mut burst_client = Client::connect(fleet.addr()).unwrap();
     let mut burst = || -> Vec<Option<u64>> {
         let served = history.burst(&mut burst_client, &[q0, q1]);
         served.iter().map(|s| s.ok().map(|(v, _)| v)).collect()
     };
-    assert_eq!(
-        burst(),
-        [Some(3), Some(3)],
-        "pre-promotion burst must serve version 3 on both shards"
-    );
+    assert_eq!(burst(), [Some(2), Some(2)]);
 
-    // The trainer: retrain a candidate from shard 0's exported state.
-    let plane = taxo_train::ControlPlane::new(taxo_train::TrainConfig {
-        detector: DetectorConfig {
-            epochs: 3,
-            ..DetectorConfig::tiny(SEED)
-        },
-        seed: SEED,
-        ..taxo_train::TrainConfig::default()
-    });
-    let (base_version, state) = ctl0.export_state().expect("export serving state");
-    assert_eq!(base_version, 3);
-    let retrained = plane
-        .retrain(&fixture.vocab, &fixture.detector, &state)
-        .expect("unfaulted retrain produces a candidate");
-    let retrained = Arc::new(retrained);
-
-    // Two-phase promotion: shard 0 prepares cleanly (hit 1 passes),
-    // shard 1 crashes mid-promotion (hit 2 fails) — after its WAL op is
-    // durable, before anything publishes.
-    taxo_fault::arm(taxo_fault::FaultPlan::parse("seed=21;train.promote=once:2:fail").unwrap());
-    let out = ctl0
-        .promote(Arc::clone(&retrained), IngestPhase::Prepare)
-        .expect("shard 0 prepares the promotion");
-    assert_eq!((out.version, out.published), (4, false));
-    history.promoted(0, Arc::clone(&retrained), Some(out.version));
-    // The prepared snapshot must not leak: shard 0 still serves v3 bits.
-    assert_eq!(
-        burst()[0],
-        Some(3),
-        "a prepared promotion must stay unpublished"
+    // The wedge: shard 1's commit frame is lost, and so is every retry
+    // and health probe, because no reconnect succeeds.
+    taxo_fault::arm(
+        taxo_fault::FaultPlan::parse(
+            "seed=3;router.upstream.write=once:4:fail;router.upstream.connect=always:fail",
+        )
+        .unwrap(),
     );
-    assert!(
-        ctl1.promote(Arc::clone(&retrained), IngestPhase::Prepare)
-            .is_err(),
-        "shard 1's promotion must die with the shard"
-    );
-    history.promoted(1, Arc::clone(&retrained), None);
-    assert_eq!(
-        fleet.await_crash(),
-        Some(1),
-        "shard 1 must be the crash victim"
-    );
-    assert!(!fleet.shard(0).crashed(), "shard 0 must survive");
+    let ack = history.ingest(&mut ingester, &batches[2]);
     taxo_fault::disarm();
-
-    // The crash kills shard 1's ingest/durability spine, not its score
-    // workers: until reaped it may keep answering from its *published*
-    // snapshot. A burst may degrade (shed) but never invent a version —
-    // in particular the crashed promotion must never surface as v4.
-    for version in burst().into_iter().flatten() {
+    assert!(
+        matches!(&ack, Ack::Lost(reply) if reply.contains("partial_ingest")),
+        "the router must give up on shard 1's commit: {ack:?}"
+    );
+    assert_eq!((ctl0.version(), ctl1.version()), (3, 2));
+    let (prepared, _) = ctl1.export_state().expect("export shard 1's state");
+    assert_eq!(prepared, 3, "shard 1 holds its prepared version 3");
+    let mut client = Client::connect(fleet.addr()).unwrap();
+    for (q, version) in [(q0, 3), (q1, 2)] {
+        let served = history.score(&mut client, q, None);
         assert_eq!(
-            version, 3,
-            "a crashed shard may only serve its last published snapshot"
+            served.ok().map(|(v, _)| v),
+            Some(version),
+            "a held prepare must stay unpublished"
         );
     }
 
-    // Probe-resolved recovery, step 1: WAL replay converges shard 1 on
-    // the promoted version (the empty promotion op is durable), though —
-    // by design — under the operator-supplied original detector.
-    let report = fleet.recover(1, &fixture.detector);
-    assert_eq!(
-        report.final_version, 4,
-        "the durable promotion op must replay to the promoted version"
-    );
-
-    // Post-recovery: the coherent fleet state is (3, 4) — shard 0's
-    // promotion still pending, shard 1 recovered at v4. The first
-    // bursts may shed while the router heals its stale upstream
-    // connection and vector entry; retry until both answer.
-    let mut healed = burst();
-    for _ in 0..100 {
-        if healed.iter().all(Option::is_some) {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(20));
-        healed = burst();
-    }
-    assert_eq!(
-        healed,
-        [Some(3), Some(4)],
-        "post-recovery state must be exactly (3 pending-prepare, 4 recovered)"
-    );
-
-    // Probe-resolved recovery, step 2: the next coordinated ingest heals
-    // the wedged prepare. Shard 0 answers `prepare_pending`, the
-    // router's commit-probe publishes the promoted snapshot, the
-    // retried prepare lands, and the burst commits uniformly at [5, 5].
-    let committed_before = taxo_sim::counter("serve.ingest.committed");
+    // The heal: shard 1 refuses the prepare with `prepare_pending`, the
+    // router's commit probe publishes the held version 3, the retried
+    // prepare lands, and the swap commits uniformly.
+    let committed = taxo_sim::counter("serve.ingest.committed");
     assert_eq!(
         history.ingest(&mut ingester, &batches[3]),
-        Ack::Ok(vec![5, 5]),
+        Ack::Ok(vec![4, 4]),
         "the healing swap must commit one uniform version"
     );
-    assert!(
-        taxo_sim::counter("serve.ingest.committed") >= committed_before + 3,
-        "probe-commit of the pending promotion plus two swap commits"
-    );
-
-    // Shard 0 now serves the *retrained* detector's scores (the
-    // promotion re-anchored its expander before batch 4 was attached);
-    // shard 1 serves the original detector's (recovery cannot resurrect
-    // unpersisted candidate weights — the operator re-promotes to heal
-    // that, which the control-plane suite covers). The checker holds
-    // both to the model.
     assert_eq!(
-        burst(),
-        [Some(5), Some(5)],
-        "the converged fleet must serve version 5 on both shards"
+        taxo_sim::counter("serve.ingest.committed"),
+        committed + 3,
+        "the probe's commit of the held prepare plus the swap's two"
     );
-    let mut client = Client::connect(fleet.addr()).unwrap();
+    assert_eq!(burst(), [Some(4), Some(4)]);
     assert_eq!(health_status(&mut client).as_deref(), Some("serving"));
     client.shutdown().unwrap();
-    fleet.check();
+
+    // Shard 0 committed the lost batch at 3 in the wedged swap, and the
+    // probe published shard 1's at 3.
+    history.settle(Some(vec![3, 3]));
+    assert_eq!(fleet.check().versions, [4, 4]);
 }

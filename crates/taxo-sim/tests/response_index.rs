@@ -26,9 +26,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 use taxo_core::{ConceptId, Vocabulary};
 use taxo_nn::parallel;
-use taxo_serve::{
-    protocol, Client, FsyncPolicy, IngestPhase, Reply, ServeConfig, ServeSnapshot, Tier,
-};
+use taxo_serve::{protocol, Client, FsyncPolicy, Reply, ServeConfig, ServeSnapshot, Tier};
 use taxo_sim::{Fixture, Fleet, Split};
 
 const SEED: u64 = 11;
@@ -265,10 +263,10 @@ fn run_trace(fixture: &Fixture) -> Vec<(u64, u64)> {
     let outcome = fleet
         .shard(0)
         .controller()
-        .promote(Arc::new(promoted_detector.clone()), IngestPhase::Auto)
+        .promote(Arc::new(promoted_detector.clone()))
         .unwrap();
     version += 1;
-    assert_eq!(outcome.version, version);
+    assert_eq!(outcome, version);
     let (rendered, ranked) = counts();
     steps.push((rendered - before.0, ranked - before.1));
     let promoted = check_bytes(&fleet, version, "promotion");

@@ -1,6 +1,5 @@
 //! Trainer and promotion-gate configuration.
 
-use std::time::Duration;
 use taxo_expand::DetectorConfig;
 
 /// Promotion gate thresholds: a candidate is promoted only if every
@@ -64,13 +63,6 @@ pub struct TrainConfig {
     /// Minimum judged shadow attachments for a gate decision; fewer
     /// defers the candidate ([`crate::RejectReason::ShadowStarved`]).
     pub shadow_min: u64,
-    /// Most shadow samples drained and scored per epoch.
-    pub shadow_max: usize,
-    /// Candidate cap per shadow query (mirror of the server's
-    /// `max_candidates`).
-    pub max_candidates: usize,
-    /// Top-ranked attachments judged per shadow query.
-    pub top_k: usize,
     /// Fine-tuning hyperparameters; `seed` and `epochs` are taken from
     /// here with the seed re-derived per control epoch.
     pub detector: DetectorConfig,
@@ -78,9 +70,6 @@ pub struct TrainConfig {
     /// Master seed: retrain seeds are derived as `mix(seed, epoch)` and
     /// the shadow tap is armed with it.
     pub seed: u64,
-    /// Background trainer poll interval (ignored by the synchronous
-    /// [`crate::ControlPlane`] API).
-    pub poll: Duration,
 }
 
 impl Default for TrainConfig {
@@ -89,13 +78,9 @@ impl Default for TrainConfig {
             retrain_every: 4,
             shadow_sample: 2,
             shadow_min: 1,
-            shadow_max: 256,
-            max_candidates: 16,
-            top_k: 1,
             detector: DetectorConfig::tiny(0x7EA1),
             gate: GateConfig::default(),
             seed: 0x7EA1,
-            poll: Duration::from_millis(25),
         }
     }
 }
@@ -103,9 +88,6 @@ impl Default for TrainConfig {
 impl TrainConfig {
     /// Panics on configurations that cannot make progress.
     pub fn validate(&self) {
-        assert!(self.shadow_max > 0, "shadow_max must be at least 1");
-        assert!(self.top_k > 0, "top_k must be at least 1");
-        assert!(self.max_candidates > 0, "max_candidates must be at least 1");
         assert!(
             (0.0..=1.0).contains(&self.gate.min_precision),
             "gate precision outside [0, 1]"

@@ -17,15 +17,19 @@
 //!    [`taxo_serve::ShadowTap`] mirrors a deterministic 1-in-N sample of
 //!    live score traffic (a pure function of query id and seed — the
 //!    sampled *set* is identical at any worker count). The candidate
-//!    snapshot re-answers those queries off the serving path; its scores
-//!    feed only the gate and can never contaminate a live response.
+//!    snapshot re-answers up to 256 of them per epoch off the serving
+//!    path, ranked under the server's own candidate cap
+//!    ([`taxo_serve::ServeController::max_candidates`]); the top
+//!    attachment of each feeds only the gate and can never contaminate
+//!    a live response.
 //! 3. **Gate and promote** ([`ControlPlane::run_epoch`]): an oracle
 //!    (production: humans; here: the [`taxo_synth`] judge panel over
 //!    synthetic ground truth) judges the candidate's top attachments.
 //!    Only if precision and latency clear [`GateConfig`] does the plane
 //!    call [`taxo_serve::ServeController::promote`] — the swap rides the
 //!    serving ingest queue, consumes a WAL-logged version, and publishes
-//!    through the same hot-swap store as any ingest. Anything else is a
+//!    in one step through the same hot-swap store as any ingest (refused
+//!    while a wire `prepare` awaits its commit). Anything else is a
 //!    recorded rollback: the live snapshot keeps answering, bit-identical
 //!    to a server that never retrained.
 //!

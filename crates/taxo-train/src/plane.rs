@@ -16,8 +16,14 @@ use std::time::Instant;
 use taxo_core::{ConceptId, Vocabulary};
 use taxo_expand::{generate_dataset, DatasetConfig, DetectorConfig, ExpanderState, HypoDetector};
 use taxo_obs::{counter, span};
-use taxo_serve::{IngestPhase, ServeController, ServeSnapshot, ShadowSample};
+use taxo_serve::{ServeController, ServeSnapshot, ShadowSample};
 use taxo_synth::Panel;
+
+/// Most shadow samples drained and scored per epoch.
+const SHADOW_MAX: usize = 256;
+
+/// Top-ranked attachments judged per shadow query.
+const TOP_K: usize = 1;
 
 /// Why a candidate was not promoted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,8 +51,6 @@ pub enum Verdict {
     Promoted {
         /// Version the promotion consumed.
         version: u64,
-        /// `false` when promoted as a prepare awaiting commit.
-        published: bool,
     },
     Rejected(RejectReason),
 }
@@ -225,30 +229,28 @@ impl ControlPlane {
         Some(detector)
     }
 
-    /// Scores the mirrored samples against the candidate snapshot and
-    /// judges the top attachments. Pure aside from the oracle's own
-    /// seeded state; live serving is never touched.
+    /// Scores the mirrored samples against the candidate snapshot under
+    /// the serving candidate cap `max_candidates` (see
+    /// [`ServeController::max_candidates`]) and judges the top
+    /// attachments. Pure aside from the oracle's own seeded state; live
+    /// serving is never touched.
     pub fn shadow_eval(
         &self,
         candidate: &ServeSnapshot,
         samples: &[ShadowSample],
+        max_candidates: usize,
         oracle: &mut dyn Oracle,
         probe: &LatencyProbe,
     ) -> ShadowReport {
         let _g = span!("train.shadow.eval");
         let mut report = ShadowReport::default();
-        for sample in samples.iter().take(self.cfg.shadow_max) {
+        for sample in samples.iter().take(SHADOW_MAX) {
             if taxo_fault::should_fail(FAULT_SHADOW) {
                 report.faulted += 1;
                 continue;
             }
             let (ranked, us) = probe.measure(|| {
-                candidate.score_query_tier(
-                    sample.query,
-                    self.cfg.max_candidates,
-                    self.cfg.top_k,
-                    sample.tier,
-                )
+                candidate.score_query_tier(sample.query, max_candidates, TOP_K, sample.tier)
             });
             report.max_latency_us = report.max_latency_us.max(us);
             for c in &ranked {
@@ -330,19 +332,16 @@ impl ControlPlane {
             state.taxonomy.clone(),
             &state.pairs,
         );
-        let samples = ctl.shadow_tap().drain(self.cfg.shadow_max);
-        let report = self.shadow_eval(&candidate, &samples, oracle, probe);
+        let samples = ctl.shadow_tap().drain(SHADOW_MAX);
+        let report = self.shadow_eval(&candidate, &samples, ctl.max_candidates(), oracle, probe);
         decision.judged = report.judged;
         decision.approved = report.approved;
         decision.faulted = report.faulted;
         decision.max_latency_us = report.max_latency_us;
         decision.verdict = match self.gate(&report) {
             Err(reason) => Verdict::Rejected(reason),
-            Ok(()) => match ctl.promote(detector, IngestPhase::Auto) {
-                Ok(out) => Verdict::Promoted {
-                    version: out.version,
-                    published: out.published,
-                },
+            Ok(()) => match ctl.promote(detector) {
+                Ok(version) => Verdict::Promoted { version },
                 Err(_) => Verdict::Rejected(RejectReason::Control),
             },
         };

@@ -11,7 +11,11 @@ use crate::plane::{ControlPlane, LatencyProbe, Oracle};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::Duration;
 use taxo_serve::ServeController;
+
+/// How long the loop sleeps between epoch checks.
+const POLL: Duration = Duration::from_millis(25);
 
 /// Handle to a spawned trainer thread.
 pub struct Trainer {
@@ -35,13 +39,13 @@ impl Trainer {
             .name("taxo-train".into())
             .spawn(move || {
                 let cfg = plane.cfg();
-                let (sample, seed, poll) = (cfg.shadow_sample, cfg.seed, cfg.poll);
+                let (sample, seed) = (cfg.shadow_sample, cfg.seed);
                 if sample > 0 {
                     ctl.shadow_tap().arm(sample, seed);
                 }
                 while !stop_flag.load(Ordering::Acquire) && !ctl.is_shutdown() {
                     plane.run_epoch(&ctl, &mut *oracle, &probe);
-                    std::thread::sleep(poll);
+                    std::thread::sleep(POLL);
                 }
                 ctl.shadow_tap().disarm();
                 plane
