@@ -99,9 +99,8 @@ impl MetricsSnapshot {
 
     /// Folds `other` into `self` by name, keeping every family sorted:
     /// counters, gauges, histogram counts and sums, and span counts and
-    /// totals add; a span's maximum is the larger one. Histogram buckets
-    /// add when both sides share their bounds; otherwise the merged
-    /// bucket layout is unknown and both are cleared.
+    /// totals add; a span's maximum is the larger one. A merged snapshot
+    /// carries no histogram buckets.
     pub fn merge(&mut self, other: &MetricsSnapshot) {
         merge_by(
             &mut self.counters,
@@ -119,18 +118,11 @@ impl MetricsSnapshot {
             &mut self.histograms,
             &other.histograms,
             |h| &h.name,
-            |a, b| {
-                (a.count, a.sum) = (a.count + b.count, a.sum + b.sum);
-                if a.bounds == b.bounds {
-                    a.buckets
-                        .iter_mut()
-                        .zip(&b.buckets)
-                        .for_each(|(x, y)| *x += y);
-                } else {
-                    (a.bounds, a.buckets) = (Vec::new(), Vec::new());
-                }
-            },
+            |a, b| (a.count, a.sum) = (a.count + b.count, a.sum + b.sum),
         );
+        for h in &mut self.histograms {
+            (h.bounds, h.buckets) = (Vec::new(), Vec::new());
+        }
         merge_by(
             &mut self.spans,
             &other.spans,
@@ -211,33 +203,6 @@ mod tests {
         let snap = snapshot();
         assert!(snap.spans.iter().any(|s| s.path == "test.lib.span"));
         assert!(snap.deterministic().spans.is_empty());
-    }
-
-    /// `taxo_serve::protocol` tests the merge of every family through
-    /// parsed `stats` replies, which carry no histogram buckets.
-    #[test]
-    fn merge_adds_buckets_only_over_shared_bounds() {
-        let hist = |bounds: Vec<u64>, buckets: Vec<u64>| MetricsSnapshot {
-            histograms: vec![HistogramSnapshot {
-                name: "h".into(),
-                count: buckets.iter().sum(),
-                sum: 7,
-                bounds,
-                buckets,
-            }],
-            ..MetricsSnapshot::default()
-        };
-        let mut merged = hist(vec![4], vec![1, 2]);
-        merged.merge(&hist(vec![4], vec![0, 1]));
-        let h = &merged.histograms[0];
-        assert_eq!((h.count, h.sum, &h.buckets[..]), (4, 14, &[1, 3][..]));
-        merged.merge(&hist(Vec::new(), Vec::new()));
-        let h = &merged.histograms[0];
-        assert_eq!((h.count, h.sum), (4, 21));
-        assert!(h.bounds.is_empty() && h.buckets.is_empty());
-        let mut copy = MetricsSnapshot::default();
-        copy.merge(&merged);
-        assert_eq!(copy, merged, "merging into nothing copies");
     }
 
     #[test]

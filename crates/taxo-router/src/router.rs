@@ -406,15 +406,8 @@ fn plain_line(kind: &str) -> String {
 fn kind_line(kind: &str, id: Option<u64>) -> String {
     let mut w = ObjWriter::new();
     w.str("kind", kind);
-    write_id(&mut w, id);
+    protocol::write_id(&mut w, id);
     w.finish()
-}
-
-fn write_id(w: &mut ObjWriter, id: Option<u64>) {
-    match id {
-        Some(id) => w.u64("id", id),
-        None => w.raw("id", "null"),
-    };
 }
 
 /// A JSON array of versions.
@@ -604,10 +597,11 @@ fn route_other(req: &Request, shared: &RouterShared, ups: &mut [Upstream]) -> (S
 
 /// One shard's partition of an ingest, as its `phase` line.
 fn partition_line(id: Option<u64>, phase: IngestPhase, records: &[&IngestRecord]) -> String {
-    let records = records
+    let records: Vec<_> = records
         .iter()
-        .map(|r| (r.query.as_str(), r.item.as_str(), r.count));
-    protocol::ingest_request(id, phase, records)
+        .map(|r| (r.query.as_str(), r.item.as_str(), r.count))
+        .collect();
+    protocol::ingest_request(id, phase, &records)
 }
 
 /// Routes one ingest. Records partition by owning shard; a single-shard
@@ -745,7 +739,7 @@ fn route_ingest(
     };
     let versions = version_array(committed.iter().map(|&(_, version)| version));
     let mut w = ObjWriter::new();
-    write_id(&mut w, id);
+    protocol::write_id(&mut w, id);
     w.bool("ok", true)
         .str("kind", "ingest")
         .u64("batch", max_field("batch"))
@@ -789,7 +783,7 @@ fn prepare_shard(
     line: &str,
     retries: usize,
 ) -> Result<(u64, Value), PrepareFailure> {
-    let commit = protocol::ingest_request(id, IngestPhase::Commit, []);
+    let commit = protocol::ingest_request::<&str>(id, IngestPhase::Commit, &[]);
     for _ in 0..=retries {
         match up.call(line) {
             Ok(reply) => {
@@ -851,7 +845,7 @@ fn prepare_shard(
 /// landed are indistinguishable on the wire, but the shard's published
 /// version answers which one happened.
 fn commit_shard(up: &mut Upstream, id: Option<u64>, version: u64, retries: usize) -> bool {
-    let commit = protocol::ingest_request(id, IngestPhase::Commit, []);
+    let commit = protocol::ingest_request::<&str>(id, IngestPhase::Commit, &[]);
     for attempt in 0..=retries {
         let outcome = up.call(&commit);
         match outcome {
@@ -939,7 +933,7 @@ fn fanout_health(id: Option<u64>, shared: &RouterShared, ups: &mut [Upstream]) -
     };
     counter!("serve.router.merged").inc();
     let mut w = ObjWriter::new();
-    write_id(&mut w, id);
+    protocol::write_id(&mut w, id);
     w.bool("ok", true)
         .str("kind", "health")
         .str("status", status)

@@ -377,7 +377,6 @@ impl Client {
     /// batch is applied).
     pub fn ingest(&mut self, records: &[(String, String, u64)]) -> std::io::Result<Reply> {
         let id = self.fresh_id();
-        let records = records.iter().map(|(q, i, c)| (q.as_str(), i.as_str(), *c));
         let line = protocol::ingest_request(Some(id), IngestPhase::Auto, records);
         let mut retry = 0u32;
         loop {

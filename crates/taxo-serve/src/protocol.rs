@@ -412,27 +412,26 @@ pub fn push_score_request(
 /// count)` each (without the frame terminator): members `kind`, `id`,
 /// `phase`, `records` in that order, with no `phase` member for
 /// [`IngestPhase::Auto`]. A `commit` sends its (empty) records too.
-pub fn ingest_request<'a>(
+pub fn ingest_request<S: AsRef<str>>(
     id: Option<u64>,
     phase: IngestPhase,
-    records: impl IntoIterator<Item = (&'a str, &'a str, u64)>,
+    records: &[(S, S, u64)],
 ) -> String {
     let mut arr = String::from("[");
-    for (i, (query, item, count)) in records.into_iter().enumerate() {
+    for (i, (query, item, count)) in records.iter().enumerate() {
         if i > 0 {
             arr.push(',');
         }
         let mut r = ObjWriter::new();
-        r.str("query", query).str("item", item).u64("count", count);
+        r.str("query", query.as_ref())
+            .str("item", item.as_ref())
+            .u64("count", *count);
         arr.push_str(&r.finish());
     }
     arr.push(']');
     let mut w = ObjWriter::new();
     w.str("kind", "ingest");
-    match id {
-        Some(id) => w.u64("id", id),
-        None => w.raw("id", "null"),
-    };
+    write_id(&mut w, id);
     if let Some(phase) = phase.as_str() {
         w.str("phase", phase);
     }
@@ -527,12 +526,18 @@ fn parse_tree(line: &str) -> Result<Request, String> {
     }
 }
 
-fn base(id: Option<u64>, ok: bool) -> ObjWriter {
-    let mut w = ObjWriter::new();
+/// Writes the `id` member: the number, or `null` when the request
+/// carried none.
+pub fn write_id(w: &mut ObjWriter, id: Option<u64>) {
     match id {
         Some(id) => w.u64("id", id),
         None => w.raw("id", "null"),
     };
+}
+
+fn base(id: Option<u64>, ok: bool) -> ObjWriter {
+    let mut w = ObjWriter::new();
+    write_id(&mut w, id);
     w.bool("ok", ok);
     w
 }
@@ -992,10 +997,7 @@ mod tests {
                         for epoch in [None, Some(0), Some(u64::MAX / 2)] {
                             let mut w = ObjWriter::new();
                             w.str("kind", "score");
-                            match id {
-                                Some(id) => w.u64("id", id),
-                                None => w.raw("id", "null"),
-                            };
+                            write_id(&mut w, id);
                             w.str("query", query);
                             if let Some(k) = k {
                                 w.u64("k", k as u64);
@@ -1050,19 +1052,34 @@ mod tests {
 
     #[test]
     fn two_phase_ingest_parses_and_renders() {
+        match parse_request(
+            r#"{"kind":"ingest","id":4,"phase":"prepare","records":[{"query":"a","item":"b"}]}"#,
+        )
+        .unwrap()
+        {
+            Request::Ingest { phase, records, .. } => {
+                assert_eq!(phase, IngestPhase::Prepare);
+                assert_eq!(records.len(), 1);
+            }
+            other => panic!("{other:?}"),
+        }
         // One encoder for every ingest line: an `Auto` request has no
         // `phase` member, and a `commit` carries empty records.
         let records = [("snack", "banana chips", 4), ("x", "say \"hi\"", 1)];
         assert_eq!(
-            ingest_request(Some(2), IngestPhase::Auto, records),
+            ingest_request(Some(2), IngestPhase::Auto, &records),
             r#"{"kind":"ingest","id":2,"records":[{"query":"snack","item":"banana chips","count":4},{"query":"x","item":"say \"hi\"","count":1}]}"#
         );
         assert_eq!(
-            ingest_request(None, IngestPhase::Commit, []),
+            ingest_request(Some(7), IngestPhase::Prepare, &records[..1]),
+            r#"{"kind":"ingest","id":7,"phase":"prepare","records":[{"query":"snack","item":"banana chips","count":4}]}"#
+        );
+        assert_eq!(
+            ingest_request::<&str>(None, IngestPhase::Commit, &[]),
             r#"{"kind":"ingest","id":null,"phase":"commit","records":[]}"#
         );
         for phase in [IngestPhase::Auto, IngestPhase::Prepare, IngestPhase::Commit] {
-            let line = ingest_request(Some(7), phase, records);
+            let line = ingest_request(Some(7), phase, &records);
             let Ok(Request::Ingest {
                 id,
                 records,
@@ -1129,14 +1146,16 @@ mod tests {
     }
 
     /// Fleet `stats` folds shard replies by name: counters, gauges,
-    /// histogram counts and sums, span counts and totals add, and span
-    /// maxima take the larger.
+    /// histogram counts and sums, span counts and totals add, span
+    /// maxima take the larger, and no histogram buckets survive.
     #[test]
     fn parsed_stats_replies_merge_by_name() {
         let a = r#"{"ok":true,"counters":{"a":1,"c":3},"gauges":{"g":-2},"histograms":{"h":{"count":1,"sum":4}},"spans":{"s":{"count":2,"total_ms":0.500,"max_ms":0.300}}}"#;
         let b = r#"{"ok":true,"counters":{"b":2,"c":4},"gauges":{"g":5},"histograms":{"h":{"count":2,"sum":6}},"spans":{"r":{"count":1,"total_ms":0.007,"max_ms":0.007},"s":{"count":1,"total_ms":0.900,"max_ms":0.900}}}"#;
         let mut merged = parse_stats(a).unwrap();
+        (merged.histograms[0].bounds, merged.histograms[0].buckets) = (vec![4], vec![0, 1]);
         merged.merge(&parse_stats(b).unwrap());
+        assert!(merged.histograms[0].buckets.is_empty() && merged.histograms[0].bounds.is_empty());
         assert_eq!(
             stats_response(None, Some(2), &merged),
             r#"{"id":null,"ok":true,"kind":"stats","shards":2,"counters":{"a":1,"b":2,"c":7},"gauges":{"g":3},"histograms":{"h":{"count":3,"sum":10}},"spans":{"r":{"count":1,"total_ms":0.007,"max_ms":0.007},"s":{"count":3,"total_ms":1.400,"max_ms":0.900}}}"#

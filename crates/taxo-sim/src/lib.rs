@@ -486,9 +486,8 @@ impl History {
         let mut lines = String::new();
         for (id, batch) in batches.iter().enumerate() {
             let records = wire(&self.vocab, batch);
-            let records = records.iter().map(|(q, i, c)| (q.as_str(), i.as_str(), *c));
             let id = Some(id as u64);
-            lines.push_str(&protocol::ingest_request(id, IngestPhase::Auto, records));
+            lines.push_str(&protocol::ingest_request(id, IngestPhase::Auto, &records));
             lines.push('\n');
         }
         let mut stream = TcpStream::connect(addr).expect("connect for a pipelined ingest");

@@ -37,8 +37,7 @@ fn a_promotion_meeting_a_held_prepare_is_refused_then_publishes_after_the_commit
 
     // A wire prepare: applied and durable at version 1, held unpublished.
     let records = wire(&fixture.vocab, batch);
-    let records = records.iter().map(|(q, i, c)| (q.as_str(), i.as_str(), *c));
-    let prepare = protocol::ingest_request(Some(1), IngestPhase::Prepare, records);
+    let prepare = protocol::ingest_request(Some(1), IngestPhase::Prepare, &records);
     let prepared = match client.call(&prepare, Some(1)) {
         Ok(Reply::Ok(v)) => v,
         other => panic!("the prepare must be held: {other:?}"),
@@ -71,7 +70,7 @@ fn a_promotion_meeting_a_held_prepare_is_refused_then_publishes_after_the_commit
 
     // The commit publishes the prepared batch; the same promotion then
     // publishes at the next version.
-    let commit = protocol::ingest_request(Some(2), IngestPhase::Commit, []);
+    let commit = protocol::ingest_request::<&str>(Some(2), IngestPhase::Commit, &[]);
     assert_eq!(
         history.ingest_acked(batch, client.call(&commit, Some(2))),
         Ack::Ok(vec![1])
