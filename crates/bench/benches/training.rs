@@ -57,18 +57,20 @@ fn bench_detector(c: &mut Criterion) {
 /// One step of each training loop of the serving pipeline
 /// ([`taxo_bench::serving_world`] at seed 42 under
 /// `PipelineConfig::tiny`): an MLM accumulation window (`accum`
-/// examples recorded in parallel, replayed in order, one Adam step), and
-/// the encoder work of one detector batch (`batch` pair forwards and
-/// backward records in the compute pool, the replays in order, the
-/// encoder's Adam step). Run under `TAXO_THREADS=1` and the default to
-/// see what the pool buys per step.
+/// examples recorded in one pool pass, then replayed and stepped in two
+/// parameter groups in a second), and one detector batch through
+/// [`DetectorTrainer::step`], the step `train_with_val` runs (each
+/// pair's forward, head row and backward record in one pool pass, then
+/// the encoder and the head replayed and stepped in a second), on the
+/// trained serving detector. Run under `TAXO_THREADS=1` and the default
+/// to see what the pool buys per step.
 fn bench_serving_training(c: &mut Criterion) {
-    use taxo_expand::relational::{PairCtx, PairGrads};
-    use taxo_expand::{construct_graph, generate_dataset, PipelineConfig, RelationalModel};
-    use taxo_nn::{parallel, Adam, MlmWindow};
+    use rand::SeedableRng;
+    use taxo_expand::{DetectorTrainer, PipelineConfig, RelationalModel};
+    use taxo_nn::{Adam, MlmWindow};
     use taxo_text::{CLS, MASK, SEP};
 
-    let (world, log, ugc) = taxo_bench::serving_world(42);
+    let (world, _, ugc) = taxo_bench::serving_world(42);
     let cfg = PipelineConfig::tiny(42);
     let mut rel = RelationalModel::vanilla(&world.vocab, &ugc.sentences, &cfg.relational);
 
@@ -105,39 +107,19 @@ fn bench_serving_training(c: &mut Criterion) {
         })
     });
 
-    let built = construct_graph(
-        &world.existing,
-        &world.vocab,
-        &log.records,
-        taxo_graph::WeightScheme::IfIqf,
-    );
-    let dataset = generate_dataset(&world.existing, &world.vocab, &built.pairs, &cfg.dataset);
-    let batch = cfg.detector.batch;
-    let mut pairs = vec![PairCtx::default(); batch];
-    let mut grads = vec![PairGrads::default(); batch];
-    let d_r: Vec<f32> = (0..rel.dim()).map(|c| 0.01 * (c as f32 - 3.0)).collect();
-    let mut adam_enc = Adam::new(cfg.detector.encoder_lr);
+    let (world, trained) = taxo_bench::serving_pipeline(42);
+    let (mut detector, train) = (trained.detector, trained.dataset.train);
+    let mut trainer = DetectorTrainer::new(&cfg.detector);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(cfg.detector.seed);
+    let mut rows = vec![0; cfg.detector.batch];
     let mut start = 0;
     c.bench_function("training/detector_batch", |bench| {
         bench.iter(|| {
-            let chunk: Vec<_> = (0..batch)
-                .map(|j| dataset.train[(start + j) % dataset.train.len()])
-                .collect();
-            start += batch;
-            {
-                let rel = &rel;
-                parallel::par_map_into(&mut pairs, |j, pair| {
-                    rel.forward_pair_into(&world.vocab, chunk[j].parent, chunk[j].child, pair);
-                });
-                let pairs = &pairs;
-                parallel::par_map_into(&mut grads, |j, g| {
-                    rel.backward_pair_into(&pairs[j], &d_r, g);
-                });
+            for (j, row) in rows.iter_mut().enumerate() {
+                *row = (start + j) % train.len();
             }
-            for (pair, g) in pairs.iter().zip(&grads) {
-                rel.replay_pair(pair, g);
-            }
-            adam_enc.step(&mut rel);
+            start += rows.len();
+            black_box(trainer.step(&mut detector, &world.vocab, &train, &rows, &mut rng))
         })
     });
 }

@@ -4,7 +4,9 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{RngExt, SeedableRng};
 use taxo_core::{ConceptId, Vocabulary};
-use taxo_nn::{losses, Adam, Matrix, Mlp, MlpCtx, MlpGrads};
+use taxo_nn::{
+    losses, parallel, Adam, Matrix, Mlp, MlpCtx, MlpGrads, Module, Param, ParamSnapshot,
+};
 use taxo_obs::counter;
 
 /// Configuration of the edge-classification head and its training loop
@@ -82,6 +84,250 @@ thread_local! {
 /// [`crate::QuantizedDetector::score`] reuse the same buffers.
 pub(crate) fn with_thread_scorer<R>(f: impl FnOnce(&mut crate::BatchScorer) -> R) -> R {
     SCORER.with(|s| f(&mut s.borrow_mut()))
+}
+
+/// One batch slot of detector training, reused for a whole training
+/// call: the pair's encoder context and backward record, and the pair's
+/// row of the head's step.
+#[derive(Debug, Clone, Default)]
+struct BatchSlot {
+    pair: PairCtx,
+    grads: PairGrads,
+    /// The edge row `e` (`1 × edge_dim`), dropout applied.
+    x: Matrix,
+    /// The head's context; its logits end as the loss gradient.
+    head: MlpCtx,
+    /// The head's σ′-scaled hidden gradient (`1 × mlp_hidden`).
+    d_hidden: Matrix,
+    /// The head's input gradient, dropout applied (`1 × edge_dim`).
+    dx: Matrix,
+    /// Log-probability of the pair's label.
+    log_p: f64,
+}
+
+/// The head's batch, stacked from the slots' rows for its weight-gradient
+/// records.
+#[derive(Debug, Clone, Default)]
+struct HeadBatch {
+    x: Matrix,
+    hidden: Matrix,
+    dlogits: Matrix,
+    d_hidden: Matrix,
+    grads: MlpGrads,
+}
+
+impl HeadBatch {
+    /// Stacks the slots' head rows in slot order and records the head's
+    /// weight gradients over them.
+    fn record(&mut self, mlp: &Mlp, slots: &[BatchSlot]) {
+        let (edge_dim, hidden) = (slots[0].x.cols(), slots[0].d_hidden.cols());
+        self.x
+            .stack_rows_from(edge_dim, slots.iter().map(|s| s.x.row(0)));
+        self.hidden
+            .stack_rows_from(hidden, slots.iter().map(|s| s.head.hidden().row(0)));
+        self.dlogits
+            .stack_rows_from(2, slots.iter().map(|s| s.head.logits().row(0)));
+        self.d_hidden
+            .stack_rows_from(hidden, slots.iter().map(|s| s.d_hidden.row(0)));
+        mlp.record_into(
+            &self.x,
+            &self.hidden,
+            &self.dlogits,
+            &self.d_hidden,
+            &mut self.grads,
+        );
+    }
+}
+
+/// One of a batch's two parameter groups, replayed and stepped as one
+/// pool chunk.
+enum ParamGroup<'a> {
+    /// The relational encoder, when it is fine-tuned.
+    Encoder(&'a mut RelationalModel, &'a mut Adam),
+    /// The MLP head and the structural model's position embeddings.
+    Head {
+        mlp: &'a mut Mlp,
+        structural: Option<&'a mut StructuralModel>,
+        batch: &'a mut HeadBatch,
+        adam_mlp: &'a mut Adam,
+        adam_pos: &'a mut Adam,
+    },
+}
+
+impl ParamGroup<'_> {
+    /// Replays the batch's records into this group's gradients, in slot
+    /// order, and steps its optimisers.
+    fn replay_and_step(&mut self, slots: &[BatchSlot], rel_dim: usize) {
+        match self {
+            ParamGroup::Encoder(rel, adam) => {
+                for slot in slots {
+                    rel.replay_pair(&slot.pair, &slot.grads);
+                }
+                adam.step(*rel);
+            }
+            ParamGroup::Head {
+                mlp,
+                structural,
+                batch,
+                adam_mlp,
+                adam_pos,
+            } => {
+                batch.record(mlp, slots);
+                mlp.replay(&batch.grads);
+                adam_mlp.step(*mlp);
+                if let Some(st) = structural {
+                    for slot in slots {
+                        st.backward_pair(&slot.dx.row(0)[rel_dim..]);
+                    }
+                    adam_pos.step(*st);
+                }
+            }
+        }
+    }
+}
+
+/// The reused state of one detector training call: a slot per
+/// batch position, the dropout mask, the head's batch, and the three
+/// optimisers (head, position embeddings, encoder).
+/// [`HypoDetector::train_with_val`] runs every batch through
+/// [`DetectorTrainer::step`].
+///
+/// A batch makes two passes over the compute pool. The first does all
+/// of one pair's work per slot, every step row-local: the pair forward
+/// and its edge row (dropout applied), the head's row forward and
+/// softmax cross-entropy row, the head's input gradient, and the
+/// encoder's backward record. The second replays and steps the two
+/// parameter groups, one chunk each: the relational encoder (every
+/// slot's record in slot order), and the head with the structural
+/// model (the head's weight-gradient records over the stacked batch
+/// rows, the position-embedding rows in slot order). Every row is bit
+/// for bit the batched pass's row, and every gradient receives the same
+/// adds in the same order, at any thread count.
+#[derive(Debug)]
+pub struct DetectorTrainer {
+    slots: Vec<BatchSlot>,
+    mask: Matrix,
+    head: HeadBatch,
+    adam_mlp: Adam,
+    adam_pos: Adam,
+    adam_enc: Adam,
+    input_dropout: f32,
+}
+
+impl DetectorTrainer {
+    /// Fresh optimisers and empty buffers for a training call under `cfg`.
+    pub fn new(cfg: &DetectorConfig) -> Self {
+        let adam = |lr: f32| Adam::new(lr).with_weight_decay(cfg.weight_decay);
+        DetectorTrainer {
+            slots: Vec::new(),
+            mask: Matrix::default(),
+            head: HeadBatch::default(),
+            adam_mlp: adam(cfg.lr),
+            adam_pos: adam(cfg.lr),
+            adam_enc: adam(cfg.encoder_lr),
+            input_dropout: cfg.input_dropout,
+        }
+    }
+
+    /// One optimiser step of `detector` on the batch `train[rows[j]]`,
+    /// drawing its dropout mask from `rng`; returns the batch's mean
+    /// loss. Once the slots have seen their longest pair templates, a
+    /// step allocates nothing.
+    pub fn step(
+        &mut self,
+        detector: &mut HypoDetector,
+        vocab: &Vocabulary,
+        train: &[LabeledPair],
+        rows: &[usize],
+        rng: &mut StdRng,
+    ) -> f32 {
+        counter!("train.detector.batches").inc();
+        let n = rows.len();
+        if self.slots.len() < n {
+            self.slots.resize_with(n, BatchSlot::default);
+        }
+        let slots = &mut self.slots[..n];
+        let edge_dim = detector.edge_dim();
+        let rel_dim = detector.relational.as_ref().map_or(0, |r| r.dim());
+        // Inverted dropout on the structural slice only (see the
+        // `input_dropout` doc); when there is no relational part, the
+        // whole feature vector is structural. The mask depends only on
+        // the batch's shape, so it is drawn before the pool pass, in the
+        // row-major order of the rng stream.
+        let dropout = self.input_dropout > 0.0 && rel_dim < edge_dim;
+        if dropout {
+            let keep = 1.0 - self.input_dropout;
+            self.mask.reset_for_overwrite(n, edge_dim);
+            for r in 0..n {
+                for (c, m) in self.mask.row_mut(r).iter_mut().enumerate() {
+                    *m = if c >= rel_dim
+                        && rng.random_range(0.0..1.0) < f64::from(self.input_dropout)
+                    {
+                        0.0
+                    } else if c >= rel_dim {
+                        1.0 / keep
+                    } else {
+                        1.0
+                    };
+                }
+            }
+        }
+        let scale = 1.0 / n as f32;
+        {
+            let (det, mask) = (&*detector, &self.mask);
+            let encoder = det.relational.as_ref().filter(|_| det.finetune_encoder);
+            let masked = |row: &mut [f32], j: usize| {
+                if dropout {
+                    for (a, &m) in row.iter_mut().zip(mask.row(j)) {
+                        *a *= m;
+                    }
+                }
+            };
+            parallel::par_map_into(slots, |j, slot| {
+                let p = &train[rows[j]];
+                if let Some(rel) = &det.relational {
+                    rel.forward_pair_into(vocab, p.parent, p.child, &mut slot.pair);
+                }
+                slot.x.reset(1, edge_dim);
+                det.fill_edge_row(&slot.pair, p.parent, p.child, slot.x.row_mut(0));
+                masked(slot.x.row_mut(0), j);
+                det.mlp.forward_ctx(&slot.x, &mut slot.head);
+                let dlogits = slot.head.logits_mut().row_mut(0);
+                slot.log_p = losses::softmax_xent_row(dlogits, usize::from(p.label), scale);
+                let head = &slot.head;
+                det.mlp
+                    .backward_input_into(head, head.logits(), &mut slot.d_hidden, &mut slot.dx);
+                masked(slot.dx.row_mut(0), j);
+                if let Some(rel) = encoder {
+                    rel.backward_pair_into(&slot.pair, &slot.dx.row(0)[..rel_dim], &mut slot.grads);
+                }
+            });
+        }
+        let mut loss = 0.0f64;
+        for slot in slots.iter() {
+            loss -= slot.log_p;
+        }
+
+        let slots = &*slots;
+        let mut head = ParamGroup::Head {
+            mlp: &mut detector.mlp,
+            structural: detector.structural.as_mut(),
+            batch: &mut self.head,
+            adam_mlp: &mut self.adam_mlp,
+            adam_pos: &mut self.adam_pos,
+        };
+        let finetune = detector.finetune_encoder;
+        match detector.relational.as_mut().filter(|_| finetune) {
+            Some(rel) => {
+                let mut groups = [ParamGroup::Encoder(rel, &mut self.adam_enc), head];
+                parallel::par_map_into(&mut groups, |_, group| {
+                    group.replay_and_step(slots, rel_dim);
+                });
+            }
+            None => head.replay_and_step(slots, rel_dim),
+        }
+        (loss / f64::from(n as f32)) as f32
+    }
 }
 
 /// The full hyponymy detection module (Section III-B): the relational
@@ -211,23 +457,13 @@ impl HypoDetector {
         cfg: &DetectorConfig,
     ) -> Vec<f32> {
         let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let mut adam_mlp = Adam::new(cfg.lr).with_weight_decay(cfg.weight_decay);
-        let mut adam_pos = Adam::new(cfg.lr).with_weight_decay(cfg.weight_decay);
-        let mut adam_enc = Adam::new(cfg.encoder_lr).with_weight_decay(cfg.weight_decay);
-        let mut best: Option<(f64, HypoDetector)> = None;
+        let mut trainer = DetectorTrainer::new(cfg);
+        // The best epoch's parameter values and Adam moments, saved into
+        // one reused buffer: the control plane fine-tunes the restored
+        // detector, so its moments must be the snapshot's too.
+        let (mut best, mut snapshot) = (None, ParamSnapshot::new());
         let mut order: Vec<usize> = (0..train.len()).collect();
         let mut epoch_losses = Vec::with_capacity(cfg.epochs);
-        let rel_dim = self.relational.as_ref().map_or(0, |r| r.dim());
-        // Reused for the whole call: one encoder context and one backward
-        // record per batch slot, the batch's feature rows, dropout mask
-        // and labels, the head's context, record and input gradient, and
-        // the validation scorers.
-        let mut pairs: Vec<PairCtx> = vec![PairCtx::default(); cfg.batch];
-        let mut grads: Vec<PairGrads> = vec![PairGrads::default(); cfg.batch];
-        let (mut x, mut mask) = (Matrix::default(), Matrix::default());
-        let mut labels: Vec<usize> = Vec::with_capacity(cfg.batch);
-        let (mut head, mut head_grads) = (MlpCtx::default(), MlpGrads::default());
-        let mut dx = Matrix::default();
         let scorers = crate::ScratchPool::new();
 
         for _ in 0..cfg.epochs {
@@ -236,92 +472,8 @@ impl HypoDetector {
             let mut total = 0.0f64;
             let mut batches = 0usize;
             for chunk in order.chunks(cfg.batch) {
-                // Data-parallel encoder forwards: `forward_pair_into` is
-                // pure (`&self`, no rng) and each batch slot owns its
-                // context, so the slots fill concurrently — thread-count
-                // invariant.
-                let pairs = &mut pairs[..chunk.len()];
-                {
-                    let rel = self.relational.as_ref();
-                    taxo_nn::parallel::par_map_into(pairs, |j, pair| {
-                        let p = &train[chunk[j]];
-                        if let Some(rel) = rel {
-                            rel.forward_pair_into(vocab, p.parent, p.child, pair);
-                        }
-                    });
-                }
-                x.reset(chunk.len(), self.edge_dim());
-                labels.clear();
-                for (j, pair) in pairs.iter().enumerate() {
-                    let p = &train[chunk[j]];
-                    self.fill_edge_row(pair, p.parent, p.child, x.row_mut(j));
-                    labels.push(usize::from(p.label));
-                }
-                // Inverted dropout on the structural slice only (see the
-                // `input_dropout` doc). When there is no relational part,
-                // the whole feature vector is structural.
-                let keep = 1.0 - cfg.input_dropout;
-                let dropout = cfg.input_dropout > 0.0 && rel_dim < x.cols();
-                if dropout {
-                    mask.reset_for_overwrite(x.rows(), x.cols());
-                    for r in 0..x.rows() {
-                        for (c, m) in mask.row_mut(r).iter_mut().enumerate() {
-                            *m = if c >= rel_dim
-                                && rng.random_range(0.0..1.0) < f64::from(cfg.input_dropout)
-                            {
-                                0.0
-                            } else if c >= rel_dim {
-                                1.0 / keep
-                            } else {
-                                1.0
-                            };
-                        }
-                    }
-                    x.hadamard_assign(&mask);
-                }
-                self.mlp.forward_ctx(&x, &mut head);
-                let loss = losses::softmax_xent_in_place(head.logits_mut(), &labels);
-                self.mlp
-                    .backward_into(&x, &head, head.logits(), &mut dx, &mut head_grads);
-                self.mlp.replay(&head_grads);
-                if dropout {
-                    dx.hadamard_assign(&mask);
-                }
-                total += loss as f64;
+                total += trainer.step(self, vocab, train, chunk, &mut rng) as f64;
                 batches += 1;
-                counter!("train.detector.batches").inc();
-
-                // Route gradients into the representation modules. The
-                // encoder backwards are data passes like the forwards, one
-                // record per slot; replaying the records in slot order
-                // adds to each gradient what backpropagating the pairs one
-                // by one would, in the same order.
-                if let (Some(rel), true) = (self.relational.as_mut(), self.finetune_encoder) {
-                    let grads = &mut grads[..chunk.len()];
-                    {
-                        let (rel, pairs, dx) = (&*rel, &*pairs, &dx);
-                        taxo_nn::parallel::par_map_into(grads, |j, g| {
-                            rel.backward_pair_into(&pairs[j], &dx.row(j)[..rel_dim], g);
-                        });
-                    }
-                    for (pair, g) in pairs.iter().zip(grads.iter()) {
-                        rel.replay_pair(pair, g);
-                    }
-                }
-                if let Some(st) = self.structural.as_mut() {
-                    for row in 0..chunk.len() {
-                        st.backward_pair(&dx.row(row)[rel_dim..]);
-                    }
-                }
-                adam_mlp.step(&mut self.mlp);
-                if let Some(st) = self.structural.as_mut() {
-                    adam_pos.step(st);
-                }
-                if self.finetune_encoder {
-                    if let Some(rel) = self.relational.as_mut() {
-                        adam_enc.step(rel);
-                    }
-                }
             }
             epoch_losses.push((total / batches.max(1) as f64) as f32);
             if !val.is_empty() {
@@ -330,13 +482,14 @@ impl HypoDetector {
                 // epochs tie on accuracy, and among tied snapshots the one
                 // with more optimiser steps generalises better (it has the
                 // same validation score at a lower training loss).
-                if best.as_ref().is_none_or(|(b, _)| acc >= *b) {
-                    best = Some((acc, self.clone()));
+                if best.is_none_or(|b| acc >= b) {
+                    best = Some(acc);
+                    snapshot.save(self);
                 }
             }
         }
-        if let Some((_, snapshot)) = best {
-            *self = snapshot;
+        if best.is_some() {
+            snapshot.restore(self);
         }
         epoch_losses
     }
@@ -367,6 +520,18 @@ impl HypoDetector {
             .filter(|(p, score)| (*score > 0.5) == p.label)
             .count();
         correct as f64 / pairs.len() as f64
+    }
+}
+
+impl Module for HypoDetector {
+    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
+        if let Some(rel) = &mut self.relational {
+            rel.visit_params(f);
+        }
+        if let Some(st) = &mut self.structural {
+            st.visit_params(f);
+        }
+        self.mlp.visit_params(f);
     }
 }
 

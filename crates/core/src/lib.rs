@@ -65,7 +65,7 @@ pub use taxo_obs as obs;
 pub use batch_scorer::{BatchScorer, ScoreBackend, ScratchPool};
 pub use calibration::threshold_for_precision;
 pub use classifier::EdgeClassifier;
-pub use detector::{DetectorConfig, HypoDetector};
+pub use detector::{DetectorConfig, DetectorTrainer, HypoDetector};
 pub use error_analysis::{analyze_errors, ErrorReport, KindBreakdown};
 pub use graph_construction::{
     candidates_by_query, collect_all_pairs, construct_graph, CandidatePair, ConstructionResult,

@@ -216,13 +216,26 @@ impl TransformerEncoder {
     /// position and segment scatters of the embedding gradient rows, one
     /// row per token in token order.
     pub fn replay(&mut self, ctx: &EncoderCtx, g: &EncoderGrads) {
-        self.final_ln.replay(&g.final_ln);
-        for (block, bg) in self.blocks.iter_mut().zip(&g.blocks) {
-            block.replay(bg);
-        }
-        self.tok.backward(ctx.ids.iter().copied(), &g.d);
-        self.pos.backward(0..ctx.ids.len() as u32, &g.d);
-        self.seg.backward(ctx.segments.iter().copied(), &g.d);
+        let (mut embeddings, mut blocks) = self.param_groups();
+        blocks.replay(g);
+        embeddings.replay(ctx, g);
+    }
+
+    /// Splits the parameters into their two disjoint groups, which a
+    /// training window replays and steps concurrently.
+    pub(crate) fn param_groups(&mut self) -> (EmbeddingParams<'_>, BlockParams<'_>) {
+        (
+            EmbeddingParams {
+                tok: &mut self.tok,
+                pos: &mut self.pos,
+                seg: &mut self.seg,
+                mlm_bias: &mut self.mlm_bias,
+            },
+            BlockParams {
+                blocks: &mut self.blocks,
+                final_ln: &mut self.final_ln,
+            },
+        )
     }
 
     /// Convenience: encode and return only the `[CLS]` (first-row) vector,
@@ -232,6 +245,63 @@ impl TransformerEncoder {
         let mut ctx = EncoderCtx::default();
         self.forward_ctx(ids, None, &mut ctx);
         ctx.hidden.row(0).to_vec()
+    }
+}
+
+/// The embedding side of an encoder's parameters: the token, position
+/// and segment tables, and the MLM head's bias (the head's weight is the
+/// token table).
+pub(crate) struct EmbeddingParams<'a> {
+    pub(crate) tok: &'a mut Embedding,
+    pos: &'a mut Embedding,
+    seg: &'a mut Embedding,
+    pub(crate) mlm_bias: &'a mut Param,
+}
+
+impl EmbeddingParams<'_> {
+    /// The embedding half of [`TransformerEncoder::replay`]: the token,
+    /// position and segment scatters of the recorded gradient rows, one
+    /// row per token in token order.
+    pub(crate) fn replay(&mut self, ctx: &EncoderCtx, g: &EncoderGrads) {
+        self.tok.backward(ctx.ids.iter().copied(), &g.d);
+        self.pos.backward(0..ctx.ids.len() as u32, &g.d);
+        self.seg.backward(ctx.segments.iter().copied(), &g.d);
+    }
+}
+
+impl Module for EmbeddingParams<'_> {
+    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
+        self.tok.visit_params(f);
+        self.pos.visit_params(f);
+        self.seg.visit_params(f);
+        f(self.mlm_bias);
+    }
+}
+
+/// The transformer side of an encoder's parameters: every block and the
+/// final LayerNorm.
+pub(crate) struct BlockParams<'a> {
+    blocks: &'a mut [TransformerBlock],
+    final_ln: &'a mut LayerNorm,
+}
+
+impl BlockParams<'_> {
+    /// The transformer half of [`TransformerEncoder::replay`]: the final
+    /// LayerNorm's and every block's recorded updates.
+    pub(crate) fn replay(&mut self, g: &EncoderGrads) {
+        self.final_ln.replay(&g.final_ln);
+        for (block, bg) in self.blocks.iter_mut().zip(&g.blocks) {
+            block.replay(bg);
+        }
+    }
+}
+
+impl Module for BlockParams<'_> {
+    fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
+        for block in self.blocks.iter_mut() {
+            block.visit_params(f);
+        }
+        self.final_ln.visit_params(f);
     }
 }
 

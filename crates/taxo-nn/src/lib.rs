@@ -71,8 +71,8 @@ pub use linear::Linear;
 pub use matrix::{softmax_in_place, Matrix};
 pub use mlm::{MlmCtx, MlmWindow};
 pub use mlp::{Mlp, MlpCtx};
-pub use optim::{Adam, Sgd};
-pub use param::{Module, Param};
+pub use optim::{Adam, AdamStep, Sgd};
+pub use param::{Module, Param, ParamSnapshot};
 pub use quant::{QuantEncoder, QuantLinear, QuantMatrix, QuantMlp};
 pub use scratch::{
     AttentionGrads, BlockGrads, BlockScratch, EncoderGrads, FeedForwardGrads, LayerNormGrads,

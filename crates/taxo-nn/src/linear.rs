@@ -39,8 +39,20 @@ impl Linear {
     /// `dx = dy · W` into `dx`. Reads only parameter values, so several
     /// examples can run concurrently, each into its own `g`.
     pub fn backward_into(&self, x: &Matrix, dy: &Matrix, dx: &mut Matrix, g: &mut LinearGrads) {
+        self.record_into(x, dy, g);
+        self.input_grad_into(dy, dx);
+    }
+
+    /// The weight side of [`Linear::backward_into`]: records `dW` and
+    /// `db` over all rows of `x` and `dy`.
+    pub fn record_into(&self, x: &Matrix, dy: &Matrix, g: &mut LinearGrads) {
         g.dw.matmul_tn_into(dy, x);
         g.db.sum_rows_into(dy);
+    }
+
+    /// The input side of [`Linear::backward_into`]: `dx = dy · W`, each
+    /// row from its own row of `dy` alone.
+    pub fn input_grad_into(&self, dy: &Matrix, dx: &mut Matrix) {
         dy.matmul_into(&self.w.value, dx);
     }
 

@@ -1,4 +1,4 @@
-use crate::Matrix;
+use crate::{softmax_in_place, Matrix};
 
 /// Mean softmax cross-entropy over rows of `logits` against integer
 /// `targets`. Returns the loss and overwrites `logits` with `dlogits`,
@@ -7,16 +7,25 @@ use crate::Matrix;
 pub fn softmax_xent_in_place(logits: &mut Matrix, targets: &[usize]) -> f32 {
     assert_eq!(logits.rows(), targets.len());
     let n = targets.len().max(1) as f32;
-    logits.softmax_rows();
     let mut loss = 0.0f64;
     for (r, &t) in targets.iter().enumerate() {
-        let row = logits.row_mut(r);
-        let p = row[t].max(1e-12);
-        loss -= (p as f64).ln();
-        row[t] -= 1.0;
+        loss -= softmax_xent_row(logits.row_mut(r), t, 1.0 / n);
     }
-    logits.scale(1.0 / n);
     (loss / n as f64) as f32
+}
+
+/// One row of [`softmax_xent_in_place`] for a batch whose mean factor is
+/// `scale` (`1/n`): overwrites `row` with its gradient and returns the
+/// log-probability of `target`, which the batch loss subtracts in row
+/// order from zero before dividing by `n`.
+pub fn softmax_xent_row(row: &mut [f32], target: usize, scale: f32) -> f64 {
+    softmax_in_place(row);
+    let p = row[target].max(1e-12);
+    row[target] -= 1.0;
+    for x in row.iter_mut() {
+        *x *= scale;
+    }
+    (p as f64).ln()
 }
 
 /// InfoNCE over a similarity matrix (Eq. 10 of the paper): for each anchor

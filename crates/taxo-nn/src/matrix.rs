@@ -187,6 +187,19 @@ impl Matrix {
         self.data.copy_from_slice(&other.data);
     }
 
+    /// Stacks `rows` (each `cols` long) into `self`, reshaped to one row
+    /// per slice via [`Matrix::reset_for_overwrite`].
+    pub fn stack_rows_from<'a>(
+        &mut self,
+        cols: usize,
+        rows: impl ExactSizeIterator<Item = &'a [f32]>,
+    ) {
+        self.reset_for_overwrite(rows.len(), cols);
+        for (r, src) in rows.enumerate() {
+            self.row_mut(r).copy_from_slice(src);
+        }
+    }
+
     /// Matrix product `self · other`.
     ///
     /// Row-parallel above `PAR_MIN_MACS` multiply-accumulates: each

@@ -13,15 +13,22 @@
 //! scatter into the same table: the order in which backpropagating the
 //! example in one pass accumulates them.
 //!
-//! An [`MlmWindow`] records a window's examples in one
-//! [`parallel::par_map_into`] against frozen parameters (each slot owns
-//! its context and record), replays the slots in example order and steps
-//! the optimiser. Every gradient therefore receives the same adds in the
-//! same order at any thread count — pretraining is bit-identical from
-//! `TAXO_THREADS=1` up — and, once warm, a window allocates nothing.
+//! An [`MlmWindow`] makes two passes over the compute pool. The first
+//! records a window's examples in one [`parallel::par_map_into`] against
+//! frozen parameters (each slot owns its context and record). The second
+//! replays the records and steps the optimiser in two disjoint parameter
+//! groups, one pool chunk each: the embedding side (the token, position
+//! and segment tables and the head's bias, which take the head product
+//! and the scatters) and the transformer side (the blocks and the final
+//! LayerNorm). Each group replays every slot in example order and steps
+//! under the same [`AdamStep`]. Every gradient therefore receives the
+//! same adds in the same order at any thread count, and every value the
+//! same update — pretraining is bit-identical from `TAXO_THREADS=1` up —
+//! and, once warm, a window allocates nothing.
 
+use crate::encoder::{BlockParams, EmbeddingParams};
 use crate::scratch::EncoderGrads;
-use crate::{losses, parallel, Adam, EncoderCtx, Matrix, TransformerEncoder};
+use crate::{losses, parallel, Adam, AdamStep, EncoderCtx, Matrix, TransformerEncoder};
 
 /// One MLM example's training state, reused from one example to the next.
 #[derive(Debug, Clone, Default)]
@@ -132,12 +139,9 @@ impl TransformerEncoder {
     /// token scatter lands in the same table after the product — the
     /// accumulation order of backpropagating the example in one pass.
     pub fn mlm_replay(&mut self, ctx: &MlmCtx) {
-        if ctx.positions.is_empty() {
-            return;
-        }
-        self.tok.table.grad.add_assign(&ctx.head);
-        self.mlm_bias.grad.add_assign(&ctx.bias);
-        self.replay(&ctx.enc, &ctx.grads);
+        let (embeddings, blocks) = self.param_groups();
+        ParamGroup::Embeddings(embeddings).replay(ctx);
+        ParamGroup::Blocks(blocks).replay(ctx);
     }
 
     /// Predicted distribution over the vocabulary at `position` of the
@@ -150,6 +154,44 @@ impl TransformerEncoder {
         self.mlm_logits_into(&row, &mut logits);
         logits.softmax_rows();
         logits.row(0).to_vec()
+    }
+}
+
+/// One of an encoder's two parameter groups, replayed and stepped as one
+/// pool chunk of [`MlmWindow::flush`].
+enum ParamGroup<'a> {
+    Embeddings(EmbeddingParams<'a>),
+    Blocks(BlockParams<'a>),
+}
+
+impl ParamGroup<'_> {
+    /// This group's share of [`TransformerEncoder::mlm_replay`]. The
+    /// embedding side adds the head product to the tied token table and
+    /// the bias sums, then the embedding scatters: on the token table
+    /// the product lands before the scatter, as in a one-pass backward.
+    fn replay(&mut self, ctx: &MlmCtx) {
+        if ctx.positions.is_empty() {
+            return;
+        }
+        match self {
+            ParamGroup::Embeddings(g) => {
+                g.tok.table.grad.add_assign(&ctx.head);
+                g.mlm_bias.grad.add_assign(&ctx.bias);
+                g.replay(&ctx.enc, &ctx.grads);
+            }
+            ParamGroup::Blocks(g) => g.replay(&ctx.grads),
+        }
+    }
+
+    /// Replays every slot in example order, then applies `step`.
+    fn replay_and_step(&mut self, slots: &[MlmSlot], step: &AdamStep) {
+        for slot in slots {
+            self.replay(&slot.ctx);
+        }
+        match self {
+            ParamGroup::Embeddings(g) => step.apply(g),
+            ParamGroup::Blocks(g) => step.apply(g),
+        }
     }
 }
 
@@ -203,14 +245,16 @@ impl MlmWindow {
         self.len += 1;
     }
 
-    /// Drains the window: every example's forward and backward in one
-    /// [`parallel::par_map_into`] (pure, against the frozen parameter
-    /// values, each into its slot's record), then the records replayed in
-    /// example order and one optimiser step. Returns the summed loss; a
-    /// no-op on an empty window. Within a window only the replays touch
-    /// gradients and only `adam.step` touches values, so the records
-    /// equal the sequential ones and every gradient receives the same
-    /// adds in the same order: results are thread-count invariant.
+    /// Drains the window in two pool passes: every example's forward and
+    /// backward in one [`parallel::par_map_into`] (pure, against the
+    /// frozen parameter values, each into its slot's record), then the
+    /// two parameter groups, each replaying every record in example
+    /// order and stepping under the window's one [`Adam::begin_step`].
+    /// Returns the summed loss; a no-op on an empty window. Within a
+    /// window only the replays touch gradients and only the step touches
+    /// values, so the records equal the sequential ones and every
+    /// gradient receives the same adds in the same order: results are
+    /// thread-count invariant.
     pub fn flush(&mut self, encoder: &mut TransformerEncoder, adam: &mut Adam) -> f64 {
         if self.len == 0 {
             return 0.0;
@@ -222,12 +266,20 @@ impl MlmWindow {
                 slot.loss = enc.mlm_record(&slot.masked, &slot.targets, &mut slot.ctx);
             });
         }
+        let slots = &*slots;
+        let step = adam.begin_step();
+        let (embeddings, blocks) = encoder.param_groups();
+        let mut groups = [
+            ParamGroup::Embeddings(embeddings),
+            ParamGroup::Blocks(blocks),
+        ];
+        parallel::par_map_into(&mut groups, |_, group| {
+            group.replay_and_step(slots, &step);
+        });
         let mut total = 0.0f64;
-        for slot in slots.iter() {
+        for slot in slots {
             total += f64::from(slot.loss);
-            encoder.mlm_replay(&slot.ctx);
         }
-        adam.step(encoder);
         self.len = 0;
         total
     }

@@ -29,6 +29,11 @@ pub struct MlpCtx {
 }
 
 impl MlpCtx {
+    /// The sigmoid hidden activations of the last [`Mlp::forward_ctx`].
+    pub fn hidden(&self) -> &Matrix {
+        &self.hidden
+    }
+
     /// The logits of the last [`Mlp::forward_ctx`].
     pub fn logits(&self) -> &Matrix {
         &self.logits
@@ -96,12 +101,43 @@ impl Mlp {
         dx: &mut Matrix,
         g: &mut MlpGrads,
     ) {
-        self.lin2
-            .backward_into(&ctx.hidden, dlogits, &mut g.d_hidden, &mut g.lin2);
-        for (d, &h) in g.d_hidden.data_mut().iter_mut().zip(ctx.hidden.data()) {
+        self.backward_input_into(ctx, dlogits, &mut g.d_hidden, dx);
+        self.lin2.record_into(&ctx.hidden, dlogits, &mut g.lin2);
+        self.lin1.record_into(x, &g.d_hidden, &mut g.lin1);
+    }
+
+    /// The input side of [`Mlp::backward_into`]: the hidden-layer
+    /// gradient, scaled by σ′ (into `d_hidden`), and dx. Every row comes
+    /// from its own rows of `ctx` and `dlogits` alone, so a batch can run
+    /// row by row, on any threads, with the batched pass's bits.
+    pub fn backward_input_into(
+        &self,
+        ctx: &MlpCtx,
+        dlogits: &Matrix,
+        d_hidden: &mut Matrix,
+        dx: &mut Matrix,
+    ) {
+        self.lin2.input_grad_into(dlogits, d_hidden);
+        for (d, &h) in d_hidden.data_mut().iter_mut().zip(ctx.hidden.data()) {
             *d *= sigmoid_grad_from_output(h);
         }
-        self.lin1.backward_into(x, &g.d_hidden, dx, &mut g.lin1);
+        self.lin1.input_grad_into(d_hidden, dx);
+    }
+
+    /// The weight side of [`Mlp::backward_into`] over a whole batch: the
+    /// forward input `x`, the hidden activations, the logit gradient and
+    /// the σ′-scaled hidden gradient ([`Mlp::backward_input_into`]),
+    /// stacked in row order. Records both layers' updates in `g`.
+    pub fn record_into(
+        &self,
+        x: &Matrix,
+        hidden: &Matrix,
+        dlogits: &Matrix,
+        d_hidden: &Matrix,
+        g: &mut MlpGrads,
+    ) {
+        self.lin2.record_into(hidden, dlogits, &mut g.lin2);
+        self.lin1.record_into(x, d_hidden, &mut g.lin1);
     }
 
     /// Replays a recorded backward into both layers' gradients.

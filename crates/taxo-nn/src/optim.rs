@@ -34,12 +34,60 @@ impl Adam {
     /// Applies one update to every parameter of `module` and clears the
     /// gradients.
     pub fn step(&mut self, module: &mut dyn Module) {
+        self.begin_step().apply(module);
+    }
+
+    /// Takes one step, counted as one `nn.optim.steps`, and returns its
+    /// update rule for the caller to apply to every parameter of the
+    /// module, in any grouping and on any thread: Adam is elementwise,
+    /// so applying it to disjoint parameter groups (each group once)
+    /// updates every value exactly as [`Adam::step`] does.
+    pub fn begin_step(&mut self) -> AdamStep {
         taxo_obs::counter!("nn.optim.steps").inc();
         self.t += 1;
         let t = self.t as f32;
-        let bc1 = 1.0 - self.beta1.powf(t);
-        let bc2 = 1.0 - self.beta2.powf(t);
-        let (lr, b1, b2, eps, wd) = (self.lr, self.beta1, self.beta2, self.eps, self.weight_decay);
+        AdamStep {
+            lr: self.lr,
+            b1: self.beta1,
+            b2: self.beta2,
+            eps: self.eps,
+            wd: self.weight_decay,
+            bc1: 1.0 - self.beta1.powf(t),
+            bc2: 1.0 - self.beta2.powf(t),
+        }
+    }
+
+    /// Steps taken so far.
+    pub fn steps(&self) -> u64 {
+        self.t
+    }
+}
+
+/// One [`Adam`] step's update rule: the hyper-parameters and the step's
+/// bias corrections.
+#[derive(Debug, Clone, Copy)]
+pub struct AdamStep {
+    lr: f32,
+    b1: f32,
+    b2: f32,
+    eps: f32,
+    wd: f32,
+    bc1: f32,
+    bc2: f32,
+}
+
+impl AdamStep {
+    /// Updates every parameter of `module` and clears its gradients.
+    pub fn apply(&self, module: &mut dyn Module) {
+        let AdamStep {
+            lr,
+            b1,
+            b2,
+            eps,
+            wd,
+            bc1,
+            bc2,
+        } = *self;
         module.visit_params(&mut |p: &mut Param| {
             let moments = p.m.data_mut().iter_mut().zip(p.v.data_mut());
             let params = p.value.data_mut().iter_mut().zip(p.grad.data_mut());
@@ -53,11 +101,6 @@ impl Adam {
                 *grad = 0.0;
             }
         });
-    }
-
-    /// Steps taken so far.
-    pub fn steps(&self) -> u64 {
-        self.t
     }
 }
 

@@ -31,27 +31,36 @@
 //! [`crate::scratch`]): an MLM window or a detector batch runs each
 //! example's forward and backward in one [`par_map_into`] as a pure data
 //! pass against frozen parameters, writing the example's parameter-
-//! gradient updates into its slot's record, and the caller then replays
-//! the records in example order — the `+=` updates, each value as
-//! computed, that the sequential loop would have made — before the
-//! optimiser steps. How the slots were split into chunks never reaches a
-//! gradient, so training is bit-identical at any thread count.
+//! gradient updates into its slot's record. A second [`par_map_into`]
+//! over disjoint parameter groups then replays the records into each
+//! group in example order — the `+=` updates, each value as computed,
+//! that the sequential loop would have made — and steps the group's
+//! optimiser. How the slots and groups were split into chunks never
+//! reaches a gradient, so training is bit-identical at any thread count.
 //!
 //! # The compute pool
 //!
 //! Chunks run on one process-wide pool of `threads() − 1` workers,
 //! started by the first parallel call and grown when [`set_threads`]
-//! raises the count (surplus workers stay parked when it falls). Workers
-//! park on a condvar between calls and never spin; a sequential run
-//! (`TAXO_THREADS=1`) never starts one. A call splits its work into the
-//! same chunks at any pool state, queues every chunk but the first, runs
-//! the first on the calling thread, then runs any of its queued chunks no
-//! worker has taken yet before it waits for the rest. A caller therefore
-//! only ever waits on chunks another thread is running: nested calls (an
-//! eval fan-out whose units train models that call [`par_map`]) cannot
-//! deadlock, and a worker that wakes late costs no more than running
-//! sequentially. A panic in any chunk re-raises on the caller once every
-//! chunk of the call has finished.
+//! raises the count (surplus workers stay parked when it falls); a
+//! sequential run (`TAXO_THREADS=1`) never starts one. A call splits its
+//! work into the same chunks at any pool state, queues every chunk but
+//! the first, runs the first on the calling thread, then runs any of its
+//! queued chunks no worker has taken yet before it waits for the rest. A
+//! caller therefore only ever waits on chunks another thread is running:
+//! nested calls (an eval fan-out whose units train models that call
+//! [`par_map`]) cannot deadlock, and a worker that wakes late costs no
+//! more than running sequentially. A panic in any chunk re-raises on the
+//! caller once every chunk of the call has finished.
+//!
+//! A training loop calls the pool every few tens of microseconds, and a
+//! futex wake-up costs about as much as a chunk's work. So a worker that
+//! finishes a chunk, and a caller waiting on its chunks, first poll for
+//! a short fixed time (`POLL`) and only then park on a condvar or the
+//! thread's park token; a call that finds a worker polling makes no
+//! futex call. Every polling round yields the CPU, so a poll beside a
+//! busy thread (two processes training on two cores) gives way at once.
+//! A pool that gets no call for longer than `POLL` sleeps.
 
 use std::any::Any;
 use std::collections::VecDeque;
@@ -59,6 +68,7 @@ use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::{self, Thread};
+use std::time::{Duration, Instant};
 
 /// Resolved thread count; 0 means "not yet initialised".
 static THREADS: AtomicUsize = AtomicUsize::new(0);
@@ -223,8 +233,14 @@ impl Latch {
         }
     }
 
+    /// Returns once every queued chunk has finished: polls `pending`
+    /// for up to `POLL`, then parks until the last count-down unparks.
     fn wait(&self) {
-        while self.pending.load(Ordering::Acquire) != 0 {
+        let done = || self.pending.load(Ordering::Acquire) == 0;
+        if poll(done) {
+            return;
+        }
+        while !done() {
             thread::park();
         }
     }
@@ -246,23 +262,62 @@ impl Task {
     }
 }
 
+/// How long a worker that finished a chunk, and a caller waiting on its
+/// queued chunks, poll before they park: longer than the 15–50 µs a
+/// training loop spends between two pool calls, far shorter than any
+/// pause of a server's.
+const POLL: Duration = Duration::from_micros(100);
+
+/// `spin_loop` hints per polling round, between two `yield_now` calls.
+const SPINS: usize = 8;
+
+/// Polls `done` until it holds (returning `true`) or `POLL` has passed
+/// (`false`). Every round yields the CPU, so a poll never holds a core
+/// another runnable thread could use.
+fn poll(done: impl Fn() -> bool) -> bool {
+    let start = Instant::now();
+    loop {
+        if done() {
+            return true;
+        }
+        if start.elapsed() >= POLL {
+            return false;
+        }
+        for _ in 0..SPINS {
+            std::hint::spin_loop();
+        }
+        thread::yield_now();
+    }
+}
+
 struct Pool {
     state: Mutex<PoolState>,
-    /// Signalled once per queued chunk; idle workers park here.
+    /// Idle workers park here once their poll runs out; signalled for
+    /// queued chunks only while one is parked.
     ready: Condvar,
+    /// The queue's length, stored under the lock and read without it by
+    /// polling workers.
+    queued: AtomicUsize,
 }
 
 struct PoolState {
     queue: VecDeque<Task>,
     workers: usize,
+    /// Workers waiting on `ready`. A worker counts itself under the lock
+    /// it then waits with, so a `submit` that queues after the worker
+    /// found the queue empty sees the count and signals: no wake-up is
+    /// lost.
+    parked: usize,
 }
 
 static POOL: Pool = Pool {
     state: Mutex::new(PoolState {
         queue: VecDeque::new(),
         workers: 0,
+        parked: 0,
     }),
     ready: Condvar::new(),
+    queued: AtomicUsize::new(0),
 };
 
 /// Locks a mutex, ignoring poisoning: nothing panics while holding the
@@ -300,8 +355,12 @@ impl Pool {
                 chunk,
             });
         }
+        self.queued.store(state.queue.len(), Ordering::Relaxed);
+        // A polling worker sees `queued` by itself; only parked ones need
+        // a signal.
+        let wake = state.parked.min(chunks - 1);
         drop(state);
-        for _ in 1..chunks {
+        for _ in 0..wake {
             self.ready.notify_one();
         }
     }
@@ -318,20 +377,28 @@ impl Pool {
                 i += 1;
             }
         }
+        self.queued.store(state.queue.len(), Ordering::Relaxed);
         mine
     }
 
-    /// A worker: runs queued chunks, parking while the queue is empty.
+    /// A worker: runs queued chunks; after each, polls for the next one
+    /// before it parks on `ready` while the queue is empty.
     fn work(&self) {
         let mut state = lock(&self.state);
         loop {
             match state.queue.pop_front() {
                 Some(task) => {
+                    self.queued.store(state.queue.len(), Ordering::Relaxed);
                     drop(state);
                     task.execute();
+                    poll(|| self.queued.load(Ordering::Relaxed) != 0);
                     state = lock(&self.state);
                 }
-                None => state = self.ready.wait(state).unwrap_or_else(|e| e.into_inner()),
+                None => {
+                    state.parked += 1;
+                    state = self.ready.wait(state).unwrap_or_else(|e| e.into_inner());
+                    state.parked -= 1;
+                }
             }
         }
     }
@@ -353,8 +420,9 @@ fn run_chunks(chunks: usize, run: &(dyn Fn(usize) + Sync)) {
     // a chunk raises, each queued task is either taken back by
     // `reclaim` and run here or popped by exactly one worker and run
     // there, and a worker touches only the `Arc`'d latch after its
-    // chunk returns. `wait` returns only once `pending`, counted down
-    // after each queued chunk finishes, reaches zero.
+    // chunk returns. `wait`, whether it returns from its poll or after
+    // parking, returns only once an `Acquire` load reads `pending`,
+    // counted down after each queued chunk finishes, at zero.
     let erased = unsafe {
         std::mem::transmute::<&(dyn Fn(usize) + Sync), &'static (dyn Fn(usize) + Sync)>(run)
     };

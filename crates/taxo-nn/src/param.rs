@@ -91,6 +91,46 @@ pub trait Module {
     }
 }
 
+/// A copy of every parameter value and both Adam moments of a module, in
+/// [`Module::visit_params`] order, kept in one reused buffer: training
+/// that restores its best epoch saves into it as often as it likes and
+/// allocates only the first time. Gradients are not kept.
+#[derive(Debug, Clone, Default)]
+pub struct ParamSnapshot {
+    words: Vec<f32>,
+}
+
+impl ParamSnapshot {
+    /// An empty snapshot.
+    pub fn new() -> Self {
+        ParamSnapshot::default()
+    }
+
+    /// Replaces the snapshot with `module`'s values and moments.
+    pub fn save(&mut self, module: &mut dyn Module) {
+        self.words.clear();
+        module.visit_params(&mut |p: &mut Param| {
+            for m in [&p.value, &p.m, &p.v] {
+                self.words.extend_from_slice(m.data());
+            }
+        });
+    }
+
+    /// Writes the saved values and moments back into `module`, which
+    /// must have the parameter shapes it was saved from.
+    pub fn restore(&self, module: &mut dyn Module) {
+        let mut at = 0;
+        module.visit_params(&mut |p: &mut Param| {
+            for m in [&mut p.value, &mut p.m, &mut p.v] {
+                let n = m.data().len();
+                m.data_mut().copy_from_slice(&self.words[at..at + n]);
+                at += n;
+            }
+        });
+        assert_eq!(at, self.words.len(), "snapshot restored into another shape");
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -129,6 +169,36 @@ mod tests {
         p.grad = Matrix::from_vec(2, 2, vec![1.0; 4]);
         p.zero_grad();
         assert!(p.grad.data().iter().all(|&x| x == 0.0));
+    }
+
+    /// A restored snapshot brings back values and moments; later saves
+    /// reuse the buffer.
+    #[test]
+    fn snapshot_restores_values_and_moments() {
+        struct Two(Param, Param);
+        impl Module for Two {
+            fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
+                f(&mut self.0);
+                f(&mut self.1);
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(2);
+        let mut module = Two(Param::xavier(2, 3, &mut rng), Param::zeros(1, 3));
+        let mut adam = crate::Adam::new(0.1);
+        module.0.grad = Matrix::from_fn(2, 3, |r, c| (r + c) as f32 - 1.5);
+        adam.step(&mut module);
+        let want = (module.0.clone(), module.1.clone());
+        let mut snapshot = ParamSnapshot::new();
+        snapshot.save(&mut module);
+        module.0.grad = Matrix::from_fn(2, 3, |r, c| (r * c) as f32 + 0.5);
+        module.1.grad = Matrix::from_vec(1, 3, vec![1.0, -1.0, 2.0]);
+        adam.step(&mut module);
+        snapshot.restore(&mut module);
+        for (got, want) in [(&module.0, &want.0), (&module.1, &want.1)] {
+            assert_eq!(got.value, want.value);
+            assert_eq!(got.m, want.m);
+            assert_eq!(got.v, want.v);
+        }
     }
 
     #[test]

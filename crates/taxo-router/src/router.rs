@@ -299,16 +299,12 @@ impl RouterBuilder {
                     format!("shard {shard} health probe failed: {e}"),
                 ))
             })?;
-            let version = json::parse(&line)
-                .ok()
-                .filter(|v| v.get("ok") == Some(&Value::Bool(true)))
-                .and_then(|v| v.get("version").and_then(Value::as_u64))
-                .ok_or_else(|| {
-                    RouterError::Io(std::io::Error::new(
-                        ErrorKind::InvalidData,
-                        format!("shard {shard} health probe returned {line:?}"),
-                    ))
-                })?;
+            let version = ok_version(&line).ok_or_else(|| {
+                RouterError::Io(std::io::Error::new(
+                    ErrorKind::InvalidData,
+                    format!("shard {shard} health probe returned {line:?}"),
+                ))
+            })?;
             initial.push(version);
         }
 
@@ -422,6 +418,18 @@ fn parse_ok(line: &str) -> Option<Value> {
     json::parse(line)
         .ok()
         .filter(|v| v.get("ok") == Some(&Value::Bool(true)))
+}
+
+/// The `version` of an `ok:true` response.
+fn ok_version(line: &str) -> Option<u64> {
+    parse_ok(line).and_then(|v| v.get("version").and_then(Value::as_u64))
+}
+
+/// Whether a shard refused a request with `prepare_pending`: it holds a
+/// prepared snapshot that an earlier two-phase ingest never committed.
+fn prepare_pending(line: &str) -> bool {
+    json::parse(line)
+        .is_ok_and(|v| v.get("error").and_then(Value::as_str) == Some("prepare_pending"))
 }
 
 /// The current version a shard reports in a `stale_epoch` rejection.
@@ -632,15 +640,26 @@ fn route_ingest(
         // Pre-flight: a failed health ping resets a stale connection (a
         // restarted shard, an idle drop) so the non-retryable ingest
         // below starts on a fresh one instead of dying on the reset.
-        if ups[shard as usize].call(&plain_line("health")).is_err() {
+        let up = &mut ups[shard as usize];
+        if up.call(&plain_line("health")).is_err() {
             counter!("serve.router.shard_retries").inc();
         }
-        return match ups[shard as usize].call(&line) {
+        let mut reply = up.call(&line);
+        if reply.as_deref().is_ok_and(prepare_pending) {
+            // A prepare an earlier swap left uncommitted: commit it as
+            // `prepare_shard` does (acked history is a prefix of it),
+            // adopt its version, and resend the batch once. The refused
+            // batch consumed no version, so it cannot apply twice.
+            let commit = protocol::ingest_request::<&str>(id, IngestPhase::Commit, &[]);
+            if let Some(version) = up.call(&commit).ok().as_deref().and_then(ok_version) {
+                shared.vector.update_if_newer(shard as usize, version);
+            }
+            reply = up.call(&line);
+        }
+        return match reply {
             Ok(reply) => {
-                if let Some(v) = parse_ok(&reply) {
-                    if let Some(version) = v.get("version").and_then(Value::as_u64) {
-                        shared.vector.update_if_newer(shard as usize, version);
-                    }
+                if let Some(version) = ok_version(&reply) {
+                    shared.vector.update_if_newer(shard as usize, version);
                 }
                 reply
             }
@@ -794,10 +813,7 @@ fn prepare_shard(
                 }) {
                     return Ok((version, v));
                 }
-                let code = json::parse(&reply)
-                    .ok()
-                    .and_then(|v| v.get("error").and_then(Value::as_str).map(str::to_owned));
-                if code.as_deref() == Some("prepare_pending") {
+                if prepare_pending(&reply) {
                     let _ = up.call(&commit);
                     continue;
                 }
@@ -810,9 +826,7 @@ fn prepare_shard(
                 counter!("serve.router.shard_retries").inc();
                 match up.call(&commit) {
                     Ok(reply) => {
-                        if let Some(version) =
-                            parse_ok(&reply).and_then(|v| v.get("version").and_then(Value::as_u64))
-                        {
+                        if let Some(version) = ok_version(&reply) {
                             // The lost prepare had landed; the probe
                             // committed it.
                             return Err(PrepareFailure {
@@ -876,9 +890,7 @@ fn commit_shard(up: &mut Upstream, id: Option<u64>, version: u64, retries: usize
 
 fn shard_version_at_least(up: &mut Upstream, version: u64) -> bool {
     match up.call(&plain_line("health")) {
-        Ok(line) => parse_ok(&line)
-            .and_then(|v| v.get("version").and_then(Value::as_u64))
-            .is_some_and(|v| v >= version),
+        Ok(line) => ok_version(&line).is_some_and(|v| v >= version),
         Err(_) => false,
     }
 }

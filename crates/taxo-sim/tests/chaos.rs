@@ -250,48 +250,30 @@ fn shard_crash_mid_burst_recovers_exactly_once_and_bit_identical() {
     assert_eq!(summary.versions, [report.final_version + 6, 9]);
 }
 
-/// A wedged ingest prepare, cleared by the next routed ingest. Two
-/// clean swaps commit at `[1,1]` and `[2,2]`. In the third, the commit
-/// frame to shard 1 is lost (write hit 4: the two prepares and shard
-/// 0's commit pass) and every reconnect is refused, so the router gives
-/// up with `partial_ingest`: shard 0 published version 3, and shard 1
-/// holds its prepared version 3 unpublished. The history records that
-/// ingest as lost.
-///
-/// * The held prepare does not leak: shard 1 keeps serving version 2.
-/// * The next routed ingest clears the wedge through the router's
-///   commit probe — shard 1 answers `prepare_pending`, the probe
-///   publishes its version 3, the retried prepare lands — and commits
-///   one uniform version, `[4,4]`.
-/// * Bursts before the wedge and after the heal carry one version per
-///   shard, and once the lost ingest is settled as applied at `[3,3]`
-///   the checker holds every response to the model.
-#[test]
-fn wedged_ingest_prepare_is_cleared_by_the_next_routed_ingest() {
-    let fixture = Fixture::new(SEED);
-    let fleet = durable_fleet(&fixture);
-    let batches = spanning_batches(&fleet, 4);
+/// Wedges shard 1 of a routed WAL fleet whose ingests go through
+/// `ingester`. Two clean swaps commit at `[1,1]` and `[2,2]`. In the
+/// third (`batches[2]`), the commit frame to shard 1 is lost (write hit
+/// 4: the two prepares and shard 0's commit pass) and every reconnect is
+/// refused, so the router gives up with `partial_ingest`: shard 0
+/// published version 3, and shard 1 holds its prepared version 3
+/// unpublished. The history records that ingest as lost. Bursts before
+/// the wedge carry one version, and the held prepare does not leak:
+/// shard 1 keeps serving version 2.
+fn wedge_shard_1(fleet: &Fleet, ingester: &mut Client, batches: &[Vec<ClickRecord>]) {
     let (q0, q1) = (fleet.query_on(0), fleet.query_on(1));
     let history = fleet.history();
     let (ctl0, ctl1) = (fleet.shard(0).controller(), fleet.shard(1).controller());
-
-    // Every ingest goes through one client connection, so its router
-    // thread keeps both shard connections open: until a write fails, no
-    // swap below reconnects.
-    let mut ingester = Client::connect(fleet.addr()).unwrap();
     for (j, batch) in batches.iter().take(2).enumerate() {
         assert_eq!(
-            history.ingest(&mut ingester, batch),
+            history.ingest(ingester, batch),
             Ack::Ok(vec![j as u64 + 1; 2]),
             "ingest burst {j} must commit one uniform version"
         );
     }
     let mut burst_client = Client::connect(fleet.addr()).unwrap();
-    let mut burst = || -> Vec<Option<u64>> {
-        let served = history.burst(&mut burst_client, &[q0, q1]);
-        served.iter().map(|s| s.ok().map(|(v, _)| v)).collect()
-    };
-    assert_eq!(burst(), [Some(2), Some(2)]);
+    let served = history.burst(&mut burst_client, &[q0, q1]);
+    let versions: Vec<_> = served.iter().map(|s| s.ok().map(|(v, _)| v)).collect();
+    assert_eq!(versions, [Some(2), Some(2)]);
 
     // The wedge: shard 1's commit frame is lost, and so is every retry
     // and health probe, because no reconnect succeeds.
@@ -301,7 +283,7 @@ fn wedged_ingest_prepare_is_cleared_by_the_next_routed_ingest() {
         )
         .unwrap(),
     );
-    let ack = history.ingest(&mut ingester, &batches[2]);
+    let ack = history.ingest(ingester, &batches[2]);
     taxo_fault::disarm();
     assert!(
         matches!(&ack, Ack::Lost(reply) if reply.contains("partial_ingest")),
@@ -319,6 +301,37 @@ fn wedged_ingest_prepare_is_cleared_by_the_next_routed_ingest() {
             "a held prepare must stay unpublished"
         );
     }
+}
+
+/// A wedged ingest prepare (see `wedge_shard_1`), cleared by the next
+/// routed ingest that spans both shards.
+///
+/// * The next routed ingest clears the wedge through the router's
+///   commit probe — shard 1 answers `prepare_pending`, the probe
+///   publishes its version 3, the retried prepare lands — and commits
+///   one uniform version, `[4,4]`.
+/// * Bursts after the heal carry one version per shard, and once the
+///   lost ingest is settled as applied at `[3,3]` the checker holds
+///   every response to the model.
+#[test]
+fn wedged_ingest_prepare_is_cleared_by_the_next_routed_ingest() {
+    let fixture = Fixture::new(SEED);
+    let fleet = durable_fleet(&fixture);
+    let batches = spanning_batches(&fleet, 4);
+    let (q0, q1) = (fleet.query_on(0), fleet.query_on(1));
+    let history = fleet.history();
+
+    // Every ingest goes through one client connection, so its router
+    // thread keeps both shard connections open: until a write fails, no
+    // swap below reconnects.
+    let mut ingester = Client::connect(fleet.addr()).unwrap();
+    wedge_shard_1(&fleet, &mut ingester, &batches);
+    let mut burst_client = Client::connect(fleet.addr()).unwrap();
+    let mut burst = || -> Vec<Option<u64>> {
+        let served = history.burst(&mut burst_client, &[q0, q1]);
+        served.iter().map(|s| s.ok().map(|(v, _)| v)).collect()
+    };
+    let mut client = Client::connect(fleet.addr()).unwrap();
 
     // The heal: shard 1 refuses the prepare with `prepare_pending`, the
     // router's commit probe publishes the held version 3, the retried
@@ -342,4 +355,52 @@ fn wedged_ingest_prepare_is_cleared_by_the_next_routed_ingest() {
     // probe published shard 1's at 3.
     history.settle(Some(vec![3, 3]));
     assert_eq!(fleet.check().versions, [4, 4]);
+}
+
+/// The same wedge, cleared by a routed ingest whose records all hash to
+/// the wedged shard: the router sends it to shard 1 alone, which refuses
+/// it with `prepare_pending`; the router commits the held version 3
+/// through the same probe, adopts it, and resends the batch, which
+/// publishes at 4. Once the lost ingest is settled as applied at
+/// `[3,3]`, the checker holds every response to the model.
+#[test]
+fn wedged_ingest_prepare_is_cleared_by_a_single_shard_routed_ingest() {
+    let fixture = Fixture::new(SEED);
+    let fleet = durable_fleet(&fixture);
+    let batches = spanning_batches(&fleet, 4);
+    let (q0, q1) = (fleet.query_on(0), fleet.query_on(1));
+    let history = fleet.history();
+    let mut ingester = Client::connect(fleet.addr()).unwrap();
+    wedge_shard_1(&fleet, &mut ingester, &batches);
+
+    let model = fleet.model();
+    let on_shard_1: Vec<ClickRecord> = batches[3]
+        .iter()
+        .filter(|r| model.shard_of(r.query) == 1)
+        .cloned()
+        .collect();
+    assert!(!on_shard_1.is_empty(), "batch 3 has records on shard 1");
+    let committed = taxo_sim::counter("serve.ingest.committed");
+    assert_eq!(
+        history.ingest(&mut ingester, &on_shard_1),
+        Ack::Ok(vec![4]),
+        "the single-shard ingest must clear the wedge and publish"
+    );
+    assert_eq!(
+        taxo_sim::counter("serve.ingest.committed"),
+        committed + 1,
+        "the probe's commit of the held prepare"
+    );
+    let (ctl0, ctl1) = (fleet.shard(0).controller(), fleet.shard(1).controller());
+    assert_eq!((ctl0.version(), ctl1.version()), (3, 4));
+    let mut client = Client::connect(fleet.addr()).unwrap();
+    for (q, version) in [(q0, 3), (q1, 4)] {
+        let served = history.score(&mut client, q, None);
+        assert_eq!(served.ok().map(|(v, _)| v), Some(version));
+    }
+    assert_eq!(health_status(&mut client).as_deref(), Some("serving"));
+    client.shutdown().unwrap();
+
+    history.settle(Some(vec![3, 3]));
+    assert_eq!(fleet.check().versions, [3, 4]);
 }
